@@ -14,6 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .diary import DAY_TYPES, DiaryTable
 from .errors import MissingProfileError
 from .model import COMPARABLE_DAY_TYPES, Activity, DayType, DiaryDay, TransportMode
 
@@ -75,25 +76,23 @@ def aggregate_profiles(days: Iterable[DiaryDay]) -> dict[DayType, DayTypeProfile
 
     Input is expected to be quality-filtered already; days of other types are
     ignored. Day types without any days get a zero profile with day_count 0.
+    Takes a :class:`DiaryTable` or any iterable of days; each mean is one
+    ``np.mean`` over the day type's values of a column, in row order.
     """
-    by_type: dict[DayType, list[DiaryDay]] = {t: [] for t in COMPARABLE_DAY_TYPES}
-    for day in days:
-        if day.day_type in by_type:
-            by_type[day.day_type].append(day)
-
+    table = DiaryTable.from_days(days)
     profiles: dict[DayType, DayTypeProfile] = {}
-    for day_type, bucket in by_type.items():
-        if not bucket:
+    for day_type in COMPARABLE_DAY_TYPES:
+        rows = table.day_types == DAY_TYPES.index(day_type)
+        day_count = int(np.count_nonzero(rows))
+        if not day_count:
             profiles[day_type] = _empty_profile(day_type)
             continue
-        mean_activity = {
-            a: float(np.mean([d.activity(a) for d in bucket])) for a in Activity
-        }
-        mean_mode = {m: float(np.mean([d.mode(m) for d in bucket])) for m in TransportMode}
+        means = [float(np.mean(column[rows])) for column in table.minutes.T]
+        mean_mode = dict(zip(TransportMode, means[len(Activity):]))
         profiles[day_type] = DayTypeProfile(
             day_type=day_type,
-            day_count=len(bucket),
-            mean_activity_minutes=mean_activity,
+            day_count=day_count,
+            mean_activity_minutes=dict(zip(Activity, means)),
             mean_mode_minutes=mean_mode,
             mode_share=mode_shares(mean_mode),
         )
@@ -126,10 +125,8 @@ def profile_deltas(
 
 def day_counts(days: Iterable[DiaryDay]) -> dict[DayType, int]:
     """Exact day counts by classified type, zero-filled for all types."""
-    counts = {t: 0 for t in DayType}
-    for day in days:
-        counts[day.day_type] += 1
-    return counts
+    counts = np.bincount(DiaryTable.from_days(days).day_types, minlength=len(DAY_TYPES))
+    return dict(zip(DAY_TYPES, counts.tolist()))
 
 
 def profiles_to_dict(profiles: Mapping[DayType, DayTypeProfile]) -> dict:

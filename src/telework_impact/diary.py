@@ -8,7 +8,17 @@ Diary files are UTF-8 CSV with exactly this header::
 (one physical line; wrapped here for readability). Dates are ISO-8601,
 minute fields are non-negative decimals, and the location vocabulary is
 ``office | coworking | home | other | multiple``. Unknown location strings
-fall back to ``other_location`` with a logged warning.
+fall back to ``other_location``: :func:`classify_day` logs a warning per
+call, and a parse logs one warning that gives the number of such rows
+that enter the table and the first five row numbers.
+
+A parse streams the file once into a :class:`DiaryTable`: one array per
+field and an ``(n, 9)`` float64 matrix of the minute columns. The table is a
+sequence of :class:`DiaryDay` (indexing builds the day object of a row), so
+code written for lists of days keeps working, while the quality filter and
+the aggregation work on its arrays. :func:`apply_quality_filter` returns the
+kind of container it is given: a table for a table, and for any other
+iterable of days a list of the very same objects.
 
 Row-level problems never abort a parse; each bad row becomes a
 :class:`RejectedDay` with reason ``PARSE_ERROR``. Only whole-file problems
@@ -21,13 +31,18 @@ import csv
 import datetime as _dt
 import io
 import logging
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from pathlib import Path
 from typing import IO, Iterable
 
+import numpy as np
+
 from .errors import DiaryFormatError
-from .model import Activity, DayType, DiaryDay, TransportMode
+from .model import MINUTES_PER_DAY, Activity, DayType, DiaryDay, TransportMode
 
 logger = logging.getLogger(__name__)
 
@@ -54,20 +69,22 @@ LOCATION_VOCABULARY = {
     "multiple": DayType.MULTI_LOCATION,
 }
 
-_ACTIVITY_COLUMNS = (
-    ("travel_min", Activity.TRAVEL),
-    ("work_min", Activity.WORK),
-    ("chores_min", Activity.EVERYDAY_CHORES),
-    ("leisure_min", Activity.LEISURE),
-)
+#: Minute columns of the CSV, in the column order of ``DiaryTable.minutes``:
+#: the activities in :class:`Activity` order, then the modes in
+#: :class:`TransportMode` order.
+MINUTE_COLUMNS = DIARY_HEADER[3:]
+_ACTIVITIES = tuple(Activity)
+_MODES = tuple(TransportMode)
+_TRAVEL = _ACTIVITIES.index(Activity.TRAVEL)
+_WORK = _ACTIVITIES.index(Activity.WORK)
 
-_MODE_COLUMNS = (
-    ("walk_min", TransportMode.WALK),
-    ("bike_min", TransportMode.BIKE),
-    ("car_min", TransportMode.CAR),
-    ("pt_min", TransportMode.PUBLIC_TRANSPORT),
-    ("other_mode_min", TransportMode.OTHER),
-)
+#: Day types in code order; ``DiaryTable.day_types`` holds indices into it.
+DAY_TYPES = tuple(DayType)
+_DAY_TYPE_CODE = {day_type: code for code, day_type in enumerate(DAY_TYPES)}
+_LOCATION_CODE = {raw: _DAY_TYPE_CODE[day_type] for raw, day_type in LOCATION_VOCABULARY.items()}
+_EXCLUDED_CODES = [_DAY_TYPE_CODE[DayType.OTHER_LOCATION], _DAY_TYPE_CODE[DayType.MULTI_LOCATION]]
+#: Row numbers the folded unknown-location warning lists.
+_WARNED_ROWS = 5
 
 
 class RejectReason(str, Enum):
@@ -78,6 +95,17 @@ class RejectReason(str, Enum):
     MODE_MISMATCH = "MODE_MISMATCH"
     EXCLUDED_LOCATION = "EXCLUDED_LOCATION"
     PARSE_ERROR = "PARSE_ERROR"
+
+
+#: Reasons of the quality rules, in the order the rules are checked, and the
+#: detail text of each.
+_RULE_REASONS = tuple(RejectReason)[:4]
+_RULE_DETAILS = (
+    "work {work:g} < {rules.min_work_minutes:g} min",
+    "total {total:g} < {rules.min_total_minutes:g} min",
+    "|travel - modes| = {mismatch:g} > {rules.max_mode_mismatch_minutes:g} min",
+    "day type {day_type} excluded",
+)
 
 
 @dataclass(frozen=True)
@@ -114,6 +142,95 @@ class RejectedDay:
     failures: tuple[RejectReason, ...] = ()
 
 
+class DiaryTable(Sequence):
+    """Diary days held as columns; a read-only sequence of :class:`DiaryDay`.
+
+    ``participant_ids``, ``dates`` and ``source_rows`` are object arrays,
+    ``day_types`` holds int8 indices into :data:`DAY_TYPES`, and ``minutes``
+    is an ``(n, 9)`` float64 matrix whose columns are the activities in
+    :class:`Activity` order, then the modes in :class:`TransportMode` order
+    (the order of :data:`MINUTE_COLUMNS`).
+
+    An int index builds the :class:`DiaryDay` of that row. A slice, boolean
+    mask or index array gives a sub-table. The arrays are read-only.
+    """
+
+    __slots__ = ("participant_ids", "dates", "source_rows", "day_types", "minutes")
+
+    def __init__(self, participant_ids, dates, source_rows, day_types, minutes):
+        self.participant_ids = _object_array(participant_ids)
+        self.dates = _object_array(dates)
+        self.source_rows = _object_array(source_rows)
+        self.day_types = np.asarray(day_types, dtype=np.int8)
+        self.minutes = np.asarray(minutes, dtype=np.float64).reshape(-1, len(MINUTE_COLUMNS))
+        columns = (self.participant_ids, self.dates, self.source_rows, self.day_types)
+        if {len(column) for column in columns} != {len(self.minutes)}:
+            raise ValueError("diary table columns differ in length")
+        for column in (*columns, self.minutes):
+            column.flags.writeable = False
+
+    @classmethod
+    def from_days(cls, days: Iterable[DiaryDay]) -> DiaryTable:
+        """Table of the given days, in order; a table is returned as it is."""
+        if isinstance(days, DiaryTable):
+            return days
+        days = list(days)
+        minutes = array("d")
+        for day in days:
+            minutes.extend([day.activity(a) for a in _ACTIVITIES])
+            minutes.extend([day.mode(m) for m in _MODES])
+        return cls(
+            [day.participant_id for day in days],
+            [day.date for day in days],
+            [day.source_row for day in days],
+            [_DAY_TYPE_CODE[day.day_type] for day in days],
+            np.frombuffer(minutes, dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.day_types)
+
+    def __getitem__(self, item):
+        if isinstance(item, (int, np.integer)):
+            i = range(len(self))[item]
+            values = self.minutes[i].tolist()
+            return DiaryDay(
+                participant_id=self.participant_ids[i],
+                date=self.dates[i],
+                day_type=DAY_TYPES[self.day_types[i]],
+                activity_minutes=dict(zip(_ACTIVITIES, values)),
+                mode_minutes=dict(zip(_MODES, values[len(_ACTIVITIES):])),
+                source_row=self.source_rows[i],
+            )
+        return DiaryTable(
+            self.participant_ids[item],
+            self.dates[item],
+            self.source_rows[item],
+            self.day_types[item],
+            self.minutes[item],
+        )
+
+    def __repr__(self) -> str:
+        return f"DiaryTable({len(self)} days)"
+
+
+def _object_array(values) -> np.ndarray:
+    """1-D object array of ``values``; ``np.array`` would turn elements that
+    are sequences into extra dimensions."""
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+def _row_sums(block: np.ndarray) -> np.ndarray:
+    """Row totals summed left to right in column order, starting from 0.0,
+    as :class:`DiaryDay` sums its minute maps."""
+    total = np.zeros(len(block))
+    for j in range(block.shape[1]):
+        total += block[:, j]
+    return total
+
+
 def classify_day(raw_location: str) -> DayType:
     """Map a raw location string to a :class:`DayType`.
 
@@ -128,31 +245,23 @@ def classify_day(raw_location: str) -> DayType:
     return day_type
 
 
-def _parse_row(values: list[str], row_number: int) -> DiaryDay:
-    if len(values) != len(DIARY_HEADER):
-        raise ValueError(f"expected {len(DIARY_HEADER)} fields, got {len(values)}")
-    record = dict(zip(DIARY_HEADER, values))
-    date = _dt.date.fromisoformat(record["date"].strip())
-    day_type = classify_day(record["location"])
-    activity_minutes = {
-        activity: float(record[column]) for column, activity in _ACTIVITY_COLUMNS
-    }
-    mode_minutes = {mode: float(record[column]) for column, mode in _MODE_COLUMNS}
-    return DiaryDay(
-        participant_id=record["participant_id"].strip(),
-        date=date,
-        day_type=day_type,
-        activity_minutes=activity_minutes,
-        mode_minutes=mode_minutes,
-        source_row=row_number,
+def _parse_error(row: int, participant_id: str, date: str, exc: Exception) -> RejectedDay:
+    return RejectedDay(
+        reason=RejectReason.PARSE_ERROR,
+        row=row,
+        participant_id=participant_id.strip(),
+        date=date.strip(),
+        detail=str(exc),
+        failures=(RejectReason.PARSE_ERROR,),
     )
 
 
-def parse_diary_file(stream: IO) -> tuple[list[DiaryDay], list[RejectedDay]]:
-    """Parse a diary CSV stream into days plus PARSE_ERROR rejections.
+def parse_diary_file(stream: IO) -> tuple[DiaryTable, list[RejectedDay]]:
+    """Parse a diary CSV stream into a table of days plus PARSE_ERROR
+    rejections, both in row order.
 
-    Accepts a binary or text stream. Row order is preserved; blank lines are
-    skipped.
+    Accepts a binary or text stream; blank lines are skipped. Logs one
+    warning for all kept rows with an unknown location.
     """
     if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(
         stream, "mode", ""
@@ -168,90 +277,140 @@ def parse_diary_file(stream: IO) -> tuple[list[DiaryDay], list[RejectedDay]]:
             "unexpected diary header; expected exactly: " + ",".join(DIARY_HEADER)
         )
 
-    days: list[DiaryDay] = []
+    participant_ids: list[str] = []
+    dates: list[_dt.date] = []
+    date_texts: list[str] = []
+    rows: list[int] = []
+    day_types = array("b")
+    minutes = array("d")
     rejected: list[RejectedDay] = []
+    unknown_location_rows: list[int] = []
+    width = len(MINUTE_COLUMNS)
     for values in reader:
         if not values:
             continue
-        row_number = reader.line_num
+        row = reader.line_num
         try:
-            days.append(_parse_row(values, row_number))
-        except (ValueError, TypeError) as exc:
-            record = dict(zip(DIARY_HEADER, values))
+            if len(values) != len(DIARY_HEADER):
+                raise ValueError(f"expected {len(DIARY_HEADER)} fields, got {len(values)}")
+            date_text = values[1].strip()
+            date = _dt.date.fromisoformat(date_text)
+            code = _LOCATION_CODE.get(values[2])
+            if code is None:
+                code = _LOCATION_CODE.get(values[2].strip())
+            minutes.extend(map(float, values[3:]))
+        except ValueError as exc:
+            del minutes[width * len(rows):]
+            fields = dict(zip(DIARY_HEADER, values))
             rejected.append(
-                RejectedDay(
-                    reason=RejectReason.PARSE_ERROR,
-                    row=row_number,
-                    participant_id=record.get("participant_id", "").strip(),
-                    date=record.get("date", "").strip(),
-                    detail=str(exc),
-                    failures=(RejectReason.PARSE_ERROR,),
-                )
+                _parse_error(row, fields.get("participant_id", ""), fields.get("date", ""), exc)
             )
-    return days, rejected
+            continue
+        if code is None:
+            code = _DAY_TYPE_CODE[DayType.OTHER_LOCATION]
+            unknown_location_rows.append(row)
+        participant_ids.append(values[0].strip())
+        date_texts.append(date_text)
+        dates.append(date)
+        rows.append(row)
+        day_types.append(code)
+
+    table = DiaryTable(
+        participant_ids, dates, rows, day_types, np.frombuffer(minutes, dtype=np.float64)
+    )
+    # Negative minutes and totals over a day are screened on the matrix; the
+    # DiaryDay constructor then names the fault, exactly as for a single day.
+    suspect = (table.minutes < 0).any(axis=1)
+    suspect |= _row_sums(table.minutes[:, :len(_ACTIVITIES)]) > MINUTES_PER_DAY
+    suspect |= _row_sums(table.minutes[:, len(_ACTIVITIES):]) > MINUTES_PER_DAY
+    keep = np.ones(len(table), dtype=bool)
+    for i in np.flatnonzero(suspect).tolist():
+        try:
+            table[i]
+        except ValueError as exc:
+            keep[i] = False
+            rejected.append(_parse_error(rows[i], participant_ids[i], date_texts[i], exc))
+    if not keep.all():
+        table = table[keep]
+        rejected.sort(key=lambda item: item.row)
+        dropped = {item.row for item in rejected}
+        unknown_location_rows = [row for row in unknown_location_rows if row not in dropped]
+    if unknown_location_rows:
+        logger.warning(
+            "%d rows with an unknown location classified as other_location (first rows: %s)",
+            len(unknown_location_rows),
+            ", ".join(map(str, unknown_location_rows[:_WARNED_ROWS])),
+        )
+    return table, rejected
 
 
-def parse_diary_path(path: str | Path) -> tuple[list[DiaryDay], list[RejectedDay]]:
+def parse_diary_path(path: str | Path) -> tuple[DiaryTable, list[RejectedDay]]:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         return parse_diary_file(handle)
 
 
-def _failing_rules(day: DiaryDay, rules: QualityRules) -> list[tuple[RejectReason, str]]:
-    failures = []
-    work = day.activity(Activity.WORK)
-    if work < rules.min_work_minutes:
-        failures.append(
-            (RejectReason.WORK_TOO_SHORT, f"work {work:g} < {rules.min_work_minutes:g} min")
-        )
-    total = day.activity_total()
-    if total < rules.min_total_minutes:
-        failures.append(
-            (RejectReason.TOTAL_TOO_SHORT, f"total {total:g} < {rules.min_total_minutes:g} min")
-        )
-    mismatch = abs(day.activity(Activity.TRAVEL) - day.mode_total())
-    if mismatch > rules.max_mode_mismatch_minutes:
-        failures.append(
-            (
-                RejectReason.MODE_MISMATCH,
-                f"|travel - modes| = {mismatch:g} > {rules.max_mode_mismatch_minutes:g} min",
-            )
-        )
-    if rules.exclude_multi_location and day.day_type in (
-        DayType.OTHER_LOCATION,
-        DayType.MULTI_LOCATION,
-    ):
-        failures.append(
-            (RejectReason.EXCLUDED_LOCATION, f"day type {day.day_type.value} excluded")
-        )
-    return failures
-
-
 def apply_quality_filter(
     days: Iterable[DiaryDay], rules: QualityRules | None = None
-) -> tuple[list[DiaryDay], list[RejectedDay]]:
+) -> tuple[DiaryTable | list[DiaryDay], list[RejectedDay]]:
     """Partition days into (kept, rejected) according to the quality rules.
 
     The first failing rule (in :class:`RejectReason` order) is the primary
-    reason; all failing rules are attached.
+    reason; all failing rules are attached. ``kept`` is the kind of
+    container given: a :class:`DiaryTable` for a table, otherwise a list of
+    the very same day objects. Day objects are built only for rejected rows
+    of a table.
     """
     rules = rules or QualityRules()
-    kept: list[DiaryDay] = []
+    if not isinstance(days, DiaryTable):
+        days = list(days)
+    table = DiaryTable.from_days(days)
+    minutes = table.minutes
+    work = minutes[:, _WORK]
+    total = _row_sums(minutes[:, :len(_ACTIVITIES)])
+    mismatch = np.abs(minutes[:, _TRAVEL] - _row_sums(minutes[:, len(_ACTIVITIES):]))
+    excluded = np.isin(table.day_types, _EXCLUDED_CODES) & rules.exclude_multi_location
+    failing = np.stack(
+        [
+            work < rules.min_work_minutes,
+            total < rules.min_total_minutes,
+            mismatch > rules.max_mode_mismatch_minutes,
+            excluded,
+        ],
+        axis=1,
+    )
+    rejected_at = np.flatnonzero(failing.any(axis=1))
+
     rejected: list[RejectedDay] = []
-    for day in days:
-        failures = _failing_rules(day, rules)
-        if not failures:
-            kept.append(day)
-            continue
-        primary_reason, primary_detail = failures[0]
+    for i, flags, work_i, total_i, mismatch_i in zip(
+        rejected_at.tolist(),
+        failing[rejected_at].tolist(),
+        work[rejected_at].tolist(),
+        total[rejected_at].tolist(),
+        mismatch[rejected_at].tolist(),
+    ):
+        day = days[i]
+        values = {
+            "work": work_i,
+            "total": total_i,
+            "mismatch": mismatch_i,
+            "day_type": DAY_TYPES[table.day_types[i]].value,
+            "rules": rules,
+        }
+        failures = tuple(compress(_RULE_REASONS, flags))
         rejected.append(
             RejectedDay(
-                reason=primary_reason,
+                reason=failures[0],
                 day=day,
                 row=day.source_row,
                 participant_id=day.participant_id,
                 date=day.date.isoformat(),
-                detail="; ".join(detail for _, detail in failures),
-                failures=tuple(reason for reason, _ in failures),
+                detail="; ".join(text.format(**values) for text in compress(_RULE_DETAILS, flags)),
+                failures=failures,
             )
         )
-    return kept, rejected
+
+    keep = np.ones(len(table), dtype=bool)
+    keep[rejected_at] = False
+    if isinstance(days, DiaryTable):
+        return (days[keep] if rejected else days), rejected
+    return list(compress(days, keep.tolist())), rejected

@@ -16,7 +16,7 @@ from __future__ import annotations
 import datetime as _dt
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import MissingFactorError, NegativeFactorError
 
@@ -68,15 +68,41 @@ class DayType(str, Enum):
 COMPARABLE_DAY_TYPES = (DayType.EMPLOYER_OFFICE, DayType.COWORKING, DayType.HOME)
 
 
-def _check_minutes(name: str, minutes: Mapping) -> dict:
+#: Minute-map key -> member; members hash and compare equal to their values,
+#: so one lookup serves both spellings.
+_MINUTE_KEYS = {kind: {m.value: m for m in kind} for kind in (Activity, TransportMode)}
+
+
+def _sum_in_order(values: Iterable[float]) -> float:
+    """Plain left-to-right float sum from 0.0. Unlike ``sum``, which uses
+    compensated summation for floats from Python 3.12 on, it gives the same
+    bits on every supported Python."""
     total = 0.0
-    out = {}
-    for key, value in minutes.items():
-        value = float(value)
-        if value < 0:
-            raise ValueError(f"{name}[{getattr(key, 'value', key)}] is negative: {value}")
+    for value in values:
         total += value
-        out[key] = value
+    return total
+
+
+def _check_minutes(name: str, minutes: Mapping, kind: type[Enum]) -> dict:
+    """Validated copy of a minute map with every member of ``kind`` as a
+    key, in declaration order; missing entries become 0.0. Keys may be
+    members or their string values.
+
+    The total is summed left to right in that order, the same order in which
+    the columnar diary tables sum a row, so both agree to the last bit.
+    """
+    keys = _MINUTE_KEYS[kind]
+    out = dict.fromkeys(keys.values(), 0.0)
+    for key, value in minutes.items():
+        member = keys.get(key)
+        if member is None:
+            raise ValueError(f"{name} has unknown key {key!r}")
+        out[member] = float(value)
+    total = 0.0
+    for member, value in out.items():
+        if value < 0:
+            raise ValueError(f"{name}[{member.value}] is negative: {value}")
+        total += value
     if total > MINUTES_PER_DAY:
         raise ValueError(f"{name} total {total} exceeds {MINUTES_PER_DAY} minutes")
     return out
@@ -87,7 +113,10 @@ class DiaryDay:
     """One participant-day of a time-use diary.
 
     ``source_row`` is the physical line number in the source CSV (header is
-    line 1); it is metadata only and excluded from equality.
+    line 1); it is metadata only and excluded from equality. The minute maps
+    hold every :class:`Activity` and :class:`TransportMode`, in declaration
+    order (missing entries are stored as 0.0), so days that mean the same
+    compare equal and ``activity_total``/``mode_total`` sum in column order.
     """
 
     participant_id: str
@@ -99,10 +128,12 @@ class DiaryDay:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "activity_minutes", _check_minutes("activity_minutes", self.activity_minutes)
+            self,
+            "activity_minutes",
+            _check_minutes("activity_minutes", self.activity_minutes, Activity),
         )
         object.__setattr__(
-            self, "mode_minutes", _check_minutes("mode_minutes", self.mode_minutes)
+            self, "mode_minutes", _check_minutes("mode_minutes", self.mode_minutes, TransportMode)
         )
 
     def activity(self, activity: Activity) -> float:
@@ -112,10 +143,10 @@ class DiaryDay:
         return self.mode_minutes.get(mode, 0.0)
 
     def activity_total(self) -> float:
-        return sum(self.activity_minutes.values())
+        return _sum_in_order(self.activity_minutes.values())
 
     def mode_total(self) -> float:
-        return sum(self.mode_minutes.values())
+        return _sum_in_order(self.mode_minutes.values())
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 ``naive_profiles`` is an independent re-implementation of the aggregation
 (plain sums and divisions, no numpy) used as an oracle; keep it free of any
-imports from the aggregation module's internals.
+imports from the aggregation module's internals. ``naive_failing_rules`` is
+the row-wise reference for the quality filter's boolean masks.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from telework_impact import (
     Activity,
     DayType,
     DiaryDay,
+    RejectReason,
     TransportMode,
     calibration,
     load_config,
@@ -100,6 +102,42 @@ def naive_profiles(days):
             "mode_share": share,
         }
     return out
+
+
+def naive_failing_rules(day, rules):
+    """Every quality rule ``day`` fails, as (reason, detail) pairs in
+    RejectReason order, checked one day at a time.
+
+    Totals come from ``DiaryDay.activity_total``/``mode_total``, which sum
+    left to right in column order on every supported Python.
+    """
+    failures = []
+    work = day.activity(Activity.WORK)
+    if work < rules.min_work_minutes:
+        failures.append(
+            (RejectReason.WORK_TOO_SHORT, f"work {work:g} < {rules.min_work_minutes:g} min")
+        )
+    total = day.activity_total()
+    if total < rules.min_total_minutes:
+        failures.append(
+            (RejectReason.TOTAL_TOO_SHORT, f"total {total:g} < {rules.min_total_minutes:g} min")
+        )
+    mismatch = abs(day.activity(Activity.TRAVEL) - day.mode_total())
+    if mismatch > rules.max_mode_mismatch_minutes:
+        failures.append(
+            (
+                RejectReason.MODE_MISMATCH,
+                f"|travel - modes| = {mismatch:g} > {rules.max_mode_mismatch_minutes:g} min",
+            )
+        )
+    if rules.exclude_multi_location and day.day_type in (
+        DayType.OTHER_LOCATION,
+        DayType.MULTI_LOCATION,
+    ):
+        failures.append(
+            (RejectReason.EXCLUDED_LOCATION, f"day type {day.day_type.value} excluded")
+        )
+    return failures
 
 
 def rel_err(actual: float, expected: float) -> float:

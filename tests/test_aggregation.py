@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import make_day, naive_profiles, random_valid_day, rel_err
 from telework_impact import (
     Activity,
     DayType,
+    DiaryTable,
     MissingProfileError,
     TransportMode,
     aggregate_profiles,
@@ -118,6 +120,24 @@ def test_oracle_equivalence():
                 profile.mean_mode_minutes[mode], expected["mean_mode_minutes"][mode]
             ) < 1e-12
             assert rel_err(profile.mode_share[mode], expected["mode_share"][mode]) < 1e-12
+
+
+def test_means_equal_np_mean_over_day_objects():
+    """The columnar means are bit-identical to one np.mean per key over the
+    day objects of a type, in input order, for a list and for a table."""
+    rng = random.Random(77)
+    days = [random_valid_day(rng) for _ in range(1000)]
+    for given in (days, DiaryTable.from_days(days)):
+        profiles = aggregate_profiles(given)
+        for day_type, profile in profiles.items():
+            bucket = [d for d in days if d.day_type == day_type]
+            assert profile.day_count == len(bucket)
+            for activity in Activity:
+                expected = float(np.mean([d.activity(activity) for d in bucket]))
+                assert repr(profile.mean_activity_minutes[activity]) == repr(expected)
+            for mode in TransportMode:
+                expected = float(np.mean([d.mode(mode) for d in bucket]))
+                assert repr(profile.mean_mode_minutes[mode]) == repr(expected)
 
 
 class TestProfileDeltas:

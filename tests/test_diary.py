@@ -1,20 +1,29 @@
+import csv
+import datetime as dt
 import io
 import logging
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_day, random_valid_day
+from conftest import make_day, naive_failing_rules, random_valid_day
 from telework_impact import (
+    Activity,
     DayType,
+    DiaryDay,
     DiaryFormatError,
+    DiaryTable,
     QualityRules,
     RejectReason,
+    TransportMode,
     apply_quality_filter,
     classify_day,
     parse_diary_file,
 )
-from telework_impact.diary import DIARY_HEADER
+from telework_impact.diary import DIARY_HEADER, LOCATION_VOCABULARY
 
 HEADER = ",".join(DIARY_HEADER)
 
@@ -46,7 +55,7 @@ class TestClassifyDay:
 class TestParse:
     def test_empty_file_with_header(self):
         days, rejected = parse_text(HEADER + "\n")
-        assert days == [] and rejected == []
+        assert len(days) == 0 and rejected == []
 
     def test_missing_header_aborts(self):
         with pytest.raises(DiaryFormatError):
@@ -57,7 +66,7 @@ class TestParse:
     def test_negative_minutes_rejected_per_row(self):
         text = HEADER + "\nP1,2024-01-08,office,60,480,30,30,10,10,-40,0,0\n"
         days, rejected = parse_text(text)
-        assert days == []
+        assert len(days) == 0
         assert len(rejected) == 1
         assert rejected[0].reason is RejectReason.PARSE_ERROR
         assert rejected[0].row == 2
@@ -86,6 +95,31 @@ class TestParse:
         data = (HEADER + "\nP1,2024-01-08,office,60,480,30,30,10,10,40,0,0\n").encode()
         days, rejected = parse_diary_file(io.BytesIO(data))
         assert len(days) == 1 and not rejected
+
+    def test_unknown_locations_fold_into_one_warning(self, caplog):
+        rows = [f"P{i},2024-01-08,cafe {i},60,480,30,30,10,10,40,0,0" for i in range(7)]
+        rows[3] = "P3,2024-01-08,bus depot,abc,480,30,30,10,10,40,0,0"
+        rows.insert(1, "P9,2024-01-08,office,60,480,30,30,10,10,40,0,0")
+        rows.append("P8,2024-01-08,tram stop,60,480,30,30,10,10,-40,0,0")
+        with caplog.at_level(logging.WARNING, logger="telework_impact.diary"):
+            days, rejected = parse_text(HEADER + "\n" + "\n".join(rows) + "\n")
+        assert len(days) == 7
+        assert [r.row for r in rejected] == [6, 10]
+        assert {d.day_type for d in days} == {DayType.OTHER_LOCATION, DayType.EMPLOYER_OFFICE}
+        records = [r for r in caplog.records if r.name == "telework_impact.diary"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        message = records[0].getMessage()
+        # Rows rejected as PARSE_ERROR (6: non-numeric, 10: negative) are not counted.
+        assert message.startswith("6 rows with an unknown location")
+        assert message.endswith("(first rows: 2, 4, 5, 7, 8)")
+
+    def test_known_locations_log_nothing(self, caplog):
+        text = HEADER + "\nP1,2024-01-08, office ,60,480,30,30,10,10,40,0,0\n"
+        with caplog.at_level(logging.WARNING, logger="telework_impact.diary"):
+            days, _ = parse_text(text)
+        assert days[0].day_type is DayType.EMPLOYER_OFFICE
+        assert not caplog.records
 
     def test_row_numbers_and_order_preserved(self):
         rows = [
@@ -216,6 +250,151 @@ class TestFilterProperties:
         kept_a, _ = apply_quality_filter(days)
         kept_b, _ = apply_quality_filter(shuffled)
         assert sorted(id(d) for d in kept_a) == sorted(id(d) for d in kept_b)
+
+
+class TestDiaryTable:
+    def rows(self):
+        return [
+            "P1,2024-01-08,office,60,480,30,30,10,10,40,0,0",
+            "P2,2024-01-09,coworking,30,500,30,30,10,10,10,0,0",
+            "P3,2024-01-10,home,10,490,60,30,0,0,10,0,0",
+        ]
+
+    def test_sequence_of_days(self):
+        table, _ = parse_text(HEADER + "\n" + "\n".join(self.rows()) + "\n")
+        assert isinstance(table, DiaryTable) and len(table) == 3
+        days = list(table)
+        assert all(isinstance(d, DiaryDay) for d in days)
+        assert table[-1] == days[2] and table[-1].source_row == 4
+        assert [d.participant_id for d in table[1:]] == ["P2", "P3"]
+        with pytest.raises(IndexError):
+            table[3]
+
+    def test_read_only(self):
+        table, _ = parse_text(HEADER + "\n" + "\n".join(self.rows()) + "\n")
+        with pytest.raises(ValueError):
+            table.minutes[0, 0] = 1.0
+
+    def test_from_days_keeps_order_and_rows(self):
+        days = [make_day(modes={"car": 10.0}, pid=f"P{i}", row=i + 5) for i in range(4)]
+        table = DiaryTable.from_days(days)
+        assert list(table) == days
+        assert [d.source_row for d in table] == [5, 6, 7, 8]
+        assert DiaryTable.from_days(table) is table
+
+    def test_filter_returns_the_kind_of_container_given(self):
+        table, _ = parse_text(HEADER + "\n" + "\n".join(self.rows()) + "\n")
+        rules = QualityRules(min_work_minutes=495.0)
+        kept_table, rejected_table = apply_quality_filter(table, rules)
+        assert isinstance(kept_table, DiaryTable)
+        days = list(table)
+        kept_list, rejected_list = apply_quality_filter(days, rules)
+        assert type(kept_list) is list and kept_list[0] is days[1]
+        assert list(kept_table) == kept_list
+        assert rejected_table == rejected_list
+        assert [r.row for r in rejected_table] == [2, 4]
+
+
+# Minutes small enough that no total exceeds a day. The fixed values reach the
+# default thresholds exactly: 240 work, 4 x 120 = 480 total, 100 mismatch.
+MINUTES = st.one_of(
+    st.floats(min_value=0.0, max_value=280.0),
+    st.sampled_from([0.0, 100.0, 120.0, 240.0, math.nextafter(100.0, math.inf)]),
+)
+
+
+@st.composite
+def diary_days(draw, allow_nan=False):
+    values = MINUTES | st.just(math.nan) if allow_nan else MINUTES
+    return DiaryDay(
+        participant_id=draw(st.text("ABCXYZ0189-", min_size=1, max_size=6)),
+        date=draw(st.dates(min_value=dt.date(1900, 1, 1))),
+        day_type=draw(st.sampled_from(list(DayType))),
+        activity_minutes={a: draw(values) for a in Activity},
+        mode_minutes={m: draw(values) for m in TransportMode},
+    )
+
+
+def _near(draw, value):
+    """``value``, one ulp either side of it, or any threshold."""
+    choices = [st.floats(min_value=0.0, max_value=1440.0)]
+    if math.isfinite(value):
+        edges = [value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf)]
+        choices.append(st.sampled_from([max(edge, 0.0) for edge in edges]))
+    return draw(st.one_of(*choices))
+
+
+@st.composite
+def days_and_rules(draw):
+    """Days, and rules whose thresholds sit on or next to one day's values."""
+    days = draw(st.lists(diary_days(allow_nan=True), min_size=1, max_size=12))
+    pivot = draw(st.sampled_from(days))
+    rules = QualityRules(
+        min_work_minutes=_near(draw, pivot.activity(Activity.WORK)),
+        min_total_minutes=_near(draw, pivot.activity_total()),
+        max_mode_mismatch_minutes=_near(
+            draw, abs(pivot.activity(Activity.TRAVEL) - pivot.mode_total())
+        ),
+        exclude_multi_location=draw(st.booleans()),
+    )
+    return days, rules
+
+
+# Summed left to right the activities total 0.6000000000000001, exactly the
+# threshold, so the day is kept; summed right to left they total 0.6.
+_ORDER_SENSITIVE = (
+    [make_day(work=0.2, chores=0.3, leisure=0.0, travel=0.1, modes={"car": 0.1})],
+    QualityRules(
+        min_work_minutes=0.0, min_total_minutes=0.1 + 0.2 + 0.3, max_mode_mismatch_minutes=0.0
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(days_and_rules())
+@example(_ORDER_SENSITIVE)
+def test_masks_agree_with_row_wise_reference(case):
+    days, rules = case
+    for given_days in (days, DiaryTable.from_days(days)):
+        kept, rejected = apply_quality_filter(given_days, rules)
+        verdicts = [naive_failing_rules(day, rules) for day in days]
+        assert len(kept) == sum(1 for failures in verdicts if not failures)
+        assert len(rejected) == len(days) - len(kept)
+        flagged = iter(rejected)
+        for day, failures in zip(days, verdicts):
+            if not failures:
+                continue
+            item = next(flagged)
+            assert (item.participant_id, item.date) == (day.participant_id, day.date.isoformat())
+            assert item.day is day or given_days is not days
+            assert item.reason is failures[0][0]
+            assert item.failures == tuple(reason for reason, _ in failures)
+            assert item.detail == "; ".join(detail for _, detail in failures)
+
+
+_RAW_LOCATION = {day_type: raw for raw, day_type in LOCATION_VOCABULARY.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(diary_days(), st.integers(0, 2)), max_size=15))
+def test_csv_round_trip(days_and_blanks):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(DIARY_HEADER)
+    expected_rows, line = [], 1
+    for day, blank_lines in days_and_blanks:
+        buffer.write("\n" * blank_lines)
+        line += blank_lines + 1
+        expected_rows.append(line)
+        writer.writerow(
+            [day.participant_id, day.date.isoformat(), _RAW_LOCATION[day.day_type]]
+            + [repr(day.activity(a)) for a in Activity]
+            + [repr(day.mode(m)) for m in TransportMode]
+        )
+    table, rejected = parse_diary_file(io.StringIO(buffer.getvalue()))
+    assert not rejected
+    assert list(table) == [day for day, _ in days_and_blanks]
+    assert [day.source_row for day in table] == expected_rows
 
 
 def test_random_valid_days_always_kept():

@@ -1,0 +1,104 @@
+"""Golden artifacts: ``delta --baseline both``, ``profile`` and ``validate``
+through ``cli.main`` must write byte-identical files.
+
+Two inputs are run. ``reference`` is the shipped diary file as it is.
+``dirty`` is the same file with faulty rows spliced in, one per reject
+cause, so that the parse and quality-filter paths and the row numbering
+of ``rejections.csv`` are pinned too. The digests were recorded from the
+object-per-row implementation that preceded the columnar diary tables.
+
+Paths are passed relative to the working directory so that the reports,
+which name their inputs, do not depend on where the test runs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import shutil
+from pathlib import Path
+
+import pytest
+
+from telework_impact import calibration, cli
+
+#: Faulty rows and the cause each one plants; inserted after every
+#: ``SPLICE_EVERY`` reference rows.
+DIRTY_ROWS = [
+    "D01,2019-02-30,office,120,500,60,120,10,10,40,60,0",  # bad date
+    "D02,2019-09-02,coworking,abc,500,60,120,10,10,40,60,0",  # non-numeric
+    "D03,2019-09-02,home,120,500",  # short row
+    "D04,2019-09-02,office,120,500,60,120,10,10,-40,60,0",  # negative minutes
+    "D05,2019-09-02,home,120,1000,200,300,10,10,40,60,0",  # activity total over 1440
+    "D06,2019-09-02,office,120,500,60,120,10,10,40,inf,0",  # mode total over 1440
+    "D07,2019-09-02,cafe,120,500,60,120,10,10,40,60,0",  # unknown location
+    "D08,2019-09-02,multiple,120,500,60,120,10,10,40,60,0",  # excluded location
+    "D09,2019-09-02,office,120,200,100,200,10,10,40,60,0",  # work too short
+    "D10,2019-09-02,coworking,30,300,40,100,10,10,5,5,0",  # total too short
+    "D11,2019-09-02,home,300,500,60,120,10,10,40,60,0",  # mode mismatch
+    "D12,2019-09-02,other,300,100,0,0,10,10,40,60,0",  # every quality rule at once
+    "",  # blank line: skipped, but it still counts as a line
+    '"D13\nX",2019-09-02,office,120,200,100,200,10,10,40,60,0',  # quoted newline, work short
+    " D14 , 2019-09-03 , coworking , 60 , 505 , 70 , 100 , 20 , 20 , 10 , 10 , 0 ",  # padded, kept
+    "D15,2019-09-03,bus depot,abc,500,60,120,10,10,40,60,0",  # unknown location, non-numeric
+]
+SPLICE_EVERY = 15
+
+COMMANDS = {
+    "delta": ["delta", "--baseline", "both"],
+    "profile": ["profile"],
+    "validate": ["validate"],
+}
+
+GOLDEN = {
+    "reference/delta/delta.csv": "28a79494f21fa781e68e28ed61d04227e63375cb89fb6e7344be89c63ac9a317",
+    "reference/delta/delta.json": "4dbc86f9100b304c6060807bc624f3ed2a50dee9a985c98eab2d928c73621744",
+    "reference/delta/report.json": "5515c73788150079ad844c15c6f90bdbb0f836ca7105176f4ab0285c26603779",
+    "reference/profile/plot_data.csv": "4b3736dcb9330da55600b48f9c01c0e391f3a8d1c4e8d7a1831cf2f9c7bfef6d",
+    "reference/profile/profiles.csv": "22691514b68573cba14f5989d0ab8244bb369240e09ae1b369c1454e4d9cec74",
+    "reference/profile/profiles.json": "b55fbb755da85aba6834d4b80a14d64448baa2712e9773291fb0b25f5e04340e",
+    "reference/profile/report.json": "7e30d02bbe0935988b2e434221550f2c3534e1aa6268431e59118b7278ca8ac9",
+    "reference/validate/rejections.csv": "526f124d25d0d548c7ea7190d44fa565d350492f8fdbf9047be649cbba3ad48e",
+    "reference/validate/report.json": "a3c15575388883a47ea11961afc7369a4c8fe3727d6dc1477f0316fbbbdca390",
+    "dirty/delta/delta.csv": "9c8c6bb917a31206d6bef6b8eee02e0c06854f57450cf691821a5f889b890b65",
+    "dirty/delta/delta.json": "3de93867a50e6bf67894c5bbdcd60820c5e0925e19cd26acb9c15b5f70575d56",
+    "dirty/delta/report.json": "0722e3978ab2cc8efcaadfdf39f24e81db5328fcf3f412a7a52afbefc80c9ef3",
+    "dirty/profile/plot_data.csv": "84b4e20224056a0ae5042de648c504d4dcb6d917387a7d6cd5e7fc63f7286ba8",
+    "dirty/profile/profiles.csv": "4e662257329b1d633c4abc534e3a7d92b63ce0e607afd5f4cabdb1a97b588665",
+    "dirty/profile/profiles.json": "7bd5b624e3127cf8aff39494ecd345318f8e640f1d38edcc8b35b605f334a7a8",
+    "dirty/profile/report.json": "6e3bd634bfa78565c61f83202710b74728a2daf372c9abb645f43a3d3b756ca0",
+    "dirty/validate/rejections.csv": "9dc6cdbfe3e449feaca3d52bbb32709e2f4293a9106db134d6fd1b303f1bfbb0",
+    "dirty/validate/report.json": "78dabb0943ebaf45c7123565eed0fb87d1c8e9d1ae1ebd0c41708f5928b4e74a",
+}
+
+
+def _inputs(directory: Path) -> dict[str, str]:
+    reference = calibration.shipped_diaries_path()
+    shutil.copy(calibration.shipped_config_path(), directory / "config.json")
+    shutil.copy(reference, directory / "reference.csv")
+    lines = Path(reference).read_text(encoding="utf-8").splitlines()
+    header, body = lines[0], lines[1:]
+    dirty = [header]
+    for i, line in enumerate(body):
+        if i % SPLICE_EVERY == 0 and i // SPLICE_EVERY < len(DIRTY_ROWS):
+            dirty.append(DIRTY_ROWS[i // SPLICE_EVERY])
+        dirty.append(line)
+    (directory / "dirty.csv").write_text("\n".join(dirty) + "\n", encoding="utf-8")
+    return {"reference": "reference.csv", "dirty": "dirty.csv"}
+
+
+def _digests(directory: Path, capsys) -> dict[str, str]:
+    digests = {}
+    for name, diaries in _inputs(directory).items():
+        for command, argv in COMMANDS.items():
+            out = Path(name, command)
+            cli.main([*argv, "--config", "config.json", "--diaries", diaries, "--out", str(out)])
+            capsys.readouterr()
+            for path in sorted(out.iterdir()):
+                if path.name != "run_info.json":
+                    digests[path.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def test_artifacts_match_golden_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _digests(tmp_path, capsys) == GOLDEN

@@ -63,6 +63,27 @@ class TestDiaryDay:
         with pytest.raises(AttributeError):
             day.participant_id = "other"
 
+    def test_maps_hold_every_member_in_order(self):
+        sparse = make_day(modes={"car": 10.0, TransportMode.WALK: 5.0})
+        assert list(sparse.mode_minutes) == list(TransportMode)
+        assert sparse.mode_minutes[TransportMode.BIKE] == 0.0
+        given = {"car": 10.0, "walk": 5.0}
+        dense = make_day(modes={m: given.get(m.value, 0.0) for m in TransportMode})
+        assert sparse == dense
+
+    def test_unknown_minute_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown key 'boat'"):
+            make_day(modes={"boat": 5.0})
+
+    def test_totals_sum_left_to_right(self):
+        # (0.1 + 0.2) + 0.3 is 0.6000000000000001; a compensated sum gives 0.6.
+        day = make_day(
+            work=0.2, chores=0.3, leisure=0.0, travel=0.1,
+            modes={TransportMode.WALK: 0.1, TransportMode.BIKE: 0.2, TransportMode.CAR: 0.3},
+        )
+        assert day.activity_total() == (0.1 + 0.2) + 0.3
+        assert day.mode_total() == (0.1 + 0.2) + 0.3
+
     def test_source_row_not_part_of_identity(self):
         a = make_day(modes={TransportMode.CAR: 10.0}, row=2)
         b = make_day(modes={TransportMode.CAR: 10.0}, row=99)
