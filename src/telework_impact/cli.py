@@ -114,9 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--values", type=float, nargs="+", required=True, help="parameter values"
     )
-    p.add_argument(
-        "--parallel", type=int, default=1, metavar="N", help="worker threads for sweep points"
-    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("breakeven", help="find the parameter value where net energy is zero")
@@ -309,17 +306,18 @@ def cmd_sweep(args) -> int:
         args.parameter,
         args.values,
         baseline=baseline,
-        max_workers=args.parallel,
     )
 
     out = _out_dir(args)
     if args.format in ("csv", "both"):
         rpt.write_csv(out / "sweep.csv", rpt.SWEEP_HEADER, rpt.sweep_rows(result))
+    # Built and encoded once, for sweep.json and for report.json.
+    sweep_json = rpt.EncodedJson(rpt.sweep_to_dict(result))
     if args.format in ("json", "both"):
-        rpt.write_json(out / "sweep.json", rpt.sweep_to_dict(result))
+        rpt.write_json(out / "sweep.json", sweep_json)
     report = rpt.base_report("sweep", config, __version__, profile_source)
     report["scenario"] = scenario.name
-    report["sweep"] = rpt.sweep_to_dict(result)
+    report["sweep"] = sweep_json
     rpt.write_json(out / "report.json", report)
     rpt.write_run_info(out)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import functools
 import json
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -44,9 +45,44 @@ def fmt(value) -> str:
     return str(value)
 
 
+class EncodedJson:
+    """A JSON value that is encoded once, on first use, the way
+    :func:`write_json` encodes, so that one text can be written as a file
+    of its own and embedded in a report."""
+
+    def __init__(self, value):
+        self.value = value
+
+    @functools.cached_property
+    def text(self) -> str:
+        return json.dumps(self.value, indent=2, sort_keys=True)
+
+
+def encode_json(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, where ``payload``
+    may be an :class:`EncodedJson` or a dict with string keys that holds
+    some as members.
+
+    A member's text is spliced in re-indented by two spaces. That is exact:
+    ``json.dumps`` escapes newlines inside strings, so every raw newline of
+    its output is structural.
+    """
+    if isinstance(payload, EncodedJson):
+        return payload.text
+    if not (
+        isinstance(payload, dict) and any(isinstance(v, EncodedJson) for v in payload.values())
+    ):
+        return json.dumps(payload, indent=2, sort_keys=True)
+    members = (
+        f"\n  {json.dumps(key)}: " + encode_json(value).replace("\n", "\n  ")
+        for key, value in sorted(payload.items())
+    )
+    return "{" + ",".join(members) + "\n}"
+
+
 def write_json(path: str | Path, payload) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(encode_json(payload) + "\n", encoding="utf-8")
     return path
 
 
@@ -168,15 +204,16 @@ def scenario_delta_to_dict(delta: ScenarioDelta, cw_days_per_week: float | None 
 
 
 def sweep_rows(result: SweepResult) -> list[list[str]]:
+    """One row per point; every cell after the parameter is a float."""
     return [
         [
             result.parameter,
-            fmt(value),
-            fmt(delta.facility_mj),
-            fmt(delta.equipment_mj),
-            fmt(delta.travel_mj),
-            fmt(delta.credit_mj),
-            fmt(delta.net_mj),
+            repr(value),
+            repr(delta.facility_mj),
+            repr(delta.equipment_mj),
+            repr(delta.travel_mj),
+            repr(delta.credit_mj),
+            repr(delta.net_mj),
         ]
         for value, delta in result.points
     ]

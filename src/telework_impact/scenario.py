@@ -7,9 +7,13 @@ facility component). The credit is reported as its own component so the
 three-way facility/equipment/travel split stays comparable; the scenario net
 subtracts it.
 
-Sweeps evaluate one parameter over a list of values; break-even bisects the
-scenario net over a bracket. Integer-valued inventory parameters are relaxed
-to reals for sweeping and root finding (round up for planning).
+Every evaluation first computes the terms that do not depend on the swept
+value (effective inventory, intensities, equipment and travel MJ), once per
+call; a point then only allocates facility and credit energy over
+coworkers x workdays. Sweeps evaluate one parameter over a list of values;
+break-even bisects the scenario net over a bracket. Integer-valued
+inventory parameters are relaxed to reals for sweeping and root finding
+(round up for planning).
 """
 
 from __future__ import annotations
@@ -17,18 +21,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .aggregation import DayTypeProfile
-from .energy import (
-    annual_facility_energy,
-    equipment_energy,
-    per_coworker_day,
-    travel_energy,
-)
+from .energy import equipment_energy, per_coworker_day, travel_energy
 from .errors import (
     ConfigError,
     InvalidOverrideError,
@@ -40,7 +38,8 @@ from .errors import (
 )
 from .model import DayType, EnergyDelta, FactorTable, SiteInventory, TransportMode
 
-#: Parameters supported by sweep() and break_even().
+#: Parameters supported by sweep(); break_even() takes all but
+#: cw_days_per_week, on which the per-day net does not depend.
 SWEEP_PARAMETERS = (
     "coworker_count",
     "workdays_per_year",
@@ -221,53 +220,70 @@ def _override_profiles(
     return out
 
 
-def _point_delta(
+@dataclass(frozen=True)
+class _Terms:
+    """Everything a scenario point needs that does not depend on the swept
+    value: the effective inventory's allocation inputs, the facility and
+    credit intensities, and the value-independent equipment and travel MJ."""
+
+    baseline: DayType
+    area: float
+    coworkers: float
+    workdays: float
+    credit_m2: float
+    credit_intensity: float
+    facility_intensity: float
+    equipment_mj: float
+    travel_mj: float
+
+    def at(self, parameter: str | None = None, value: float | None = None) -> ScenarioDelta:
+        """The delta with one parameter optionally forced to a real value
+        (the relaxed space used by sweeps and root finding)."""
+        area, coworkers, workdays = self.area, self.coworkers, self.workdays
+        credit_m2 = self.credit_m2
+        if parameter is not None:
+            value = float(value)
+            if parameter == "floor_area_m2":
+                if value < 0:
+                    raise InvalidOverrideError(f"floor_area_m2 must be >= 0, got {value}")
+                area = value
+            elif parameter == "coworker_count":
+                if value <= 0:
+                    raise InvalidOverrideError(f"coworker_count must be > 0, got {value}")
+                coworkers = value
+            elif parameter == "workdays_per_year":
+                if value <= 0:
+                    raise InvalidOverrideError(f"workdays_per_year must be > 0, got {value}")
+                workdays = value
+            elif parameter == "floor_space_credit_m2":
+                if value < 0:
+                    raise InvalidOverrideError(f"floor_space_credit_m2 must be >= 0, got {value}")
+                credit_m2 = value
+            elif parameter == "cw_days_per_week":
+                if not 0.0 < value <= MAX_CW_DAYS_PER_WEEK:
+                    raise InvalidOverrideError(
+                        f"cw_days_per_week must be in (0, {MAX_CW_DAYS_PER_WEEK:g}], got {value}"
+                    )
+                # Affects the weekly aggregate only, never the per-day delta.
+            else:
+                _check_parameter(parameter)
+        return ScenarioDelta(
+            baseline=self.baseline,
+            facility_mj=per_coworker_day(area * self.facility_intensity, coworkers, workdays),
+            equipment_mj=self.equipment_mj,
+            travel_mj=self.travel_mj,
+            credit_mj=per_coworker_day(credit_m2 * self.credit_intensity, coworkers, workdays),
+        )
+
+
+def _terms(
     inventory: SiteInventory,
     factors: FactorTable,
     profiles: Mapping[DayType, DayTypeProfile],
     scenario: Scenario,
     baseline: DayType,
-    parameter: str | None = None,
-    value: float | None = None,
-) -> ScenarioDelta:
-    """Evaluate one scenario point, optionally forcing one parameter to a
-    real value (the relaxed space used by sweeps and root finding)."""
+) -> _Terms:
     inventory, factors, _ = apply_scenario(inventory, factors, scenario)
-
-    area = inventory.floor_area_m2
-    coworkers = float(inventory.coworker_count)
-    workdays = float(inventory.workdays_per_year)
-    credit_m2 = scenario.floor_space_credit_m2
-
-    if parameter is not None:
-        value = float(value)
-        if parameter == "floor_area_m2":
-            if value < 0:
-                raise InvalidOverrideError(f"floor_area_m2 must be >= 0, got {value}")
-            area = value
-        elif parameter == "coworker_count":
-            if value <= 0:
-                raise InvalidOverrideError(f"coworker_count must be > 0, got {value}")
-            coworkers = value
-        elif parameter == "workdays_per_year":
-            if value <= 0:
-                raise InvalidOverrideError(f"workdays_per_year must be > 0, got {value}")
-            workdays = value
-        elif parameter == "floor_space_credit_m2":
-            if value < 0:
-                raise InvalidOverrideError(f"floor_space_credit_m2 must be >= 0, got {value}")
-            credit_m2 = value
-        elif parameter == "cw_days_per_week":
-            if not 0.0 < value <= MAX_CW_DAYS_PER_WEEK:
-                raise InvalidOverrideError(
-                    f"cw_days_per_week must be in (0, {MAX_CW_DAYS_PER_WEEK:g}], got {value}"
-                )
-            # Affects the weekly aggregate only, never the per-day delta.
-        else:
-            raise InvalidOverrideError(
-                f"unsupported parameter {parameter!r}; supported: {', '.join(SWEEP_PARAMETERS)}"
-            )
-
     effective = _override_profiles(profiles, scenario)
     cw_profile = effective.get(DayType.COWORKING)
     baseline_profile = effective.get(baseline)
@@ -275,22 +291,25 @@ def _point_delta(
         raise MissingProfileError(DayType.COWORKING)
     if baseline_profile is None or baseline_profile.day_count == 0:
         raise MissingProfileError(baseline)
-
-    facility = per_coworker_day(annual_facility_energy(area, factors), coworkers, workdays)
-    equipment = equipment_energy(inventory, factors)
-    travel = travel_energy(cw_profile.mean_mode_minutes, factors) - travel_energy(
-        baseline_profile.mean_mode_minutes, factors
-    )
-    credit = per_coworker_day(
-        credit_m2 * scenario.credit_intensity_mj_per_m2_year, coworkers, workdays
-    )
-    return ScenarioDelta(
+    return _Terms(
         baseline=baseline,
-        facility_mj=facility,
-        equipment_mj=equipment,
-        travel_mj=travel,
-        credit_mj=credit,
+        area=inventory.floor_area_m2,
+        coworkers=float(inventory.coworker_count),
+        workdays=float(inventory.workdays_per_year),
+        credit_m2=scenario.floor_space_credit_m2,
+        credit_intensity=scenario.credit_intensity_mj_per_m2_year,
+        facility_intensity=factors.facility_intensity_total(),
+        equipment_mj=equipment_energy(inventory, factors),
+        travel_mj=travel_energy(cw_profile.mean_mode_minutes, factors)
+        - travel_energy(baseline_profile.mean_mode_minutes, factors),
     )
+
+
+def _check_parameter(parameter: str) -> None:
+    if parameter not in SWEEP_PARAMETERS:
+        raise InvalidOverrideError(
+            f"unsupported parameter {parameter!r}; supported: {', '.join(SWEEP_PARAMETERS)}"
+        )
 
 
 def evaluate_scenario(
@@ -301,7 +320,7 @@ def evaluate_scenario(
     baseline: DayType = DayType.EMPLOYER_OFFICE,
 ) -> ScenarioDelta:
     """Energy delta of one scenario against one baseline day type."""
-    return _point_delta(inventory, factors, profiles, scenario, baseline)
+    return _terms(inventory, factors, profiles, scenario, baseline).at()
 
 
 def weekly_net_mj(delta: ScenarioDelta, cw_days_per_week: float) -> float:
@@ -318,34 +337,23 @@ def sweep(
     parameter: str,
     values: Sequence[float],
     baseline: DayType = DayType.EMPLOYER_OFFICE,
-    max_workers: int | None = None,
 ) -> SweepResult:
-    """Evaluate one parameter over a list of values.
+    """Evaluate one parameter over a list of values, in ascending order.
 
-    Points are independent and evaluated in ascending parameter order; the
-    result is identical whether computed serially or in parallel.
+    The value-independent terms are computed once; a failing point raises
+    :class:`SweepPointError` with its value.
     """
-    if parameter not in SWEEP_PARAMETERS:
-        raise InvalidOverrideError(
-            f"unsupported parameter {parameter!r}; supported: {', '.join(SWEEP_PARAMETERS)}"
-        )
+    _check_parameter(parameter)
     if not values:
         raise InvalidOverrideError("sweep needs at least one value")
     ordered = sorted(float(v) for v in values)
-
-    def evaluate(value: float) -> ScenarioDelta:
+    terms = _terms(inventory, factors, profiles, scenario, baseline)
+    deltas = []
+    for value in ordered:
         try:
-            return _point_delta(
-                inventory, factors, profiles, scenario, baseline, parameter, value
-            )
+            deltas.append(terms.at(parameter, value))
         except TeleworkImpactError as exc:
             raise SweepPointError(parameter, value, exc) from exc
-
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            deltas = list(pool.map(evaluate, ordered))
-    else:
-        deltas = [evaluate(value) for value in ordered]
     return SweepResult(parameter=parameter, points=tuple(zip(ordered, deltas)))
 
 
@@ -407,15 +415,11 @@ def break_even(
     baseline: DayType = DayType.EMPLOYER_OFFICE,
 ) -> float:
     """Parameter value at which the scenario net energy delta crosses zero."""
-    if parameter not in SWEEP_PARAMETERS:
+    _check_parameter(parameter)
+    if parameter == "cw_days_per_week":
         raise InvalidOverrideError(
-            f"unsupported parameter {parameter!r}; supported: {', '.join(SWEEP_PARAMETERS)}"
+            "break-even on cw_days_per_week has no root: the per-day net does not depend on it"
         )
     lo, hi = float(bounds[0]), float(bounds[1])
-
-    def net(value: float) -> float:
-        return _point_delta(
-            inventory, factors, profiles, scenario, baseline, parameter, value
-        ).net_mj
-
-    return bisect_root(net, lo, hi, tolerance)
+    terms = _terms(inventory, factors, profiles, scenario, baseline)
+    return bisect_root(lambda value: terms.at(parameter, value).net_mj, lo, hi, tolerance)

@@ -266,18 +266,6 @@ class TestSweepCli:
         assert float(row[5]) == pytest.approx(2.82, abs=1e-6)
         assert float(row[6]) == pytest.approx(4.05 - 2.82, abs=1e-6)
 
-    def test_parallel_flag(self, run, tmp_path, ref_config_path, ref_diaries_path):
-        out_serial = tmp_path / "serial"
-        out_parallel = tmp_path / "parallel"
-        for out, workers in ((out_serial, 1), (out_parallel, 4)):
-            code, _, _ = run(
-                "sweep", "--config", ref_config_path, "--diaries", ref_diaries_path,
-                "--parameter", "workdays_per_year", "--values", 100, 150, 200, 250,
-                "--parallel", workers, "--out", out,
-            )
-            assert code == 0
-        assert (out_serial / "sweep.csv").read_bytes() == (out_parallel / "sweep.csv").read_bytes()
-
     def test_unsupported_parameter_exit_1(self, run, tmp_path, ref_config_path, ref_diaries_path):
         code, _, err = run(
             "sweep", "--config", ref_config_path, "--diaries", ref_diaries_path,
@@ -285,6 +273,30 @@ class TestSweepCli:
         )
         assert code == 1
         assert "unsupported" in err
+
+    def test_cw_days_per_week_reports_weekly_net(
+        self, run, tmp_path, ref_config_path, ref_diaries_path
+    ):
+        out = tmp_path / "out"
+        code, _, _ = run(
+            "sweep", "--config", ref_config_path, "--diaries", ref_diaries_path,
+            "--parameter", "cw_days_per_week", "--values", 1, 2.5, "--out", out,
+        )
+        assert code == 0
+        points = json.loads((out / "sweep.json").read_text())["points"]
+        assert [p["cw_days_per_week"] for p in points] == [1.0, 2.5]
+        assert [p["weekly_net_mj"] for p in points] == [
+            p["cw_days_per_week"] * p["net_mj"] for p in points
+        ]
+
+    def test_missing_profile_exit_2(self, run, tmp_path, ref_config_path):
+        diaries = write_diaries(tmp_path, [CLEAN_ROWS[0], CLEAN_ROWS[4]])  # no coworking
+        code, _, err = run(
+            "sweep", "--config", ref_config_path, "--diaries", diaries,
+            "--parameter", "coworker_count", "--values", 10, "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert "insufficient data" in err and "coworking" in err
 
 
 class TestBreakevenCli:
@@ -309,6 +321,23 @@ class TestBreakevenCli:
         )
         assert code == 3
         assert "net(100" in err and "net(120" in err
+
+    def test_missing_profile_exit_2(self, run, tmp_path, ref_config_path):
+        diaries = write_diaries(tmp_path, CLEAN_ROWS[2:])  # no office days
+        code, _, err = run(
+            "breakeven", "--config", ref_config_path, "--diaries", diaries,
+            "--parameter", "coworker_count", "--bounds", 10, 100, "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert "insufficient data" in err and "employer_office" in err
+
+    def test_cw_days_per_week_exit_1(self, run, tmp_path, ref_config_path, ref_diaries_path):
+        code, _, err = run(
+            "breakeven", "--config", ref_config_path, "--diaries", ref_diaries_path,
+            "--parameter", "cw_days_per_week", "--bounds", 1, 5, "--out", tmp_path / "out",
+        )
+        assert code == 1
+        assert "does not depend" in err
 
 
 class TestDeterminism:

@@ -1,11 +1,19 @@
-"""Golden artifacts: ``delta --baseline both``, ``profile`` and ``validate``
-through ``cli.main`` must write byte-identical files.
+"""Golden artifacts: ``delta --baseline both``, ``profile``, ``validate``,
+``sweep`` and ``breakeven`` through ``cli.main`` must write byte-identical
+files.
 
 Two inputs are run. ``reference`` is the shipped diary file as it is.
 ``dirty`` is the same file with faulty rows spliced in, one per reject
 cause, so that the parse and quality-filter paths and the row numbering
-of ``rejections.csv`` are pinned too. The digests were recorded from the
-object-per-row implementation that preceded the columnar diary tables.
+of ``rejections.csv`` are pinned too. The diary digests were recorded from
+the object-per-row implementation that preceded the columnar diary tables.
+
+``sweep`` and ``breakeven`` run on the ``profiles.json`` of the reference
+``profile`` run with a scenario that overrides inventory fields, claims a
+floor-space credit and replaces the co-working modal profile; its name
+holds quotes, a newline and non-ASCII text, which ``report.json`` carries.
+Their digests were recorded from the per-point evaluation that preceded
+the shared scenario terms.
 
 Paths are passed relative to the working directory so that the reports,
 which name their inputs, do not depend on where the test runs.
@@ -14,6 +22,7 @@ which name their inputs, do not depend on where the test runs.
 from __future__ import annotations
 
 import hashlib
+import json
 import shutil
 from pathlib import Path
 
@@ -43,6 +52,38 @@ DIRTY_ROWS = [
 ]
 SPLICE_EVERY = 15
 
+SCENARIO = {
+    "name": 'golden "credit"\nZürich',
+    "overrides": {"workplace_count": 12, "coworker_count": 75},
+    "floor_space_credit_m2": 12.5,
+    "credit_intensity_mj_per_m2_year": 1800.0,
+    "modal_override": {
+        "coworking": {"walk": 20.0, "bike": 15.0, "car": 6.5, "public_transport": 25.0}
+    },
+}
+
+#: Scenario runs on the reference profiles; unsorted and repeated values
+#: pin the ordering of the sweep points.
+SCENARIO_COMMANDS = {
+    "sweep_coworker_count": [
+        "sweep", "--parameter", "coworker_count", "--values",
+        "60", "0.001", "32.94785884208977", "1000", "7", "60", "72.5", "123456.789",
+    ],
+    "sweep_cw_days_per_week": [
+        "sweep", "--parameter", "cw_days_per_week", "--values", "5", "0.25", "2.5", "1",
+    ],
+    "breakeven_coworker_count": [
+        "breakeven", "--parameter", "coworker_count", "--bounds", "10", "500",
+    ],
+    "breakeven_floor_area_m2": [
+        "breakeven", "--parameter", "floor_area_m2", "--bounds", "10", "2000",
+        "--tolerance", "1e-9",
+    ],
+    "breakeven_workdays_per_year": [
+        "breakeven", "--parameter", "workdays_per_year", "--bounds", "10", "400",
+    ],
+}
+
 COMMANDS = {
     "delta": ["delta", "--baseline", "both"],
     "profile": ["profile"],
@@ -68,6 +109,21 @@ GOLDEN = {
     "dirty/profile/report.json": "6e3bd634bfa78565c61f83202710b74728a2daf372c9abb645f43a3d3b756ca0",
     "dirty/validate/rejections.csv": "9dc6cdbfe3e449feaca3d52bbb32709e2f4293a9106db134d6fd1b303f1bfbb0",
     "dirty/validate/report.json": "78dabb0943ebaf45c7123565eed0fb87d1c8e9d1ae1ebd0c41708f5928b4e74a",
+    "reference/sweep_coworker_count/report.json": "d8652ddbac1f0d89f8b84e1a35f23ede8382c94e3581c7642fa8754fe5977540",
+    "reference/sweep_coworker_count/sweep.csv": "97657dfe970085b6842262ad12581ed844825378bdf4807e4bf46ed1c6833508",
+    "reference/sweep_coworker_count/sweep.json": "a1d8be81766bae01fd21509451a5a9d85972a1f1bd111f2ed9fbcf2e43ae7f75",
+    "reference/sweep_cw_days_per_week/report.json": "661c00aeb622786ac206900fae6fd6fe1050b92b6b2aa3aa513d53dc3bf52c29",
+    "reference/sweep_cw_days_per_week/sweep.csv": "bc80fe6d5e69648e4a47d9c621284a5d4ca21e9e62ab56b5ff6da779f3b48bb1",
+    "reference/sweep_cw_days_per_week/sweep.json": "14beb3b3aa1fb6e79928c33131c486f46e5e7bbc40820ca28b86c10319abeba4",
+    "reference/breakeven_coworker_count/breakeven.csv": "c259451e3056f58868559a38afa20ea473aa571b93e51ebedebe21d03b44cda6",
+    "reference/breakeven_coworker_count/breakeven.json": "88749d4bb527ae653fe27cadb0460726eeb24e171eca6f4e69f5aeec08d1e360",
+    "reference/breakeven_coworker_count/report.json": "3552efad93ecbaf82685cee11b7ed15c1245a9a6770334212672927a80b5af09",
+    "reference/breakeven_floor_area_m2/breakeven.csv": "7b726cf319552f73195ce4d8f4c3d1e22f8976fee2c2600c45152f57dcd33197",
+    "reference/breakeven_floor_area_m2/breakeven.json": "44addd18821058a62dd0ddbd5cbee54202969a40b6da96822ac21ea6038e5f17",
+    "reference/breakeven_floor_area_m2/report.json": "cdf37f44d4a9a0db5adb9dba3580c19c3baf1b1946d48d2af22322ab31c3e3f0",
+    "reference/breakeven_workdays_per_year/breakeven.csv": "9211444e1974d855dea0ae43ddc862d0f0dffdfd8a4efd0ca79a5028874c0ef3",
+    "reference/breakeven_workdays_per_year/breakeven.json": "6466ac65d0451d5e67f0edf61172db170d14a7f6f9091be7b1948d1c2834945d",
+    "reference/breakeven_workdays_per_year/report.json": "6143900bedf1f707e1ea72f034270298a542c62aa0f1f79dfb251d68b306f37c",
 }
 
 
@@ -83,19 +139,26 @@ def _inputs(directory: Path) -> dict[str, str]:
             dirty.append(DIRTY_ROWS[i // SPLICE_EVERY])
         dirty.append(line)
     (directory / "dirty.csv").write_text("\n".join(dirty) + "\n", encoding="utf-8")
+    (directory / "scenario.json").write_text(json.dumps(SCENARIO), encoding="utf-8")
     return {"reference": "reference.csv", "dirty": "dirty.csv"}
+
+
+def _run(argv: list[str], out: Path, digests: dict[str, str], capsys) -> None:
+    assert cli.main([*argv, "--config", "config.json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for path in sorted(out.iterdir()):
+        if path.name != "run_info.json":
+            digests[path.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _digests(directory: Path, capsys) -> dict[str, str]:
     digests = {}
     for name, diaries in _inputs(directory).items():
         for command, argv in COMMANDS.items():
-            out = Path(name, command)
-            cli.main([*argv, "--config", "config.json", "--diaries", diaries, "--out", str(out)])
-            capsys.readouterr()
-            for path in sorted(out.iterdir()):
-                if path.name != "run_info.json":
-                    digests[path.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+            _run([*argv, "--diaries", diaries], Path(name, command), digests, capsys)
+    stored = ["--profiles", "reference/profile/profiles.json", "--scenario", "scenario.json"]
+    for name, argv in SCENARIO_COMMANDS.items():
+        _run([*argv, *stored], Path("reference", name), digests, capsys)
     return digests
 
 

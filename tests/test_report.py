@@ -1,7 +1,18 @@
 import json
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from telework_impact.diary import RejectedDay, RejectReason
-from telework_impact.report import fmt, rejection_rows, write_json
+from telework_impact.report import EncodedJson, encode_json, fmt, rejection_rows, write_json
+
+#: Strings that stress the splice: newlines, quotes, escapes, non-ASCII.
+_TEXT = st.text(st.sampled_from('a :,{}[]"\\\n\t\r/éß€\u2028\U0001f600')) | st.text()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
 
 
 def test_fmt_full_precision():
@@ -32,3 +43,16 @@ def test_rejection_rows():
         ["7", "P1", "x", "PARSE_ERROR"],
         ["", "P2", "2024-01-08", "WORK_TOO_SHORT"],
     ]
+
+
+@given(payload=st.dictionaries(_TEXT, _JSON, max_size=5), key=_TEXT, member=_JSON)
+@example(
+    payload={"scenario": 'say "hi"\nZürich', "a": [{"b": "x\ny"}]},
+    key="sweep",
+    member={"points": [{"value": 1.5, "name": "\n  \"\n"}], "z": {}},
+)
+def test_encoded_member_splices_exactly(payload, key, member):
+    expected = json.dumps({**payload, key: member}, indent=2, sort_keys=True)
+    assert encode_json({**payload, key: EncodedJson(member)}) == expected
+    assert encode_json(EncodedJson(member)) == json.dumps(member, indent=2, sort_keys=True)
+

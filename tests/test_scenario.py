@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from telework_impact import (
     ConfigError,
     DayType,
     InvalidOverrideError,
+    MissingProfileError,
     NonFiniteError,
     NoRootError,
     Scenario,
@@ -24,6 +28,7 @@ from telework_impact import (
     weekly_net_mj,
 )
 from telework_impact import calibration
+from telework_impact import scenario as scenario_module
 
 
 @pytest.fixture()
@@ -157,15 +162,6 @@ class TestSweep:
         assert weekly[1] == pytest.approx(2 * weekly[0], rel=1e-12)
         assert weekly[2] == pytest.approx(4 * weekly[0], rel=1e-12)
 
-    def test_parallel_matches_serial(self, base):
-        inventory, factors, profiles = base
-        values = [20, 35, 60, 90, 120, 240]
-        serial = sweep(inventory, factors, profiles, Scenario(), "coworker_count", values)
-        parallel = sweep(
-            inventory, factors, profiles, Scenario(), "coworker_count", values, max_workers=4
-        )
-        assert serial == parallel
-
     def test_repeatable(self, base):
         inventory, factors, profiles = base
         a = sweep(inventory, factors, profiles, Scenario(), "workdays_per_year", [100, 230])
@@ -181,6 +177,27 @@ class TestSweep:
         inventory, factors, profiles = base
         with pytest.raises(InvalidOverrideError, match="unsupported"):
             sweep(inventory, factors, profiles, Scenario(), "workplace_count", [1])
+
+    def test_missing_profile_is_not_a_point_error(self, base):
+        inventory, factors, profiles = base
+        without_coworking = {t: p for t, p in profiles.items() if t != DayType.COWORKING}
+        with pytest.raises(MissingProfileError, match="coworking"):
+            sweep(inventory, factors, without_coworking, Scenario(), "coworker_count", [-5.0])
+
+    def test_travel_energy_runs_twice_per_sweep(self, base, monkeypatch):
+        inventory, factors, profiles = base
+        calls = []
+        real = scenario_module.travel_energy
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scenario_module, "travel_energy", counting)
+        for n in (1, 10, 1000):
+            calls.clear()
+            sweep(inventory, factors, profiles, Scenario(), "coworker_count", range(1, n + 1))
+            assert len(calls) == 2
 
     def test_empty_values(self, base):
         inventory, factors, profiles = base
@@ -277,6 +294,67 @@ class TestBreakEven:
             break_even(
                 inventory, factors, profiles, Scenario(), "coworker_count", (0.0, 120.0)
             )
+
+    def test_cw_days_per_week_rejected(self, base):
+        inventory, factors, profiles = base
+        with pytest.raises(InvalidOverrideError, match="does not depend"):
+            break_even(
+                inventory, factors, profiles, Scenario(), "cw_days_per_week", (1.0, 5.0)
+            )
+
+    def test_missing_profile_raised_before_bisection(self, base):
+        inventory, factors, profiles = base
+        without_office = {t: p for t, p in profiles.items() if t != DayType.EMPLOYER_OFFICE}
+        with pytest.raises(MissingProfileError, match="employer_office"):
+            break_even(
+                inventory, factors, without_office, Scenario(), "coworker_count", (30.0, 120.0)
+            )
+
+
+#: Values a sweep point and a scenario override can both express.
+_SETTABLE_VALUES = {
+    "coworker_count": st.integers(1, 10**6),
+    "workdays_per_year": st.integers(1, 366),
+    "floor_area_m2": st.integers(1, 10**6),
+    "floor_space_credit_m2": st.floats(0.0, 1e6),
+}
+
+
+def _set_through_scenario(scenario, parameter, value):
+    if parameter == "floor_space_credit_m2":
+        return dataclasses.replace(scenario, floor_space_credit_m2=value)
+    return dataclasses.replace(scenario, overrides={**scenario.overrides, parameter: value})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    parameter=st.sampled_from(sorted(_SETTABLE_VALUES)),
+    workplaces=st.integers(1, 40),
+    credit_m2=st.floats(0.0, 500.0),
+    credit_intensity=st.floats(0.0, 5000.0),
+    cw_modes=st.dictionaries(
+        st.sampled_from(list(TransportMode)), st.floats(0.0, 300.0), max_size=len(TransportMode)
+    ),
+)
+def test_sweep_points_equal_scenario_evaluation(
+    ref_inventory, ref_factors, ref_profiles,
+    data, parameter, workplaces, credit_m2, credit_intensity, cw_modes,
+):
+    scenario = Scenario(
+        overrides={"workplace_count": workplaces},
+        floor_space_credit_m2=credit_m2,
+        credit_intensity_mj_per_m2_year=credit_intensity,
+        modal_override={DayType.COWORKING: cw_modes} if cw_modes else None,
+    )
+    values = data.draw(st.lists(_SETTABLE_VALUES[parameter], min_size=1, max_size=8))
+    result = sweep(ref_inventory, ref_factors, ref_profiles, scenario, parameter, values)
+    for value, delta in result.points:
+        expected = evaluate_scenario(
+            ref_inventory, ref_factors, ref_profiles,
+            _set_through_scenario(scenario, parameter, value),
+        )
+        assert delta == expected
 
 
 class TestScenarioFile:
