@@ -5,14 +5,16 @@ the arithmetic mean minutes per activity and per transport mode, plus the
 modal split as a share of mean travel-mode time. Shares are computed from
 means of minutes (equivalently, totals), not as means of per-day shares, so
 short-travel days are weighted by their actual travel time.
+
+numpy is imported by :func:`aggregate_profiles` and :func:`day_counts`, not
+by this module: loading stored profiles (``sweep``/``breakeven
+--profiles``) needs none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping
-
-import numpy as np
 
 from .diary import DAY_TYPES, DiaryTable
 from .errors import MissingProfileError
@@ -79,6 +81,8 @@ def aggregate_profiles(days: Iterable[DiaryDay]) -> dict[DayType, DayTypeProfile
     Takes a :class:`DiaryTable` or any iterable of days; each mean is one
     ``np.mean`` over the day type's values of a column, in row order.
     """
+    import numpy as np
+
     table = DiaryTable.from_days(days)
     profiles: dict[DayType, DayTypeProfile] = {}
     for day_type in COMPARABLE_DAY_TYPES:
@@ -125,6 +129,8 @@ def profile_deltas(
 
 def day_counts(days: Iterable[DiaryDay]) -> dict[DayType, int]:
     """Exact day counts by classified type, zero-filled for all types."""
+    import numpy as np
+
     counts = np.bincount(DiaryTable.from_days(days).day_types, minlength=len(DAY_TYPES))
     return dict(zip(DAY_TYPES, counts.tolist()))
 

@@ -20,6 +20,10 @@ the aggregation work on its arrays. :func:`apply_quality_filter` returns the
 kind of container it is given: a table for a table, and for any other
 iterable of days a list of the very same objects.
 
+numpy is imported by the functions that build or reduce the arrays, not by
+this module, so only the commands that read diaries load it: ``validate``,
+``profile``, ``delta``, and ``sweep``/``breakeven`` with ``--diaries``.
+
 Row-level problems never abort a parse; each bad row becomes a
 :class:`RejectedDay` with reason ``PARSE_ERROR``. Only whole-file problems
 (missing or wrong header) raise :class:`DiaryFormatError`.
@@ -37,12 +41,13 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from pathlib import Path
-from typing import IO, Iterable
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Iterable
 
 from .errors import DiaryFormatError
 from .model import MINUTES_PER_DAY, Activity, DayType, DiaryDay, TransportMode
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -158,6 +163,8 @@ class DiaryTable(Sequence):
     __slots__ = ("participant_ids", "dates", "source_rows", "day_types", "minutes")
 
     def __init__(self, participant_ids, dates, source_rows, day_types, minutes):
+        import numpy as np
+
         self.participant_ids = _object_array(participant_ids)
         self.dates = _object_array(dates)
         self.source_rows = _object_array(source_rows)
@@ -174,6 +181,8 @@ class DiaryTable(Sequence):
         """Table of the given days, in order; a table is returned as it is."""
         if isinstance(days, DiaryTable):
             return days
+        import numpy as np
+
         days = list(days)
         minutes = array("d")
         for day in days:
@@ -191,6 +200,8 @@ class DiaryTable(Sequence):
         return len(self.day_types)
 
     def __getitem__(self, item):
+        import numpy as np
+
         if isinstance(item, (int, np.integer)):
             i = range(len(self))[item]
             values = self.minutes[i].tolist()
@@ -217,6 +228,8 @@ class DiaryTable(Sequence):
 def _object_array(values) -> np.ndarray:
     """1-D object array of ``values``; ``np.array`` would turn elements that
     are sequences into extra dimensions."""
+    import numpy as np
+
     out = np.empty(len(values), dtype=object)
     out[:] = values
     return out
@@ -225,6 +238,8 @@ def _object_array(values) -> np.ndarray:
 def _row_sums(block: np.ndarray) -> np.ndarray:
     """Row totals summed left to right in column order, starting from 0.0,
     as :class:`DiaryDay` sums its minute maps."""
+    import numpy as np
+
     total = np.zeros(len(block))
     for j in range(block.shape[1]):
         total += block[:, j]
@@ -263,6 +278,8 @@ def parse_diary_file(stream: IO) -> tuple[DiaryTable, list[RejectedDay]]:
     Accepts a binary or text stream; blank lines are skipped. Logs one
     warning for all kept rows with an unknown location.
     """
+    import numpy as np
+
     if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(
         stream, "mode", ""
     ):
@@ -360,6 +377,8 @@ def apply_quality_filter(
     the very same day objects. Day objects are built only for rejected rows
     of a table.
     """
+    import numpy as np
+
     rules = rules or QualityRules()
     if not isinstance(days, DiaryTable):
         days = list(days)

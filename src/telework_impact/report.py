@@ -19,7 +19,7 @@ from .aggregation import DayTypeProfile, profiles_to_dict
 from .config import AppConfig
 from .diary import RejectedDay
 from .model import Activity, DayType, EnergyDelta, TransportMode
-from .scenario import ScenarioDelta, SweepResult
+from .scenario import ScenarioDelta, SweepResult, weekly_net_mj
 
 REJECTION_HEADER = ("row", "participant_id", "date", "reason")
 PROFILE_HEADER = ("day_type", "metric", "key", "value")
@@ -199,7 +199,7 @@ def scenario_delta_to_dict(delta: ScenarioDelta, cw_days_per_week: float | None 
     }
     if cw_days_per_week is not None:
         payload["cw_days_per_week"] = cw_days_per_week
-        payload["weekly_net_mj"] = cw_days_per_week * delta.net_mj
+        payload["weekly_net_mj"] = weekly_net_mj(delta, cw_days_per_week)
     return payload
 
 

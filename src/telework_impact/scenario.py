@@ -237,12 +237,14 @@ class _Terms:
     travel_mj: float
 
     def at(self, parameter: str | None = None, value: float | None = None) -> ScenarioDelta:
-        """The delta with one parameter optionally forced to a real value
+        """The delta with one parameter optionally forced to a finite real value
         (the relaxed space used by sweeps and root finding)."""
         area, coworkers, workdays = self.area, self.coworkers, self.workdays
         credit_m2 = self.credit_m2
         if parameter is not None:
             value = float(value)
+            if not math.isfinite(value):
+                raise InvalidOverrideError(f"{parameter} must be finite, got {value}")
             if parameter == "floor_area_m2":
                 if value < 0:
                     raise InvalidOverrideError(f"floor_area_m2 must be >= 0, got {value}")
@@ -414,12 +416,23 @@ def break_even(
     tolerance: float = 1e-6,
     baseline: DayType = DayType.EMPLOYER_OFFICE,
 ) -> float:
-    """Parameter value at which the scenario net energy delta crosses zero."""
+    """Parameter value at which the scenario net energy delta crosses zero.
+
+    Raises :class:`InvalidOverrideError` before any evaluation when a bound
+    is not finite, ``lo >= hi``, or the tolerance is not a finite positive
+    number.
+    """
     _check_parameter(parameter)
     if parameter == "cw_days_per_week":
         raise InvalidOverrideError(
             "break-even on cw_days_per_week has no root: the per-day net does not depend on it"
         )
     lo, hi = float(bounds[0]), float(bounds[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidOverrideError(f"bounds must be finite, got [{lo}, {hi}]")
+    if not lo < hi:
+        raise InvalidOverrideError(f"bounds must satisfy lo < hi, got [{lo}, {hi}]")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise InvalidOverrideError(f"tolerance must be finite and > 0, got {tolerance}")
     terms = _terms(inventory, factors, profiles, scenario, baseline)
     return bisect_root(lambda value: terms.at(parameter, value).net_mj, lo, hi, tolerance)

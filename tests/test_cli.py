@@ -1,12 +1,15 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from telework_impact import cli
 from telework_impact.diary import DIARY_HEADER
+from telework_impact.scenario import SWEEP_PARAMETERS
 
 HEADER = ",".join(DIARY_HEADER)
 
@@ -289,6 +292,20 @@ class TestSweepCli:
             p["cw_days_per_week"] * p["net_mj"] for p in points
         ]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+    def test_non_finite_value_exit_1(
+        self, run, tmp_path, ref_config_path, ref_diaries_path, parameter, value
+    ):
+        out = tmp_path / "out"
+        code, _, err = run(
+            "sweep", "--config", ref_config_path, "--diaries", ref_diaries_path,
+            "--parameter", parameter, f"--values={value}", "--out", out,
+        )
+        assert code == 1
+        assert "must be finite" in err
+        assert not (out / "sweep.json").exists()
+
     def test_missing_profile_exit_2(self, run, tmp_path, ref_config_path):
         diaries = write_diaries(tmp_path, [CLEAN_ROWS[0], CLEAN_ROWS[4]])  # no coworking
         code, _, err = run(
@@ -340,6 +357,31 @@ class TestBreakevenCli:
         assert "does not depend" in err
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--bounds", "120", "30"], "lo < hi"),
+            (["--bounds", "30", "nan"], "finite"),
+            (["--bounds", "30", "120", "--tolerance", "0"], "tolerance"),
+        ],
+    )
+    def test_bad_bracket_or_tolerance_exit_1(
+        self, tmp_path, ref_config_path, ref_diaries_path, argv, message
+    ):
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "telework_impact", "breakeven",
+                "--config", str(ref_config_path), "--diaries", str(ref_diaries_path),
+                "--parameter", "coworker_count", *argv, "--out", str(tmp_path / "out"),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and message in result.stderr
+
+
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, run, tmp_path, ref_config_path, ref_diaries_path):
         outs = [tmp_path / "a", tmp_path / "b"]
@@ -376,3 +418,62 @@ def test_module_entrypoint_subprocess(ref_config_path, ref_diaries_path, tmp_pat
     )
     assert result.returncode == 0, result.stderr
     assert "net +4.05 MJ" in result.stdout
+
+
+class TestLeanImports:
+    """Only commands that read diaries load numpy. Each check runs in a fresh
+    interpreter, since this test session has imported numpy already."""
+
+    @staticmethod
+    def _numpy_loaded(tmp_path, *statements):
+        code = "\n".join([*statements, "import sys", "print('numpy' in sys.modules)"])
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.splitlines()[-1] == "True"
+
+    @staticmethod
+    def _main(argv):
+        return f"assert cli.main({[str(a) for a in argv]!r}) == 0"
+
+    @pytest.mark.parametrize("module", ["telework_impact", "telework_impact.cli"])
+    def test_import_loads_no_numpy(self, tmp_path, module):
+        assert not self._numpy_loaded(tmp_path, f"import {module}")
+
+    def test_sweep_and_breakeven_on_profiles_load_no_numpy(
+        self, run, tmp_path, ref_config_path, ref_diaries_path
+    ):
+        assert run(
+            "profile", "--config", ref_config_path, "--diaries", ref_diaries_path,
+            "--out", tmp_path / "p",
+        )[0] == 0
+        common = ["--config", ref_config_path, "--profiles", tmp_path / "p" / "profiles.json"]
+        assert not self._numpy_loaded(
+            tmp_path,
+            "from telework_impact import cli",
+            self._main(
+                ["sweep", *common, "--parameter", "coworker_count", "--values", 30, 60,
+                 "--out", tmp_path / "s"]
+            ),
+            self._main(
+                ["breakeven", *common, "--parameter", "coworker_count", "--bounds", 30, 120,
+                 "--out", tmp_path / "b"]
+            ),
+        )
+
+    def test_delta_on_diaries_loads_numpy(self, tmp_path, ref_config_path, ref_diaries_path):
+        assert self._numpy_loaded(
+            tmp_path,
+            "from telework_impact import cli",
+            self._main(
+                ["delta", "--config", ref_config_path, "--diaries", ref_diaries_path,
+                 "--out", tmp_path / "d"]
+            ),
+        )

@@ -204,6 +204,14 @@ class TestSweep:
         with pytest.raises(InvalidOverrideError):
             sweep(inventory, factors, profiles, Scenario(), "coworker_count", [])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("parameter", scenario_module.SWEEP_PARAMETERS)
+    def test_non_finite_value_rejected(self, base, parameter, value):
+        inventory, factors, profiles = base
+        with pytest.raises(SweepPointError, match="must be finite") as info:
+            sweep(inventory, factors, profiles, Scenario(), parameter, [2.0, value])
+        assert isinstance(info.value.cause, InvalidOverrideError)
+
 
 class TestBisectRoot:
     def test_linear_fixture(self):
@@ -300,6 +308,33 @@ class TestBreakEven:
         with pytest.raises(InvalidOverrideError, match="does not depend"):
             break_even(
                 inventory, factors, profiles, Scenario(), "cw_days_per_week", (1.0, 5.0)
+            )
+
+    @pytest.mark.parametrize(
+        "bounds, tolerance, message",
+        [
+            ((120.0, 30.0), 1e-6, "lo < hi"),
+            ((60.0, 60.0), 1e-6, "lo < hi"),
+            ((30.0, math.nan), 1e-6, "finite"),
+            ((-math.inf, 120.0), 1e-6, "finite"),
+            ((30.0, 120.0), 0.0, "tolerance"),
+            ((30.0, 120.0), -1e-6, "tolerance"),
+            ((30.0, 120.0), math.nan, "tolerance"),
+            ((30.0, 120.0), math.inf, "tolerance"),
+        ],
+    )
+    def test_bad_bracket_or_tolerance_rejected_before_terms(
+        self, base, monkeypatch, bounds, tolerance, message
+    ):
+        inventory, factors, profiles = base
+
+        def no_terms(*args):
+            raise AssertionError("terms built before the bracket was checked")
+
+        monkeypatch.setattr(scenario_module, "_terms", no_terms)
+        with pytest.raises(InvalidOverrideError, match=message):
+            break_even(
+                inventory, factors, profiles, Scenario(), "coworker_count", bounds, tolerance
             )
 
     def test_missing_profile_raised_before_bisection(self, base):
