@@ -35,6 +35,7 @@ import csv
 import datetime as _dt
 import io
 import logging
+import numbers
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -200,9 +201,8 @@ class DiaryTable(Sequence):
         return len(self.day_types)
 
     def __getitem__(self, item):
-        import numpy as np
-
-        if isinstance(item, (int, np.integer)):
+        # numpy registers its integer scalars as numbers.Integral.
+        if isinstance(item, numbers.Integral):
             i = range(len(self))[item]
             values = self.minutes[i].tolist()
             return DiaryDay(

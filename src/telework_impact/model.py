@@ -14,7 +14,6 @@ Missing entries in the minute maps of a :class:`DiaryDay` mean zero.
 from __future__ import annotations
 
 import datetime as _dt
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
@@ -72,8 +71,6 @@ COMPARABLE_DAY_TYPES = (DayType.EMPLOYER_OFFICE, DayType.COWORKING, DayType.HOME
 #: Minute-map key -> member; members hash and compare equal to their values,
 #: so one lookup serves both spellings.
 _MINUTE_KEYS = {kind: {m.value: m for m in kind} for kind in (Activity, TransportMode)}
-#: Members of each minute-map kind, in declaration order.
-_MEMBERS = {kind: tuple(kind) for kind in (Activity, TransportMode)}
 
 
 def _sum_in_order(values: Iterable[float]) -> float:
@@ -94,27 +91,13 @@ def _check_minutes(name: str, minutes: Mapping, kind: type[Enum]) -> dict:
     The total is summed left to right in that order, the same order in which
     the columnar diary tables sum a row, so both agree to the last bit.
     """
-    members = _MEMBERS[kind]
-    if (
-        type(minutes) is dict
-        and len(minutes) == len(members)
-        and all(map(operator.is_, minutes, members))
-    ):
-        # Already keyed as the result is, as a diary table row is built: a
-        # copy reuses the stored hashes, where re-keying would look up and
-        # store every key again.
-        out = minutes.copy()
-        for member, value in out.items():
-            if type(value) is not float:
-                out[member] = float(value)
-    else:
-        keys = _MINUTE_KEYS[kind]
-        out = dict.fromkeys(members, 0.0)
-        for key, value in minutes.items():
-            member = keys.get(key)
-            if member is None:
-                raise ValueError(f"{name} has unknown key {key!r}")
-            out[member] = float(value)
+    keys = _MINUTE_KEYS[kind]
+    out = dict.fromkeys(keys.values(), 0.0)
+    for key, value in minutes.items():
+        member = keys.get(key)
+        if member is None:
+            raise ValueError(f"{name} has unknown key {key!r}")
+        out[member] = float(value)
     total = 0.0
     for member, value in out.items():
         if value < 0:

@@ -1,13 +1,8 @@
-import operator
 import random
-from types import MappingProxyType
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import make_day
-from telework_impact import model
 from telework_impact import (
     Activity,
     DayType,
@@ -93,55 +88,6 @@ class TestDiaryDay:
         a = make_day(modes={TransportMode.CAR: 10.0}, row=2)
         b = make_day(modes={TransportMode.CAR: 10.0}, row=99)
         assert a == b
-
-
-_MINUTE_VALUES = st.one_of(
-    st.floats(-10.0, 2000.0),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.integers(-100, 2000),
-    st.booleans(),
-    st.sampled_from(["12.5", " 7 ", "-3", "nan", "inf", "x", ""]),
-)
-
-
-def _checked(minutes, kind):
-    """(key, type, repr) of every entry of the checked map, or the error."""
-    try:
-        out = model._check_minutes("minutes", minutes, kind)
-    except ValueError as exc:
-        return str(exc)
-    return [(key, type(value), repr(value)) for key, value in out.items()]
-
-
-class TestCheckMinutes:
-    @given(data=st.data(), kind=st.sampled_from([Activity, TransportMode]))
-    def test_in_order_dict_matches_general_path(self, data, kind):
-        """A plain dict keyed by the members in order takes the copying path;
-        the same map behind a read-only proxy takes the re-keying path."""
-        minutes = {member: data.draw(_MINUTE_VALUES) for member in kind}
-        fast = _checked(minutes, kind)
-        general = _checked(MappingProxyType(minutes), kind)
-        assert fast == general
-        if isinstance(fast, list):
-            assert all(map(operator.is_, (key for key, _, _ in fast), kind))
-
-    def test_in_order_dict_is_copied_not_rekeyed(self, monkeypatch):
-        monkeypatch.setattr(model, "_MINUTE_KEYS", {})
-        minutes = dict.fromkeys(TransportMode, 1.0)
-        out = model._check_minutes("mode_minutes", minutes, TransportMode)
-        assert out == minutes and out is not minutes
-
-    @pytest.mark.parametrize(
-        "minutes",
-        [
-            {"walk": 1.0, "bike": 0.0, "car": 0.0, "public_transport": 0.0, "other": 0.0},
-            dict(zip(reversed(TransportMode), [1.0] * len(TransportMode))),
-            {TransportMode.WALK: 1.0},
-        ],
-    )
-    def test_other_shapes_are_rekeyed(self, minutes):
-        out = model._check_minutes("mode_minutes", minutes, TransportMode)
-        assert all(map(operator.is_, out, TransportMode))
 
 
 class TestSiteInventory:
