@@ -21,7 +21,7 @@ from .aggregation import (
     profiles_from_dict,
 )
 from .config import AppConfig, load_config
-from .diary import apply_quality_filter, parse_diary_path
+from .diary import RejectReason, apply_quality_filter, parse_diary_path
 from .energy import compare_day_types, direct_components
 from .errors import (
     ConfigError,
@@ -163,7 +163,7 @@ def _run_pipeline(args, config: AppConfig):
 
 def _rows_seen(days, rejected) -> int:
     """Data rows in the input file: parsed days plus parse failures."""
-    return len(days) + sum(1 for item in rejected if item.day is None)
+    return len(days) + sum(1 for item in rejected if item.reason is RejectReason.PARSE_ERROR)
 
 
 def _load_profiles(args, config: AppConfig):

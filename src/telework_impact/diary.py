@@ -140,7 +140,6 @@ class RejectedDay:
     reason and every failing rule in ``failures``."""
 
     reason: RejectReason
-    day: DiaryDay | None = None
     row: int | None = None
     participant_id: str = ""
     date: str = ""
@@ -374,8 +373,8 @@ def apply_quality_filter(
     The first failing rule (in :class:`RejectReason` order) is the primary
     reason; all failing rules are attached. ``kept`` is the kind of
     container given: a :class:`DiaryTable` for a table, otherwise a list of
-    the very same day objects. Day objects are built only for rejected rows
-    of a table.
+    the very same day objects. Rejections are described from the table's
+    columns; no day object is built for them.
     """
     import numpy as np
 
@@ -400,29 +399,30 @@ def apply_quality_filter(
     rejected_at = np.flatnonzero(failing.any(axis=1))
 
     rejected: list[RejectedDay] = []
-    for i, flags, work_i, total_i, mismatch_i in zip(
-        rejected_at.tolist(),
+    for row, participant_id, date, code, flags, work_i, total_i, mismatch_i in zip(
+        table.source_rows[rejected_at].tolist(),
+        table.participant_ids[rejected_at].tolist(),
+        table.dates[rejected_at].tolist(),
+        table.day_types[rejected_at].tolist(),
         failing[rejected_at].tolist(),
         work[rejected_at].tolist(),
         total[rejected_at].tolist(),
         mismatch[rejected_at].tolist(),
     ):
-        day = days[i]
         values = {
             "work": work_i,
             "total": total_i,
             "mismatch": mismatch_i,
-            "day_type": DAY_TYPES[table.day_types[i]].value,
+            "day_type": DAY_TYPES[code].value,
             "rules": rules,
         }
         failures = tuple(compress(_RULE_REASONS, flags))
         rejected.append(
             RejectedDay(
                 reason=failures[0],
-                day=day,
-                row=day.source_row,
-                participant_id=day.participant_id,
-                date=day.date.isoformat(),
+                row=row,
+                participant_id=participant_id,
+                date=date.isoformat(),
                 detail="; ".join(text.format(**values) for text in compress(_RULE_DETAILS, flags)),
                 failures=failures,
             )

@@ -81,4 +81,5 @@ class NoRootError(TeleworkImpactError):
 
 
 class NonFiniteError(TeleworkImpactError):
-    """Evaluation inside the bracket failed or returned a non-finite value."""
+    """A factor is NaN or infinite, or an evaluation inside a break-even
+    bracket failed or returned a non-finite value."""

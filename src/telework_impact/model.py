@@ -14,11 +14,12 @@ Missing entries in the minute maps of a :class:`DiaryDay` mean zero.
 from __future__ import annotations
 
 import datetime as _dt
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .errors import MissingFactorError, NegativeFactorError
+from .errors import MissingFactorError, NegativeFactorError, NonFiniteError
 
 MINUTES_PER_DAY = 1440.0
 
@@ -227,7 +228,8 @@ def validate_factor_table(table: FactorTable, inventory: SiteInventory) -> Facto
     energy factor, every device kind present in ``inventory.device_counts``
     has a daily-energy factor, and all three facility intensity components
     are present. Raises :class:`MissingFactorError` listing every missing
-    key, or :class:`NegativeFactorError` for the first negative value.
+    key, :class:`NonFiniteError` for the first NaN or infinite value, or
+    :class:`NegativeFactorError` for the first negative value.
     """
     missing = []
     for component in FACILITY_COMPONENTS:
@@ -252,8 +254,11 @@ def validate_factor_table(table: FactorTable, inventory: SiteInventory) -> Facto
     )
     for group_name, mapping in groups:
         for key, value in mapping.items():
+            name = f"{group_name}.{getattr(key, 'value', key)}"
+            if not math.isfinite(value):
+                raise NonFiniteError(f"{name} is not finite: {value}")
             if value < 0:
-                raise NegativeFactorError(f"{group_name}.{getattr(key, 'value', key)}", value)
+                raise NegativeFactorError(name, value)
     return table
 
 
@@ -261,15 +266,19 @@ def validate_factor_table(table: FactorTable, inventory: SiteInventory) -> Facto
 class EnergyDelta:
     """Component-wise MJ change of one co-working day versus a baseline day.
 
-    ``net_mj`` is always the exact sum of the three components. Facility and
-    equipment are direct contributions of the co-working site and therefore
-    never negative; the travel component is signed.
+    Facility and equipment are direct contributions of the co-working site
+    and therefore never negative; the travel component is signed. A scenario
+    may claim a floor-space credit (heated space saved elsewhere), reported
+    as its own non-negative component. ``net_mj`` is always exactly
+    facility + equipment + travel - credit; a plain day-type comparison has
+    credit 0.
     """
 
     baseline: DayType
     facility_mj: float
     equipment_mj: float
     travel_mj: float
+    credit_mj: float = 0.0
     net_mj: float = field(init=False)
 
     def __post_init__(self):
@@ -277,6 +286,10 @@ class EnergyDelta:
             raise ValueError(f"facility_mj must be >= 0, got {self.facility_mj}")
         if self.equipment_mj < 0:
             raise ValueError(f"equipment_mj must be >= 0, got {self.equipment_mj}")
+        if self.credit_mj < 0:
+            raise ValueError(f"credit_mj must be >= 0, got {self.credit_mj}")
         object.__setattr__(
-            self, "net_mj", self.facility_mj + self.equipment_mj + self.travel_mj
+            self,
+            "net_mj",
+            self.facility_mj + self.equipment_mj + self.travel_mj - self.credit_mj,
         )

@@ -19,7 +19,7 @@ from .aggregation import DayTypeProfile, profiles_to_dict
 from .config import AppConfig
 from .diary import RejectedDay
 from .model import Activity, DayType, EnergyDelta, TransportMode
-from .scenario import ScenarioDelta, SweepResult, weekly_net_mj
+from .scenario import SweepResult, weekly_net_mj
 
 REJECTION_HEADER = ("row", "participant_id", "date", "reason")
 PROFILE_HEADER = ("day_type", "metric", "key", "value")
@@ -136,33 +136,21 @@ def profile_rows(profiles: Mapping[DayType, DayTypeProfile]) -> list[list[str]]:
     return rows
 
 
+#: profile_rows metric -> plot_data.csv series; day_count has no series.
+_PLOT_SERIES = {
+    "mean_activity_minutes": "activity_minutes",
+    "mean_mode_minutes": "mode_minutes",
+    "mode_share": "mode_share",
+}
+
+
 def plot_rows(profiles: Mapping[DayType, DayTypeProfile]) -> list[list[str]]:
     """Stacked-bar friendly shape: one series per figure-style panel."""
-    rows = []
-    for day_type, profile in profiles.items():
-        for activity in Activity:
-            rows.append(
-                [
-                    day_type.value,
-                    "activity_minutes",
-                    activity.value,
-                    fmt(profile.mean_activity_minutes[activity]),
-                ]
-            )
-        for mode in TransportMode:
-            rows.append(
-                [
-                    day_type.value,
-                    "mode_minutes",
-                    mode.value,
-                    fmt(profile.mean_mode_minutes[mode]),
-                ]
-            )
-        for mode in TransportMode:
-            rows.append(
-                [day_type.value, "mode_share", mode.value, fmt(profile.mode_share[mode])]
-            )
-    return rows
+    return [
+        [day_type, _PLOT_SERIES[metric], key, value]
+        for day_type, metric, key, value in profile_rows(profiles)
+        if metric in _PLOT_SERIES
+    ]
 
 
 def delta_to_dict(delta: EnergyDelta) -> dict:
@@ -188,7 +176,7 @@ def delta_rows(deltas: Iterable[EnergyDelta]) -> list[list[str]]:
     ]
 
 
-def scenario_delta_to_dict(delta: ScenarioDelta, cw_days_per_week: float | None = None) -> dict:
+def scenario_delta_to_dict(delta: EnergyDelta, cw_days_per_week: float | None = None) -> dict:
     payload = {
         "baseline": delta.baseline.value,
         "facility_mj": delta.facility_mj,

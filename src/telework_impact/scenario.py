@@ -3,17 +3,17 @@
 A scenario can override inventory fields, replace the modal profile of a day
 type, and claim an explicit floor-space credit (net reduction of heated
 space elsewhere, valued at a user-supplied intensity and allocated like the
-facility component). The credit is reported as its own component so the
-three-way facility/equipment/travel split stays comparable; the scenario net
-subtracts it.
+facility component). A scenario point is an :class:`EnergyDelta` whose
+``credit_mj`` is reported as its own component, so the three-way
+facility/equipment/travel split stays comparable; its net subtracts it.
 
-Every evaluation first computes the terms that do not depend on the swept
-value (effective inventory, intensities, equipment and travel MJ), once per
-call; a point then only allocates facility and credit energy over
-coworkers x workdays. Sweeps evaluate one parameter over a list of values;
-break-even bisects the scenario net over a bracket. Integer-valued
-inventory parameters are relaxed to reals for sweeping and root finding
-(round up for planning).
+Every evaluation first takes the terms that do not depend on the swept
+value (effective inventory, intensities, and the equipment and travel MJ of
+one :func:`compare_day_types` call), once per call; a point then only
+allocates facility and credit energy over coworkers x workdays. Sweeps
+evaluate one parameter over a list of values; break-even bisects the
+scenario net over a bracket. Integer-valued inventory parameters are
+relaxed to reals for sweeping and root finding (round up for planning).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .aggregation import DayTypeProfile
-from .energy import equipment_energy, per_coworker_day, travel_energy
+from .energy import compare_day_types, direct_components, per_coworker_day
 from .errors import (
     ConfigError,
     InvalidOverrideError,
@@ -62,7 +62,6 @@ class Scenario:
     modal_override: Mapping[DayType, Mapping[TransportMode, float]] | None = None
     floor_space_credit_m2: float = 0.0
     credit_intensity_mj_per_m2_year: float = 0.0
-    cw_days_per_week: float | None = None
 
     def __post_init__(self):
         unknown = set(self.overrides) - set(_INVENTORY_FIELDS)
@@ -74,13 +73,6 @@ class Scenario:
             raise InvalidOverrideError("floor_space_credit_m2 must be >= 0")
         if self.credit_intensity_mj_per_m2_year < 0:
             raise InvalidOverrideError("credit_intensity_mj_per_m2_year must be >= 0")
-        if self.cw_days_per_week is not None and not (
-            0.0 < self.cw_days_per_week <= MAX_CW_DAYS_PER_WEEK
-        ):
-            raise InvalidOverrideError(
-                f"cw_days_per_week must be in (0, {MAX_CW_DAYS_PER_WEEK:g}], "
-                f"got {self.cw_days_per_week}"
-            )
         if self.modal_override is not None:
             normalized = {
                 DayType(day_type): {
@@ -99,43 +91,11 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class ScenarioDelta:
-    """Energy delta of a scenario point: the comparable three-way split plus
-    the separately-labeled floor-space credit. ``net_mj`` subtracts the
-    credit from facility + equipment + travel."""
-
-    baseline: DayType
-    facility_mj: float
-    equipment_mj: float
-    travel_mj: float
-    credit_mj: float
-    net_mj: float = field(init=False)
-
-    def __post_init__(self):
-        if self.facility_mj < 0 or self.equipment_mj < 0 or self.credit_mj < 0:
-            raise ValueError("facility, equipment and credit components must be >= 0")
-        object.__setattr__(
-            self,
-            "net_mj",
-            self.facility_mj + self.equipment_mj + self.travel_mj - self.credit_mj,
-        )
-
-    def as_energy_delta(self) -> EnergyDelta:
-        """The credit-free triple, for comparison against plain day-type deltas."""
-        return EnergyDelta(
-            baseline=self.baseline,
-            facility_mj=self.facility_mj,
-            equipment_mj=self.equipment_mj,
-            travel_mj=self.travel_mj,
-        )
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """Deltas of one parameter sweep, ordered by parameter value."""
 
     parameter: str
-    points: tuple[tuple[float, ScenarioDelta], ...]
+    points: tuple[tuple[float, EnergyDelta], ...]
 
     def __post_init__(self):
         if not self.points:
@@ -162,7 +122,6 @@ def load_scenario(path: str | Path) -> Scenario:
         "modal_override",
         "floor_space_credit_m2",
         "credit_intensity_mj_per_m2_year",
-        "cw_days_per_week",
     }
     unknown = set(payload) - known
     if unknown:
@@ -176,48 +135,30 @@ def load_scenario(path: str | Path) -> Scenario:
             credit_intensity_mj_per_m2_year=float(
                 payload.get("credit_intensity_mj_per_m2_year", 0.0)
             ),
-            cw_days_per_week=(
-                float(payload["cw_days_per_week"])
-                if payload.get("cw_days_per_week") is not None
-                else None
-            ),
         )
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid scenario in {path}: {exc}") from exc
 
 
-def apply_scenario(
-    inventory: SiteInventory, factors: FactorTable, scenario: Scenario
-) -> tuple[SiteInventory, FactorTable, float]:
-    """Apply inventory overrides and compute the floor-space credit.
-
-    Returns the effective inventory, the factor table (unchanged; scenarios
-    do not alter coefficients) and the credit in MJ per coworker-day. The
-    credit uses the overridden coworker count and workdays.
-    """
-    if scenario.overrides:
-        try:
-            inventory = dataclasses.replace(inventory, **dict(scenario.overrides))
-        except (TypeError, ValueError) as exc:
-            raise InvalidOverrideError(str(exc)) from exc
-    credit_mj = per_coworker_day(
-        scenario.floor_space_credit_m2 * scenario.credit_intensity_mj_per_m2_year,
-        inventory.coworker_count,
-        inventory.workdays_per_year,
-    )
-    return inventory, factors, credit_mj
+def apply_scenario(inventory: SiteInventory, scenario: Scenario) -> SiteInventory:
+    """The inventory with the scenario's overrides applied."""
+    if not scenario.overrides:
+        return inventory
+    try:
+        return dataclasses.replace(inventory, **dict(scenario.overrides))
+    except (TypeError, ValueError) as exc:
+        raise InvalidOverrideError(str(exc)) from exc
 
 
-def _override_profiles(
-    profiles: Mapping[DayType, DayTypeProfile], scenario: Scenario
-) -> Mapping[DayType, DayTypeProfile]:
-    if not scenario.modal_override:
-        return profiles
-    out = dict(profiles)
-    for day_type, minutes in scenario.modal_override.items():
-        if day_type in out:
-            out[day_type] = out[day_type].with_mode_minutes(minutes)
-    return out
+def _profile(
+    profiles: Mapping[DayType, DayTypeProfile], scenario: Scenario, day_type: DayType
+) -> DayTypeProfile:
+    """The day type's profile with the scenario's modal override applied."""
+    profile = profiles.get(day_type)
+    if profile is None:
+        raise MissingProfileError(day_type)
+    minutes = (scenario.modal_override or {}).get(day_type)
+    return profile if minutes is None else profile.with_mode_minutes(minutes)
 
 
 @dataclass(frozen=True)
@@ -236,7 +177,7 @@ class _Terms:
     equipment_mj: float
     travel_mj: float
 
-    def at(self, parameter: str | None = None, value: float | None = None) -> ScenarioDelta:
+    def at(self, parameter: str | None = None, value: float | None = None) -> EnergyDelta:
         """The delta with one parameter optionally forced to a finite real value
         (the relaxed space used by sweeps and root finding)."""
         area, coworkers, workdays = self.area, self.coworkers, self.workdays
@@ -246,8 +187,8 @@ class _Terms:
             if not math.isfinite(value):
                 raise InvalidOverrideError(f"{parameter} must be finite, got {value}")
             if parameter == "floor_area_m2":
-                if value < 0:
-                    raise InvalidOverrideError(f"floor_area_m2 must be >= 0, got {value}")
+                if value <= 0:
+                    raise InvalidOverrideError(f"floor_area_m2 must be > 0, got {value}")
                 area = value
             elif parameter == "coworker_count":
                 if value <= 0:
@@ -269,7 +210,7 @@ class _Terms:
                 # Affects the weekly aggregate only, never the per-day delta.
             else:
                 _check_parameter(parameter)
-        return ScenarioDelta(
+        return EnergyDelta(
             baseline=self.baseline,
             facility_mj=per_coworker_day(area * self.facility_intensity, coworkers, workdays),
             equipment_mj=self.equipment_mj,
@@ -285,25 +226,23 @@ def _terms(
     scenario: Scenario,
     baseline: DayType,
 ) -> _Terms:
-    inventory, factors, _ = apply_scenario(inventory, factors, scenario)
-    effective = _override_profiles(profiles, scenario)
-    cw_profile = effective.get(DayType.COWORKING)
-    baseline_profile = effective.get(baseline)
-    if cw_profile is None or cw_profile.day_count == 0:
-        raise MissingProfileError(DayType.COWORKING)
-    if baseline_profile is None or baseline_profile.day_count == 0:
-        raise MissingProfileError(baseline)
+    inventory = apply_scenario(inventory, scenario)
+    delta = compare_day_types(
+        _profile(profiles, scenario, DayType.COWORKING),
+        _profile(profiles, scenario, baseline),
+        direct_components(inventory, factors),
+        factors,
+    )
     return _Terms(
-        baseline=baseline,
+        baseline=delta.baseline,
         area=inventory.floor_area_m2,
         coworkers=float(inventory.coworker_count),
         workdays=float(inventory.workdays_per_year),
         credit_m2=scenario.floor_space_credit_m2,
         credit_intensity=scenario.credit_intensity_mj_per_m2_year,
         facility_intensity=factors.facility_intensity_total(),
-        equipment_mj=equipment_energy(inventory, factors),
-        travel_mj=travel_energy(cw_profile.mean_mode_minutes, factors)
-        - travel_energy(baseline_profile.mean_mode_minutes, factors),
+        equipment_mj=delta.equipment_mj,
+        travel_mj=delta.travel_mj,
     )
 
 
@@ -320,12 +259,13 @@ def evaluate_scenario(
     profiles: Mapping[DayType, DayTypeProfile],
     scenario: Scenario,
     baseline: DayType = DayType.EMPLOYER_OFFICE,
-) -> ScenarioDelta:
-    """Energy delta of one scenario against one baseline day type."""
+) -> EnergyDelta:
+    """Energy delta of one scenario against one baseline day type; with the
+    default :class:`Scenario` it equals :func:`compare_day_types`."""
     return _terms(inventory, factors, profiles, scenario, baseline).at()
 
 
-def weekly_net_mj(delta: ScenarioDelta, cw_days_per_week: float) -> float:
+def weekly_net_mj(delta: EnergyDelta, cw_days_per_week: float) -> float:
     """Weekly aggregate: one co-working day avoids one commute, so the weekly
     net scales linearly with the number of co-working days."""
     return cw_days_per_week * delta.net_mj

@@ -177,6 +177,18 @@ class TestDelta:
         rows = read_csv(out / "delta.csv")
         assert [row[0] for row in rows[1:]] == ["employer_office", "home"]
 
+    def test_non_finite_factor_exit_1(self, run, tmp_path, ref_config_path, ref_diaries_path):
+        config = json.loads(Path(ref_config_path).read_text(encoding="utf-8"))
+        config["factor_table"]["mode_energy"]["car"] = float("nan")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")  # writes a bare NaN
+        code, _, err = run(
+            "delta", "--config", path, "--diaries", ref_diaries_path, "--out", tmp_path / "out",
+        )
+        assert code == 1
+        assert "mode_energy.car is not finite: nan" in err
+        assert not (tmp_path / "out" / "delta.json").exists()
+
     def test_missing_home_profile_exit_2(self, run, tmp_path, ref_config_path):
         diaries = write_diaries(tmp_path, CLEAN_ROWS[:4])
         code, _, err = run(

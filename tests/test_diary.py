@@ -210,9 +210,10 @@ class TestFilterProperties:
     def make_population(self, seed, n=300):
         rng = random.Random(seed)
         days = []
-        for _ in range(n):
+        for row in range(2, n + 2):
             days.append(
                 make_day(
+                    row=row,
                     day_type=rng.choice(list(DayType)),
                     work=rng.uniform(0, 700),
                     travel=rng.uniform(0, 300),
@@ -227,7 +228,8 @@ class TestFilterProperties:
         days = self.make_population(99)
         kept, rejected = apply_quality_filter(days)
         assert len(kept) + len(rejected) == len(days)
-        assert set(id(d) for d in kept).isdisjoint(id(r.day) for r in rejected)
+        rows = [d.source_row for d in kept] + [r.row for r in rejected]
+        assert sorted(rows) == [d.source_row for d in days]
 
     def test_idempotence(self):
         days = self.make_population(7)
@@ -366,7 +368,7 @@ def test_masks_agree_with_row_wise_reference(case):
                 continue
             item = next(flagged)
             assert (item.participant_id, item.date) == (day.participant_id, day.date.isoformat())
-            assert item.day is day or given_days is not days
+            assert item.row == day.source_row
             assert item.reason is failures[0][0]
             assert item.failures == tuple(reason for reason, _ in failures)
             assert item.detail == "; ".join(detail for _, detail in failures)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from telework_impact import (
     FactorTable,
     MissingFactorError,
     NegativeFactorError,
+    NonFiniteError,
     SiteInventory,
     TransportMode,
     validate_factor_table,
@@ -161,6 +163,12 @@ class TestValidateFactorTable:
             facility_intensity={"heating": -1.0, "cooling": 0.0, "lighting": 0.0}
         )
         with pytest.raises(NegativeFactorError, match="facility_intensity.heating"):
+            validate_factor_table(table, small_inventory())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_factor(self, value):
+        table = full_factor_table(mode_energy={m.value: value for m in TransportMode})
+        with pytest.raises(NonFiniteError, match=f"mode_energy.walk is not finite: {value}"):
             validate_factor_table(table, small_inventory())
 
     def test_zero_factors_allowed(self):

@@ -28,6 +28,7 @@ from telework_impact import (
     weekly_net_mj,
 )
 from telework_impact import calibration
+from telework_impact import energy as energy_module
 from telework_impact import scenario as scenario_module
 
 
@@ -53,20 +54,15 @@ def analytic_occupancy_root(inventory, factors, profiles):
 class TestApplyScenario:
     def test_empty_scenario_is_identity(self, base):
         inventory, factors, profiles = base
-        inv2, fac2, credit = apply_scenario(inventory, factors, Scenario())
-        assert inv2 == inventory
-        assert fac2 is factors
-        assert credit == 0.0
+        assert apply_scenario(inventory, Scenario()) == inventory
         direct = direct_components(inventory, factors)
-        plain = compare_day_types(
-            profiles[DayType.COWORKING], profiles[DayType.EMPLOYER_OFFICE], direct, factors
-        )
-        scen = evaluate_scenario(inventory, factors, profiles, Scenario())
-        assert scen.facility_mj == plain.facility_mj
-        assert scen.equipment_mj == plain.equipment_mj
-        assert scen.travel_mj == plain.travel_mj
-        assert scen.credit_mj == 0.0
-        assert scen.net_mj == plain.net_mj
+        for baseline in (DayType.EMPLOYER_OFFICE, DayType.HOME):
+            plain = compare_day_types(
+                profiles[DayType.COWORKING], profiles[baseline], direct, factors
+            )
+            scen = evaluate_scenario(inventory, factors, profiles, Scenario(), baseline)
+            assert scen == plain
+            assert scen.credit_mj == 0.0
 
     def test_doubling_coworkers_halves_facility(self, base):
         inventory, factors, profiles = base
@@ -83,13 +79,12 @@ class TestApplyScenario:
             floor_space_credit_m2=20.0,
             credit_intensity_mj_per_m2_year=factors.facility_intensity_total(),
         )
-        _, _, credit = apply_scenario(inventory, factors, scenario)
-        expected = 20.0 / 170.0 * calibration.FACILITY_TARGET_MJ
-        assert credit == pytest.approx(expected, abs=1e-9)
-        assert credit == pytest.approx(2.82, abs=1e-9)
         delta = evaluate_scenario(inventory, factors, profiles, scenario)
+        expected = 20.0 / 170.0 * calibration.FACILITY_TARGET_MJ
+        assert delta.credit_mj == pytest.approx(expected, abs=1e-9)
+        assert delta.credit_mj == pytest.approx(2.82, abs=1e-9)
         assert delta.net_mj == pytest.approx(
-            delta.facility_mj + delta.equipment_mj + delta.travel_mj - credit, abs=1e-12
+            delta.facility_mj + delta.equipment_mj + delta.travel_mj - delta.credit_mj, abs=1e-12
         )
 
     def test_unknown_override_field(self):
@@ -97,9 +92,9 @@ class TestApplyScenario:
             Scenario(overrides={"floor_area_ft2": 10})
 
     def test_invalid_override_value(self, base):
-        inventory, factors, _ = base
+        inventory, _, _ = base
         with pytest.raises(InvalidOverrideError):
-            apply_scenario(inventory, factors, Scenario(overrides={"coworker_count": 0}))
+            apply_scenario(inventory, Scenario(overrides={"coworker_count": 0}))
 
     def test_modal_override_replaces_profile(self, base):
         inventory, factors, profiles = base
@@ -119,12 +114,6 @@ class TestApplyScenario:
     def test_negative_credit_rejected(self):
         with pytest.raises(InvalidOverrideError):
             Scenario(floor_space_credit_m2=-1.0)
-
-    def test_cw_days_bounds(self):
-        with pytest.raises(InvalidOverrideError):
-            Scenario(cw_days_per_week=0.0)
-        with pytest.raises(InvalidOverrideError):
-            Scenario(cw_days_per_week=6.0)
 
 
 class TestSweep:
@@ -172,6 +161,8 @@ class TestSweep:
         inventory, factors, profiles = base
         with pytest.raises(SweepPointError, match="coworker_count=-5"):
             sweep(inventory, factors, profiles, Scenario(), "coworker_count", [-5.0])
+        with pytest.raises(SweepPointError, match="floor_area_m2=0.0: floor_area_m2 must be > 0"):
+            sweep(inventory, factors, profiles, Scenario(), "floor_area_m2", [0.0])
 
     def test_unsupported_parameter(self, base):
         inventory, factors, profiles = base
@@ -187,13 +178,13 @@ class TestSweep:
     def test_travel_energy_runs_twice_per_sweep(self, base, monkeypatch):
         inventory, factors, profiles = base
         calls = []
-        real = scenario_module.travel_energy
+        real = energy_module.travel_energy
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(scenario_module, "travel_energy", counting)
+        monkeypatch.setattr(energy_module, "travel_energy", counting)
         for n in (1, 10, 1000):
             calls.clear()
             sweep(inventory, factors, profiles, Scenario(), "coworker_count", range(1, n + 1))
@@ -395,25 +386,23 @@ def test_sweep_points_equal_scenario_evaluation(
 class TestScenarioFile:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "scenario.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "name": "smaller office",
-                    "overrides": {"coworker_count": 90},
-                    "floor_space_credit_m2": 12.5,
-                    "credit_intensity_mj_per_m2_year": 800.0,
-                    "cw_days_per_week": 2.5,
-                    "modal_override": {"coworking": {"walk": 40, "car": 10}},
-                }
-            ),
-            encoding="utf-8",
-        )
+        payload = {
+            "name": "smaller office",
+            "overrides": {"coworker_count": 90},
+            "floor_space_credit_m2": 12.5,
+            "credit_intensity_mj_per_m2_year": 800.0,
+            "modal_override": {"coworking": {"walk": 40, "car": 10}},
+        }
+        path.write_text(json.dumps(payload), encoding="utf-8")
         scenario = load_scenario(path)
         assert scenario.name == "smaller office"
         assert scenario.overrides == {"coworker_count": 90}
         assert scenario.floor_space_credit_m2 == 12.5
-        assert scenario.cw_days_per_week == 2.5
         assert scenario.modal_override[DayType.COWORKING][TransportMode.WALK] == 40.0
+        # The weekly frequency is a sweep parameter, not a scenario key.
+        path.write_text(json.dumps({**payload, "cw_days_per_week": 2.5}), encoding="utf-8")
+        with pytest.raises(ConfigError, match="unknown scenario keys.*cw_days_per_week"):
+            load_scenario(path)
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "scenario.json"
