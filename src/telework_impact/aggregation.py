@@ -13,6 +13,7 @@ by this module: loading stored profiles (``sweep``/``breakeven
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -42,12 +43,20 @@ class DayTypeProfile:
     mode_share: Mapping[TransportMode, float]
 
     def __post_init__(self):
-        for mapping in (self.mean_activity_minutes, self.mean_mode_minutes):
+        for label, mapping in (
+            ("mean", self.mean_activity_minutes),
+            ("mean", self.mean_mode_minutes),
+            ("share", self.mode_share),
+        ):
             for key, value in mapping.items():
+                name = getattr(key, "value", key)
+                if not math.isfinite(value):
+                    raise ValueError(f"{label} for {name} is not finite: {value}")
                 if value < 0:
-                    raise ValueError(f"mean for {getattr(key, 'value', key)} is negative")
+                    raise ValueError(f"{label} for {name} is negative")
         share_sum = sum(self.mode_share.values())
-        if share_sum and abs(share_sum - 1.0) > SHARE_SUM_TOLERANCE:
+        # Written so that a sum that is not a number fails too.
+        if share_sum and not abs(share_sum - 1.0) <= SHARE_SUM_TOLERANCE:
             raise ValueError(f"mode shares sum to {share_sum}, expected 1")
 
     def with_mode_minutes(self, mode_minutes: Mapping[TransportMode, float]) -> "DayTypeProfile":

@@ -12,13 +12,22 @@ fall back to ``other_location``: :func:`classify_day` logs a warning per
 call, and a parse logs one warning that gives the number of such rows
 that enter the table and the first five row numbers.
 
-A parse streams the file once into a :class:`DiaryTable`: one array per
-field and an ``(n, 9)`` float64 matrix of the minute columns. The table is a
-sequence of :class:`DiaryDay` (indexing builds the day object of a row), so
-code written for lists of days keeps working, while the quality filter and
-the aggregation work on its arrays. :func:`apply_quality_filter` returns the
-kind of container it is given: a table for a table, and for any other
-iterable of days a list of the very same objects.
+A parse reads the file into a :class:`DiaryTable`: one array per field and
+an ``(n, 9)`` float64 matrix of the minute columns. :func:`parse_diary_path`
+reads a file in :func:`numpy.loadtxt` passes of :data:`CHUNK_ROWS` rows. It
+hands the file to the row loop of :func:`parse_diary_file` (the one path for
+streams) when a line is blank or whitespace only, a field holds ``"`` (CSV
+quoting), a line has the wrong field count, a date does not parse, or a
+number is one ``loadtxt`` does not read (such as ``1_000`` or non-ASCII
+digits, which ``float()`` takes). Either path gives the same table, minutes
+to the bit, row numbers, rejections and warning.
+
+The table is a sequence of :class:`DiaryDay` (indexing builds the day object
+of a row), so code written for lists of days keeps working, while the
+quality filter and the aggregation work on its arrays.
+:func:`apply_quality_filter` returns the kind of container it is given: a
+table for a table, and for any other iterable of days a list of the very
+same objects.
 
 numpy is imported by the functions that build or reduce the arrays, not by
 this module, so only the commands that read diaries load it: ``validate``,
@@ -40,7 +49,8 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import chain, compress, count, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable
 
@@ -91,6 +101,18 @@ _LOCATION_CODE = {raw: _DAY_TYPE_CODE[day_type] for raw, day_type in LOCATION_VO
 _EXCLUDED_CODES = [_DAY_TYPE_CODE[DayType.OTHER_LOCATION], _DAY_TYPE_CODE[DayType.MULTI_LOCATION]]
 #: Row numbers the folded unknown-location warning lists.
 _WARNED_ROWS = 5
+
+#: Rows per ``np.loadtxt`` pass of the bulk read; bounds the memory one
+#: pass holds beyond the growing columns.
+CHUNK_ROWS = 4096
+#: Record of one diary line for ``np.loadtxt``: the three text fields as
+#: they stand, then the nine minute fields.
+_BULK_DTYPE = [
+    ("participant_id", object),
+    ("date", object),
+    ("location", object),
+    ("minutes", "f8", (len(MINUTE_COLUMNS),)),
+]
 
 
 class RejectReason(str, Enum):
@@ -275,10 +297,9 @@ def parse_diary_file(stream: IO) -> tuple[DiaryTable, list[RejectedDay]]:
     rejections, both in row order.
 
     Accepts a binary or text stream; blank lines are skipped. Logs one
-    warning for all kept rows with an unknown location.
+    warning for all kept rows with an unknown location. This row loop is the
+    reference that the bulk read of :func:`parse_diary_path` matches.
     """
-    import numpy as np
-
     if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(
         stream, "mode", ""
     ):
@@ -331,6 +352,94 @@ def parse_diary_file(stream: IO) -> tuple[DiaryTable, list[RejectedDay]]:
         rows.append(row)
         day_types.append(code)
 
+    return _build_table(
+        participant_ids, dates, date_texts, rows, day_types, minutes, rejected, unknown_location_rows
+    )
+
+
+def _read_bulk(handle: IO) -> tuple | None:
+    """Columns of a diary file read in :func:`numpy.loadtxt` passes of
+    :data:`CHUNK_ROWS` rows, in the argument order of :func:`_build_table`;
+    ``None`` when the file needs the row loop.
+
+    The minutes are the bits ``float()`` gives: both use CPython's string to
+    double conversion, and spellings only ``float()`` takes (``1_000``,
+    non-ASCII digits) make ``loadtxt`` raise. Row numbers are line numbers
+    when no line is blank and no field is quoted, which the read checks.
+    """
+    import numpy as np
+
+    header = handle.readline()
+    if '"' in header or tuple(h.strip() for h in header.split(",")) != DIARY_HEADER:
+        return None
+    # zip pulls a line before a count, so the counter ends at the lines read.
+    counter = count()
+    lines = map(itemgetter(0), zip(handle, counter))
+    participant_ids: list[str] = []
+    dates: list[_dt.date] = []
+    date_texts: list[str] = []
+    day_types = array("b")
+    minutes = array("d")
+    unknown_location_rows: list[int] = []
+    while (first := next(lines, None)) is not None:
+        # A pass of blank lines alone makes np.loadtxt warn; any blank line
+        # needs the row loop anyway.
+        if not first.strip("\r\n"):
+            return None
+        try:
+            chunk = np.loadtxt(
+                chain((first,), islice(lines, CHUNK_ROWS - 1)),
+                dtype=_BULK_DTYPE,
+                delimiter=",",
+                comments=None,
+                quotechar=None,
+                ndmin=1,
+            )
+        except ValueError:
+            return None
+        texts = [chunk[name].tolist() for name in ("participant_id", "date", "location")]
+        if any('"' in "".join(column) for column in texts):
+            return None
+        raw_ids, raw_dates, locations = texts
+        stripped_dates = list(map(str.strip, raw_dates))
+        try:
+            dates.extend(map(_dt.date.fromisoformat, stripped_dates))
+        except ValueError:
+            return None
+        first_row = len(day_types) + 2
+        codes = list(map(_LOCATION_CODE.get, locations))
+        if None in codes:
+            for i, code in enumerate(codes):
+                if code is None:
+                    code = _LOCATION_CODE.get(locations[i].strip())
+                    if code is None:
+                        code = _DAY_TYPE_CODE[DayType.OTHER_LOCATION]
+                        unknown_location_rows.append(first_row + i)
+                    codes[i] = code
+        participant_ids.extend(map(str.strip, raw_ids))
+        date_texts.extend(stripped_dates)
+        day_types.extend(codes)
+        minutes.frombytes(chunk["minutes"].tobytes())
+    if len(day_types) != next(counter):
+        return None
+    rows = range(2, len(day_types) + 2)
+    return participant_ids, dates, date_texts, rows, day_types, minutes, [], unknown_location_rows
+
+
+def _build_table(
+    participant_ids: list[str],
+    dates: list[_dt.date],
+    date_texts: list[str],
+    rows: Sequence[int],
+    day_types: array,
+    minutes: array,
+    rejected: list[RejectedDay],
+    unknown_location_rows: list[int],
+) -> tuple[DiaryTable, list[RejectedDay]]:
+    """Table of the parsed columns, with rows that break a day's minute
+    limits moved to ``rejected``; logs the folded unknown-location warning."""
+    import numpy as np
+
     table = DiaryTable(
         participant_ids, dates, rows, day_types, np.frombuffer(minutes, dtype=np.float64)
     )
@@ -361,7 +470,16 @@ def parse_diary_file(stream: IO) -> tuple[DiaryTable, list[RejectedDay]]:
 
 
 def parse_diary_path(path: str | Path) -> tuple[DiaryTable, list[RejectedDay]]:
+    """Parse a diary CSV file: in bulk when it can be (see the module
+    docstring), else with :func:`parse_diary_file`, which is also the path
+    for a file that cannot be read twice, such as a pipe. Both give the same
+    table, rejections and warning."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
+        if handle.seekable():
+            columns = _read_bulk(handle)
+            if columns is not None:
+                return _build_table(*columns)
+            handle.seek(0)
         return parse_diary_file(handle)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
@@ -163,25 +164,37 @@ class SiteInventory:
     def __post_init__(self):
         if not self.floor_area_m2 > 0:
             raise ValueError(f"floor_area_m2 must be > 0, got {self.floor_area_m2}")
-        if int(self.workplace_count) < 1:
+        workplaces = _whole_number("workplace_count", self.workplace_count)
+        coworkers = _whole_number("coworker_count", self.coworker_count)
+        workdays = _whole_number("workdays_per_year", self.workdays_per_year)
+        if workplaces < 1:
             raise ValueError(f"workplace_count must be >= 1, got {self.workplace_count}")
-        if int(self.coworker_count) < 1:
+        if coworkers < 1:
             raise ValueError(f"coworker_count must be >= 1, got {self.coworker_count}")
-        if not 1 <= int(self.workdays_per_year) <= 366:
+        if not 1 <= workdays <= 366:
             raise ValueError(
                 f"workdays_per_year must be in [1, 366], got {self.workdays_per_year}"
             )
         counts = {}
         for kind, count in self.device_counts.items():
-            count = int(count)
+            count = _whole_number(f"device_counts[{kind}]", count)
             if count < 0:
                 raise ValueError(f"device_counts[{kind}] is negative: {count}")
             counts[str(kind)] = count
         object.__setattr__(self, "floor_area_m2", float(self.floor_area_m2))
-        object.__setattr__(self, "workplace_count", int(self.workplace_count))
-        object.__setattr__(self, "coworker_count", int(self.coworker_count))
-        object.__setattr__(self, "workdays_per_year", int(self.workdays_per_year))
+        object.__setattr__(self, "workplace_count", workplaces)
+        object.__setattr__(self, "coworker_count", coworkers)
+        object.__setattr__(self, "workdays_per_year", workdays)
         object.__setattr__(self, "device_counts", counts)
+
+
+def _whole_number(name: str, value) -> int:
+    """``value`` as an int; a bool or a number with a fractional part is
+    refused rather than truncated. Integral floats such as 14.0 pass."""
+    whole = isinstance(value, numbers.Integral) or float(value).is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

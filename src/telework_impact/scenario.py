@@ -69,10 +69,12 @@ class Scenario:
             raise InvalidOverrideError(
                 f"unknown inventory fields in overrides: {sorted(unknown)}"
             )
-        if self.floor_space_credit_m2 < 0:
-            raise InvalidOverrideError("floor_space_credit_m2 must be >= 0")
-        if self.credit_intensity_mj_per_m2_year < 0:
-            raise InvalidOverrideError("credit_intensity_mj_per_m2_year must be >= 0")
+        for name in ("floor_space_credit_m2", "credit_intensity_mj_per_m2_year"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidOverrideError(f"{name} is not finite: {value}")
+            if value < 0:
+                raise InvalidOverrideError(f"{name} must be >= 0")
         if self.modal_override is not None:
             normalized = {
                 DayType(day_type): {
@@ -83,10 +85,11 @@ class Scenario:
             }
             for day_type, profile in normalized.items():
                 for mode, minutes in profile.items():
+                    name = f"modal_override[{day_type.value}][{mode.value}]"
+                    if not math.isfinite(minutes):
+                        raise InvalidOverrideError(f"{name} is not finite: {minutes}")
                     if minutes < 0:
-                        raise InvalidOverrideError(
-                            f"modal_override[{day_type.value}][{mode.value}] is negative"
-                        )
+                        raise InvalidOverrideError(f"{name} is negative")
             object.__setattr__(self, "modal_override", normalized)
 
 

@@ -7,6 +7,7 @@ from conftest import make_day, naive_profiles, random_valid_day, rel_err
 from telework_impact import (
     Activity,
     DayType,
+    DayTypeProfile,
     DiaryTable,
     MissingProfileError,
     TransportMode,
@@ -218,3 +219,30 @@ def test_profiles_dict_roundtrip():
     profiles = aggregate_profiles(days)
     restored = profiles_from_dict(profiles_to_dict(profiles))
     assert restored == profiles
+
+
+@pytest.mark.parametrize("section", ["mean_activity_minutes", "mean_mode_minutes", "mode_share"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_stored_profile_rejects_non_finite_values(section, value):
+    rng = random.Random(11)
+    payload = profiles_to_dict(aggregate_profiles([random_valid_day(rng) for _ in range(30)]))
+    key = "work" if section == "mean_activity_minutes" else "walk"
+    payload["coworking"][section][key] = value
+    label = "share" if section == "mode_share" else "mean"
+    with pytest.raises(ValueError, match=f"{label} for {key} is not finite"):
+        profiles_from_dict(payload)
+
+
+def test_share_sum_check_rejects_a_sum_that_is_not_a_number():
+    # Each share is finite but their sum overflows, so the sum is inf and
+    # |sum - 1| is not <= the tolerance.
+    shares = {m: 0.0 for m in TransportMode}
+    shares[TransportMode.WALK] = shares[TransportMode.CAR] = 1.7e308
+    with pytest.raises(ValueError, match="mode shares sum to inf"):
+        DayTypeProfile(
+            day_type=DayType.COWORKING,
+            day_count=1,
+            mean_activity_minutes={a: 0.0 for a in Activity},
+            mean_mode_minutes={m: 0.0 for m in TransportMode},
+            mode_share=shares,
+        )

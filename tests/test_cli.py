@@ -318,6 +318,42 @@ class TestSweepCli:
         assert "must be finite" in err
         assert not (out / "sweep.json").exists()
 
+    def test_nan_scenario_credit_exit_1(self, run, tmp_path, ref_config_path, ref_diaries_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(
+            '{"floor_space_credit_m2": NaN, "credit_intensity_mj_per_m2_year": 100.0}',
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        code, _, err = run(
+            "sweep", "--config", ref_config_path, "--diaries", ref_diaries_path,
+            "--scenario", scenario, "--parameter", "coworker_count", "--values", 60,
+            "--out", out,
+        )
+        assert code == 1
+        assert "floor_space_credit_m2 is not finite" in err
+        assert not (out / "sweep.json").exists()
+
+    def test_nan_stored_profile_exit_1(self, run, tmp_path, ref_config_path, ref_diaries_path):
+        profile_out = tmp_path / "p"
+        run(
+            "profile", "--config", ref_config_path, "--diaries", ref_diaries_path,
+            "--out", profile_out,
+        )
+        payload = json.loads((profile_out / "profiles.json").read_text(encoding="utf-8"))
+        profiles = payload.get("profiles", payload)
+        profiles["coworking"]["mean_mode_minutes"]["walk"] = float("nan")
+        stored = tmp_path / "profiles.json"
+        stored.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, err = run(
+            "sweep", "--config", ref_config_path, "--profiles", stored,
+            "--parameter", "coworker_count", "--values", 60, "--out", out,
+        )
+        assert code == 1
+        assert "mean for walk is not finite" in err
+        assert not (out / "sweep.json").exists()
+
     def test_missing_profile_exit_2(self, run, tmp_path, ref_config_path):
         diaries = write_diaries(tmp_path, [CLEAN_ROWS[0], CLEAN_ROWS[4]])  # no coworking
         code, _, err = run(

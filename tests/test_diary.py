@@ -4,7 +4,10 @@ import io
 import logging
 import math
 import random
+import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,7 @@ from telework_impact import (
     classify_day,
     parse_diary_file,
 )
+from telework_impact import diary
 from telework_impact.diary import DIARY_HEADER, LOCATION_VOCABULARY
 
 HEADER = ",".join(DIARY_HEADER)
@@ -404,3 +408,179 @@ def test_random_valid_days_always_kept():
     days = [random_valid_day(rng) for _ in range(200)]
     kept, rejected = apply_quality_filter(days)
     assert not rejected and len(kept) == 200
+
+
+# --- The bulk read of parse_diary_path against the row loop ----------------
+
+#: Number spellings that ``float()`` and ``np.loadtxt`` both accept, among
+#: them values the minute screen rejects.
+_SPELLINGS = (" 5 ", "+.5", "5.", "1e400", "-0", "nan", "-nan", "inf", "-3", "2000")
+#: Spellings only ``float()`` accepts, then two neither accepts.
+_ROW_LOOP_SPELLINGS = ("1_000", "\u0665\u0660", "abc", "")
+_LOCATIONS = (*LOCATION_VOCABULARY, " home ", "\toffice", "cafe", "Office", "")
+_QUOTED_TEXTS = ("a,b", 'say ""hi""', "two\nlines", "cr\rhere")
+#: Lines that only the row loop reads as it should.
+_ROW_LOOP_KINDS = ("blank", "spaces", "quoted", "arity", "spelling", "bad date")
+
+
+def _is_iso_date(text):
+    try:
+        dt.date.fromisoformat(text.strip())
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def diary_texts(draw):
+    """CSV text of a diary file, and whether it needs the row loop.
+
+    Half the files hold only rows the bulk read takes: padded and special
+    number spellings, padded dates, padded and unknown locations, and any
+    mix of line endings. In the other half some rows are of one kind that
+    needs the row loop: blank or whitespace-only lines, quoted fields, wrong
+    field counts, number spellings ``np.loadtxt`` rejects, or bad dates.
+    """
+    header = draw(
+        st.sampled_from(
+            [HEADER] * 6
+            + [" , ".join(DIARY_HEADER), '"participant_id",' + HEADER.split(",", 1)[1], "a,b"]
+        )
+    )
+    needs_row_loop = '"' in header or header == "a,b"
+    kinds = ("row",) * 3
+    if draw(st.booleans()):
+        kinds += (draw(st.sampled_from(_ROW_LOOP_KINDS)),)
+    lines = [header]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("blank", "spaces"):
+            lines.append("" if kind == "blank" else draw(st.sampled_from([" ", "\t", "  "])))
+            continue
+        date = draw(
+            st.one_of(
+                st.dates(min_value=dt.date(1900, 1, 1)).map(dt.date.isoformat),
+                st.sampled_from([" 2024-01-08 ", "20240108"]),
+            )
+        )
+        minute = st.one_of(
+            st.floats(0.0, 300.0).map(repr),
+            st.integers(0, 300).map(str),
+            st.sampled_from(_SPELLINGS),
+        )
+        fields = [
+            draw(st.text("AB19 \u00e9-_", max_size=5)),
+            date,
+            draw(st.sampled_from(_LOCATIONS)),
+            *draw(st.lists(minute, min_size=9, max_size=9)),
+        ]
+        if kind == "quoted":
+            at = draw(st.sampled_from([0, 0, 1, 2, 2, 3]))
+            text = draw(st.sampled_from(_QUOTED_TEXTS)) if at == 0 else fields[at]
+            fields[at] = f'"{text}"'
+        elif kind == "arity":
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["0"]
+        elif kind == "spelling":
+            fields[draw(st.integers(3, 11))] = draw(st.sampled_from(_ROW_LOOP_SPELLINGS))
+        elif kind == "bad date":
+            fields[1] = draw(st.sampled_from(["2024-13-01", "not-a-date", ""]))
+        # "20240108" is an ISO date from Python 3.11 on.
+        needs_row_loop |= kind != "row" or not _is_iso_date(fields[1])
+        lines.append(",".join(fields))
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(endings) for line in lines[:-1]) + lines[-1]
+    text += draw(st.sampled_from(["", "\n", "\r\n"]))
+    # A blank line can merge into a line ending ("\r" then "\n"), so look
+    # for blank and whitespace-only lines in the text as written.
+    needs_row_loop |= any(not line.strip() for line in list(io.StringIO(text, newline=""))[1:])
+    return text, needs_row_loop
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append((record.levelno, record.getMessage()))
+
+
+def _outcome(parse, source):
+    """Every column of the table (minutes as their bits), the rejections and
+    the logged warnings of one parse, or the error it raised."""
+    logger = logging.getLogger("telework_impact.diary")
+    handler = _Messages()
+    logger.addHandler(handler)
+    try:
+        table, rejected = parse(source)
+    except DiaryFormatError as exc:
+        return "error", str(exc)
+    finally:
+        logger.removeHandler(handler)
+    columns = (
+        list(table.participant_ids),
+        list(table.dates),
+        list(table.source_rows),
+        table.day_types.tolist(),
+        table.minutes.shape,
+        table.minutes.view(np.int64).tolist(),
+    )
+    return columns, rejected, handler.messages
+
+
+_ROW = "P1,2024-01-08,office,60,480,30,30,10,10,40,0,0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(diary_texts(), st.integers(1, 4))
+# A quoted known location and a quoted id with a doubled quote both pass
+# np.loadtxt, which would read the quotes as text.
+@example((f'{HEADER}\n{_ROW}\nP2,2024-01-08,"office",60,480,30,30,10,10,40,0,0\n', True), 4)
+@example((f'{HEADER}\n"P""2",2024-01-08,home,60,480,30,30,10,10,40,0,0\n', True), 4)
+# A blank line inside a pass, which np.loadtxt skips, and one that starts a
+# pass, which it would warn about.
+@example((f"{HEADER}\n{_ROW}\n\n{_ROW}\n", True), 4)
+@example((f"{HEADER}\n{_ROW}\n\n\n", True), 1)
+def test_bulk_read_equals_row_loop(tmp_path_factory, case, chunk_rows):
+    text, needs_row_loop = case
+    path = tmp_path_factory.getbasetemp() / "bulk_read.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(diary, "CHUNK_ROWS", chunk_rows), warnings.catch_warnings():
+        # np.loadtxt warns on input it skips; the bulk read must not let it.
+        warnings.simplefilter("error")
+        bulk = _outcome(diary.parse_diary_path, path)
+        with open(path, encoding="utf-8", newline="") as handle:
+            took_bulk = diary._read_bulk(handle) is not None
+    assert bulk == _outcome(parse_diary_file, io.StringIO(text, newline=""))
+    assert took_bulk is not needs_row_loop
+
+
+def _fail_row_loop(stream):
+    raise AssertionError("the row loop ran")
+
+
+def test_clean_file_is_read_without_the_row_loop(monkeypatch, ref_diaries_path):
+    with open(ref_diaries_path, encoding="utf-8", newline="") as handle:
+        expected = _outcome(parse_diary_file, handle)
+    monkeypatch.setattr(diary, "parse_diary_file", _fail_row_loop)
+    monkeypatch.setattr(diary, "CHUNK_ROWS", 64)
+    assert _outcome(diary.parse_diary_path, ref_diaries_path) == expected
+    assert len(expected[0][0]) == 250
+
+
+def test_file_with_one_bad_row_takes_the_row_loop(monkeypatch, tmp_path):
+    rows = ["P1,2024-01-08,office,60,480,30,30,10,10,40,0,0"] * 3
+    rows[1] = "P2,2024-01-08,office,60,480,30,30,10,10,forty,0,0"
+    path = tmp_path / "diaries.csv"
+    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    calls = []
+
+    def row_loop(stream):
+        calls.append(stream)
+        return parse_diary_file(stream)
+
+    monkeypatch.setattr(diary, "parse_diary_file", row_loop)
+    table, rejected = diary.parse_diary_path(path)
+    assert len(calls) == 1
+    assert len(table) == 2 and [item.row for item in rejected] == [3]
+    assert "forty" in rejected[0].detail

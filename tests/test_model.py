@@ -112,6 +112,20 @@ class TestSiteInventory:
         with pytest.raises(ValueError):
             small_inventory(**{field: value})
 
+    @pytest.mark.parametrize("value", [14.9, True, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["workplace_count", "coworker_count", "workdays_per_year", "device_counts"]
+    )
+    def test_counts_must_be_whole_numbers(self, field, value):
+        given = {"screen": value} if field == "device_counts" else value
+        with pytest.raises(ValueError, match="must be a whole number"):
+            small_inventory(**{field: given})
+        accepted = {"screen": 14.0} if field == "device_counts" else 14.0
+        inventory = small_inventory(**{field: accepted})
+        stored = getattr(inventory, field)
+        stored = stored["screen"] if field == "device_counts" else stored
+        assert stored == 14 and type(stored) is int
+
     def test_negative_device_count(self):
         with pytest.raises(ValueError, match="negative"):
             small_inventory(device_counts={"screen": -1})

@@ -115,6 +115,18 @@ class TestApplyScenario:
         with pytest.raises(InvalidOverrideError):
             Scenario(floor_space_credit_m2=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["floor_space_credit_m2", "credit_intensity_mj_per_m2_year"]
+    )
+    def test_non_finite_credit_rejected(self, field, value):
+        with pytest.raises(InvalidOverrideError, match=f"{field} is not finite"):
+            Scenario(**{field: value})
+
+    def test_non_finite_modal_override_rejected(self):
+        with pytest.raises(InvalidOverrideError, match=r"\[coworking\]\[walk\] is not finite"):
+            Scenario(modal_override={"coworking": {"walk": math.nan}})
+
 
 class TestSweep:
     def test_occupancy_sweep_values(self, base):
