@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .diary import DAY_TYPES, DiaryTable
-from .errors import MissingProfileError
 from .model import COMPARABLE_DAY_TYPES, Activity, DayType, DiaryDay, TransportMode
 
 SHARE_SUM_TOLERANCE = 1e-9
@@ -110,30 +109,6 @@ def aggregate_profiles(days: Iterable[DiaryDay]) -> dict[DayType, DayTypeProfile
             mode_share=mode_shares(mean_mode),
         )
     return profiles
-
-
-def profile_deltas(
-    profiles: Mapping[DayType, DayTypeProfile],
-    baselines: Iterable[DayType] = (DayType.EMPLOYER_OFFICE, DayType.HOME),
-) -> dict[DayType, dict[Activity, float]]:
-    """Per-activity minute change of a co-working day versus each baseline.
-
-    Raises :class:`MissingProfileError` when the co-working profile or a
-    requested baseline has no days.
-    """
-    coworking = profiles.get(DayType.COWORKING)
-    if coworking is None or coworking.day_count == 0:
-        raise MissingProfileError(DayType.COWORKING)
-    deltas: dict[DayType, dict[Activity, float]] = {}
-    for baseline in baselines:
-        profile = profiles.get(baseline)
-        if profile is None or profile.day_count == 0:
-            raise MissingProfileError(baseline)
-        deltas[baseline] = {
-            a: coworking.mean_activity_minutes[a] - profile.mean_activity_minutes[a]
-            for a in Activity
-        }
-    return deltas
 
 
 def day_counts(days: Iterable[DiaryDay]) -> dict[DayType, int]:

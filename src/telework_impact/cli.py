@@ -176,9 +176,13 @@ def _load_profiles(args, config: AppConfig):
             raise ConfigError(f"cannot read profiles file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"profiles file {path} is not valid JSON: {exc}") from exc
+        if isinstance(payload, dict):
+            payload = payload.get("profiles", payload)
+        if not isinstance(payload, dict):
+            raise ConfigError(f"profiles file {path} must contain a JSON object of profiles")
         try:
-            return profiles_from_dict(payload.get("profiles", payload)), {"profiles": str(path)}
-        except (KeyError, TypeError, ValueError) as exc:
+            return profiles_from_dict(payload), {"profiles": str(path)}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"profiles file {path} is malformed: {exc}") from exc
     days, kept, _ = _run_pipeline(args, config)
     return aggregate_profiles(kept), {"diaries": str(args.diaries)}
@@ -309,10 +313,11 @@ def cmd_sweep(args) -> int:
     )
 
     out = _out_dir(args)
+    rows = rpt.sweep_rows(result)
     if args.format in ("csv", "both"):
-        rpt.write_csv(out / "sweep.csv", rpt.SWEEP_HEADER, rpt.sweep_rows(result))
-    # Built and encoded once, for sweep.json and for report.json.
-    sweep_json = rpt.EncodedJson(rpt.sweep_to_dict(result))
+        rpt.write_csv(out / "sweep.csv", rpt.SWEEP_HEADER, rows)
+    # Laid out once, from the CSV cells, for sweep.json and for report.json.
+    sweep_json = rpt.EncodedJson(rpt.sweep_json(result, rows))
     if args.format in ("json", "both"):
         rpt.write_json(out / "sweep.json", sweep_json)
     report = rpt.base_report("sweep", config, __version__, profile_source)
@@ -322,8 +327,10 @@ def cmd_sweep(args) -> int:
     rpt.write_run_info(out)
 
     print(f"swept {args.parameter} over {len(result.points)} values (baseline {baseline.value})")
-    for value, delta in result.points:
-        print(f"  {args.parameter}={value:g}: net {_round(delta.net_mj, args):+} MJ")
+    print("\n".join(
+        f"  {args.parameter}={value:g}: net {_round(delta.net_mj, args):+} MJ"
+        for value, delta in result.points
+    ))
     return EXIT_OK
 
 

@@ -275,6 +275,9 @@ def validate_factor_table(table: FactorTable, inventory: SiteInventory) -> Facto
     return table
 
 
+_DELTA_COMPONENTS = ("facility_mj", "equipment_mj", "travel_mj", "credit_mj")
+
+
 @dataclass(frozen=True)
 class EnergyDelta:
     """Component-wise MJ change of one co-working day versus a baseline day.
@@ -284,7 +287,8 @@ class EnergyDelta:
     may claim a floor-space credit (heated space saved elsewhere), reported
     as its own non-negative component. ``net_mj`` is always exactly
     facility + equipment + travel - credit; a plain day-type comparison has
-    credit 0.
+    credit 0. A component or net that is not finite raises
+    :class:`NonFiniteError`.
     """
 
     baseline: DayType
@@ -295,14 +299,16 @@ class EnergyDelta:
     net_mj: float = field(init=False)
 
     def __post_init__(self):
+        net = self.facility_mj + self.equipment_mj + self.travel_mj - self.credit_mj
+        if not math.isfinite(net):
+            # A non-finite component makes the net non-finite too; name it.
+            values = {name: getattr(self, name) for name in _DELTA_COMPONENTS}
+            name = next((n for n, v in values.items() if not math.isfinite(v)), "net_mj")
+            raise NonFiniteError(f"{name} is not finite: {values.get(name, net)}")
         if self.facility_mj < 0:
             raise ValueError(f"facility_mj must be >= 0, got {self.facility_mj}")
         if self.equipment_mj < 0:
             raise ValueError(f"equipment_mj must be >= 0, got {self.equipment_mj}")
         if self.credit_mj < 0:
             raise ValueError(f"credit_mj must be >= 0, got {self.credit_mj}")
-        object.__setattr__(
-            self,
-            "net_mj",
-            self.facility_mj + self.equipment_mj + self.travel_mj - self.credit_mj,
-        )
+        object.__setattr__(self, "net_mj", net)

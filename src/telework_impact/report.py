@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
-import functools
 import json
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -46,26 +45,23 @@ def fmt(value) -> str:
 
 
 class EncodedJson:
-    """A JSON value that is encoded once, on first use, the way
-    :func:`write_json` encodes, so that one text can be written as a file
-    of its own and embedded in a report."""
+    """JSON text laid out the way :func:`write_json` lays out a value, so
+    that one text can be written as a file of its own and embedded in a
+    report."""
 
-    def __init__(self, value):
-        self.value = value
-
-    @functools.cached_property
-    def text(self) -> str:
-        return json.dumps(self.value, indent=2, sort_keys=True)
+    def __init__(self, text: str):
+        self.text = text
 
 
 def encode_json(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True)``, where ``payload``
-    may be an :class:`EncodedJson` or a dict with string keys that holds
-    some as members.
+    may be an :class:`EncodedJson`, which stands for the value its text
+    encodes, or a dict with string keys that holds some as members.
 
-    A member's text is spliced in re-indented by two spaces. That is exact:
-    ``json.dumps`` escapes newlines inside strings, so every raw newline of
-    its output is structural.
+    A member's text is spliced in re-indented by two spaces. That is exact
+    when every raw newline of the text is structural, as in the output of
+    ``json.dumps`` (which escapes newlines inside strings) and of
+    :func:`sweep_json`.
     """
     if isinstance(payload, EncodedJson):
         return payload.text
@@ -207,7 +203,36 @@ def sweep_rows(result: SweepResult) -> list[list[str]]:
     ]
 
 
+#: Day type -> its JSON string, so that no point needs ``json.dumps``.
+_BASELINE_JSON = {day_type: json.dumps(day_type.value) for day_type in DayType}
+
+
+def sweep_json(result: SweepResult, rows: Sequence[Sequence[str]]) -> str:
+    """``json.dumps(sweep_to_dict(result), indent=2, sort_keys=True)``, laid
+    out from the cells of ``rows = sweep_rows(result)``.
+
+    Exact by construction: a point has fixed keys and only finite floats
+    besides its baseline, and ``json`` renders a finite float with
+    ``float.__repr__``, as ``sweep_rows`` does.
+    """
+    names = [*SWEEP_HEADER[1:], "baseline"]
+    weekly = result.parameter == "cw_days_per_week"
+    if weekly:
+        names += ["cw_days_per_week", "weekly_net_mj"]
+    fields = ",\n".join(f"      {json.dumps(n)}: {{{names.index(n)}}}" for n in sorted(names))
+    point = "    {{\n" + fields + "\n    }}"
+    texts = []
+    for (value, delta), row in zip(result.points, rows):
+        cells = [*row[1:], _BASELINE_JSON[delta.baseline]]
+        if weekly:
+            cells += [row[1], repr(weekly_net_mj(delta, value))]
+        texts.append(point.format(*cells))
+    head = f'{{\n  "parameter": {json.dumps(result.parameter)},\n  "points": [\n'
+    return head + ",\n".join(texts) + "\n  ]\n}"
+
+
 def sweep_to_dict(result: SweepResult) -> dict:
+    """The sweep document as plain values: what :func:`sweep_json` lays out."""
     points = []
     for value, delta in result.points:
         days = value if result.parameter == "cw_days_per_week" else None

@@ -104,6 +104,8 @@ class SweepResult:
         if not self.points:
             raise ValueError("sweep produced no points")
         values = [value for value, _ in self.points]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("sweep point values must be finite")
         if values != sorted(values):
             raise ValueError("sweep points must be ordered by parameter value")
 
@@ -270,8 +272,12 @@ def evaluate_scenario(
 
 def weekly_net_mj(delta: EnergyDelta, cw_days_per_week: float) -> float:
     """Weekly aggregate: one co-working day avoids one commute, so the weekly
-    net scales linearly with the number of co-working days."""
-    return cw_days_per_week * delta.net_mj
+    net scales linearly with the number of co-working days. A product that
+    overflows raises :class:`NonFiniteError`."""
+    weekly = cw_days_per_week * delta.net_mj
+    if not math.isfinite(weekly):
+        raise NonFiniteError(f"weekly_net_mj is not finite: {weekly}")
+    return weekly
 
 
 def sweep(
@@ -285,7 +291,8 @@ def sweep(
 ) -> SweepResult:
     """Evaluate one parameter over a list of values, in ascending order.
 
-    The value-independent terms are computed once; a failing point raises
+    The value-independent terms are computed once; a failing point, one
+    whose MJ figures are not finite among them, raises
     :class:`SweepPointError` with its value.
     """
     _check_parameter(parameter)
@@ -297,6 +304,8 @@ def sweep(
     for value in ordered:
         try:
             deltas.append(terms.at(parameter, value))
+            if parameter == "cw_days_per_week":
+                weekly_net_mj(deltas[-1], value)
         except TeleworkImpactError as exc:
             raise SweepPointError(parameter, value, exc) from exc
     return SweepResult(parameter=parameter, points=tuple(zip(ordered, deltas)))

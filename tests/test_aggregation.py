@@ -9,11 +9,9 @@ from telework_impact import (
     DayType,
     DayTypeProfile,
     DiaryTable,
-    MissingProfileError,
     TransportMode,
     aggregate_profiles,
     day_counts,
-    profile_deltas,
     profiles_from_dict,
     profiles_to_dict,
 )
@@ -139,58 +137,6 @@ def test_means_equal_np_mean_over_day_objects():
             for mode in TransportMode:
                 expected = float(np.mean([d.mode(mode) for d in bucket]))
                 assert repr(profile.mean_mode_minutes[mode]) == repr(expected)
-
-
-class TestProfileDeltas:
-    def make_profiles(self, office_travel=133.0, cw_travel=65.0, office_work=522.0, cw_work=508.0):
-        days = [
-            office_day(office_travel, work=office_work),
-            office_day(office_travel, work=office_work),
-            make_day(
-                work=cw_work,
-                travel=cw_travel,
-                modes={TransportMode.WALK: cw_travel},
-                chores=90,
-                leisure=150,
-            ),
-        ]
-        return aggregate_profiles(days)
-
-    def test_travel_delta_vs_office(self):
-        deltas = profile_deltas(self.make_profiles(), baselines=[DayType.EMPLOYER_OFFICE])
-        assert deltas[DayType.EMPLOYER_OFFICE][Activity.TRAVEL] == pytest.approx(-68.0)
-
-    def test_work_delta_vs_office(self):
-        deltas = profile_deltas(self.make_profiles(), baselines=[DayType.EMPLOYER_OFFICE])
-        assert deltas[DayType.EMPLOYER_OFFICE][Activity.WORK] == pytest.approx(-14.0)
-
-    def test_identical_profiles_zero_delta(self):
-        profiles = aggregate_profiles(
-            [
-                office_day(100.0),
-                make_day(
-                    day_type=DayType.COWORKING,
-                    work=522.0,
-                    travel=100.0,
-                    modes={TransportMode.PUBLIC_TRANSPORT: 100.0},
-                    chores=80,
-                    leisure=120,
-                ),
-            ]
-        )
-        deltas = profile_deltas(profiles, baselines=[DayType.EMPLOYER_OFFICE])
-        for value in deltas[DayType.EMPLOYER_OFFICE].values():
-            assert value == pytest.approx(0.0, abs=1e-12)
-
-    def test_missing_baseline_profile(self):
-        profiles = self.make_profiles()
-        with pytest.raises(MissingProfileError, match="home"):
-            profile_deltas(profiles, baselines=[DayType.HOME])
-
-    def test_missing_coworking_profile(self):
-        profiles = aggregate_profiles([office_day(120.0)])
-        with pytest.raises(MissingProfileError, match="coworking"):
-            profile_deltas(profiles, baselines=[DayType.EMPLOYER_OFFICE])
 
 
 class TestDayCounts:

@@ -224,7 +224,7 @@ class TestDelta:
 class TestSweepCli:
     def test_occupancy_sweep(self, run, tmp_path, ref_config_path, ref_diaries_path):
         out = tmp_path / "out"
-        code, _, _ = run(
+        code, stdout, _ = run(
             "sweep", "--config", ref_config_path, "--diaries", ref_diaries_path,
             "--parameter", "coworker_count", "--values", 30, 60, 120, "--out", out,
         )
@@ -235,6 +235,33 @@ class TestSweepCli:
         )
         facility = [float(row[2]) for row in rows[1:]]
         assert facility == pytest.approx([47.94, 23.97, 11.985], abs=1e-9)
+        assert stdout == (
+            "swept coworker_count over 3 values (baseline employer_office)\n"
+            "  coworker_count=30: net +28.02 MJ\n"
+            "  coworker_count=60: net +4.05 MJ\n"
+            "  coworker_count=120: net -7.93 MJ\n"
+        )
+
+    @pytest.mark.parametrize(
+        "fmt, written, absent",
+        [("csv", "sweep.csv", "sweep.json"), ("json", "sweep.json", "sweep.csv")],
+    )
+    def test_format_writes_one_table(
+        self, run, tmp_path, ref_config_path, ref_diaries_path, fmt, written, absent
+    ):
+        for name in (fmt, "both"):
+            code, _, _ = run(
+                "sweep", "--config", ref_config_path, "--diaries", ref_diaries_path,
+                "--parameter", "cw_days_per_week", "--values", 1, 2.5,
+                "--out", tmp_path / name, "--format", name,
+            )
+            assert code == 0
+        out, both = tmp_path / fmt, tmp_path / "both"
+        assert not (out / absent).exists()
+        assert (out / written).read_bytes() == (both / written).read_bytes()
+        assert (out / "report.json").read_bytes() == (both / "report.json").read_bytes()
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["sweep"] == json.loads((both / "sweep.json").read_text(encoding="utf-8"))
 
     def test_profiles_file_input(self, run, tmp_path, ref_config_path, ref_diaries_path):
         profile_out = tmp_path / "p"
@@ -318,6 +345,35 @@ class TestSweepCli:
         assert "must be finite" in err
         assert not (out / "sweep.json").exists()
 
+    @pytest.mark.parametrize(
+        "parameter, value", [("coworker_count", "5e-324"), ("floor_area_m2", "1e308")]
+    )
+    def test_overflowing_point_exit_1(
+        self, run, tmp_path, ref_config_path, ref_diaries_path, parameter, value
+    ):
+        out = tmp_path / "out"
+        code, _, err = run(
+            "sweep", "--config", ref_config_path, "--diaries", ref_diaries_path,
+            "--parameter", parameter, "--values", value, "--out", out,
+        )
+        assert code == 1
+        assert f"sweep point {parameter}=" in err and "facility_mj is not finite: inf" in err
+        assert not (out / "sweep.csv").exists()
+        assert not (out / "sweep.json").exists()
+
+    @pytest.mark.parametrize(
+        "text", ["[]", '{"profiles": []}', '{"coworking": {"mean_activity_minutes": []}}']
+    )
+    def test_profiles_not_an_object_exit_1(self, run, tmp_path, ref_config_path, text):
+        stored = tmp_path / "profiles.json"
+        stored.write_text(text, encoding="utf-8")
+        code, _, err = run(
+            "sweep", "--config", ref_config_path, "--profiles", stored,
+            "--parameter", "coworker_count", "--values", 60, "--out", tmp_path / "out",
+        )
+        assert code == 1
+        assert err.startswith(f"error: profiles file {stored}")
+
     def test_nan_scenario_credit_exit_1(self, run, tmp_path, ref_config_path, ref_diaries_path):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(
@@ -395,6 +451,16 @@ class TestBreakevenCli:
         )
         assert code == 2
         assert "insufficient data" in err and "employer_office" in err
+
+    def test_profiles_not_an_object_exit_1(self, run, tmp_path, ref_config_path):
+        stored = tmp_path / "profiles.json"
+        stored.write_text("[]", encoding="utf-8")
+        code, _, err = run(
+            "breakeven", "--config", ref_config_path, "--profiles", stored,
+            "--parameter", "coworker_count", "--bounds", 30, 120, "--out", tmp_path / "out",
+        )
+        assert code == 1
+        assert err == f"error: profiles file {stored} must contain a JSON object of profiles\n"
 
     def test_cw_days_per_week_exit_1(self, run, tmp_path, ref_config_path, ref_diaries_path):
         code, _, err = run(

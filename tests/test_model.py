@@ -220,6 +220,17 @@ class TestEnergyDelta:
         with pytest.raises(ValueError):
             EnergyDelta(DayType.HOME, facility_mj=0.0, equipment_mj=-0.1, travel_mj=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["facility_mj", "equipment_mj", "travel_mj", "credit_mj"])
+    def test_non_finite_component_named(self, name, value):
+        components = {"facility_mj": 1.0, "equipment_mj": 1.0, "travel_mj": -1.0, name: value}
+        with pytest.raises(NonFiniteError, match=f"^{name} is not finite"):
+            EnergyDelta(DayType.HOME, **components)
+
+    def test_overflowing_net_named(self):
+        with pytest.raises(NonFiniteError, match="^net_mj is not finite: inf$"):
+            EnergyDelta(DayType.HOME, facility_mj=1e308, equipment_mj=1e308, travel_mj=0.0)
+
 
 def test_enumerations_are_closed():
     assert {a.value for a in Activity} == {"travel", "work", "everyday_chores", "leisure"}

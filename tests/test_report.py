@@ -1,10 +1,25 @@
+import csv
+import io
 import json
 
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from telework_impact.diary import RejectedDay, RejectReason
-from telework_impact.report import EncodedJson, encode_json, fmt, rejection_rows, write_json
+from telework_impact.model import DayType, EnergyDelta
+from telework_impact.report import (
+    SWEEP_HEADER,
+    EncodedJson,
+    encode_json,
+    fmt,
+    rejection_rows,
+    sweep_json,
+    sweep_rows,
+    sweep_to_dict,
+    write_csv,
+    write_json,
+)
+from telework_impact.scenario import SWEEP_PARAMETERS, SweepResult
 
 #: Strings that stress the splice: newlines, quotes, escapes, non-ASCII.
 _TEXT = st.text(st.sampled_from('a :,{}[]"\\\n\t\r/éß€\u2028\U0001f600')) | st.text()
@@ -52,7 +67,58 @@ def test_rejection_rows():
     member={"points": [{"value": 1.5, "name": "\n  \"\n"}], "z": {}},
 )
 def test_encoded_member_splices_exactly(payload, key, member):
+    text = json.dumps(member, indent=2, sort_keys=True)
     expected = json.dumps({**payload, key: member}, indent=2, sort_keys=True)
-    assert encode_json({**payload, key: EncodedJson(member)}) == expected
-    assert encode_json(EncodedJson(member)) == json.dumps(member, indent=2, sort_keys=True)
+    assert encode_json({**payload, key: EncodedJson(text)}) == expected
+    assert encode_json(EncodedJson(text)) == text
+
+
+_MJ = st.just(0.0) | st.floats(min_value=5e-324, max_value=1e300)
+
+
+@st.composite
+def _sweep_results(draw):
+    """Sweeps over either key set, with repeated values; a co-working-days
+    value stays in the (0, 5] a sweep accepts, so the weekly net is finite."""
+    parameter = draw(st.sampled_from(SWEEP_PARAMETERS))
+    top = 5.0 if parameter == "cw_days_per_week" else 1e300
+    values = draw(st.lists(st.floats(min_value=5e-324, max_value=top), min_size=1, max_size=6))
+    values = sorted(values + draw(st.lists(st.sampled_from(values), max_size=3)))
+    deltas = st.builds(
+        EnergyDelta,
+        baseline=st.sampled_from(DayType),
+        facility_mj=_MJ,
+        equipment_mj=_MJ,
+        travel_mj=st.just(-0.0) | st.floats(min_value=-1e300, max_value=1e300),
+        credit_mj=_MJ,
+    )
+    return SweepResult(parameter, tuple((v, draw(deltas)) for v in values))
+
+
+_REPEATED = (2.5, EnergyDelta(DayType.HOME, 5e-324, 0.0, -0.0, credit_mj=1e300))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(result=_sweep_results())
+@example(result=SweepResult("cw_days_per_week", (_REPEATED, _REPEATED)))
+def test_sweep_writer_matches_json_and_csv_modules(tmp_path, result):
+    rows = sweep_rows(result)
+    as_dict = sweep_to_dict(result)
+    assert sweep_json(result, rows) == json.dumps(as_dict, indent=2, sort_keys=True)
+
+    expected_csv = io.StringIO()
+    writer = csv.writer(expected_csv, lineterminator="\n")
+    writer.writerow(SWEEP_HEADER)
+    for value, d in result.points:
+        floats = (value, d.facility_mj, d.equipment_mj, d.travel_mj, d.credit_mj, d.net_mj)
+        writer.writerow([result.parameter, *map(repr, floats)])
+    written = write_csv(tmp_path / "sweep.csv", SWEEP_HEADER, rows)
+    assert written.read_text(encoding="utf-8") == expected_csv.getvalue()
+
+    report = {"command": "sweep", "scenario": 'say "hi"\nZürich', "tool": {"name": "t"}}
+    written = write_json(
+        tmp_path / "report.json", {**report, "sweep": EncodedJson(sweep_json(result, rows))}
+    )
+    expected = json.dumps({**report, "sweep": as_dict}, indent=2, sort_keys=True) + "\n"
+    assert written.read_text(encoding="utf-8") == expected
 

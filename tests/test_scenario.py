@@ -215,6 +215,25 @@ class TestSweep:
             sweep(inventory, factors, profiles, Scenario(), parameter, [2.0, value])
         assert isinstance(info.value.cause, InvalidOverrideError)
 
+    @pytest.mark.parametrize(
+        "parameter, value", [("coworker_count", 5e-324), ("floor_area_m2", 1e308)]
+    )
+    def test_overflowing_point_rejected(self, base, parameter, value):
+        inventory, factors, profiles = base
+        with pytest.raises(SweepPointError, match="facility_mj is not finite: inf") as info:
+            sweep(inventory, factors, profiles, Scenario(), parameter, [2.0, value])
+        assert isinstance(info.value.cause, NonFiniteError)
+
+    def test_overflowing_weekly_net_rejected(self, base):
+        inventory, factors, profiles = base
+        # Facility alone is ~1e308 MJ per coworker-day: finite, but not five times over.
+        huge = Scenario(
+            overrides={"floor_area_m2": 5e304, "coworker_count": 1, "workdays_per_year": 1}
+        )
+        sweep(inventory, factors, profiles, huge, "cw_days_per_week", [1.0])
+        with pytest.raises(SweepPointError, match="=5.0: weekly_net_mj is not finite"):
+            sweep(inventory, factors, profiles, huge, "cw_days_per_week", [1.0, 5.0])
+
 
 class TestBisectRoot:
     def test_linear_fixture(self):
