@@ -14,13 +14,17 @@ that enter the table and the first five row numbers.
 
 A parse reads the file into a :class:`DiaryTable`: one array per field and
 an ``(n, 9)`` float64 matrix of the minute columns. :func:`parse_diary_path`
-reads a file in :func:`numpy.loadtxt` passes of :data:`CHUNK_ROWS` rows. It
-hands the file to the row loop of :func:`parse_diary_file` (the one path for
-streams) when a line is blank or whitespace only, a field holds ``"`` (CSV
-quoting), a line has the wrong field count, a date does not parse, or a
-number is one ``loadtxt`` does not read (such as ``1_000`` or non-ASCII
-digits, which ``float()`` takes). Either path gives the same table, minutes
-to the bit, row numbers, rejections and warning.
+reads a file in :func:`numpy.loadtxt` passes of :data:`CHUNK_ROWS` lines.
+When ``loadtxt`` cannot read a pass whole, its lines with twelve fields, no
+``"`` and only digits and dots in the minute fields still go to one
+``loadtxt`` call; the row parse that :func:`parse_diary_file` applies to
+every record reads the others one line at a time: blank or whitespace-only
+lines, quoted fields, wrong field counts, numbers such as ``abc`` or
+``1_000`` (which ``float()`` takes and ``loadtxt`` does not), and lines
+whose date does not parse. Only a quoted record that spans lines sends the
+file to the row loop of :func:`parse_diary_file`, the one path for streams.
+Either path gives the same table, minutes to the bit, row numbers,
+rejections and warning.
 
 The table is a sequence of :class:`DiaryDay` (indexing builds the day object
 of a row), so code written for lists of days keeps working, while the
@@ -45,17 +49,24 @@ import datetime as _dt
 import io
 import logging
 import numbers
+import re
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress, count, islice
-from operator import itemgetter
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable
 
 from .errors import DiaryFormatError
-from .model import MINUTES_PER_DAY, Activity, DayType, DiaryDay, TransportMode
+from .model import (
+    MINUTES_PER_DAY,
+    Activity,
+    DayType,
+    DiaryDay,
+    TransportMode,
+    finite_at_least,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -97,6 +108,7 @@ _WORK = _ACTIVITIES.index(Activity.WORK)
 #: Day types in code order; ``DiaryTable.day_types`` holds indices into it.
 DAY_TYPES = tuple(DayType)
 _DAY_TYPE_CODE = {day_type: code for code, day_type in enumerate(DAY_TYPES)}
+_DAY_TYPE_VALUES = tuple(day_type.value for day_type in DAY_TYPES)
 _LOCATION_CODE = {raw: _DAY_TYPE_CODE[day_type] for raw, day_type in LOCATION_VOCABULARY.items()}
 _EXCLUDED_CODES = [_DAY_TYPE_CODE[DayType.OTHER_LOCATION], _DAY_TYPE_CODE[DayType.MULTI_LOCATION]]
 #: Row numbers the folded unknown-location warning lists.
@@ -126,13 +138,14 @@ class RejectReason(str, Enum):
 
 
 #: Reasons of the quality rules, in the order the rules are checked, and the
-#: detail text of each.
+#: detail text of each. Formatting with the rules gives a template whose
+#: fields are a day's work, total, mismatch and day type.
 _RULE_REASONS = tuple(RejectReason)[:4]
 _RULE_DETAILS = (
-    "work {work:g} < {rules.min_work_minutes:g} min",
-    "total {total:g} < {rules.min_total_minutes:g} min",
-    "|travel - modes| = {mismatch:g} > {rules.max_mode_mismatch_minutes:g} min",
-    "day type {day_type} excluded",
+    "work {{0:g}} < {rules.min_work_minutes:g} min",
+    "total {{1:g}} < {rules.min_total_minutes:g} min",
+    "|travel - modes| = {{2:g}} > {rules.max_mode_mismatch_minutes:g} min",
+    "day type {{3}} excluded",
 )
 
 
@@ -152,8 +165,10 @@ class QualityRules:
 
     def __post_init__(self):
         for name in ("min_work_minutes", "min_total_minutes", "max_mode_mismatch_minutes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            object.__setattr__(self, name, finite_at_least(name, getattr(self, name)))
+        if not isinstance(self.exclude_multi_location, bool):
+            value = self.exclude_multi_location
+            raise ValueError(f"exclude_multi_location must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -292,6 +307,55 @@ def _parse_error(row: int, participant_id: str, date: str, exc: Exception) -> Re
     )
 
 
+def _parse_record(
+    values: list[str], row: int, known_dates: dict[str, _dt.date]
+) -> tuple[_dt.date, list[float]] | RejectedDay:
+    """Date and minutes of one non-empty CSV record, or its PARSE_ERROR
+    rejection.
+
+    Both parse paths read every record they do not read in bulk through
+    here. ``known_dates`` maps date texts as they stand to their dates, so
+    each distinct text is parsed once.
+    """
+    try:
+        if len(values) != len(DIARY_HEADER):
+            raise ValueError(f"expected {len(DIARY_HEADER)} fields, got {len(values)}")
+        date = known_dates.get(values[1])
+        if date is None:
+            date = known_dates[values[1]] = _dt.date.fromisoformat(values[1].strip())
+        return date, list(map(float, values[3:]))
+    except ValueError as exc:
+        date_text = values[1] if len(values) > 1 else ""
+        return _parse_error(row, values[0], date_text, exc)
+
+
+def _location_codes(
+    locations: list[str], rows: Sequence[int], unknown_rows: list[int]
+) -> list[int]:
+    """Day-type codes of raw location texts. An unknown location is coded
+    other_location and its row goes to ``unknown_rows``."""
+    codes = list(map(_LOCATION_CODE.get, locations))
+    if None in codes:
+        for i, code in enumerate(codes):
+            if code is None:
+                code = _LOCATION_CODE.get(locations[i].strip())
+                if code is None:
+                    code = _DAY_TYPE_CODE[DayType.OTHER_LOCATION]
+                    unknown_rows.append(rows[i])
+                codes[i] = code
+    return codes
+
+
+def _minute_screen(block: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a minute matrix with a negative value or an
+    activity or mode total over a day: the rows a :class:`DiaryDay` may
+    refuse."""
+    suspect = (block < 0).any(axis=1)
+    suspect |= _row_sums(block[:, :len(_ACTIVITIES)]) > MINUTES_PER_DAY
+    suspect |= _row_sums(block[:, len(_ACTIVITIES):]) > MINUTES_PER_DAY
+    return suspect
+
+
 def parse_diary_file(stream: IO) -> tuple[DiaryTable, list[RejectedDay]]:
     """Parse a diary CSV stream into a table of days plus PARSE_ERROR
     rejections, both in row order.
@@ -300,6 +364,8 @@ def parse_diary_file(stream: IO) -> tuple[DiaryTable, list[RejectedDay]]:
     warning for all kept rows with an unknown location. This row loop is the
     reference that the bulk read of :func:`parse_diary_path` matches.
     """
+    import numpy as np
+
     if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(
         stream, "mode", ""
     ):
@@ -318,143 +384,214 @@ def parse_diary_file(stream: IO) -> tuple[DiaryTable, list[RejectedDay]]:
     dates: list[_dt.date] = []
     date_texts: list[str] = []
     rows: list[int] = []
-    day_types = array("b")
+    locations: list[str] = []
     minutes = array("d")
     rejected: list[RejectedDay] = []
-    unknown_location_rows: list[int] = []
-    width = len(MINUTE_COLUMNS)
+    known_dates: dict[str, _dt.date] = {}
     for values in reader:
         if not values:
             continue
         row = reader.line_num
-        try:
-            if len(values) != len(DIARY_HEADER):
-                raise ValueError(f"expected {len(DIARY_HEADER)} fields, got {len(values)}")
-            date_text = values[1].strip()
-            date = _dt.date.fromisoformat(date_text)
-            code = _LOCATION_CODE.get(values[2])
-            if code is None:
-                code = _LOCATION_CODE.get(values[2].strip())
-            minutes.extend(map(float, values[3:]))
-        except ValueError as exc:
-            del minutes[width * len(rows):]
-            fields = dict(zip(DIARY_HEADER, values))
-            rejected.append(
-                _parse_error(row, fields.get("participant_id", ""), fields.get("date", ""), exc)
-            )
+        record = _parse_record(values, row, known_dates)
+        if isinstance(record, RejectedDay):
+            rejected.append(record)
             continue
-        if code is None:
-            code = _DAY_TYPE_CODE[DayType.OTHER_LOCATION]
-            unknown_location_rows.append(row)
         participant_ids.append(values[0].strip())
-        date_texts.append(date_text)
-        dates.append(date)
+        dates.append(record[0])
+        date_texts.append(values[1])
         rows.append(row)
-        day_types.append(code)
+        locations.append(values[2])
+        minutes.extend(record[1])
 
+    unknown_location_rows: list[int] = []
+    day_types = _location_codes(locations, rows, unknown_location_rows)
+    block = np.frombuffer(minutes, dtype=np.float64).reshape(-1, len(MINUTE_COLUMNS))
+    suspects = {i: date_texts[i] for i in np.flatnonzero(_minute_screen(block)).tolist()}
     return _build_table(
-        participant_ids, dates, date_texts, rows, day_types, minutes, rejected, unknown_location_rows
+        participant_ids, dates, rows, day_types, minutes, rejected, unknown_location_rows, suspects
     )
 
 
+#: A line that the bulk read hands to ``np.loadtxt`` in a pass it cannot
+#: read whole: twelve fields, no ``"``, and only digits and dots in each
+#: minute field.
+_PLAIN_LINE = re.compile(r'[^,"]*,[^,"]*,[^,"]*' + ",[0-9.]+" * len(MINUTE_COLUMNS) + r"\r?\n?")
+_TEXT_FIELDS = ("participant_id", "date", "location")
+
+
+def _load_lines(lines: list[str]) -> np.ndarray | None:
+    """Records of ``lines`` as ``np.loadtxt`` reads them, or ``None`` when it
+    refuses one; blank lines are skipped."""
+    import numpy as np
+
+    if not lines:
+        return np.empty(0, dtype=_BULK_DTYPE)
+    try:
+        return np.loadtxt(
+            lines, dtype=_BULK_DTYPE, delimiter=",", comments=None, quotechar=None, ndmin=1
+        )
+    except ValueError:
+        return None
+
+
+def _parse_lines(
+    lines: list[str],
+    at: list[int],
+    first_row: int,
+    known_dates: dict[str, _dt.date],
+    rejected: list[RejectedDay],
+) -> tuple[list[int], np.ndarray] | None:
+    """Read ``lines[i]`` for each ``i`` of ascending ``at`` on its own, with
+    ``csv`` and :func:`_parse_record`; rejections go to ``rejected``.
+
+    Returns the ``i`` of the records kept and those records in the layout of
+    :func:`_load_lines`, or ``None`` when a quoted record runs past its line.
+    """
+    import numpy as np
+
+    reader = csv.reader(chain(map(lines.__getitem__, at), ("",)))
+    kept: list[int] = []
+    records = []
+    for n, (i, values) in enumerate(zip(at, reader), 1):
+        # A record that pulled a further line is quoted across lines.
+        if reader.line_num != n:
+            return None
+        if not values:
+            continue
+        record = _parse_record(values, first_row + i, known_dates)
+        if isinstance(record, RejectedDay):
+            rejected.append(record)
+            continue
+        kept.append(i)
+        records.append((values[0], values[1], values[2], record[1]))
+    return kept, np.array(records, dtype=_BULK_DTYPE)
+
+
+def _read_pass(
+    lines: list[str],
+    first_row: int,
+    known_dates: dict[str, _dt.date],
+    rejected: list[RejectedDay],
+) -> tuple | None:
+    """Rows, ids, date texts, dates, locations and minute matrix of the
+    records of one pass of lines numbered from ``first_row``, in line order;
+    ``None`` when a quoted record runs past its line.
+
+    ``np.loadtxt`` reads the pass whole unless it refuses a line, skips a
+    blank one or reads a ``"`` as text; then only the lines
+    :data:`_PLAIN_LINE` matches go to ``np.loadtxt``. The other lines, and
+    those whose date does not parse, go to :func:`_parse_lines`.
+    """
+    import numpy as np
+
+    at = range(len(lines))
+    # A pass of blank lines alone makes np.loadtxt warn.
+    chunk = _load_lines(lines) if lines[0].strip("\r\n") else None
+    if chunk is None or len(chunk) != len(lines) or '"' in "".join(lines):
+        at = list(compress(at, map(_PLAIN_LINE.fullmatch, lines)))
+        chunk = _load_lines([lines[i] for i in at])
+        if chunk is None or len(chunk) != len(at):
+            at, chunk = [], _load_lines([])
+    ids, date_texts, locations = (chunk[name].tolist() for name in _TEXT_FIELDS)
+    for text in set(date_texts).difference(known_dates):
+        try:
+            known_dates[text] = _dt.date.fromisoformat(text.strip())
+        except ValueError:
+            pass
+    dates = list(map(known_dates.get, date_texts))
+    rows = range(first_row, first_row + len(lines))
+    if len(at) != len(lines) or None in dates:
+        good = np.array([date is not None for date in dates], dtype=bool)
+        at = np.asarray(at, dtype=np.intp)[good]
+        left = np.ones(len(lines), dtype=bool)
+        left[at] = False
+        parsed = _parse_lines(
+            lines, np.flatnonzero(left).tolist(), first_row, known_dates, rejected
+        )
+        if parsed is None:
+            return None
+        positions = np.concatenate([at, np.asarray(parsed[0], dtype=np.intp)])
+        order = np.argsort(positions)
+        chunk = np.concatenate([chunk[good], parsed[1]])[order]
+        rows = (positions[order] + first_row).tolist()
+        ids, date_texts, locations = (chunk[name].tolist() for name in _TEXT_FIELDS)
+        dates = list(map(known_dates.__getitem__, date_texts))
+    return rows, ids, date_texts, dates, locations, chunk["minutes"]
+
+
 def _read_bulk(handle: IO) -> tuple | None:
-    """Columns of a diary file read in :func:`numpy.loadtxt` passes of
-    :data:`CHUNK_ROWS` rows, in the argument order of :func:`_build_table`;
+    """Columns of a diary file read in passes of :data:`CHUNK_ROWS` lines
+    (see :func:`_read_pass`), in the argument order of :func:`_build_table`;
     ``None`` when the file needs the row loop.
 
     The minutes are the bits ``float()`` gives: both use CPython's string to
     double conversion, and spellings only ``float()`` takes (``1_000``,
-    non-ASCII digits) make ``loadtxt`` raise. Row numbers are line numbers
-    when no line is blank and no field is quoted, which the read checks.
+    non-ASCII digits) make ``loadtxt`` raise. Row numbers are line numbers.
+    Only the rows the minute screen flags keep their date text.
     """
     import numpy as np
 
     header = handle.readline()
     if '"' in header or tuple(h.strip() for h in header.split(",")) != DIARY_HEADER:
         return None
-    # zip pulls a line before a count, so the counter ends at the lines read.
-    counter = count()
-    lines = map(itemgetter(0), zip(handle, counter))
     participant_ids: list[str] = []
     dates: list[_dt.date] = []
-    date_texts: list[str] = []
+    rows = array("q")
     day_types = array("b")
     minutes = array("d")
+    rejected: list[RejectedDay] = []
     unknown_location_rows: list[int] = []
-    while (first := next(lines, None)) is not None:
-        # A pass of blank lines alone makes np.loadtxt warn; any blank line
-        # needs the row loop anyway.
-        if not first.strip("\r\n"):
+    suspects: dict[int, str] = {}
+    known_dates: dict[str, _dt.date] = {}
+    first_row = 2
+    while lines := list(islice(handle, CHUNK_ROWS)):
+        read = _read_pass(lines, first_row, known_dates, rejected)
+        if read is None:
             return None
-        try:
-            chunk = np.loadtxt(
-                chain((first,), islice(lines, CHUNK_ROWS - 1)),
-                dtype=_BULK_DTYPE,
-                delimiter=",",
-                comments=None,
-                quotechar=None,
-                ndmin=1,
-            )
-        except ValueError:
-            return None
-        texts = [chunk[name].tolist() for name in ("participant_id", "date", "location")]
-        if any('"' in "".join(column) for column in texts):
-            return None
-        raw_ids, raw_dates, locations = texts
-        stripped_dates = list(map(str.strip, raw_dates))
-        try:
-            dates.extend(map(_dt.date.fromisoformat, stripped_dates))
-        except ValueError:
-            return None
-        first_row = len(day_types) + 2
-        codes = list(map(_LOCATION_CODE.get, locations))
-        if None in codes:
-            for i, code in enumerate(codes):
-                if code is None:
-                    code = _LOCATION_CODE.get(locations[i].strip())
-                    if code is None:
-                        code = _DAY_TYPE_CODE[DayType.OTHER_LOCATION]
-                        unknown_location_rows.append(first_row + i)
-                    codes[i] = code
-        participant_ids.extend(map(str.strip, raw_ids))
-        date_texts.extend(stripped_dates)
-        day_types.extend(codes)
-        minutes.frombytes(chunk["minutes"].tobytes())
-    if len(day_types) != next(counter):
-        return None
-    rows = range(2, len(day_types) + 2)
-    return participant_ids, dates, date_texts, rows, day_types, minutes, [], unknown_location_rows
+        pass_rows, ids, date_texts, pass_dates, locations, block = read
+        for i in np.flatnonzero(_minute_screen(block)).tolist():
+            suspects[len(day_types) + i] = date_texts[i]
+        participant_ids.extend(map(str.strip, ids))
+        dates.extend(pass_dates)
+        rows.extend(pass_rows)
+        day_types.extend(_location_codes(locations, pass_rows, unknown_location_rows))
+        minutes.frombytes(block.tobytes())
+        first_row += len(lines)
+    return (
+        participant_ids, dates, rows, day_types, minutes, rejected, unknown_location_rows, suspects
+    )
 
 
 def _build_table(
     participant_ids: list[str],
     dates: list[_dt.date],
-    date_texts: list[str],
     rows: Sequence[int],
-    day_types: array,
+    day_types: Sequence[int],
     minutes: array,
     rejected: list[RejectedDay],
     unknown_location_rows: list[int],
+    suspects: dict[int, str],
 ) -> tuple[DiaryTable, list[RejectedDay]]:
     """Table of the parsed columns, with rows that break a day's minute
-    limits moved to ``rejected``; logs the folded unknown-location warning."""
+    limits moved to ``rejected``; logs the folded unknown-location warning.
+
+    ``suspects`` maps the index of each row that :func:`_minute_screen`
+    flags to its date text.
+    """
     import numpy as np
 
     table = DiaryTable(
         participant_ids, dates, rows, day_types, np.frombuffer(minutes, dtype=np.float64)
     )
-    # Negative minutes and totals over a day are screened on the matrix; the
-    # DiaryDay constructor then names the fault, exactly as for a single day.
-    suspect = (table.minutes < 0).any(axis=1)
-    suspect |= _row_sums(table.minutes[:, :len(_ACTIVITIES)]) > MINUTES_PER_DAY
-    suspect |= _row_sums(table.minutes[:, len(_ACTIVITIES):]) > MINUTES_PER_DAY
+    # The DiaryDay constructor names the fault of a flagged row, exactly as
+    # for a single day.
     keep = np.ones(len(table), dtype=bool)
-    for i in np.flatnonzero(suspect).tolist():
+    for i, date_text in suspects.items():
         try:
             table[i]
         except ValueError as exc:
             keep[i] = False
-            rejected.append(_parse_error(rows[i], participant_ids[i], date_texts[i], exc))
+            rejected.append(_parse_error(rows[i], participant_ids[i], date_text, exc))
     if not keep.all():
         table = table[keep]
         rejected.sort(key=lambda item: item.row)
@@ -515,33 +652,37 @@ def apply_quality_filter(
         axis=1,
     )
     rejected_at = np.flatnonzero(failing.any(axis=1))
+    # The reason, failures and detail template of each combination of
+    # failing rules, built once; bit k of a combination is rule k.
+    combinations = failing[rejected_at] @ (1 << np.arange(len(_RULE_REASONS)))
+    outcomes = {}
+    for combination in set(combinations.tolist()):
+        flags = [combination >> k & 1 for k in range(len(_RULE_REASONS))]
+        failures = tuple(compress(_RULE_REASONS, flags))
+        details = (text.format(rules=rules) for text in compress(_RULE_DETAILS, flags))
+        outcomes[combination] = failures[0], failures, "; ".join(details)
+    dates = table.dates[rejected_at].tolist()
+    iso_dates = {date: date.isoformat() for date in set(dates)}
 
     rejected: list[RejectedDay] = []
-    for row, participant_id, date, code, flags, work_i, total_i, mismatch_i in zip(
+    for row, participant_id, date, code, combination, work_i, total_i, mismatch_i in zip(
         table.source_rows[rejected_at].tolist(),
         table.participant_ids[rejected_at].tolist(),
-        table.dates[rejected_at].tolist(),
+        dates,
         table.day_types[rejected_at].tolist(),
-        failing[rejected_at].tolist(),
+        combinations.tolist(),
         work[rejected_at].tolist(),
         total[rejected_at].tolist(),
         mismatch[rejected_at].tolist(),
     ):
-        values = {
-            "work": work_i,
-            "total": total_i,
-            "mismatch": mismatch_i,
-            "day_type": DAY_TYPES[code].value,
-            "rules": rules,
-        }
-        failures = tuple(compress(_RULE_REASONS, flags))
+        reason, failures, template = outcomes[combination]
         rejected.append(
             RejectedDay(
-                reason=failures[0],
+                reason=reason,
                 row=row,
                 participant_id=participant_id,
-                date=date.isoformat(),
-                detail="; ".join(text.format(**values) for text in compress(_RULE_DETAILS, flags)),
+                date=iso_dates[date],
+                detail=template.format(work_i, total_i, mismatch_i, _DAY_TYPE_VALUES[code]),
                 failures=failures,
             )
         )

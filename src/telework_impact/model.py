@@ -188,6 +188,22 @@ class SiteInventory:
         object.__setattr__(self, "device_counts", counts)
 
 
+def finite_at_least(name: str, value, minimum: float = 0.0) -> float:
+    """``value`` as a float when it is a real number, not a bool, finite and
+    at least ``minimum``; otherwise :class:`ValueError` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} is not finite: {value!r}")
+    if number < minimum:
+        raise ValueError(f"{name} must be >= {minimum:g}")
+    return number
+
+
 def _whole_number(name: str, value) -> int:
     """``value`` as an int; a bool or a number with a fractional part is
     refused rather than truncated. Integral floats such as 14.0 pass."""

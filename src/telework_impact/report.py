@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -256,9 +257,8 @@ def input_summary(
     kept_count: int,
     rejected: Sequence[RejectedDay],
 ) -> dict:
-    by_reason: dict[str, int] = {}
-    for item in rejected:
-        by_reason[item.reason.value] = by_reason.get(item.reason.value, 0) + 1
+    counts = Counter(item.reason for item in rejected)
+    by_reason = {reason.value: count for reason, count in counts.items()}
     return {
         "diaries": str(diary_path),
         "rows_parsed": parsed_count,

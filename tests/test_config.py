@@ -87,3 +87,22 @@ class TestFingerprint:
         before = config_fingerprint(payload)
         payload["site_inventory"]["coworker_count"] += 1
         assert config_fingerprint(payload) != before
+
+
+@pytest.mark.parametrize(
+    "key", ["min_work_minutes", "min_total_minutes", "max_mode_mismatch_minutes"]
+)
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), True, False, "240", None, 10**400]
+)
+def test_quality_threshold_must_be_a_finite_number(tmp_path, payload, key, value):
+    payload["quality_rules"] = {key: value}
+    with pytest.raises(ConfigError, match=key):
+        load_config(write_config(tmp_path, payload))
+
+
+@pytest.mark.parametrize("value", [1, 0, "true", None, 1.0])
+def test_exclude_multi_location_must_be_a_bool(tmp_path, payload, value):
+    payload["quality_rules"] = {"exclude_multi_location": value}
+    with pytest.raises(ConfigError, match="exclude_multi_location"):
+        load_config(write_config(tmp_path, payload))

@@ -125,6 +125,28 @@ class TestParse:
         assert days[0].day_type is DayType.EMPLOYER_OFFICE
         assert not caplog.records
 
+    @pytest.mark.parametrize("from_path", [False, True])
+    def test_padded_fields_are_stripped(self, tmp_path, from_path):
+        rows = [
+            " P1 , 2024-01-08 , office ,60,480,30,30,10,10,40,0,0",
+            " P2 , 2024-02-30 ,home,60,480,30,30,10,10,40,0,0",
+            "\tP3 ,2024-01-08,home,60,480,30,30,10,10,-40,0,0",
+        ]
+        text = HEADER + "\n" + "\n".join(rows) + "\n"
+        if from_path:
+            path = tmp_path / "padded.csv"
+            path.write_text(text, encoding="utf-8")
+            days, rejected = diary.parse_diary_path(path)
+        else:
+            days, rejected = parse_text(text)
+        assert [(d.participant_id, d.date, d.day_type) for d in days] == [
+            ("P1", dt.date(2024, 1, 8), DayType.EMPLOYER_OFFICE)
+        ]
+        assert [(r.row, r.participant_id, r.date) for r in rejected] == [
+            (3, "P2", "2024-02-30"),
+            (4, "P3", "2024-01-08"),
+        ]
+
     def test_row_numbers_and_order_preserved(self):
         rows = [
             "P1,2024-01-08,office,60,480,30,30,10,10,40,0,0",
@@ -208,6 +230,47 @@ class TestQualityFilter:
     def test_negative_thresholds_rejected(self):
         with pytest.raises(ValueError):
             QualityRules(min_work_minutes=-1.0)
+
+    @pytest.mark.parametrize("as_table", [False, True])
+    def test_every_combination_of_failing_rules(self, as_table):
+        # One day per combination; bit k fails rule k in RejectReason order.
+        parts = (
+            "work 199.5 < 240 min",
+            "total 470.25 < 480 min",
+            "|travel - modes| = 110.5 > 100 min",
+            "day type other_location excluded",
+        )
+        days = []
+        for combination in range(16):
+            fails = [bool(combination >> k & 1) for k in range(4)]
+            work = 199.5 if fails[0] else 250.0
+            total = 470.25 if fails[1] else 600.0
+            days.append(
+                make_day(
+                    day_type=DayType.OTHER_LOCATION if fails[3] else DayType.HOME,
+                    work=work,
+                    travel=120.0,
+                    modes={"car": 9.5 if fails[2] else 120.0},
+                    chores=total - work - 120.0,
+                    leisure=0.0,
+                    pid=f"P{combination}",
+                    date=dt.date(2024, 1, 1 + combination),
+                    row=combination + 2,
+                )
+            )
+        given = DiaryTable.from_days(days) if as_table else days
+        kept, rejected = apply_quality_filter(given)
+        assert [day.participant_id for day in kept] == ["P0"]
+        assert len(rejected) == 15
+        rules = tuple(RejectReason)[:4]
+        for combination, item in enumerate(rejected, 1):
+            fails = [bool(combination >> k & 1) for k in range(4)]
+            failures = tuple(reason for reason, fail in zip(rules, fails) if fail)
+            assert item.reason is failures[0]
+            assert item.failures == failures
+            assert item.detail == "; ".join(part for part, fail in zip(parts, fails) if fail)
+            assert (item.row, item.participant_id) == (combination + 2, f"P{combination}")
+            assert item.date == f"2024-01-{1 + combination:02d}"
 
 
 class TestFilterProperties:
@@ -415,31 +478,27 @@ def test_random_valid_days_always_kept():
 #: Number spellings that ``float()`` and ``np.loadtxt`` both accept, among
 #: them values the minute screen rejects.
 _SPELLINGS = (" 5 ", "+.5", "5.", "1e400", "-0", "nan", "-nan", "inf", "-3", "2000")
-#: Spellings only ``float()`` accepts, then two neither accepts.
-_ROW_LOOP_SPELLINGS = ("1_000", "\u0665\u0660", "abc", "")
+#: Spellings only ``float()`` accepts, then ones neither accepts; the last
+#: two are digits and dots alone.
+_REFUSED_SPELLINGS = ("1_000", "\u0665\u0660", "abc", "", ".", "1.2.3")
 _LOCATIONS = (*LOCATION_VOCABULARY, " home ", "\toffice", "cafe", "Office", "")
 _QUOTED_TEXTS = ("a,b", 'say ""hi""', "two\nlines", "cr\rhere")
-#: Lines that only the row loop reads as it should.
-_ROW_LOOP_KINDS = ("blank", "spaces", "quoted", "arity", "spelling", "bad date")
-
-
-def _is_iso_date(text):
-    try:
-        dt.date.fromisoformat(text.strip())
-    except ValueError:
-        return False
-    return True
+#: Lines that np.loadtxt refuses or misreads; the bulk read parses them one
+#: by one.
+_LINE_KINDS = ("blank", "spaces", "quoted", "arity", "spelling", "bad date")
 
 
 @st.composite
 def diary_texts(draw):
     """CSV text of a diary file, and whether it needs the row loop.
 
-    Half the files hold only rows the bulk read takes: padded and special
+    Half the files hold only rows ``np.loadtxt`` reads: padded and special
     number spellings, padded dates, padded and unknown locations, and any
     mix of line endings. In the other half some rows are of one kind that
-    needs the row loop: blank or whitespace-only lines, quoted fields, wrong
-    field counts, number spellings ``np.loadtxt`` rejects, or bad dates.
+    the bulk read parses line by line: blank or whitespace-only lines,
+    quoted fields, wrong field counts, number spellings ``np.loadtxt``
+    rejects, or bad dates. Only a bad header or a quoted record that spans
+    lines needs the row loop.
     """
     header = draw(
         st.sampled_from(
@@ -450,7 +509,7 @@ def diary_texts(draw):
     needs_row_loop = '"' in header or header == "a,b"
     kinds = ("row",) * 3
     if draw(st.booleans()):
-        kinds += (draw(st.sampled_from(_ROW_LOOP_KINDS)),)
+        kinds += (draw(st.sampled_from(_LINE_KINDS)),)
     lines = [header]
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(kinds))
@@ -478,21 +537,17 @@ def diary_texts(draw):
             at = draw(st.sampled_from([0, 0, 1, 2, 2, 3]))
             text = draw(st.sampled_from(_QUOTED_TEXTS)) if at == 0 else fields[at]
             fields[at] = f'"{text}"'
+            needs_row_loop |= "\n" in text or "\r" in text
         elif kind == "arity":
             fields = fields[:-1] if draw(st.booleans()) else fields + ["0"]
         elif kind == "spelling":
-            fields[draw(st.integers(3, 11))] = draw(st.sampled_from(_ROW_LOOP_SPELLINGS))
+            fields[draw(st.integers(3, 11))] = draw(st.sampled_from(_REFUSED_SPELLINGS))
         elif kind == "bad date":
             fields[1] = draw(st.sampled_from(["2024-13-01", "not-a-date", ""]))
-        # "20240108" is an ISO date from Python 3.11 on.
-        needs_row_loop |= kind != "row" or not _is_iso_date(fields[1])
         lines.append(",".join(fields))
     endings = st.sampled_from(["\n", "\r\n", "\r"])
     text = "".join(line + draw(endings) for line in lines[:-1]) + lines[-1]
     text += draw(st.sampled_from(["", "\n", "\r\n"]))
-    # A blank line can merge into a line ending ("\r" then "\n"), so look
-    # for blank and whitespace-only lines in the text as written.
-    needs_row_loop |= any(not line.strip() for line in list(io.StringIO(text, newline=""))[1:])
     return text, needs_row_loop
 
 
@@ -535,12 +590,24 @@ _ROW = "P1,2024-01-08,office,60,480,30,30,10,10,40,0,0"
 @given(diary_texts(), st.integers(1, 4))
 # A quoted known location and a quoted id with a doubled quote both pass
 # np.loadtxt, which would read the quotes as text.
-@example((f'{HEADER}\n{_ROW}\nP2,2024-01-08,"office",60,480,30,30,10,10,40,0,0\n', True), 4)
-@example((f'{HEADER}\n"P""2",2024-01-08,home,60,480,30,30,10,10,40,0,0\n', True), 4)
+@example((f'{HEADER}\n{_ROW}\nP2,2024-01-08,"office",60,480,30,30,10,10,40,0,0\n', False), 4)
+@example((f'{HEADER}\n"P""2",2024-01-08,home,60,480,30,30,10,10,40,0,0\n', False), 4)
 # A blank line inside a pass, which np.loadtxt skips, and one that starts a
 # pass, which it would warn about.
-@example((f"{HEADER}\n{_ROW}\n\n{_ROW}\n", True), 4)
-@example((f"{HEADER}\n{_ROW}\n\n\n", True), 1)
+@example((f"{HEADER}\n{_ROW}\n\n{_ROW}\n", False), 4)
+@example((f"{HEADER}\n{_ROW}\n\n\n", False), 1)
+# A quoted minute holding the delimiter, a short row and a date that does
+# not exist, each among rows np.loadtxt reads.
+@example((f'{HEADER}\n{_ROW}\nP2,2024-01-08,home,60,480,30,30,10,"12,5",0,0,0\n{_ROW}\n', False), 4)
+@example((f"{HEADER}\n{_ROW}\nP2,2024-01-08,home,60,480\n{_ROW}\n", False), 4)
+@example((f"{HEADER}\n{_ROW}\nP2,2019-02-30,home,60,480,30,30,10,10,40,0,0\n{_ROW}\n", False), 4)
+# A line kept by the row parse ahead of one np.loadtxt reads, in a pass
+# with a refused line; and digits and dots that do not make a number.
+@example((f'{HEADER}\nP1,2024-01-08,"home",60,480,30,30,10,10,40,0,0\n{_ROW}\nP3,x\n', False), 4)
+@example((f"{HEADER}\n{_ROW}\nP2,2024-01-08,home,60,480,30,30,10,10,1.2.3,0,0\n{_ROW}\n", False), 4)
+# A quoted record that spans lines, last in the file and inside it.
+@example((f'{HEADER}\n{_ROW}\n"two\nlines",2024-01-08,home,60,480,30,30,10,10,40,0,0\n', True), 2)
+@example((f'{HEADER}\n{_ROW}\n"open,{_ROW}\n{_ROW}\n{_ROW}', True), 4)
 def test_bulk_read_equals_row_loop(tmp_path_factory, case, chunk_rows):
     text, needs_row_loop = case
     path = tmp_path_factory.getbasetemp() / "bulk_read.csv"
@@ -568,19 +635,42 @@ def test_clean_file_is_read_without_the_row_loop(monkeypatch, ref_diaries_path):
     assert len(expected[0][0]) == 250
 
 
-def test_file_with_one_bad_row_takes_the_row_loop(monkeypatch, tmp_path):
-    rows = ["P1,2024-01-08,office,60,480,30,30,10,10,40,0,0"] * 3
-    rows[1] = "P2,2024-01-08,office,60,480,30,30,10,10,forty,0,0"
-    path = tmp_path / "diaries.csv"
-    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    calls = []
+def _dirty_rows(reference, rng):
+    """Reference rows, each with a fault of the kinds a dirty diary file
+    holds or none: bad dates, non-numeric and quoted minutes, short rows,
+    unknown and excluded locations, negative minutes and days over 1440
+    minutes."""
+    for i in range(600):
+        fields = [f"V{i:04d}", *rng.choice(reference)[1:]]
+        kind = rng.randrange(10)
+        if kind == 0:
+            fields[1] = rng.choice(["2019-02-30", "2019/09/02", "02.09.2019", ""])
+        elif kind == 1:
+            fields[rng.randrange(3, 12)] = rng.choice(["abc", "n/a", "12,5", "-", ""])
+        elif kind == 2:
+            del fields[rng.randint(5, 11):]
+        elif kind == 3:
+            fields[2] = rng.choice(["cafe", "library", " home ", "multiple", "other"])
+        elif kind == 4:
+            fields[rng.randrange(3, 12)] = rng.choice(["-5", "1500"])
+        yield fields
 
-    def row_loop(stream):
-        calls.append(stream)
-        return parse_diary_file(stream)
 
-    monkeypatch.setattr(diary, "parse_diary_file", row_loop)
-    table, rejected = diary.parse_diary_path(path)
-    assert len(calls) == 1
-    assert len(table) == 2 and [item.row for item in rejected] == [3]
-    assert "forty" in rejected[0].detail
+def test_dirty_file_is_read_without_the_row_loop(monkeypatch, tmp_path, ref_diaries_path):
+    with open(ref_diaries_path, encoding="utf-8", newline="") as handle:
+        reference = list(csv.reader(handle))[1:]
+    path = tmp_path / "dirty.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(DIARY_HEADER)
+        writer.writerows(_dirty_rows(reference, random.Random(8)))
+    with open(path, encoding="utf-8", newline="") as handle:
+        expected = _outcome(parse_diary_file, handle)
+    monkeypatch.setattr(diary, "parse_diary_file", _fail_row_loop)
+    monkeypatch.setattr(diary, "CHUNK_ROWS", 64)
+    assert _outcome(diary.parse_diary_path, path) == expected
+    _, rejected, messages = expected
+    assert len(rejected) > 150 and len(messages) == 1
+    assert {item.date for item in rejected} >= {"2019-02-30", "2019/09/02", ""}
+    assert any("12,5" in item.detail for item in rejected)
+    assert any("negative" in item.detail for item in rejected)
