@@ -18,7 +18,14 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .diary import DAY_TYPES, DiaryTable
-from .model import COMPARABLE_DAY_TYPES, Activity, DayType, DiaryDay, TransportMode
+from .model import (
+    COMPARABLE_DAY_TYPES,
+    Activity,
+    DayType,
+    DiaryDay,
+    TransportMode,
+    _whole_number,
+)
 
 SHARE_SUM_TOLERANCE = 1e-9
 
@@ -42,6 +49,10 @@ class DayTypeProfile:
     mode_share: Mapping[TransportMode, float]
 
     def __post_init__(self):
+        day_count = _whole_number("day_count", self.day_count)
+        if day_count < 0:
+            raise ValueError(f"day_count must be >= 0, got {day_count}")
+        object.__setattr__(self, "day_count", day_count)
         for label, mapping in (
             ("mean", self.mean_activity_minutes),
             ("mean", self.mean_mode_minutes),
@@ -151,7 +162,7 @@ def profiles_from_dict(payload: Mapping) -> dict[DayType, DayTypeProfile]:
         share = body.get("mode_share")
         profiles[day_type] = DayTypeProfile(
             day_type=day_type,
-            day_count=int(body["day_count"]),
+            day_count=body["day_count"],
             mean_activity_minutes=mean_activity,
             mean_mode_minutes=mean_mode,
             mode_share={m: float(share[m.value]) for m in TransportMode}

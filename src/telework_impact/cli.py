@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -154,10 +155,8 @@ def _run_pipeline(args, config: AppConfig):
     except OSError as exc:
         raise ConfigError(f"cannot read diary file {args.diaries}: {exc}") from exc
     kept, quality_rejected = apply_quality_filter(days, config.quality_rules)
-    rejected = sorted(
-        parse_rejected + quality_rejected,
-        key=lambda item: (item.row is None, item.row or 0),
-    )
+    # Both lists come in row order, and every row is a line number.
+    rejected = sorted(parse_rejected + quality_rejected, key=attrgetter("row"))
     return days, kept, rejected
 
 

@@ -19,12 +19,13 @@ When ``loadtxt`` cannot read a pass whole, its lines with twelve fields, no
 ``"`` and only digits and dots in the minute fields still go to one
 ``loadtxt`` call; the row parse that :func:`parse_diary_file` applies to
 every record reads the others one line at a time: blank or whitespace-only
-lines, quoted fields, wrong field counts, numbers such as ``abc`` or
-``1_000`` (which ``float()`` takes and ``loadtxt`` does not), and lines
-whose date does not parse. Only a quoted record that spans lines sends the
-file to the row loop of :func:`parse_diary_file`, the one path for streams.
-Either path gives the same table, minutes to the bit, row numbers,
-rejections and warning.
+lines, quoted fields, wrong field counts, and numbers such as ``abc`` or
+``1_000`` (which ``float()`` takes and ``loadtxt`` does not). A line that
+``loadtxt`` read but whose date does not parse is rejected from the columns
+of its pass, without the row parse. Only a quoted record that spans lines
+sends the file to the row loop of :func:`parse_diary_file`, the one path
+for streams. Either path gives the same table, minutes to the bit, row
+numbers, rejections and warning.
 
 The table is a sequence of :class:`DiaryDay` (indexing builds the day object
 of a row), so code written for lists of days keeps working, while the
@@ -55,6 +56,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress, islice
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable
 
@@ -184,6 +186,10 @@ class RejectedDay:
     failures: tuple[RejectReason, ...] = ()
 
 
+_PARSE_FAILURES = (RejectReason.PARSE_ERROR,)
+_BY_ROW = attrgetter("row")
+
+
 class DiaryTable(Sequence):
     """Diary days held as columns; a read-only sequence of :class:`DiaryDay`.
 
@@ -296,14 +302,10 @@ def classify_day(raw_location: str) -> DayType:
     return day_type
 
 
-def _parse_error(row: int, participant_id: str, date: str, exc: Exception) -> RejectedDay:
+def _parse_error(row: int, participant_id: str, date: str, detail: str) -> RejectedDay:
     return RejectedDay(
-        reason=RejectReason.PARSE_ERROR,
-        row=row,
-        participant_id=participant_id.strip(),
-        date=date.strip(),
-        detail=str(exc),
-        failures=(RejectReason.PARSE_ERROR,),
+        RejectReason.PARSE_ERROR, row, participant_id.strip(), date.strip(), detail,
+        _PARSE_FAILURES,
     )
 
 
@@ -326,7 +328,7 @@ def _parse_record(
         return date, list(map(float, values[3:]))
     except ValueError as exc:
         date_text = values[1] if len(values) > 1 else ""
-        return _parse_error(row, values[0], date_text, exc)
+        return _parse_error(row, values[0], date_text, str(exc))
 
 
 def _location_codes(
@@ -471,6 +473,7 @@ def _read_pass(
     lines: list[str],
     first_row: int,
     known_dates: dict[str, _dt.date],
+    bad_dates: dict[str, str],
     rejected: list[RejectedDay],
 ) -> tuple | None:
     """Rows, ids, date texts, dates, locations and minute matrix of the
@@ -479,8 +482,10 @@ def _read_pass(
 
     ``np.loadtxt`` reads the pass whole unless it refuses a line, skips a
     blank one or reads a ``"`` as text; then only the lines
-    :data:`_PLAIN_LINE` matches go to ``np.loadtxt``. The other lines, and
-    those whose date does not parse, go to :func:`_parse_lines`.
+    :data:`_PLAIN_LINE` matches go to ``np.loadtxt``. A line it read whose
+    date does not parse is rejected from its columns, with the error text
+    that ``bad_dates`` keeps per date text. Only the lines it did not read
+    go to :func:`_parse_lines`.
     """
     import numpy as np
 
@@ -493,29 +498,42 @@ def _read_pass(
         if chunk is None or len(chunk) != len(at):
             at, chunk = [], _load_lines([])
     ids, date_texts, locations = (chunk[name].tolist() for name in _TEXT_FIELDS)
-    for text in set(date_texts).difference(known_dates):
+    for text in set(date_texts).difference(known_dates, bad_dates):
         try:
             known_dates[text] = _dt.date.fromisoformat(text.strip())
-        except ValueError:
-            pass
+        except ValueError as exc:
+            bad_dates[text] = str(exc)
     dates = list(map(known_dates.get, date_texts))
-    rows = range(first_row, first_row + len(lines))
-    if len(at) != len(lines) or None in dates:
-        good = np.array([date is not None for date in dates], dtype=bool)
-        at = np.asarray(at, dtype=np.intp)[good]
-        left = np.ones(len(lines), dtype=bool)
-        left[at] = False
-        parsed = _parse_lines(
-            lines, np.flatnonzero(left).tolist(), first_row, known_dates, rejected
-        )
-        if parsed is None:
-            return None
-        positions = np.concatenate([at, np.asarray(parsed[0], dtype=np.intp)])
-        order = np.argsort(positions)
-        chunk = np.concatenate([chunk[good], parsed[1]])[order]
-        rows = (positions[order] + first_row).tolist()
-        ids, date_texts, locations = (chunk[name].tolist() for name in _TEXT_FIELDS)
-        dates = list(map(known_dates.__getitem__, date_texts))
+    if len(at) == len(lines) and None not in dates:
+        rows = range(first_row, first_row + len(lines))
+        return rows, ids, date_texts, dates, locations, chunk["minutes"]
+
+    keep = [date is not None for date in dates]
+    pass_rejected = [
+        _parse_error(first_row + at[i], ids[i], date_texts[i], bad_dates[date_texts[i]])
+        for i, date in enumerate(dates)
+        if date is None
+    ]
+    left = np.ones(len(lines), dtype=bool)
+    left[at] = False
+    parsed = _parse_lines(
+        lines, np.flatnonzero(left).tolist(), first_row, known_dates, pass_rejected
+    )
+    if parsed is None:
+        return None
+    rejected.extend(sorted(pass_rejected, key=_BY_ROW))
+    mask = np.array(keep, dtype=bool)
+    at = np.asarray(at, dtype=np.intp)[mask]
+    if not parsed[0]:
+        # The row parse kept no line: the read columns stand, less the bad dates.
+        columns = (list(compress(column, keep)) for column in (ids, date_texts, dates, locations))
+        return ((at + first_row).tolist(), *columns, chunk["minutes"][mask])
+    positions = np.concatenate([at, np.asarray(parsed[0], dtype=np.intp)])
+    order = np.argsort(positions)
+    chunk = np.concatenate([chunk[mask], parsed[1]])[order]
+    rows = (positions[order] + first_row).tolist()
+    ids, date_texts, locations = (chunk[name].tolist() for name in _TEXT_FIELDS)
+    dates = list(map(known_dates.__getitem__, date_texts))
     return rows, ids, date_texts, dates, locations, chunk["minutes"]
 
 
@@ -543,9 +561,10 @@ def _read_bulk(handle: IO) -> tuple | None:
     unknown_location_rows: list[int] = []
     suspects: dict[int, str] = {}
     known_dates: dict[str, _dt.date] = {}
+    bad_dates: dict[str, str] = {}
     first_row = 2
     while lines := list(islice(handle, CHUNK_ROWS)):
-        read = _read_pass(lines, first_row, known_dates, rejected)
+        read = _read_pass(lines, first_row, known_dates, bad_dates, rejected)
         if read is None:
             return None
         pass_rows, ids, date_texts, pass_dates, locations, block = read
@@ -591,10 +610,10 @@ def _build_table(
             table[i]
         except ValueError as exc:
             keep[i] = False
-            rejected.append(_parse_error(rows[i], participant_ids[i], date_text, exc))
+            rejected.append(_parse_error(rows[i], participant_ids[i], date_text, str(exc)))
     if not keep.all():
         table = table[keep]
-        rejected.sort(key=lambda item: item.row)
+        rejected.sort(key=_BY_ROW)
         dropped = {item.row for item in rejected}
         unknown_location_rows = [row for row in unknown_location_rows if row not in dropped]
     if unknown_location_rows:
@@ -676,15 +695,9 @@ def apply_quality_filter(
         mismatch[rejected_at].tolist(),
     ):
         reason, failures, template = outcomes[combination]
+        detail = template.format(work_i, total_i, mismatch_i, _DAY_TYPE_VALUES[code])
         rejected.append(
-            RejectedDay(
-                reason=reason,
-                row=row,
-                participant_id=participant_id,
-                date=iso_dates[date],
-                detail=template.format(work_i, total_i, mismatch_i, _DAY_TYPE_VALUES[code]),
-                failures=failures,
-            )
+            RejectedDay(reason, row, participant_id, iso_dates[date], detail, failures)
         )
 
     keep = np.ones(len(table), dtype=bool)

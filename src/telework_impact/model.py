@@ -205,9 +205,12 @@ def finite_at_least(name: str, value, minimum: float = 0.0) -> float:
 
 
 def _whole_number(name: str, value) -> int:
-    """``value`` as an int; a bool or a number with a fractional part is
-    refused rather than truncated. Integral floats such as 14.0 pass."""
-    whole = isinstance(value, numbers.Integral) or float(value).is_integer()
+    """``value`` as an int; a bool, a non-number such as ``"7"`` or a number
+    with a fractional part is refused rather than converted or truncated.
+    Integral floats such as 14.0 pass."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
     if isinstance(value, bool) or not whole:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)

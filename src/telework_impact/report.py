@@ -12,12 +12,13 @@ import csv
 import datetime as _dt
 import json
 from collections import Counter
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .aggregation import DayTypeProfile, profiles_to_dict
 from .config import AppConfig
-from .diary import RejectedDay
+from .diary import RejectedDay, RejectReason
 from .model import Activity, DayType, EnergyDelta, TransportMode
 from .scenario import SweepResult, weekly_net_mj
 
@@ -83,13 +84,51 @@ def write_json(path: str | Path, payload) -> Path:
     return path
 
 
+#: Rows per batch of :func:`write_csv`; bounds the text held at once.
+_CSV_BATCH_ROWS = 4096
+
+
+def _plain_csv(rows: list[Sequence[str]]) -> str | None:
+    """The text ``csv.writer(lineterminator="\\n")`` writes for ``rows`` when
+    no cell needs quoting: every row has a cell, every cell is a ``str``
+    without ``,``, ``"``, ``\\r`` or ``\\n``, and no row is a lone empty cell
+    (which the writer quotes). ``None`` otherwise."""
+    try:
+        separators = sum(map(len, rows)) - len(rows)
+        lines = list(map(",".join, rows))
+    except TypeError:
+        return None
+    if not all(rows) or "" in lines:
+        return None
+    text = "\n".join(lines) + "\n"
+    # Each row gives len(row) - 1 commas and one newline; any more sit in cells.
+    if text.count(",") != separators or text.count("\n") != len(lines):
+        return None
+    if '"' in text or "\r" in text:
+        return None
+    return text
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> Path:
+    """Write ``header`` and ``rows`` as the bytes of
+    ``csv.writer(lineterminator="\\n")``: a batch of rows in which no cell
+    needs quoting is laid out as text (see :func:`_plain_csv`), any other
+    goes through ``csv.writer``."""
     path = Path(path)
+    rows = chain([header], rows)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        while batch := list(islice(rows, _CSV_BATCH_ROWS)):
+            text = _plain_csv(batch)
+            if text is None:
+                writer.writerows(batch)
+            else:
+                handle.write(text)
     return path
+
+
+#: Reason -> its CSV cell, so that no rejection reads the Enum ``value``.
+_REASON_VALUES = {reason: reason.value for reason in RejectReason}
 
 
 def rejection_rows(rejected: Iterable[RejectedDay]) -> list[list[str]]:
@@ -98,7 +137,7 @@ def rejection_rows(rejected: Iterable[RejectedDay]) -> list[list[str]]:
             "" if item.row is None else str(item.row),
             item.participant_id,
             item.date,
-            item.reason.value,
+            _REASON_VALUES[item.reason],
         ]
         for item in rejected
     ]

@@ -1,7 +1,10 @@
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_day, naive_profiles, random_valid_day, rel_err
 from telework_impact import (
@@ -192,3 +195,55 @@ def test_share_sum_check_rejects_a_sum_that_is_not_a_number():
             mean_mode_minutes={m: 0.0 for m in TransportMode},
             mode_share=shares,
         )
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        (-3, "day_count must be >= 0, got -3"),
+        (2.5, "day_count must be a whole number, got 2.5"),
+        (True, "day_count must be a whole number, got True"),
+        ("7", "day_count must be a whole number, got '7'"),
+        (float("nan"), "day_count must be a whole number, got nan"),
+    ],
+    ids=["negative", "fraction", "bool", "text", "nan"],
+)
+def test_stored_day_count_must_be_a_non_negative_whole_number(value, message):
+    rng = random.Random(11)
+    payload = profiles_to_dict(aggregate_profiles([random_valid_day(rng) for _ in range(30)]))
+    payload["coworking"]["day_count"] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        profiles_from_dict(payload)
+    payload["coworking"]["day_count"] = 7.0
+    stored = profiles_from_dict(payload)[DayType.COWORKING].day_count
+    assert stored == 7 and type(stored) is int
+
+
+_MINUTES = st.floats(0.0, 288.0, allow_subnormal=False)
+
+
+@st.composite
+def _days(draw):
+    return make_day(
+        day_type=draw(st.sampled_from(list(DayType))),
+        travel=draw(_MINUTES),
+        work=draw(_MINUTES),
+        chores=draw(_MINUTES),
+        leisure=draw(_MINUTES),
+        modes={mode: draw(_MINUTES) for mode in TransportMode},
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), days=st.lists(_days(), max_size=300))
+def test_profiles_do_not_depend_on_row_order(data, days):
+    shuffled = data.draw(st.permutations(days))
+    expected, actual = aggregate_profiles(days), aggregate_profiles(shuffled)
+    assert expected.keys() == actual.keys()
+    for day_type, profile in expected.items():
+        other = actual[day_type]
+        assert other.day_count == profile.day_count
+        # np.mean sums pairwise, so the order moves the last bits only.
+        for name in ("mean_activity_minutes", "mean_mode_minutes", "mode_share"):
+            for key, value in getattr(profile, name).items():
+                assert rel_err(getattr(other, name)[key], value) <= 1e-12

@@ -410,6 +410,27 @@ class TestSweepCli:
         assert "mean for walk is not finite" in err
         assert not (out / "sweep.json").exists()
 
+    def test_negative_stored_day_count_exit_1(
+        self, run, tmp_path, ref_config_path, ref_diaries_path
+    ):
+        profile_out = tmp_path / "p"
+        run(
+            "profile", "--config", ref_config_path, "--diaries", ref_diaries_path,
+            "--out", profile_out,
+        )
+        payload = json.loads((profile_out / "profiles.json").read_text(encoding="utf-8"))
+        payload["profiles"]["coworking"]["day_count"] = -3
+        stored = tmp_path / "profiles.json"
+        stored.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, err = run(
+            "sweep", "--config", ref_config_path, "--profiles", stored,
+            "--parameter", "coworker_count", "--values", 60, "--out", out,
+        )
+        assert code == 1
+        assert err.endswith(f"{stored} is malformed: day_count must be >= 0, got -3\n")
+        assert not (out / "sweep.json").exists()
+
     def test_missing_profile_exit_2(self, run, tmp_path, ref_config_path):
         diaries = write_diaries(tmp_path, [CLEAN_ROWS[0], CLEAN_ROWS[4]])  # no coworking
         code, _, err = run(

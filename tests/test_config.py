@@ -63,6 +63,12 @@ def test_invariant_violation_reported_as_config_error(tmp_path, payload):
         load_config(write_config(tmp_path, payload))
 
 
+def test_count_given_as_text_rejected(tmp_path, payload):
+    payload["site_inventory"]["coworker_count"] = "60"
+    with pytest.raises(ConfigError, match="coworker_count must be a whole number, got '60'"):
+        load_config(write_config(tmp_path, payload))
+
+
 def test_unknown_mode_key_rejected(tmp_path, payload):
     payload["factor_table"]["mode_speed"]["jetpack"] = 100.0
     with pytest.raises(ConfigError):

@@ -674,3 +674,41 @@ def test_dirty_file_is_read_without_the_row_loop(monkeypatch, tmp_path, ref_diar
     assert {item.date for item in rejected} >= {"2019-02-30", "2019/09/02", ""}
     assert any("12,5" in item.detail for item in rejected)
     assert any("negative" in item.detail for item in rejected)
+
+
+def test_bad_dates_read_in_bulk_skip_the_row_parse(monkeypatch, tmp_path, ref_diaries_path):
+    with open(ref_diaries_path, encoding="utf-8", newline="") as handle:
+        reference = list(csv.reader(handle))[1:]
+    rng = random.Random(9)
+    rows, bad_rows = [], set()
+    for i in range(200):
+        fields = [f"V{i:04d}", *rng.choice(reference)[1:]]
+        if i % 7 == 3:
+            fields[1] = ("2019-02-30", "2019/09/02", "")[i % 3]
+            bad_rows.add(i + 2)
+        rows.append(fields)
+    # A refused line splits the second pass; the others are read whole.
+    rows[81] = rows[81][:6]
+    path = tmp_path / "dates.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(DIARY_HEADER)
+        writer.writerows(rows)
+    with open(path, encoding="utf-8", newline="") as handle:
+        expected = _outcome(parse_diary_file, handle)
+
+    parse_record, parsed_rows = diary._parse_record, []
+
+    def record_row(values, row, known_dates):
+        parsed_rows.append(row)
+        return parse_record(values, row, known_dates)
+
+    monkeypatch.setattr(diary, "_parse_record", record_row)
+    monkeypatch.setattr(diary, "parse_diary_file", _fail_row_loop)
+    monkeypatch.setattr(diary, "CHUNK_ROWS", 64)
+    assert _outcome(diary.parse_diary_path, path) == expected
+    assert parsed_rows == [83]
+    rejected = expected[1]
+    assert {item.row for item in rejected} == bad_rows | {83}
+    bad_dates = {item.date for item in rejected if item.row in bad_rows}
+    assert bad_dates == {"2019-02-30", "2019/09/02", ""}

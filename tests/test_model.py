@@ -112,7 +112,7 @@ class TestSiteInventory:
         with pytest.raises(ValueError):
             small_inventory(**{field: value})
 
-    @pytest.mark.parametrize("value", [14.9, True, float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [14.9, True, float("nan"), float("inf"), "14", None])
     @pytest.mark.parametrize(
         "field", ["workplace_count", "coworker_count", "workdays_per_year", "device_counts"]
     )

@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from telework_impact import report
 from telework_impact.diary import RejectedDay, RejectReason
 from telework_impact.model import DayType, EnergyDelta
 from telework_impact.report import (
@@ -122,3 +124,31 @@ def test_sweep_writer_matches_json_and_csv_modules(tmp_path, result):
     expected = json.dumps({**report, "sweep": as_dict}, indent=2, sort_keys=True) + "\n"
     assert written.read_text(encoding="utf-8") == expected
 
+
+
+#: Cells that need quoting (``,``, ``"``, ``\r``, ``\n``), empty cells and
+#: non-ASCII text among plain ones; rows of no cell and of one.
+_CELL = st.text(st.sampled_from('ab1.,"\r\n é€\U0001f600'), max_size=4) | st.text(max_size=4)
+_CSV_ROWS = st.lists(st.lists(_CELL, max_size=4), max_size=12)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=st.lists(_CELL, min_size=1, max_size=4), rows=_CSV_ROWS, batch=st.integers(1, 5))
+# Laid out as text, in one batch and in several.
+@example(header=["row", "reason"], rows=[["7", "PARSE_ERROR"], ["8", "Zürich €"]], batch=4096)
+@example(header=["a", "b"], rows=[["1", ""], ["", "2"], ["é", "x y"]], batch=1)
+# Through csv.writer: every cell or row that needs quoting, and a row of no
+# cell; in batches that mix both ways.
+@example(
+    header=["a"],
+    rows=[["x,y"], ['say "hi"'], ["cr\r"], ["two\nlines"], [""], [], ["", ""], ["plain"]],
+    batch=2,
+)
+def test_write_csv_matches_csv_writer(tmp_path, header, rows, batch):
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    with mock.patch.object(report, "_CSV_BATCH_ROWS", batch):
+        written = write_csv(tmp_path / "table.csv", header, rows)
+    assert written.read_bytes() == expected.getvalue().encode("utf-8")

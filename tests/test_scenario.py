@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rel_err
 from telework_impact import (
     ConfigError,
     DayType,
@@ -412,6 +413,41 @@ def test_sweep_points_equal_scenario_evaluation(
             _set_through_scenario(scenario, parameter, value),
         )
         assert delta == expected
+
+
+#: Non-negative credits with no subnormal product, so that halving is exact.
+_CREDIT = st.just(0.0) | st.floats(1e-3, 500.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    parameter=st.sampled_from(["coworker_count", "workdays_per_year"]),
+    value=st.floats(1.0, 1e6),
+    other=st.floats(1.0, 1e6),
+    power=st.integers(0, 30),
+    credit_m2=_CREDIT,
+    credit_intensity=_CREDIT,
+)
+def test_allocation_scales_as_one_over_coworkers_and_workdays(
+    ref_inventory, ref_factors, ref_profiles,
+    parameter, value, other, power, credit_m2, credit_intensity,
+):
+    scenario = Scenario(
+        floor_space_credit_m2=credit_m2, credit_intensity_mj_per_m2_year=credit_intensity
+    )
+    scale = 2.0**power
+    points = dict(sweep(
+        ref_inventory, ref_factors, ref_profiles, scenario, parameter,
+        [value, value * scale, other],
+    ).points)
+    at, scaled, elsewhere = points[value], points[value * scale], points[other]
+    # A power-of-two factor scales both allocated terms exactly.
+    assert scaled.facility_mj == at.facility_mj / scale
+    assert scaled.credit_mj == at.credit_mj / scale
+    assert rel_err(elsewhere.facility_mj * other, at.facility_mj * value) <= 1e-12
+    assert rel_err(elsewhere.credit_mj * other, at.credit_mj * value) <= 1e-12
+    for delta in (scaled, elsewhere):
+        assert (delta.equipment_mj, delta.travel_mj) == (at.equipment_mj, at.travel_mj)
 
 
 class TestScenarioFile:
