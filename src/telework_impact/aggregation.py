@@ -25,6 +25,7 @@ from .model import (
     DiaryDay,
     TransportMode,
     _whole_number,
+    finite_at_least,
 )
 
 SHARE_SUM_TOLERANCE = 1e-9
@@ -147,27 +148,48 @@ def profiles_to_dict(profiles: Mapping[DayType, DayTypeProfile]) -> dict:
     }
 
 
+def _stored(name: str, value) -> float:
+    """A stored mean or share as a float: a finite real number, never text
+    or a bool converted; otherwise :class:`ValueError` naming ``name``.
+    Signs are checked by :class:`DayTypeProfile`."""
+    return finite_at_least(name, value, -math.inf)
+
+
 def profiles_from_dict(payload: Mapping) -> dict[DayType, DayTypeProfile]:
     """Inverse of :func:`profiles_to_dict`; used when diaries are not
-    re-processed and profiles are loaded from a previous run."""
+    re-processed and profiles are loaded from a previous run.
+
+    The modal split is derived from the stored mean mode minutes with
+    :func:`mode_shares`, as :func:`aggregate_profiles` derives it. A stored
+    ``mode_share`` is only checked against it: one that differs by more
+    than ``SHARE_SUM_TOLERANCE`` is refused, naming the day type and mode.
+    """
     profiles: dict[DayType, DayTypeProfile] = {}
     for day_type_value, body in payload.items():
         day_type = DayType(day_type_value)
+        activities, modes = body["mean_activity_minutes"], body["mean_mode_minutes"]
         mean_activity = {
-            a: float(body["mean_activity_minutes"].get(a.value, 0.0)) for a in Activity
+            a: _stored(f"mean for {a.value}", activities.get(a.value, 0.0)) for a in Activity
         }
         mean_mode = {
-            m: float(body["mean_mode_minutes"].get(m.value, 0.0)) for m in TransportMode
+            m: _stored(f"mean for {m.value}", modes.get(m.value, 0.0)) for m in TransportMode
         }
-        share = body.get("mode_share")
+        shares = mode_shares(mean_mode)
+        stored = body.get("mode_share")
+        if stored:
+            for mode in TransportMode:
+                share = _stored(f"share for {mode.value}", stored[mode.value])
+                if not abs(share - shares[mode]) <= SHARE_SUM_TOLERANCE:
+                    raise ValueError(
+                        f"{day_type.value} mode_share for {mode.value} is {share}, but its"
+                        f" mean mode minutes give {shares[mode]}"
+                    )
         profiles[day_type] = DayTypeProfile(
             day_type=day_type,
             day_count=body["day_count"],
             mean_activity_minutes=mean_activity,
             mean_mode_minutes=mean_mode,
-            mode_share={m: float(share[m.value]) for m in TransportMode}
-            if share
-            else mode_shares(mean_mode),
+            mode_share=shares,
         )
     for day_type in COMPARABLE_DAY_TYPES:
         profiles.setdefault(day_type, _empty_profile(day_type))

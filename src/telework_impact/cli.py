@@ -312,24 +312,18 @@ def cmd_sweep(args) -> int:
     )
 
     out = _out_dir(args)
-    rows = rpt.sweep_rows(result)
-    if args.format in ("csv", "both"):
-        rpt.write_csv(out / "sweep.csv", rpt.SWEEP_HEADER, rows)
-    # Laid out once, from the CSV cells, for sweep.json and for report.json.
-    sweep_json = rpt.EncodedJson(rpt.sweep_json(result, rows))
-    if args.format in ("json", "both"):
-        rpt.write_json(out / "sweep.json", sweep_json)
     report = rpt.base_report("sweep", config, __version__, profile_source)
     report["scenario"] = scenario.name
-    report["sweep"] = sweep_json
-    rpt.write_json(out / "report.json", report)
-    rpt.write_run_info(out)
-
     print(f"swept {args.parameter} over {len(result.points)} values (baseline {baseline.value})")
-    print("\n".join(
-        f"  {args.parameter}={value:g}: net {_round(delta.net_mj, args):+} MJ"
-        for value, delta in result.points
-    ))
+
+    def echo(points):
+        print("\n".join(
+            f"  {args.parameter}={value:g}: net {_round(delta.net_mj, args):+} MJ"
+            for value, delta in points
+        ))
+
+    rpt.write_sweep(out, result, report, args.format, echo)
+    rpt.write_run_info(out)
     return EXIT_OK
 
 

@@ -12,9 +12,11 @@ import csv
 import datetime as _dt
 import json
 from collections import Counter
-from itertools import chain, islice
+from contextlib import ExitStack
+from itertools import chain, islice, repeat
+from operator import attrgetter, is_
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .aggregation import DayTypeProfile, profiles_to_dict
 from .config import AppConfig
@@ -47,44 +49,50 @@ def fmt(value) -> str:
 
 
 class EncodedJson:
-    """JSON text laid out the way :func:`write_json` lays out a value, so
-    that one text can be written as a file of its own and embedded in a
-    report."""
+    """JSON text laid out the way :func:`write_json` lays out a value, given
+    as pieces that :func:`write_json` writes one at a time, so that a long
+    text never has to be held whole. ``chunks`` may be an iterator, which
+    is then consumed by the one write it is given to."""
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, chunks: Iterable[str]):
+        self.chunks = chunks
 
 
-def encode_json(payload) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True)``, where ``payload``
-    may be an :class:`EncodedJson`, which stands for the value its text
-    encodes, or a dict with string keys that holds some as members.
+def _json_pieces(payload) -> Iterator[str]:
+    """The pieces of ``json.dumps(payload, indent=2, sort_keys=True)``, where
+    ``payload`` may be an :class:`EncodedJson`, which stands for the value
+    its pieces encode, or a dict with string keys that holds some as
+    members.
 
-    A member's text is spliced in re-indented by two spaces. That is exact
-    when every raw newline of the text is structural, as in the output of
-    ``json.dumps`` (which escapes newlines inside strings) and of
-    :func:`sweep_json`.
+    A member's pieces are spliced in re-indented by two spaces, one piece
+    at a time. That is exact when every raw newline of the text is
+    structural, as in the output of ``json.dumps`` (which escapes newlines
+    inside strings) and of :func:`write_sweep`.
     """
     if isinstance(payload, EncodedJson):
-        return payload.text
-    if not (
-        isinstance(payload, dict) and any(isinstance(v, EncodedJson) for v in payload.values())
-    ):
-        return json.dumps(payload, indent=2, sort_keys=True)
-    members = (
-        f"\n  {json.dumps(key)}: " + encode_json(value).replace("\n", "\n  ")
-        for key, value in sorted(payload.items())
-    )
-    return "{" + ",".join(members) + "\n}"
+        yield from payload.chunks
+    elif isinstance(payload, dict) and any(isinstance(v, EncodedJson) for v in payload.values()):
+        opening = "{"
+        for key, value in sorted(payload.items()):
+            yield f"{opening}\n  {json.dumps(key)}: "
+            for piece in _json_pieces(value):
+                yield piece.replace("\n", "\n  ")
+            opening = ","
+        yield "\n}"
+    else:
+        yield json.dumps(payload, indent=2, sort_keys=True)
 
 
 def write_json(path: str | Path, payload) -> Path:
     path = Path(path)
-    path.write_text(encode_json(payload) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(_json_pieces(payload))
+        handle.write("\n")
     return path
 
 
-#: Rows per batch of :func:`write_csv`; bounds the text held at once.
+#: Rows per batch of :func:`write_csv` and points per batch of
+#: :func:`write_sweep`; bounds the text held at once.
 _CSV_BATCH_ROWS = 4096
 
 
@@ -227,52 +235,126 @@ def scenario_delta_to_dict(delta: EnergyDelta, cw_days_per_week: float | None = 
     return payload
 
 
-def sweep_rows(result: SweepResult) -> list[list[str]]:
-    """One row per point; every cell after the parameter is a float."""
-    return [
-        [
-            result.parameter,
-            repr(value),
-            repr(delta.facility_mj),
-            repr(delta.equipment_mj),
-            repr(delta.travel_mj),
-            repr(delta.credit_mj),
-            repr(delta.net_mj),
-        ]
-        for value, delta in result.points
-    ]
+def _reprs(floats: list[float]) -> list[str]:
+    """``repr`` of each float; a float that is the previous one's very
+    object reuses its text."""
+    repeated = list(map(is_, floats[1:], floats))
+    if not any(repeated):
+        return list(map(repr, floats))
+    texts = [repr(floats[0])]
+    for value, same in zip(floats[1:], repeated):
+        texts.append(texts[-1] if same else repr(value))
+    return texts
+
+
+#: Getters of the floats a delta gives a sweep row, after the value.
+_DELTA_FLOATS = tuple(map(attrgetter, SWEEP_HEADER[2:]))
+
+
+def _sweep_columns(
+    result: SweepResult, start: int = 0, stop: int | None = None
+) -> list[list[str]]:
+    """The float cells of ``result.points[start:stop]``, a column at a time
+    in :data:`SWEEP_HEADER` order (value first), each a float's ``repr``. A
+    sweep's points share one equipment and one travel figure, so a float
+    that is the previous point's object in its column reuses that text."""
+    values, deltas = zip(*result.points[start:stop])
+    return [_reprs(list(values)), *(_reprs(list(map(get, deltas))) for get in _DELTA_FLOATS)]
+
+
+def sweep_rows(result: SweepResult) -> list[tuple[str, ...]]:
+    """One row per point; every cell after the parameter is a float's
+    ``repr`` (see :func:`_sweep_columns`)."""
+    return list(zip(repeat(result.parameter), *_sweep_columns(result)))
 
 
 #: Day type -> its JSON string, so that no point needs ``json.dumps``.
 _BASELINE_JSON = {day_type: json.dumps(day_type.value) for day_type in DayType}
 
 
-def sweep_json(result: SweepResult, rows: Sequence[Sequence[str]]) -> str:
-    """``json.dumps(sweep_to_dict(result), indent=2, sort_keys=True)``, laid
-    out from the cells of ``rows = sweep_rows(result)``.
-
-    Exact by construction: a point has fixed keys and only finite floats
-    besides its baseline, and ``json`` renders a finite float with
-    ``float.__repr__``, as ``sweep_rows`` does.
-    """
-    names = [*SWEEP_HEADER[1:], "baseline"]
-    weekly = result.parameter == "cw_days_per_week"
+def _point_template(weekly: bool) -> str:
+    """``str.format`` template of one point of the sweep document, indented
+    as it sits there. It takes the point's :func:`_sweep_columns` cells, the
+    baseline's JSON and the weekly net's text, which only a
+    ``cw_days_per_week`` sweep lays out (with the value again, as the
+    days)."""
+    places = {name: place for place, name in enumerate(SWEEP_HEADER[1:])}
+    places["baseline"] = len(places)
     if weekly:
-        names += ["cw_days_per_week", "weekly_net_mj"]
-    fields = ",\n".join(f"      {json.dumps(n)}: {{{names.index(n)}}}" for n in sorted(names))
-    point = "    {{\n" + fields + "\n    }}"
-    texts = []
-    for (value, delta), row in zip(result.points, rows):
-        cells = [*row[1:], _BASELINE_JSON[delta.baseline]]
+        places.update(cw_days_per_week=0, weekly_net_mj=len(places))
+    fields = ",\n".join(f"      {json.dumps(n)}: {{{places[n]}}}" for n in sorted(places))
+    return "    {{\n" + fields + "\n    }}"
+
+
+def _sweep_pieces(result: SweepResult, table, document, on_batch) -> Iterator[str]:
+    """The text of the sweep document, one piece per batch of points. Each
+    batch also goes to ``on_batch`` and to the open ``table`` (CSV) and
+    ``document`` (JSON) files that are not ``None`` before the next batch
+    is rendered."""
+    weekly = result.parameter == "cw_days_per_week"
+    point = _point_template(weekly)
+    if table is not None:
+        table.write(",".join(SWEEP_HEADER) + "\n")
+    text = f'{{\n  "parameter": {json.dumps(result.parameter)},\n  "points": [\n'
+    for start in range(0, len(result.points), _CSV_BATCH_ROWS):
+        batch = result.points[start:start + _CSV_BATCH_ROWS]
+        # Laid out with no row object per point. No cell needs CSV quoting:
+        # each is a supported parameter's name or a float's repr.
+        columns = _sweep_columns(result, start, start + len(batch))
+        if table is not None:
+            table.write("\n".join(map(",".join, zip(repeat(result.parameter), *columns))) + "\n")
+        columns.append([_BASELINE_JSON[delta.baseline] for _, delta in batch])
         if weekly:
-            cells += [row[1], repr(weekly_net_mj(delta, value))]
-        texts.append(point.format(*cells))
-    head = f'{{\n  "parameter": {json.dumps(result.parameter)},\n  "points": [\n'
-    return head + ",\n".join(texts) + "\n  ]\n}"
+            columns.append([repr(weekly_net_mj(delta, value)) for value, delta in batch])
+        text += ",\n".join(map(point.format, *columns))
+        del columns  # so that no two batches' cells are alive at once
+        if document is not None:
+            document.write(text)
+        on_batch(batch)
+        yield text
+        text = ",\n"
+    text = "\n  ]\n}"
+    if document is not None:
+        document.write(text + "\n")
+    yield text
+
+
+def write_sweep(
+    out_dir: str | Path,
+    result: SweepResult,
+    report: Mapping,
+    formats: str,
+    on_batch: Callable[[Sequence], None],
+) -> None:
+    """Write ``report.json``, which is ``report`` with the sweep document as
+    its ``sweep`` member, and, as ``formats`` ("csv", "json" or "both")
+    asks, ``sweep.csv`` and ``sweep.json``: one pass over ``result.points``
+    in batches of ``_CSV_BATCH_ROWS``, each handed to ``on_batch`` too.
+
+    A batch's cells are rendered once, by :func:`_sweep_columns`, and no
+    file's whole text is held. The tables go out while the member is
+    written, so only ``report.json`` passes through :func:`write_json`.
+    The document is ``json.dumps(sweep_to_dict(result), indent=2,
+    sort_keys=True)``, laid out from the cells. That is exact by
+    construction: a point has fixed keys and only finite floats besides its
+    baseline, and ``json`` renders a finite float with ``float.__repr__``,
+    as the cells do.
+    """
+    out_dir = Path(out_dir)
+    with ExitStack() as files:
+        table = document = None
+        if formats in ("csv", "both"):
+            table = files.enter_context(
+                open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="")
+            )
+        if formats in ("json", "both"):
+            document = files.enter_context(open(out_dir / "sweep.json", "w", encoding="utf-8"))
+        member = EncodedJson(_sweep_pieces(result, table, document, on_batch))
+        write_json(out_dir / "report.json", {**report, "sweep": member})
 
 
 def sweep_to_dict(result: SweepResult) -> dict:
-    """The sweep document as plain values: what :func:`sweep_json` lays out."""
+    """The sweep document as plain values: what :func:`write_sweep` lays out."""
     points = []
     for value, delta in result.points:
         days = value if result.parameter == "cw_days_per_week" else None

@@ -36,7 +36,14 @@ from .errors import (
     SweepPointError,
     TeleworkImpactError,
 )
-from .model import DayType, EnergyDelta, FactorTable, SiteInventory, TransportMode
+from .model import (
+    DayType,
+    EnergyDelta,
+    FactorTable,
+    SiteInventory,
+    TransportMode,
+    finite_at_least,
+)
 
 #: Parameters supported by sweep(); break_even() takes all but
 #: cw_days_per_week, on which the per-day net does not depend.
@@ -70,27 +77,33 @@ class Scenario:
                 f"unknown inventory fields in overrides: {sorted(unknown)}"
             )
         for name in ("floor_space_credit_m2", "credit_intensity_mj_per_m2_year"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidOverrideError(f"{name} is not finite: {value}")
+            value = _finite(name, getattr(self, name))
             if value < 0:
                 raise InvalidOverrideError(f"{name} must be >= 0")
+            object.__setattr__(self, name, value)
         if self.modal_override is not None:
-            normalized = {
-                DayType(day_type): {
-                    TransportMode(mode): float(minutes)
-                    for mode, minutes in profile.items()
-                }
-                for day_type, profile in self.modal_override.items()
-            }
-            for day_type, profile in normalized.items():
+            normalized = {}
+            for day_type, profile in self.modal_override.items():
+                day_type = DayType(day_type)
+                normalized[day_type] = {}
                 for mode, minutes in profile.items():
+                    mode = TransportMode(mode)
                     name = f"modal_override[{day_type.value}][{mode.value}]"
-                    if not math.isfinite(minutes):
-                        raise InvalidOverrideError(f"{name} is not finite: {minutes}")
+                    minutes = _finite(name, minutes)
                     if minutes < 0:
                         raise InvalidOverrideError(f"{name} is negative")
+                    normalized[day_type][mode] = minutes
             object.__setattr__(self, "modal_override", normalized)
+
+
+def _finite(name: str, value) -> float:
+    """``value`` as a float when it is a finite real number and not a bool;
+    text such as ``"20"`` is refused, not converted. Otherwise
+    :class:`InvalidOverrideError` naming ``name``."""
+    try:
+        return finite_at_least(name, value, -math.inf)
+    except ValueError as exc:
+        raise InvalidOverrideError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -101,6 +114,7 @@ class SweepResult:
     points: tuple[tuple[float, EnergyDelta], ...]
 
     def __post_init__(self):
+        _check_parameter(self.parameter)
         if not self.points:
             raise ValueError("sweep produced no points")
         values = [value for value, _ in self.points]
@@ -136,12 +150,11 @@ def load_scenario(path: str | Path) -> Scenario:
             name=str(payload.get("name", path.stem)),
             overrides=payload.get("overrides", {}),
             modal_override=payload.get("modal_override"),
-            floor_space_credit_m2=float(payload.get("floor_space_credit_m2", 0.0)),
-            credit_intensity_mj_per_m2_year=float(
-                payload.get("credit_intensity_mj_per_m2_year", 0.0)
-            ),
+            floor_space_credit_m2=payload.get("floor_space_credit_m2", 0.0),
+            credit_intensity_mj_per_m2_year=payload.get("credit_intensity_mj_per_m2_year", 0.0),
         )
-    except (TypeError, ValueError, KeyError) as exc:
+    except (AttributeError, TypeError, ValueError, KeyError) as exc:
+        # AttributeError: a modal override that is not an object of objects.
         raise ConfigError(f"invalid scenario in {path}: {exc}") from exc
 
 

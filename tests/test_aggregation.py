@@ -18,6 +18,7 @@ from telework_impact import (
     profiles_from_dict,
     profiles_to_dict,
 )
+from telework_impact.aggregation import SHARE_SUM_TOLERANCE
 
 
 def office_day(travel, work=522.0):
@@ -180,6 +181,39 @@ def test_stored_profile_rejects_non_finite_values(section, value):
     label = "share" if section == "mode_share" else "mean"
     with pytest.raises(ValueError, match=f"{label} for {key} is not finite"):
         profiles_from_dict(payload)
+
+
+@pytest.mark.parametrize("section", ["mean_activity_minutes", "mean_mode_minutes", "mode_share"])
+@pytest.mark.parametrize("value", ["12", True, None])
+def test_stored_profile_refuses_text_and_bools(section, value):
+    rng = random.Random(11)
+    payload = profiles_to_dict(aggregate_profiles([random_valid_day(rng) for _ in range(30)]))
+    key = "work" if section == "mean_activity_minutes" else "walk"
+    payload["coworking"][section][key] = value
+    label = "share" if section == "mode_share" else "mean"
+    with pytest.raises(ValueError, match=re.escape(f"{label} for {key} must be a number, got")):
+        profiles_from_dict(payload)
+
+
+def test_stored_mode_share_must_match_the_mean_minutes():
+    rng = random.Random(11)
+    profiles = aggregate_profiles([random_valid_day(rng) for _ in range(30)])
+    payload = profiles_to_dict(profiles)
+    shares = payload["home"]["mode_share"]
+    assert shares["walk"] != shares["car"]
+    shares["walk"], shares["car"] = shares["car"], shares["walk"]
+    with pytest.raises(ValueError, match="^home mode_share for walk is "):
+        profiles_from_dict(payload)
+    # Off by the tolerance passes, and the shares used are the derived ones.
+    shares["walk"], shares["car"] = shares["car"] + SHARE_SUM_TOLERANCE / 2, shares["walk"]
+    assert profiles_from_dict(payload) == profiles
+    shares["walk"] += SHARE_SUM_TOLERANCE
+    with pytest.raises(ValueError, match="^home mode_share for walk is "):
+        profiles_from_dict(payload)
+    # Without stored shares, they are derived.
+    for body in payload.values():
+        del body["mode_share"]
+    assert profiles_from_dict(payload) == profiles
 
 
 def test_share_sum_check_rejects_a_sum_that_is_not_a_number():

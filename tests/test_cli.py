@@ -390,6 +390,33 @@ class TestSweepCli:
         assert "floor_space_credit_m2 is not finite" in err
         assert not (out / "sweep.json").exists()
 
+    @pytest.mark.parametrize("value", ['"20"', "true"])
+    @pytest.mark.parametrize(
+        "key, document",
+        [
+            ("floor_space_credit_m2",
+             '{{"floor_space_credit_m2": {}, "credit_intensity_mj_per_m2_year": 100.0}}'),
+            ("credit_intensity_mj_per_m2_year",
+             '{{"floor_space_credit_m2": 5.0, "credit_intensity_mj_per_m2_year": {}}}'),
+            ("modal_override[coworking][walk]",
+             '{{"modal_override": {{"coworking": {{"walk": {}}}}}}}'),
+        ],
+    )
+    def test_scenario_number_as_text_or_bool_exit_1(
+        self, run, tmp_path, ref_config_path, ref_diaries_path, key, document, value
+    ):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(document.format(value), encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, err = run(
+            "sweep", "--config", ref_config_path, "--diaries", ref_diaries_path,
+            "--scenario", scenario, "--parameter", "coworker_count", "--values", 60,
+            "--out", out,
+        )
+        assert code == 1
+        assert f"error: {key} must be a number, got " in err
+        assert not (out / "sweep.json").exists()
+
     def test_nan_stored_profile_exit_1(self, run, tmp_path, ref_config_path, ref_diaries_path):
         profile_out = tmp_path / "p"
         run(
@@ -431,6 +458,28 @@ class TestSweepCli:
         assert err.endswith(f"{stored} is malformed: day_count must be >= 0, got -3\n")
         assert not (out / "sweep.json").exists()
 
+    def test_swapped_stored_mode_shares_exit_1(
+        self, run, tmp_path, ref_config_path, ref_diaries_path
+    ):
+        profile_out = tmp_path / "p"
+        run(
+            "profile", "--config", ref_config_path, "--diaries", ref_diaries_path,
+            "--out", profile_out,
+        )
+        payload = json.loads((profile_out / "profiles.json").read_text(encoding="utf-8"))
+        shares = payload["profiles"]["employer_office"]["mode_share"]
+        shares["walk"], shares["car"] = shares["car"], shares["walk"]
+        stored = tmp_path / "profiles.json"
+        stored.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, err = run(
+            "sweep", "--config", ref_config_path, "--profiles", stored,
+            "--parameter", "coworker_count", "--values", 60, "--out", out,
+        )
+        assert code == 1
+        assert f"{stored} is malformed: employer_office mode_share for walk is " in err
+        assert not (out / "sweep.json").exists()
+
     def test_missing_profile_exit_2(self, run, tmp_path, ref_config_path):
         diaries = write_diaries(tmp_path, [CLEAN_ROWS[0], CLEAN_ROWS[4]])  # no coworking
         code, _, err = run(
@@ -463,6 +512,28 @@ class TestBreakevenCli:
         )
         assert code == 3
         assert "net(100" in err and "net(120" in err
+
+    def test_swapped_stored_mode_shares_exit_1(
+        self, run, tmp_path, ref_config_path, ref_diaries_path
+    ):
+        profile_out = tmp_path / "p"
+        run(
+            "profile", "--config", ref_config_path, "--diaries", ref_diaries_path,
+            "--out", profile_out,
+        )
+        payload = json.loads((profile_out / "profiles.json").read_text(encoding="utf-8"))
+        shares = payload["profiles"]["employer_office"]["mode_share"]
+        shares["walk"], shares["car"] = shares["car"], shares["walk"]
+        stored = tmp_path / "profiles.json"
+        stored.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, err = run(
+            "sweep", "--config", ref_config_path, "--profiles", stored,
+            "--parameter", "coworker_count", "--values", 60, "--out", out,
+        )
+        assert code == 1
+        assert f"{stored} is malformed: employer_office mode_share for walk is " in err
+        assert not (out / "sweep.json").exists()
 
     def test_missing_profile_exit_2(self, run, tmp_path, ref_config_path):
         diaries = write_diaries(tmp_path, CLEAN_ROWS[2:])  # no office days

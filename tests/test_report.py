@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
@@ -12,14 +14,13 @@ from telework_impact.model import DayType, EnergyDelta
 from telework_impact.report import (
     SWEEP_HEADER,
     EncodedJson,
-    encode_json,
     fmt,
     rejection_rows,
-    sweep_json,
     sweep_rows,
     sweep_to_dict,
     write_csv,
     write_json,
+    write_sweep,
 )
 from telework_impact.scenario import SWEEP_PARAMETERS, SweepResult
 
@@ -62,17 +63,36 @@ def test_rejection_rows():
     ]
 
 
-@given(payload=st.dictionaries(_TEXT, _JSON, max_size=5), key=_TEXT, member=_JSON)
+def _split(text: str, cuts: list[int]) -> list[str]:
+    """``text`` in pieces, cut at ``cuts`` (taken modulo its length + 1)."""
+    bounds = sorted({0, len(text), *(cut % (len(text) + 1) for cut in cuts)})
+    return [text[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    payload=st.dictionaries(_TEXT, _JSON, max_size=5),
+    key=_TEXT,
+    member=_JSON,
+    cuts=st.lists(st.integers(0, 10_000), max_size=6),
+)
 @example(
     payload={"scenario": 'say "hi"\nZürich', "a": [{"b": "x\ny"}]},
     key="sweep",
     member={"points": [{"value": 1.5, "name": "\n  \"\n"}], "z": {}},
+    cuts=[1, 2, 17],
 )
-def test_encoded_member_splices_exactly(payload, key, member):
+def test_encoded_member_splices_exactly(tmp_path, payload, key, member, cuts):
+    """A member given as pieces cut anywhere, even inside an escape or
+    between a newline and its indent, is written as ``json.dumps`` lays out
+    the whole value; so is such a member alone."""
     text = json.dumps(member, indent=2, sort_keys=True)
-    expected = json.dumps({**payload, key: member}, indent=2, sort_keys=True)
-    assert encode_json({**payload, key: EncodedJson(text)}) == expected
-    assert encode_json(EncodedJson(text)) == text
+    expected = json.dumps({**payload, key: member}, indent=2, sort_keys=True) + "\n"
+    pieces = iter(_split(text, cuts))
+    written = write_json(tmp_path / "report.json", {**payload, key: EncodedJson(pieces)})
+    assert written.read_text(encoding="utf-8") == expected
+    written = write_json(tmp_path / "member.json", EncodedJson(_split(text, cuts)))
+    assert written.read_text(encoding="utf-8") == text + "\n"
 
 
 _MJ = st.just(0.0) | st.floats(min_value=5e-324, max_value=1e300)
@@ -98,32 +118,76 @@ def _sweep_results(draw):
 
 
 _REPEATED = (2.5, EnergyDelta(DayType.HOME, 5e-324, 0.0, -0.0, credit_mj=1e300))
+_ZERO = EnergyDelta(DayType.COWORKING, 0.0, 0.0, 0.0)
+_SIGNED_ZERO = EnergyDelta(DayType.COWORKING, 0.0, 0.0, -0.0)
+_REPORT = {"command": "sweep", "scenario": 'say "hi"\nZürich', "tool": {"name": "t"}}
 
 
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(result=_sweep_results())
-@example(result=SweepResult("cw_days_per_week", (_REPEATED, _REPEATED)))
-def test_sweep_writer_matches_json_and_csv_modules(tmp_path, result):
-    rows = sweep_rows(result)
-    as_dict = sweep_to_dict(result)
-    assert sweep_json(result, rows) == json.dumps(as_dict, indent=2, sort_keys=True)
-
-    expected_csv = io.StringIO()
-    writer = csv.writer(expected_csv, lineterminator="\n")
+def _expected_csv(result: SweepResult) -> str:
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)
     for value, d in result.points:
         floats = (value, d.facility_mj, d.equipment_mj, d.travel_mj, d.credit_mj, d.net_mj)
         writer.writerow([result.parameter, *map(repr, floats)])
-    written = write_csv(tmp_path / "sweep.csv", SWEEP_HEADER, rows)
-    assert written.read_text(encoding="utf-8") == expected_csv.getvalue()
+    return expected.getvalue()
 
-    report = {"command": "sweep", "scenario": 'say "hi"\nZürich', "tool": {"name": "t"}}
-    written = write_json(
-        tmp_path / "report.json", {**report, "sweep": EncodedJson(sweep_json(result, rows))}
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    result=_sweep_results(),
+    formats=st.sampled_from(["csv", "json", "both"]),
+    batch=st.integers(1, 5),
+)
+# One delta object repeated: every float cell repeats, 5e-324, -0.0 and 1e300
+# among them, across a batch boundary.
+@example(result=SweepResult("cw_days_per_week", (_REPEATED, _REPEATED)), formats="both", batch=1)
+# 0.0 and -0.0 in turn: equal floats that are different objects.
+@example(
+    result=SweepResult("coworker_count", ((1.0, _ZERO), (2.0, _SIGNED_ZERO), (3.0, _ZERO))),
+    formats="both",
+    batch=2,
+)
+def test_sweep_writer_matches_json_and_csv_modules(tmp_path, result, formats, batch):
+    """The streamed sweep artifacts equal what ``json`` and ``csv`` write
+    for the whole sweep, whatever the batch size; every point reaches
+    ``on_batch`` once, in order, in batches of at most that size."""
+    # A directory per example: a leftover sweep.csv would hide a missing one.
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    batches = []
+    with mock.patch.object(report, "_CSV_BATCH_ROWS", batch):
+        write_sweep(out, result, _REPORT, formats, batches.append)
+    as_dict = sweep_to_dict(result)
+    assert [p for b in batches for p in b] == list(result.points)
+    assert all(0 < len(b) <= batch for b in batches)
+
+    expected = json.dumps({**_REPORT, "sweep": as_dict}, indent=2, sort_keys=True) + "\n"
+    assert (out / "report.json").read_text(encoding="utf-8") == expected
+    document = out / "sweep.json"
+    if formats == "csv":
+        assert not document.exists()
+    else:
+        expected = json.dumps(as_dict, indent=2, sort_keys=True) + "\n"
+        assert document.read_text(encoding="utf-8") == expected
+    table = out / "sweep.csv"
+    if formats == "json":
+        assert not table.exists()
+    else:
+        assert table.read_bytes() == _expected_csv(result).encode("utf-8")
+    # The rows of breakeven.csv are the same cells.
+    written = write_csv(tmp_path / "rows.csv", SWEEP_HEADER, sweep_rows(result))
+    assert written.read_bytes() == _expected_csv(result).encode("utf-8")
+
+
+def test_sweep_rows_reuse_the_text_of_a_repeated_float():
+    """A float that is the previous point's object reuses its text; an
+    equal float that is another object gets its own ``repr``."""
+    rows = sweep_rows(
+        SweepResult("coworker_count", ((1.0, _ZERO), (2.0, _ZERO), (3.0, _SIGNED_ZERO)))
     )
-    expected = json.dumps({**report, "sweep": as_dict}, indent=2, sort_keys=True) + "\n"
-    assert written.read_text(encoding="utf-8") == expected
-
+    assert [row[4] for row in rows] == ["0.0", "0.0", "-0.0"]
+    assert rows[0][3] is rows[1][3] and rows[0][4] is rows[1][4]
+    assert rows[1][4] is not rows[2][4]
 
 
 #: Cells that need quoting (``,``, ``"``, ``\r``, ``\n``), empty cells and

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import random
 
 import pytest
@@ -469,6 +470,56 @@ class TestScenarioFile:
         # The weekly frequency is a sweep parameter, not a scenario key.
         path.write_text(json.dumps({**payload, "cw_days_per_week": 2.5}), encoding="utf-8")
         with pytest.raises(ConfigError, match="unknown scenario keys.*cw_days_per_week"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("value", ["20", True, False, None, [1.0]])
+    @pytest.mark.parametrize(
+        "key, payload",
+        [
+            ("floor_space_credit_m2", lambda v: {"floor_space_credit_m2": v}),
+            ("credit_intensity_mj_per_m2_year", lambda v: {"credit_intensity_mj_per_m2_year": v}),
+            ("modal_override[coworking][walk]",
+             lambda v: {"modal_override": {"coworking": {"walk": v}}}),
+        ],
+    )
+    def test_number_given_as_text_or_bool_is_refused(self, tmp_path, key, payload, value):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(payload(value)), encoding="utf-8")
+        with pytest.raises(InvalidOverrideError, match=re.escape(f"{key} must be a number")):
+            load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("NaN", "is not finite: nan"),
+            ("Infinity", "is not finite: inf"),
+            ("-Infinity", "is not finite: -inf"),
+            ("-1.5", None),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "key, document, negative",
+        [
+            ("floor_space_credit_m2", '{{"floor_space_credit_m2": {}}}', "must be >= 0"),
+            ("credit_intensity_mj_per_m2_year",
+             '{{"credit_intensity_mj_per_m2_year": {}}}', "must be >= 0"),
+            ("modal_override[coworking][walk]",
+             '{{"modal_override": {{"coworking": {{"walk": {}}}}}}}', "is negative"),
+        ],
+    )
+    def test_non_finite_and_negative_messages(
+        self, tmp_path, key, document, negative, text, message
+    ):
+        path = tmp_path / "scenario.json"
+        path.write_text(document.format(text), encoding="utf-8")
+        with pytest.raises(InvalidOverrideError) as caught:
+            load_scenario(path)
+        assert str(caught.value) == f"{key} {message or negative}"
+
+    def test_modal_override_not_an_object_is_a_config_error(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"modal_override": {"coworking": [1]}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="invalid scenario"):
             load_scenario(path)
 
     def test_unknown_key(self, tmp_path):
