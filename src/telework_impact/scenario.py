@@ -108,7 +108,7 @@ def _finite(name: str, value) -> float:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Deltas of one parameter sweep, ordered by parameter value."""
+    """Deltas of one sweep of a supported parameter, ordered by value."""
 
     parameter: str
     points: tuple[tuple[float, EnergyDelta], ...]

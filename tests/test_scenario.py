@@ -182,6 +182,10 @@ class TestSweep:
         inventory, factors, profiles = base
         with pytest.raises(InvalidOverrideError, match="unsupported"):
             sweep(inventory, factors, profiles, Scenario(), "workplace_count", [1])
+        # Nor can a result be built for one: its CSV cells could need quoting.
+        point = sweep(inventory, factors, profiles, Scenario(), "coworker_count", [1]).points
+        with pytest.raises(InvalidOverrideError, match="unsupported"):
+            scenario_module.SweepResult("a,b", point)
 
     def test_missing_profile_is_not_a_point_error(self, base):
         inventory, factors, profiles = base
