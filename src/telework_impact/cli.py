@@ -22,7 +22,7 @@ from .aggregation import (
     profiles_from_dict,
 )
 from .config import AppConfig, load_config
-from .diary import RejectReason, apply_quality_filter, parse_diary_path
+from .diary import RejectReason, parse_diary_path
 from .energy import compare_day_types, direct_components
 from .errors import (
     ConfigError,
@@ -31,6 +31,7 @@ from .errors import (
     TeleworkImpactError,
 )
 from .model import COMPARABLE_DAY_TYPES, Activity, DayType, validate_factor_table
+from .quality import apply_quality_filter
 from .scenario import Scenario, break_even, load_scenario, sweep
 from . import report as rpt
 
@@ -160,9 +161,14 @@ def _run_pipeline(args, config: AppConfig):
     return days, kept, rejected
 
 
+#: Reasons of the rows that a read keeps out of the table.
+_READ_REASONS = (RejectReason.PARSE_ERROR, RejectReason.DUPLICATE_DAY)
+
+
 def _rows_seen(days, rejected) -> int:
-    """Data rows in the input file: parsed days plus parse failures."""
-    return len(days) + sum(1 for item in rejected if item.reason is RejectReason.PARSE_ERROR)
+    """Data rows in the input file: parsed days plus the rows the read
+    rejected."""
+    return len(days) + sum(1 for item in rejected if item.reason in _READ_REASONS)
 
 
 def _load_profiles(args, config: AppConfig):

@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .diary import QualityRules
+from .quality import QualityRules
 from .errors import ConfigError
 from .model import FactorTable, SiteInventory
 

@@ -162,7 +162,8 @@ class SiteInventory:
     workdays_per_year: int
 
     def __post_init__(self):
-        if not self.floor_area_m2 > 0:
+        area = finite_at_least("floor_area_m2", self.floor_area_m2, -math.inf)
+        if area <= 0:
             raise ValueError(f"floor_area_m2 must be > 0, got {self.floor_area_m2}")
         workplaces = _whole_number("workplace_count", self.workplace_count)
         coworkers = _whole_number("coworker_count", self.coworker_count)
@@ -181,7 +182,7 @@ class SiteInventory:
             if count < 0:
                 raise ValueError(f"device_counts[{kind}] is negative: {count}")
             counts[str(kind)] = count
-        object.__setattr__(self, "floor_area_m2", float(self.floor_area_m2))
+        object.__setattr__(self, "floor_area_m2", area)
         object.__setattr__(self, "workplace_count", workplaces)
         object.__setattr__(self, "coworker_count", coworkers)
         object.__setattr__(self, "workdays_per_year", workdays)

@@ -105,6 +105,34 @@ class TestValidate:
         assert code == 1
         assert "header" in err
 
+    def test_duplicate_days_are_rows_seen(self, run, tmp_path, ref_config_path):
+        diaries = write_diaries(tmp_path, CLEAN_ROWS + CLEAN_ROWS[:2] + BAD_ROWS[1:2])
+        code, out, _ = run(
+            "validate", "--config", ref_config_path, "--diaries", diaries,
+            "--out", tmp_path / "out",
+        )
+        assert code == 0
+        summary = json.loads((tmp_path / "out" / "report.json").read_text())["input_summary"]
+        assert summary["rows_parsed"] == 8 and summary["kept"] == 5
+        assert summary["rejected_by_reason"] == {"DUPLICATE_DAY": 2, "PARSE_ERROR": 1}
+        rows = read_csv(tmp_path / "out" / "rejections.csv")[1:]
+        assert [(row[0], row[3]) for row in rows] == [
+            ("7", "DUPLICATE_DAY"), ("8", "DUPLICATE_DAY"), ("9", "PARSE_ERROR")
+        ]
+        assert "parsed 8 rows" in out
+
+    def test_bool_floor_area_exit_1(self, run, tmp_path, ref_config_path):
+        config = json.loads(Path(ref_config_path).read_text(encoding="utf-8"))
+        config["site_inventory"]["floor_area_m2"] = True
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        diaries = write_diaries(tmp_path, CLEAN_ROWS)
+        code, _, err = run(
+            "validate", "--config", path, "--diaries", diaries, "--out", tmp_path / "out",
+        )
+        assert code == 1
+        assert "floor_area_m2 must be a number, got True" in err
+
     def test_env_var_config_fallback(self, run, tmp_path, ref_config_path, monkeypatch):
         monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(ref_config_path))
         diaries = write_diaries(tmp_path, CLEAN_ROWS)

@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import gc
 import io
 import logging
 import math
@@ -20,6 +21,7 @@ from telework_impact import (
     DiaryFormatError,
     DiaryTable,
     QualityRules,
+    RejectedDay,
     RejectReason,
     TransportMode,
     apply_quality_filter,
@@ -97,8 +99,11 @@ class TestParse:
 
     def test_binary_stream_accepted(self):
         data = (HEADER + "\nP1,2024-01-08,office,60,480,30,30,10,10,40,0,0\n").encode()
-        days, rejected = parse_diary_file(io.BytesIO(data))
+        stream = io.BytesIO(data)
+        days, rejected = parse_diary_file(stream)
         assert len(days) == 1 and not rejected
+        gc.collect()
+        assert not stream.closed
 
     def test_unknown_locations_fold_into_one_warning(self, caplog):
         rows = [f"P{i},2024-01-08,cafe {i},60,480,30,30,10,10,40,0,0" for i in range(7)]
@@ -445,7 +450,13 @@ _RAW_LOCATION = {day_type: raw for raw, day_type in LOCATION_VOCABULARY.items()}
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(diary_days(), st.integers(0, 2)), max_size=15))
+@given(
+    st.lists(
+        st.tuples(diary_days(), st.integers(0, 2)),
+        max_size=15,
+        unique_by=lambda pair: (pair[0].participant_id, pair[0].date),
+    )
+)
 def test_csv_round_trip(days_and_blanks):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -473,7 +484,63 @@ def test_random_valid_days_always_kept():
     assert not rejected and len(kept) == 200
 
 
-# --- The bulk read of parse_diary_path against the row loop ----------------
+# --- The reader against the row loop ----------------------------------------
+
+
+def row_loop(stream):
+    """The diary read one csv record at a time: the reference that
+    ``parse_diary_file`` and ``parse_diary_path`` must match in table, row
+    numbers, rejections and warning."""
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
+        raise DiaryFormatError("diary file is empty (missing header)")
+    if tuple(h.strip() for h in header) != DIARY_HEADER:
+        raise DiaryFormatError("unexpected diary header; expected exactly: " + HEADER)
+    days, rejected, unknown_rows, first_rows = [], [], [], {}
+    for values in reader:
+        if not values:
+            continue
+        row, participant_id = reader.line_num, values[0].strip()
+        try:
+            if len(values) != len(DIARY_HEADER):
+                raise ValueError(f"expected {len(DIARY_HEADER)} fields, got {len(values)}")
+            date = dt.date.fromisoformat(values[1].strip())
+            minutes = [float(value) for value in values[3:]]
+            location = values[2].strip()
+            day = DiaryDay(
+                participant_id,
+                date,
+                LOCATION_VOCABULARY.get(location, DayType.OTHER_LOCATION),
+                dict(zip(Activity, minutes)),
+                dict(zip(TransportMode, minutes[len(Activity):])),
+                row,
+            )
+        except ValueError as exc:
+            date_text = values[1].strip() if len(values) > 1 else ""
+            reason = RejectReason.PARSE_ERROR
+            detail = str(exc)
+            rejected.append(RejectedDay(reason, row, participant_id, date_text, detail, (reason,)))
+            continue
+        first_row = first_rows.setdefault((participant_id, date), row)
+        if first_row != row:
+            reason = RejectReason.DUPLICATE_DAY
+            detail = f"duplicate of row {first_row}"
+            rejected.append(
+                RejectedDay(reason, row, participant_id, date.isoformat(), detail, (reason,))
+            )
+            continue
+        if location not in LOCATION_VOCABULARY:
+            unknown_rows.append(row)
+        days.append(day)
+    if unknown_rows:
+        logging.getLogger("telework_impact.diary").warning(
+            "%d rows with an unknown location classified as other_location (first rows: %s)",
+            len(unknown_rows),
+            ", ".join(map(str, unknown_rows[:5])),
+        )
+    return DiaryTable.from_days(days), rejected
+
 
 #: Number spellings that ``float()`` and ``np.loadtxt`` both accept, among
 #: them values the minute screen rejects.
@@ -483,22 +550,22 @@ _SPELLINGS = (" 5 ", "+.5", "5.", "1e400", "-0", "nan", "-nan", "inf", "-3", "20
 _REFUSED_SPELLINGS = ("1_000", "\u0665\u0660", "abc", "", ".", "1.2.3")
 _LOCATIONS = (*LOCATION_VOCABULARY, " home ", "\toffice", "cafe", "Office", "")
 _QUOTED_TEXTS = ("a,b", 'say ""hi""', "two\nlines", "cr\rhere")
-#: Lines that np.loadtxt refuses or misreads; the bulk read parses them one
-#: by one.
-_LINE_KINDS = ("blank", "spaces", "quoted", "arity", "spelling", "bad date")
+#: Lines that np.loadtxt refuses or misreads, which csv reads one by one,
+#: and repeats of earlier lines.
+_LINE_KINDS = ("blank", "spaces", "quoted", "arity", "spelling", "bad date", "repeat")
 
 
 @st.composite
 def diary_texts(draw):
-    """CSV text of a diary file, and whether it needs the row loop.
+    """CSV text of a diary file.
 
     Half the files hold only rows ``np.loadtxt`` reads: padded and special
     number spellings, padded dates, padded and unknown locations, and any
     mix of line endings. In the other half some rows are of one kind that
-    the bulk read parses line by line: blank or whitespace-only lines,
-    quoted fields, wrong field counts, number spellings ``np.loadtxt``
-    rejects, or bad dates. Only a bad header or a quoted record that spans
-    lines needs the row loop.
+    the reader parses with csv: blank or whitespace-only lines, quoted
+    fields (some spanning lines), wrong field counts, number spellings
+    ``np.loadtxt`` rejects, or bad dates; or they repeat an earlier line.
+    Some headers are quoted, and some are wrong.
     """
     header = draw(
         st.sampled_from(
@@ -506,7 +573,6 @@ def diary_texts(draw):
             + [" , ".join(DIARY_HEADER), '"participant_id",' + HEADER.split(",", 1)[1], "a,b"]
         )
     )
-    needs_row_loop = '"' in header or header == "a,b"
     kinds = ("row",) * 3
     if draw(st.booleans()):
         kinds += (draw(st.sampled_from(_LINE_KINDS)),)
@@ -515,6 +581,9 @@ def diary_texts(draw):
         kind = draw(st.sampled_from(kinds))
         if kind in ("blank", "spaces"):
             lines.append("" if kind == "blank" else draw(st.sampled_from([" ", "\t", "  "])))
+            continue
+        if kind == "repeat" and len(lines) > 1:
+            lines.append(draw(st.sampled_from(lines[1:])))
             continue
         date = draw(
             st.one_of(
@@ -537,7 +606,6 @@ def diary_texts(draw):
             at = draw(st.sampled_from([0, 0, 1, 2, 2, 3]))
             text = draw(st.sampled_from(_QUOTED_TEXTS)) if at == 0 else fields[at]
             fields[at] = f'"{text}"'
-            needs_row_loop |= "\n" in text or "\r" in text
         elif kind == "arity":
             fields = fields[:-1] if draw(st.booleans()) else fields + ["0"]
         elif kind == "spelling":
@@ -547,8 +615,7 @@ def diary_texts(draw):
         lines.append(",".join(fields))
     endings = st.sampled_from(["\n", "\r\n", "\r"])
     text = "".join(line + draw(endings) for line in lines[:-1]) + lines[-1]
-    text += draw(st.sampled_from(["", "\n", "\r\n"]))
-    return text, needs_row_loop
+    return text + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
 class _Messages(logging.Handler):
@@ -572,10 +639,11 @@ def _outcome(parse, source):
         return "error", str(exc)
     finally:
         logger.removeHandler(handler)
+    _check_layout(table)
     columns = (
         list(table.participant_ids),
         list(table.dates),
-        list(table.source_rows),
+        table.source_rows.tolist(),
         table.day_types.tolist(),
         table.minutes.shape,
         table.minutes.view(np.int64).tolist(),
@@ -583,53 +651,143 @@ def _outcome(parse, source):
     return columns, rejected, handler.messages
 
 
+def _check_layout(table):
+    """The coded layout of a table: int32 codes into tuples that hold each
+    distinct id and date once, int64 rows, and no object column."""
+    assert table.participant_codes.dtype == np.int32 and table.date_codes.dtype == np.int32
+    assert table.source_rows.dtype == np.int64 and table.day_types.dtype == np.int8
+    assert table.minutes.dtype == np.float64
+    for values in (table.distinct_ids, table.distinct_dates):
+        assert type(values) is tuple and len(set(values)) == len(values)
+    assert all(type(value) is str for value in table.distinct_ids)
+    assert all(type(value) is dt.date for value in table.distinct_dates)
+
+
+class _NonSeekable(io.RawIOBase):
+    """Binary stream of ``data`` that can be read once and not seeked."""
+
+    def __init__(self, data):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        return self._data.readinto(buffer)
+
+
 _ROW = "P1,2024-01-08,office,60,480,30,30,10,10,40,0,0"
+_ROW2 = "P2,2024-01-09,home,60,480,30,30,10,10,40,0,0"
 
 
 @settings(max_examples=200, deadline=None)
 @given(diary_texts(), st.integers(1, 4))
 # A quoted known location and a quoted id with a doubled quote both pass
 # np.loadtxt, which would read the quotes as text.
-@example((f'{HEADER}\n{_ROW}\nP2,2024-01-08,"office",60,480,30,30,10,10,40,0,0\n', False), 4)
-@example((f'{HEADER}\n"P""2",2024-01-08,home,60,480,30,30,10,10,40,0,0\n', False), 4)
+@example(f'{HEADER}\n{_ROW}\nP2,2024-01-08,"office",60,480,30,30,10,10,40,0,0\n', 4)
+@example(f'{HEADER}\n"P""2",2024-01-08,home,60,480,30,30,10,10,40,0,0\n', 4)
 # A blank line inside a pass, which np.loadtxt skips, and one that starts a
 # pass, which it would warn about.
-@example((f"{HEADER}\n{_ROW}\n\n{_ROW}\n", False), 4)
-@example((f"{HEADER}\n{_ROW}\n\n\n", False), 1)
+@example(f"{HEADER}\n{_ROW}\n\n{_ROW2}\n", 4)
+@example(f"{HEADER}\n{_ROW}\n\n\n", 1)
 # A quoted minute holding the delimiter, a short row and a date that does
 # not exist, each among rows np.loadtxt reads.
-@example((f'{HEADER}\n{_ROW}\nP2,2024-01-08,home,60,480,30,30,10,"12,5",0,0,0\n{_ROW}\n', False), 4)
-@example((f"{HEADER}\n{_ROW}\nP2,2024-01-08,home,60,480\n{_ROW}\n", False), 4)
-@example((f"{HEADER}\n{_ROW}\nP2,2019-02-30,home,60,480,30,30,10,10,40,0,0\n{_ROW}\n", False), 4)
+@example(f'{HEADER}\n{_ROW}\nP2,2024-01-08,home,60,480,30,30,10,"12,5",0,0,0\n{_ROW2}\n', 4)
+@example(f"{HEADER}\n{_ROW}\nP2,2024-01-08,home,60,480\n{_ROW2}\n", 4)
+@example(f"{HEADER}\n{_ROW}\nP2,2019-02-30,home,60,480,30,30,10,10,40,0,0\n{_ROW2}\n", 4)
 # A line kept by the row parse ahead of one np.loadtxt reads, in a pass
 # with a refused line; and digits and dots that do not make a number.
-@example((f'{HEADER}\nP1,2024-01-08,"home",60,480,30,30,10,10,40,0,0\n{_ROW}\nP3,x\n', False), 4)
-@example((f"{HEADER}\n{_ROW}\nP2,2024-01-08,home,60,480,30,30,10,10,1.2.3,0,0\n{_ROW}\n", False), 4)
-# A quoted record that spans lines, last in the file and inside it.
-@example((f'{HEADER}\n{_ROW}\n"two\nlines",2024-01-08,home,60,480,30,30,10,10,40,0,0\n', True), 2)
-@example((f'{HEADER}\n{_ROW}\n"open,{_ROW}\n{_ROW}\n{_ROW}', True), 4)
-def test_bulk_read_equals_row_loop(tmp_path_factory, case, chunk_rows):
-    text, needs_row_loop = case
+@example(f'{HEADER}\nP1,2024-01-08,"home",60,480,30,30,10,10,40,0,0\n{_ROW2}\nP3,x\n', 4)
+@example(f"{HEADER}\n{_ROW}\nP2,2024-01-08,home,60,480,30,30,10,10,1.2.3,0,0\n{_ROW2}\n", 4)
+# A quoted record that spans lines, last in the file and inside it; one
+# left open to the end of the file.
+@example(f'{HEADER}\n{_ROW}\n"two\nlines",2024-01-08,home,60,480,30,30,10,10,40,0,0\n', 2)
+@example(f'{HEADER}\n{_ROW}\n"open,{_ROW}\n{_ROW}\n{_ROW2}', 4)
+# Records that span lines across the end of a pass.
+@example(f'{HEADER}\n{_ROW}\n"P\n\n2",2024-01-09,home,60,480,30,30,10,10,40,0,0\n{_ROW2}\n', 1)
+@example(f'{HEADER}\n{_ROW}\n"P\n2",2024-01-09,home,60,480,30,30,10,10,40,0,0\n{_ROW2}\n', 2)
+@example(f'{HEADER}\n"a\nb",{_ROW2}\n{_ROW}\n"c\nd",{_ROW2}\n{_ROW}\n', 2)
+# A quoted header, and one whose quoted field spans lines.
+@example(f'"participant_id",{HEADER.split(",", 1)[1]}\n{_ROW}\n', 1)
+@example(f'"participant_id\n",{HEADER.split(",", 1)[1]}\n{_ROW}\n{_ROW2}\n', 2)
+# Duplicate days: a repeat, one spelled with padding, one after a rejected
+# first row, and one whose first row is in an earlier pass.
+@example(f"{HEADER}\n{_ROW}\n{_ROW}\n P1 , 2024-01-08,cafe,60,480,30,30,10,10,40,0,0\n", 4)
+@example(f"{HEADER}\nP1,2024-01-08,home,-1,0,0,0,0,0,0,0,0\n{_ROW}\n{_ROW}\n", 1)
+@example(f"{HEADER}\n{_ROW}\n{_ROW2}\n{_ROW2}\n{_ROW}\n", 2)
+def test_bulk_read_equals_row_loop(tmp_path_factory, text, chunk_rows):
+    expected = _outcome(row_loop, io.StringIO(text, newline=""))
     path = tmp_path_factory.getbasetemp() / "bulk_read.csv"
     path.write_bytes(text.encode("utf-8"))
     with mock.patch.object(diary, "CHUNK_ROWS", chunk_rows), warnings.catch_warnings():
-        # np.loadtxt warns on input it skips; the bulk read must not let it.
+        # np.loadtxt warns on input it skips; the read must not let it.
         warnings.simplefilter("error")
-        bulk = _outcome(diary.parse_diary_path, path)
-        with open(path, encoding="utf-8", newline="") as handle:
-            took_bulk = diary._read_bulk(handle) is not None
-    assert bulk == _outcome(parse_diary_file, io.StringIO(text, newline=""))
-    assert took_bulk is not needs_row_loop
+        assert _outcome(diary.parse_diary_path, path) == expected
+        stream = _NonSeekable(text.encode("utf-8"))
+        assert _outcome(parse_diary_file, stream) == expected
 
 
-def _fail_row_loop(stream):
-    raise AssertionError("the row loop ran")
+def test_duplicate_days_keep_the_first_row():
+    rows = [_ROW, _ROW, _ROW2, " P1 ,2024-01-08,home,0,500,0,0,0,0,0,0,0", _ROW2]
+    days, rejected = parse_text(HEADER + "\n" + "\n".join(rows) + "\n")
+    assert [(d.participant_id, d.source_row) for d in days] == [("P1", 2), ("P2", 4)]
+    assert [(r.reason, r.row, r.participant_id, r.date, r.detail) for r in rejected] == [
+        (RejectReason.DUPLICATE_DAY, 3, "P1", "2024-01-08", "duplicate of row 2"),
+        (RejectReason.DUPLICATE_DAY, 5, "P1", "2024-01-08", "duplicate of row 2"),
+        (RejectReason.DUPLICATE_DAY, 6, "P2", "2024-01-09", "duplicate of row 4"),
+    ]
+    assert all(r.failures == (RejectReason.DUPLICATE_DAY,) for r in rejected)
+
+
+def _sub_tables(draw, n):
+    """Every kind of sub-table index: a boolean mask, a slice and an index
+    array (repeats and negative indices allowed)."""
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    bounds = st.none() | st.integers(-n - 1, n + 1)
+    step = st.none() | st.integers(1, 3) | st.integers(-3, -1)
+    positions = st.lists(st.integers(-n, n - 1), max_size=2 * n) if n else st.just([])
+    return [
+        mask,
+        slice(draw(bounds), draw(bounds), draw(step)),
+        np.array(draw(positions), dtype=np.intp),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_coded_table_decodes_to_its_days(data):
+    days = data.draw(st.lists(diary_days(), max_size=12))
+    rows = st.none() | st.integers(2, 10**12)
+    rows = data.draw(st.lists(rows, min_size=len(days), max_size=len(days)))
+    days = [
+        DiaryDay(d.participant_id, d.date, d.day_type, d.activity_minutes, d.mode_minutes, row)
+        for d, row in zip(days, rows)
+    ]
+    table = DiaryTable.from_days(days)
+    _check_layout(table)
+    assert table.distinct_ids == tuple(dict.fromkeys(d.participant_id for d in days))
+    assert table.distinct_dates == tuple(dict.fromkeys(d.date for d in days))
+    n = len(days)
+    for item in [slice(None), *_sub_tables(data.draw, n)]:
+        sub = table[item]
+        reference = [days[i] for i in np.arange(n)[item].tolist()]
+        _check_layout(sub)
+        assert list(sub.participant_ids) == [d.participant_id for d in reference]
+        assert list(sub.dates) == [d.date for d in reference]
+        expected_rows = [diary.NO_ROW if d.source_row is None else d.source_row for d in reference]
+        assert sub.source_rows.tolist() == expected_rows
+        assert [sub[i] for i in range(len(sub))] == reference
+        assert [sub[i].source_row for i in range(len(sub))] == [d.source_row for d in reference]
+
+
+def _fail_row_parse(values, row, *codes):
+    raise AssertionError("a line went to the row parse")
 
 
 def test_clean_file_is_read_without_the_row_loop(monkeypatch, ref_diaries_path):
     with open(ref_diaries_path, encoding="utf-8", newline="") as handle:
-        expected = _outcome(parse_diary_file, handle)
-    monkeypatch.setattr(diary, "parse_diary_file", _fail_row_loop)
+        expected = _outcome(row_loop, handle)
+    monkeypatch.setattr(diary, "_parse_record", _fail_row_parse)
     monkeypatch.setattr(diary, "CHUNK_ROWS", 64)
     assert _outcome(diary.parse_diary_path, ref_diaries_path) == expected
     assert len(expected[0][0]) == 250
@@ -665,8 +823,7 @@ def test_dirty_file_is_read_without_the_row_loop(monkeypatch, tmp_path, ref_diar
         writer.writerow(DIARY_HEADER)
         writer.writerows(_dirty_rows(reference, random.Random(8)))
     with open(path, encoding="utf-8", newline="") as handle:
-        expected = _outcome(parse_diary_file, handle)
-    monkeypatch.setattr(diary, "parse_diary_file", _fail_row_loop)
+        expected = _outcome(row_loop, handle)
     monkeypatch.setattr(diary, "CHUNK_ROWS", 64)
     assert _outcome(diary.parse_diary_path, path) == expected
     _, rejected, messages = expected
@@ -695,16 +852,15 @@ def test_bad_dates_read_in_bulk_skip_the_row_parse(monkeypatch, tmp_path, ref_di
         writer.writerow(DIARY_HEADER)
         writer.writerows(rows)
     with open(path, encoding="utf-8", newline="") as handle:
-        expected = _outcome(parse_diary_file, handle)
+        expected = _outcome(row_loop, handle)
 
     parse_record, parsed_rows = diary._parse_record, []
 
-    def record_row(values, row, known_dates):
+    def record_row(values, row, *codes):
         parsed_rows.append(row)
-        return parse_record(values, row, known_dates)
+        return parse_record(values, row, *codes)
 
     monkeypatch.setattr(diary, "_parse_record", record_row)
-    monkeypatch.setattr(diary, "parse_diary_file", _fail_row_loop)
     monkeypatch.setattr(diary, "CHUNK_ROWS", 64)
     assert _outcome(diary.parse_diary_path, path) == expected
     assert parsed_rows == [83]

@@ -126,6 +126,11 @@ class TestSiteInventory:
         stored = stored["screen"] if field == "device_counts" else stored
         assert stored == 14 and type(stored) is int
 
+    @pytest.mark.parametrize("value", [True, float("inf"), float("nan"), "170", 0, -1])
+    def test_bad_floor_area_is_refused(self, value):
+        with pytest.raises(ValueError, match="floor_area_m2"):
+            small_inventory(floor_area_m2=value)
+
     def test_negative_device_count(self):
         with pytest.raises(ValueError, match="negative"):
             small_inventory(device_counts={"screen": -1})
