@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Break-even analysis: where does the net energy delta cross zero?
 
-Bisects the net per-coworker-day energy as a function of one parameter.
-Occupancy is the classic case: facility energy falls with 1/N while the
-travel saving per day is constant, so there is a member count at which
-co-working becomes energy-neutral versus office days. The bisection result
-is cross-checked against the closed-form root.
+Solves the net per-coworker-day energy for one parameter. Occupancy is
+the classic case: facility energy falls with 1/N while the travel saving
+per day is constant, so the net is a + b/N and there is a member count,
+-b/a, at which co-working becomes energy-neutral versus office days. The
+library's root is cross-checked against the same root worked out by hand
+from the energy components.
 """
 
 from telework_impact import (
@@ -48,8 +49,8 @@ def main():
     ) - travel_energy(profiles[DayType.EMPLOYER_OFFICE].mean_mode_minutes, factors)
     analytic = per_workday / -(equipment_energy(inventory, factors) + travel)
 
-    print(f"\n  bisection root:  {root:.4f} members")
-    print(f"  closed form:     {analytic:.4f} members")
+    print(f"\n  break_even root: {root:.4f} members")
+    print(f"  by hand:         {analytic:.4f} members")
     print(f"  difference:      {abs(root - analytic):.2e}")
     print(
         f"\nwith {inventory.coworker_count} members the site sits below the"

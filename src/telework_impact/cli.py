@@ -22,7 +22,7 @@ from .aggregation import (
     profiles_from_dict,
 )
 from .config import AppConfig, load_config
-from .diary import RejectReason, parse_diary_path
+from .diary import parse_diary_path
 from .energy import compare_day_types, direct_components
 from .errors import (
     ConfigError,
@@ -127,7 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bounds", type=float, nargs=2, required=True, metavar=("LO", "HI")
     )
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument(
+        "--tolerance",
+        type=float,
+        default=1e-6,
+        help="largest distance accepted from the true root (default: 1e-6); the root is "
+        "solved exactly, up to float rounding, so this only has to be finite and > 0, and "
+        "it is echoed in breakeven.json",
+    )
     p.set_defaults(func=cmd_breakeven)
 
     return parser
@@ -149,6 +156,9 @@ def _out_dir(args) -> Path:
 
 
 def _run_pipeline(args, config: AppConfig):
+    """The diary file's data rows (parsed days plus the rows the read
+    rejected), its kept days and every rejection. Only the count of the full
+    table outlives the call."""
     if not getattr(args, "diaries", None):
         raise ConfigError("no diary file given; pass --diaries")
     try:
@@ -158,17 +168,7 @@ def _run_pipeline(args, config: AppConfig):
     kept, quality_rejected = apply_quality_filter(days, config.quality_rules)
     # Both lists come in row order, and every row is a line number.
     rejected = sorted(parse_rejected + quality_rejected, key=attrgetter("row"))
-    return days, kept, rejected
-
-
-#: Reasons of the rows that a read keeps out of the table.
-_READ_REASONS = (RejectReason.PARSE_ERROR, RejectReason.DUPLICATE_DAY)
-
-
-def _rows_seen(days, rejected) -> int:
-    """Data rows in the input file: parsed days plus the rows the read
-    rejected."""
-    return len(days) + sum(1 for item in rejected if item.reason in _READ_REASONS)
+    return len(days) + len(parse_rejected), kept, rejected
 
 
 def _load_profiles(args, config: AppConfig):
@@ -189,7 +189,7 @@ def _load_profiles(args, config: AppConfig):
             return profiles_from_dict(payload), {"profiles": str(path)}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"profiles file {path} is malformed: {exc}") from exc
-    days, kept, _ = _run_pipeline(args, config)
+    _, kept, _ = _run_pipeline(args, config)
     return aggregate_profiles(kept), {"diaries": str(args.diaries)}
 
 
@@ -199,13 +199,13 @@ def _round(value: float, args) -> float:
 
 def cmd_validate(args) -> int:
     config = load_config(_config_path(args))
-    days, kept, rejected = _run_pipeline(args, config)
+    rows_seen, kept, rejected = _run_pipeline(args, config)
     out = _out_dir(args)
 
     rpt.write_csv(out / "rejections.csv", rpt.REJECTION_HEADER, rpt.rejection_rows(rejected))
     report = rpt.base_report("validate", config, __version__, {"diaries": str(args.diaries)})
     report["input_summary"] = rpt.input_summary(
-        args.diaries, _rows_seen(days, rejected), len(kept), rejected
+        args.diaries, rows_seen, len(kept), rejected
     )
     report["day_counts"] = {t.value: n for t, n in day_counts(kept).items()}
     rpt.write_json(out / "report.json", report)
@@ -220,7 +220,7 @@ def cmd_validate(args) -> int:
 
 def cmd_profile(args) -> int:
     config = load_config(_config_path(args))
-    days, kept, rejected = _run_pipeline(args, config)
+    rows_seen, kept, rejected = _run_pipeline(args, config)
     profiles = aggregate_profiles(kept)
     out = _out_dir(args)
 
@@ -229,7 +229,7 @@ def cmd_profile(args) -> int:
     rpt.write_csv(out / "plot_data.csv", rpt.PLOT_HEADER, rpt.plot_rows(profiles))
     report = rpt.base_report("profile", config, __version__, {"diaries": str(args.diaries)})
     report["input_summary"] = rpt.input_summary(
-        args.diaries, _rows_seen(days, rejected), len(kept), rejected
+        args.diaries, rows_seen, len(kept), rejected
     )
     report["profiles"] = rpt.profiles_section(profiles)
     rpt.write_json(out / "report.json", report)
@@ -263,7 +263,7 @@ def _emit_deltas(args, out: Path, deltas) -> None:
 def cmd_delta(args) -> int:
     config = load_config(_config_path(args))
     validate_factor_table(config.factors, config.inventory)
-    days, kept, rejected = _run_pipeline(args, config)
+    rows_seen, kept, rejected = _run_pipeline(args, config)
     profiles = aggregate_profiles(kept)
     direct = direct_components(config.inventory, config.factors)
 
@@ -276,7 +276,7 @@ def cmd_delta(args) -> int:
     _emit_deltas(args, out, deltas)
     report = rpt.base_report("delta", config, __version__, {"diaries": str(args.diaries)})
     report["input_summary"] = rpt.input_summary(
-        args.diaries, _rows_seen(days, rejected), len(kept), rejected
+        args.diaries, rows_seen, len(kept), rejected
     )
     report["profiles"] = rpt.profiles_section(profiles)
     report["deltas"] = [rpt.delta_to_dict(d) for d in deltas]

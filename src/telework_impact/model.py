@@ -189,15 +189,22 @@ class SiteInventory:
         object.__setattr__(self, "device_counts", counts)
 
 
-def finite_at_least(name: str, value, minimum: float = 0.0) -> float:
-    """``value`` as a float when it is a real number, not a bool, finite and
-    at least ``minimum``; otherwise :class:`ValueError` naming ``name``."""
+def _real(name: str, value) -> float:
+    """``value`` as a float when it is a real number and not a bool (an int
+    too large for a float is inf); otherwise :class:`ValueError` naming
+    ``name``. Text such as ``"0.5"`` is refused, not converted."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
-        number = float(value)
+        return float(value)
     except OverflowError:
-        number = math.inf
+        return math.inf
+
+
+def finite_at_least(name: str, value, minimum: float = 0.0) -> float:
+    """``value`` as a float when it is a real number, not a bool, finite and
+    at least ``minimum``; otherwise :class:`ValueError` naming ``name``."""
+    number = _real(name, value)
     if not math.isfinite(number):
         raise ValueError(f"{name} is not finite: {value!r}")
     if number < minimum:
@@ -221,7 +228,8 @@ def _whole_number(name: str, value) -> int:
 class FactorTable:
     """All energy coefficients in one place.
 
-    Construction is permissive; completeness and sign are established by
+    Construction refuses a value that is a bool or not a real number, naming
+    its ``group.key``; completeness, finiteness and sign are established by
     :func:`validate_factor_table`, which every energy computation expects to
     have run.
     """
@@ -232,22 +240,17 @@ class FactorTable:
     mode_energy: Mapping[TransportMode, float]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "facility_intensity",
-            {str(k): float(v) for k, v in self.facility_intensity.items()},
-        )
-        object.__setattr__(
-            self,
-            "device_daily_energy",
-            {str(k): float(v) for k, v in self.device_daily_energy.items()},
-        )
-        object.__setattr__(
-            self, "mode_speed", {TransportMode(k): float(v) for k, v in self.mode_speed.items()}
-        )
-        object.__setattr__(
-            self, "mode_energy", {TransportMode(k): float(v) for k, v in self.mode_energy.items()}
-        )
+        for group, key_type in (
+            ("facility_intensity", str),
+            ("device_daily_energy", str),
+            ("mode_speed", TransportMode),
+            ("mode_energy", TransportMode),
+        ):
+            numbers_by_key = {}
+            for key, value in getattr(self, group).items():
+                key = key_type(key)
+                numbers_by_key[key] = _real(f"{group}.{getattr(key, 'value', key)}", value)
+            object.__setattr__(self, group, numbers_by_key)
 
     def facility_intensity_total(self) -> float:
         """Summed heating + cooling + lighting intensity, MJ/(m2*year)."""

@@ -11,8 +11,10 @@ Every evaluation first takes the terms that do not depend on the swept
 value (effective inventory, intensities, and the equipment and travel MJ of
 one :func:`compare_day_types` call), once per call; a point then only
 allocates facility and credit energy over coworkers x workdays. Sweeps
-evaluate one parameter over a list of values; break-even bisects the
-scenario net over a bracket. Integer-valued inventory parameters are
+evaluate one parameter over a list of values. Break-even needs no search:
+the net is ``a + b*x`` in floor area and floor-space credit and ``a + b/x``
+in coworkers and workdays, so its root is ``-a/b`` or ``-b/a`` with ``a``
+and ``b`` read from the terms. Integer-valued inventory parameters are
 relaxed to reals for sweeping and root finding (round up for planning).
 """
 
@@ -23,10 +25,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .aggregation import DayTypeProfile
-from .energy import compare_day_types, direct_components, per_coworker_day
+from .energy import compare_day_types, direct_components
 from .errors import (
     ConfigError,
     InvalidOverrideError,
@@ -45,19 +47,43 @@ from .model import (
     finite_at_least,
 )
 
-#: Parameters supported by sweep(); break_even() takes all but
-#: cw_days_per_week, on which the per-day net does not depend.
-SWEEP_PARAMETERS = (
-    "coworker_count",
-    "workdays_per_year",
-    "floor_area_m2",
-    "floor_space_credit_m2",
-    "cw_days_per_week",
-)
-
 _INVENTORY_FIELDS = tuple(f.name for f in dataclasses.fields(SiteInventory))
 
 MAX_CW_DAYS_PER_WEEK = 5.0
+
+
+class _Parameter(NamedTuple):
+    """How a swept parameter enters a point: the :class:`_Terms` field a
+    value replaces (None: the per-day net does not depend on it), the values
+    it takes (``domain`` as errors state it, tested by ``allows``), and the
+    form of the net in it, ``a + b/x`` when ``reciprocal``, else ``a + b*x``."""
+
+    field: str | None
+    domain: str
+    allows: Callable[[float], bool]
+    reciprocal: bool = False
+
+    def check(self, name: str, value: float) -> float:
+        if not math.isfinite(value):
+            raise InvalidOverrideError(f"{name} must be finite, got {value}")
+        if not self.allows(value):
+            raise InvalidOverrideError(f"{name} must be {self.domain}, got {value}")
+        return value
+
+
+_PARAMETERS = {
+    "coworker_count": _Parameter("coworkers", "> 0", lambda v: v > 0, reciprocal=True),
+    "workdays_per_year": _Parameter("workdays", "> 0", lambda v: v > 0, reciprocal=True),
+    "floor_area_m2": _Parameter("area", "> 0", lambda v: v > 0),
+    "floor_space_credit_m2": _Parameter("credit_m2", ">= 0", lambda v: v >= 0),
+    "cw_days_per_week": _Parameter(
+        None, f"in (0, {MAX_CW_DAYS_PER_WEEK:g}]", lambda v: 0 < v <= MAX_CW_DAYS_PER_WEEK
+    ),
+}
+
+#: Parameters supported by sweep(); break_even() takes all but
+#: cw_days_per_week, on which the per-day net does not depend.
+SWEEP_PARAMETERS = tuple(_PARAMETERS)
 
 
 @dataclass(frozen=True)
@@ -114,7 +140,7 @@ class SweepResult:
     points: tuple[tuple[float, EnergyDelta], ...]
 
     def __post_init__(self):
-        _check_parameter(self.parameter)
+        _parameter(self.parameter)
         if not self.points:
             raise ValueError("sweep produced no points")
         values = [value for value, _ in self.points]
@@ -135,24 +161,11 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"scenario file {path} must contain a JSON object")
-    known = {
-        "name",
-        "overrides",
-        "modal_override",
-        "floor_space_credit_m2",
-        "credit_intensity_mj_per_m2_year",
-    }
-    unknown = set(payload) - known
+    unknown = set(payload) - {f.name for f in dataclasses.fields(Scenario)}
     if unknown:
         raise ConfigError(f"unknown scenario keys in {path}: {sorted(unknown)}")
     try:
-        return Scenario(
-            name=str(payload.get("name", path.stem)),
-            overrides=payload.get("overrides", {}),
-            modal_override=payload.get("modal_override"),
-            floor_space_credit_m2=payload.get("floor_space_credit_m2", 0.0),
-            credit_intensity_mj_per_m2_year=payload.get("credit_intensity_mj_per_m2_year", 0.0),
-        )
+        return Scenario(**{**payload, "name": str(payload.get("name", path.stem))})
     except (AttributeError, TypeError, ValueError, KeyError) as exc:
         # AttributeError: a modal override that is not an object of objects.
         raise ConfigError(f"invalid scenario in {path}: {exc}") from exc
@@ -195,45 +208,36 @@ class _Terms:
     equipment_mj: float
     travel_mj: float
 
-    def at(self, parameter: str | None = None, value: float | None = None) -> EnergyDelta:
-        """The delta with one parameter optionally forced to a finite real value
-        (the relaxed space used by sweeps and root finding)."""
-        area, coworkers, workdays = self.area, self.coworkers, self.workdays
-        credit_m2 = self.credit_m2
-        if parameter is not None:
-            value = float(value)
-            if not math.isfinite(value):
-                raise InvalidOverrideError(f"{parameter} must be finite, got {value}")
-            if parameter == "floor_area_m2":
-                if value <= 0:
-                    raise InvalidOverrideError(f"floor_area_m2 must be > 0, got {value}")
-                area = value
-            elif parameter == "coworker_count":
-                if value <= 0:
-                    raise InvalidOverrideError(f"coworker_count must be > 0, got {value}")
-                coworkers = value
-            elif parameter == "workdays_per_year":
-                if value <= 0:
-                    raise InvalidOverrideError(f"workdays_per_year must be > 0, got {value}")
-                workdays = value
-            elif parameter == "floor_space_credit_m2":
-                if value < 0:
-                    raise InvalidOverrideError(f"floor_space_credit_m2 must be >= 0, got {value}")
-                credit_m2 = value
-            elif parameter == "cw_days_per_week":
-                if not 0.0 < value <= MAX_CW_DAYS_PER_WEEK:
-                    raise InvalidOverrideError(
-                        f"cw_days_per_week must be in (0, {MAX_CW_DAYS_PER_WEEK:g}], got {value}"
-                    )
-                # Affects the weekly aggregate only, never the per-day delta.
-            else:
-                _check_parameter(parameter)
+    def coefficients(self, field: str) -> tuple[float, float]:
+        """``(a, b)`` of the net's form in ``field`` up to a common positive
+        factor: the linear forms are multiplied through by coworkers x
+        workdays."""
+        direct = self.equipment_mj + self.travel_mj
+        facility = self.area * self.facility_intensity
+        credit = self.credit_m2 * self.credit_intensity
+        if field == "coworkers":
+            return direct, (facility - credit) / self.workdays
+        if field == "workdays":
+            return direct, (facility - credit) / self.coworkers
+        scaled = direct * self.coworkers * self.workdays
+        if field == "area":
+            return scaled - credit, self.facility_intensity
+        return scaled + facility, -self.credit_intensity
+
+    def at(self, field: str | None = None, value: float = 0.0) -> EnergyDelta:
+        """The delta with the allocation input ``field`` (area, coworkers,
+        workdays or credit_m2) replaced by ``value``."""
+        area = value if field == "area" else self.area
+        coworkers = value if field == "coworkers" else self.coworkers
+        workdays = value if field == "workdays" else self.workdays
+        credit_m2 = value if field == "credit_m2" else self.credit_m2
+        divisor = coworkers * workdays
         return EnergyDelta(
             baseline=self.baseline,
-            facility_mj=per_coworker_day(area * self.facility_intensity, coworkers, workdays),
+            facility_mj=area * self.facility_intensity / divisor,
             equipment_mj=self.equipment_mj,
             travel_mj=self.travel_mj,
-            credit_mj=per_coworker_day(credit_m2 * self.credit_intensity, coworkers, workdays),
+            credit_mj=credit_m2 * self.credit_intensity / divisor,
         )
 
 
@@ -264,11 +268,12 @@ def _terms(
     )
 
 
-def _check_parameter(parameter: str) -> None:
-    if parameter not in SWEEP_PARAMETERS:
+def _parameter(parameter: str) -> _Parameter:
+    if parameter not in _PARAMETERS:
         raise InvalidOverrideError(
             f"unsupported parameter {parameter!r}; supported: {', '.join(SWEEP_PARAMETERS)}"
         )
+    return _PARAMETERS[parameter]
 
 
 def evaluate_scenario(
@@ -308,7 +313,7 @@ def sweep(
     whose MJ figures are not finite among them, raises
     :class:`SweepPointError` with its value.
     """
-    _check_parameter(parameter)
+    spec = _parameter(parameter)
     if not values:
         raise InvalidOverrideError("sweep needs at least one value")
     ordered = sorted(float(v) for v in values)
@@ -316,59 +321,12 @@ def sweep(
     deltas = []
     for value in ordered:
         try:
-            deltas.append(terms.at(parameter, value))
+            deltas.append(terms.at(spec.field, spec.check(parameter, value)))
             if parameter == "cw_days_per_week":
                 weekly_net_mj(deltas[-1], value)
         except TeleworkImpactError as exc:
             raise SweepPointError(parameter, value, exc) from exc
     return SweepResult(parameter=parameter, points=tuple(zip(ordered, deltas)))
-
-
-def bisect_root(
-    f: Callable[[float], float], lo: float, hi: float, tolerance: float = 1e-6
-) -> float:
-    """Bisection on f over [lo, hi] until the bracket is narrower than
-    ``tolerance``; returns the bracket midpoint.
-
-    Raises :class:`NoRootError` when the endpoints have the same sign and
-    :class:`NonFiniteError` when an evaluation fails or is not finite.
-    Assumes f is monotone enough for bisection to be meaningful.
-    """
-    if not lo < hi:
-        raise ValueError(f"bounds must satisfy lo < hi, got [{lo}, {hi}]")
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
-
-    def safe_eval(x: float) -> float:
-        try:
-            y = f(x)
-        except TeleworkImpactError as exc:
-            raise NonFiniteError(f"evaluation failed at {x}: {exc}") from exc
-        if not math.isfinite(y):
-            raise NonFiniteError(f"evaluation at {x} is not finite: {y}")
-        return y
-
-    f_lo = safe_eval(lo)
-    f_hi = safe_eval(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
-        raise NoRootError(lo, hi, f_lo, f_hi)
-
-    while hi - lo >= tolerance:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket at float resolution
-        f_mid = safe_eval(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
 
 
 def break_even(
@@ -381,16 +339,21 @@ def break_even(
     tolerance: float = 1e-6,
     baseline: DayType = DayType.EMPLOYER_OFFICE,
 ) -> float:
-    """Parameter value at which the scenario net energy delta crosses zero.
+    """Parameter value at which the scenario net energy delta crosses zero:
+    ``-a/b`` for a net ``a + b*x``, ``-b/a`` for ``a + b/x``, clamped to the
+    bounds, or a bound where the net is exactly 0. The root is exact up to
+    rounding, so it always meets ``tolerance``, which is only validated.
 
     Raises :class:`InvalidOverrideError` before any evaluation when a bound
     is not finite, ``lo >= hi``, or the tolerance is not a finite positive
-    number.
+    number; :class:`NonFiniteError` when a bound is outside the parameter's
+    domain or the net there is not finite; :class:`NoRootError` when the net
+    has one sign at both bounds.
     """
-    _check_parameter(parameter)
-    if parameter == "cw_days_per_week":
+    spec = _parameter(parameter)
+    if spec.field is None:
         raise InvalidOverrideError(
-            "break-even on cw_days_per_week has no root: the per-day net does not depend on it"
+            f"break-even on {parameter} has no root: the per-day net does not depend on it"
         )
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -400,4 +363,23 @@ def break_even(
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise InvalidOverrideError(f"tolerance must be finite and > 0, got {tolerance}")
     terms = _terms(inventory, factors, profiles, scenario, baseline)
-    return bisect_root(lambda value: terms.at(parameter, value).net_mj, lo, hi, tolerance)
+
+    def net(value: float) -> float:
+        try:
+            return terms.at(spec.field, spec.check(parameter, value)).net_mj
+        except TeleworkImpactError as exc:
+            raise NonFiniteError(f"evaluation failed at {value}: {exc}") from exc
+
+    f_lo, f_hi = net(lo), net(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0) == (f_hi > 0):
+        raise NoRootError(lo, hi, f_lo, f_hi)
+    a, b = terms.coefficients(spec.field)
+    numerator, denominator = (b, a) if spec.reciprocal else (a, b)
+    if denominator == 0:
+        # The exact net is constant or b/x: only rounding made the signs differ.
+        return lo if abs(f_lo) <= abs(f_hi) else hi
+    return min(max(-numerator / denominator, lo), hi)

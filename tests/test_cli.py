@@ -217,6 +217,21 @@ class TestDelta:
         assert "mode_energy.car is not finite: nan" in err
         assert not (tmp_path / "out" / "delta.json").exists()
 
+    @pytest.mark.parametrize("value, shown", [(True, "True"), ("0.5", "'0.5'")])
+    def test_bool_or_text_factor_exit_1(
+        self, run, tmp_path, ref_config_path, ref_diaries_path, value, shown
+    ):
+        config = json.loads(Path(ref_config_path).read_text(encoding="utf-8"))
+        config["factor_table"]["mode_energy"]["car"] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = run(
+            "delta", "--config", path, "--diaries", ref_diaries_path, "--out", tmp_path / "out",
+        )
+        assert code == 1
+        assert f"mode_energy.car must be a number, got {shown}" in err
+        assert not (tmp_path / "out" / "delta.json").exists()
+
     def test_missing_home_profile_exit_2(self, run, tmp_path, ref_config_path):
         diaries = write_diaries(tmp_path, CLEAN_ROWS[:4])
         code, _, err = run(

@@ -69,6 +69,13 @@ def test_count_given_as_text_rejected(tmp_path, payload):
         load_config(write_config(tmp_path, payload))
 
 
+@pytest.mark.parametrize("value", [True, "0.5"])
+def test_factor_given_as_bool_or_text_rejected(tmp_path, payload, value):
+    payload["factor_table"]["mode_energy"]["car"] = value
+    with pytest.raises(ConfigError, match=f"mode_energy.car must be a number, got {value!r}"):
+        load_config(write_config(tmp_path, payload))
+
+
 def test_unknown_mode_key_rejected(tmp_path, payload):
     payload["factor_table"]["mode_speed"]["jetpack"] = 100.0
     with pytest.raises(ConfigError):

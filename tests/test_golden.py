@@ -12,8 +12,10 @@ the object-per-row implementation that preceded the columnar diary tables.
 ``profile`` run with a scenario that overrides inventory fields, claims a
 floor-space credit and replaces the co-working modal profile; its name
 holds quotes, a newline and non-ASCII text, which ``report.json`` carries.
-Their digests were recorded from the per-point evaluation that preceded
-the shared scenario terms.
+The sweep digests were recorded from the per-point evaluation that
+preceded the shared scenario terms; the break-even digests from the exact
+root of the net's closed form, which replaced a bisection whose midpoints
+lay within the tolerance of it.
 
 Paths are passed relative to the working directory so that the reports,
 which name their inputs, do not depend on where the test runs.
@@ -115,15 +117,15 @@ GOLDEN = {
     "reference/sweep_cw_days_per_week/report.json": "661c00aeb622786ac206900fae6fd6fe1050b92b6b2aa3aa513d53dc3bf52c29",
     "reference/sweep_cw_days_per_week/sweep.csv": "bc80fe6d5e69648e4a47d9c621284a5d4ca21e9e62ab56b5ff6da779f3b48bb1",
     "reference/sweep_cw_days_per_week/sweep.json": "14beb3b3aa1fb6e79928c33131c486f46e5e7bbc40820ca28b86c10319abeba4",
-    "reference/breakeven_coworker_count/breakeven.csv": "c259451e3056f58868559a38afa20ea473aa571b93e51ebedebe21d03b44cda6",
-    "reference/breakeven_coworker_count/breakeven.json": "88749d4bb527ae653fe27cadb0460726eeb24e171eca6f4e69f5aeec08d1e360",
-    "reference/breakeven_coworker_count/report.json": "3552efad93ecbaf82685cee11b7ed15c1245a9a6770334212672927a80b5af09",
-    "reference/breakeven_floor_area_m2/breakeven.csv": "7b726cf319552f73195ce4d8f4c3d1e22f8976fee2c2600c45152f57dcd33197",
-    "reference/breakeven_floor_area_m2/breakeven.json": "44addd18821058a62dd0ddbd5cbee54202969a40b6da96822ac21ea6038e5f17",
-    "reference/breakeven_floor_area_m2/report.json": "cdf37f44d4a9a0db5adb9dba3580c19c3baf1b1946d48d2af22322ab31c3e3f0",
-    "reference/breakeven_workdays_per_year/breakeven.csv": "9211444e1974d855dea0ae43ddc862d0f0dffdfd8a4efd0ca79a5028874c0ef3",
-    "reference/breakeven_workdays_per_year/breakeven.json": "6466ac65d0451d5e67f0edf61172db170d14a7f6f9091be7b1948d1c2834945d",
-    "reference/breakeven_workdays_per_year/report.json": "6143900bedf1f707e1ea72f034270298a542c62aa0f1f79dfb251d68b306f37c",
+    "reference/breakeven_coworker_count/breakeven.csv": "4bf83b5f6d6bac9a1dee91bec722402c419ff955b6ebe3edfe3bed03002ebcc0",
+    "reference/breakeven_coworker_count/breakeven.json": "71b11d9d4052c2c25c3240b56dfa9ef2450242f5b70033f60d25e08cf97d19d2",
+    "reference/breakeven_coworker_count/report.json": "48063f457111349d0672d2863a08ebaf5c723eeb63f3932572fde0d417fe1d5e",
+    "reference/breakeven_floor_area_m2/breakeven.csv": "07722b52d647aa9a6b6f9d358748b4577da1e15ec42be6e4c0cb5223b10961b3",
+    "reference/breakeven_floor_area_m2/breakeven.json": "64d78799b9d8bb671d55d3be9bd7c70394bcbc95987babe9e11312e2b660b6ca",
+    "reference/breakeven_floor_area_m2/report.json": "7bbcd31831a24bdd3ac6fe465efd3322f03a7b54e3074be4b506cf796bf1a324",
+    "reference/breakeven_workdays_per_year/breakeven.csv": "f42b43555bdb4749b7578ba0789ff96c81255afc74d6651d33bf3a05ecbfec8d",
+    "reference/breakeven_workdays_per_year/breakeven.json": "63e967ac5368550fbcbba31a3050efb2c3cf387b8dfa76bee1f64817f8cd10af",
+    "reference/breakeven_workdays_per_year/report.json": "96afe59062f91d5ff9ae8e2e04d25016cdc987d20d4852e0f1081c83a009b143",
 }
 
 

@@ -190,6 +190,32 @@ class TestValidateFactorTable:
         with pytest.raises(NonFiniteError, match=f"mode_energy.walk is not finite: {value}"):
             validate_factor_table(table, small_inventory())
 
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, [1.0]])
+    @pytest.mark.parametrize(
+        "group, key",
+        [
+            ("facility_intensity", "heating"),
+            ("device_daily_energy", "screen"),
+            ("mode_speed", "car"),
+            ("mode_energy", "car"),
+        ],
+    )
+    def test_bool_or_text_factor_refused_at_construction(self, group, key, value):
+        tables = {
+            "facility_intensity": {"heating": 200.0, "cooling": 30.0, "lighting": 100.0},
+            "device_daily_energy": {"screen": 1.4},
+            "mode_speed": {m.value: 20.0 for m in TransportMode},
+            "mode_energy": {m.value: 1.0 for m in TransportMode},
+        }
+        with pytest.raises(ValueError, match=f"^{group}.{key} must be a number, got"):
+            full_factor_table(**{group: {**tables[group], key: value}})
+
+    def test_real_factors_are_stored_as_floats(self):
+        table = full_factor_table(device_daily_energy={"screen": 2, "desktop_computer": 10**400})
+        assert table.device_daily_energy == {"screen": 2.0, "desktop_computer": math.inf}
+        with pytest.raises(NonFiniteError, match="device_daily_energy.desktop_computer"):
+            validate_factor_table(table, small_inventory())
+
     def test_zero_factors_allowed(self):
         table = full_factor_table(
             facility_intensity={"heating": 0.0, "cooling": 0.0, "lighting": 0.0}

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,9 @@ from telework_impact import (
     NoRootError,
     Scenario,
     SweepPointError,
+    TeleworkImpactError,
     TransportMode,
     apply_scenario,
-    bisect_root,
     break_even,
     compare_day_types,
     direct_components,
@@ -241,6 +242,52 @@ class TestSweep:
             sweep(inventory, factors, profiles, huge, "cw_days_per_week", [1.0, 5.0])
 
 
+def bisect_root(f, lo: float, hi: float, tolerance: float = 1e-6) -> float:
+    """Reference root finder for :func:`break_even`: bisection on f over
+    [lo, hi] until the bracket is narrower than ``tolerance``; returns the
+    bracket midpoint.
+
+    Raises :class:`NoRootError` when the endpoints have the same sign and
+    :class:`NonFiniteError` when an evaluation fails or is not finite.
+    Assumes f is monotone enough for bisection to be meaningful.
+    """
+    if not lo < hi:
+        raise ValueError(f"bounds must satisfy lo < hi, got [{lo}, {hi}]")
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be > 0, got {tolerance}")
+
+    def safe_eval(x: float) -> float:
+        try:
+            y = f(x)
+        except TeleworkImpactError as exc:
+            raise NonFiniteError(f"evaluation failed at {x}: {exc}") from exc
+        if not math.isfinite(y):
+            raise NonFiniteError(f"evaluation at {x} is not finite: {y}")
+        return y
+
+    f_lo = safe_eval(lo)
+    f_hi = safe_eval(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0) == (f_hi > 0):
+        raise NoRootError(lo, hi, f_lo, f_hi)
+
+    while hi - lo >= tolerance:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # bracket at float resolution
+        f_mid = safe_eval(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
 class TestBisectRoot:
     def test_linear_fixture(self):
         root = bisect_root(lambda x: x - 42.0, 0.0, 100.0, tolerance=1e-6)
@@ -365,13 +412,192 @@ class TestBreakEven:
                 inventory, factors, profiles, Scenario(), "coworker_count", bounds, tolerance
             )
 
-    def test_missing_profile_raised_before_bisection(self, base):
+    def test_missing_profile_raised_before_any_evaluation(self, base):
         inventory, factors, profiles = base
         without_office = {t: p for t, p in profiles.items() if t != DayType.EMPLOYER_OFFICE}
         with pytest.raises(MissingProfileError, match="employer_office"):
             break_even(
                 inventory, factors, without_office, Scenario(), "coworker_count", (30.0, 120.0)
             )
+
+
+def made_up_terms(**fields):
+    """Scenario terms of a made-up site: 10 MJ of facility and 0 of credit
+    per coworker-day, 2 MJ of equipment and -4 MJ of travel."""
+    base = dict(
+        baseline=DayType.EMPLOYER_OFFICE, area=100.0, coworkers=10.0, workdays=10.0,
+        credit_m2=0.0, credit_intensity=100.0, facility_intensity=10.0,
+        equipment_mj=2.0, travel_mj=-4.0,
+    )
+    return scenario_module._Terms(**{**base, **fields})
+
+
+def _with_terms(monkeypatch, terms):
+    """Make every scenario evaluation use ``terms``."""
+    monkeypatch.setattr(scenario_module, "_terms", lambda *args: terms)
+
+
+def _net(parameter, value):
+    """Net MJ of one sweep point on the scenario terms in use."""
+    return sweep(None, None, None, Scenario(), parameter, [value]).points[0][1].net_mj
+
+
+def bisect_break_even(parameter, bounds, tolerance):
+    """break_even() as it was before the closed forms: the same checks of
+    the parameter, bounds and tolerance, then bisect_root() on the net of a
+    one-point sweep."""
+    if parameter == "cw_days_per_week":
+        raise InvalidOverrideError("the per-day net does not depend on cw_days_per_week")
+    lo, hi = float(bounds[0]), float(bounds[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise InvalidOverrideError(f"bad bounds [{lo}, {hi}]")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise InvalidOverrideError(f"bad tolerance {tolerance}")
+    return bisect_root(lambda value: _net(parameter, value), lo, hi, tolerance)
+
+
+class TestExactRoot:
+    @pytest.mark.parametrize(
+        "parameter, zero_at",
+        [
+            ("coworker_count", 50.0),  # (100*10)/(N*10) + 2 - 4 = 0
+            ("workdays_per_year", 50.0),
+            ("floor_area_m2", 20.0),  # (A*10)/100 + 2 - 4 = 0
+            ("floor_space_credit_m2", 8.0),  # 10 + 2 - 4 - (C*100)/100 = 0
+        ],
+    )
+    def test_bound_with_zero_net_is_returned(self, monkeypatch, parameter, zero_at):
+        _with_terms(monkeypatch, made_up_terms())
+        assert _net(parameter, zero_at) == 0.0
+        for bounds in ((zero_at, 4 * zero_at), (zero_at / 4, zero_at)):
+            assert break_even(None, None, None, Scenario(), parameter, bounds) == zero_at
+            assert bisect_break_even(parameter, bounds, 1e-6) == zero_at
+
+    def test_net_constant_up_to_rounding_returns_the_smaller_bound(self, monkeypatch):
+        # Equipment and travel cancel, and so do facility and credit: the
+        # exact net is 0 everywhere, but its rounding has a different sign
+        # at each bound, and a = b = 0 leaves nothing to divide.
+        terms = made_up_terms(
+            area=1.0, credit_m2=1.0, facility_intensity=1.0, credit_intensity=1.0,
+            workdays=1.0, equipment_mj=0.1, travel_mj=-0.1,
+        )
+        _with_terms(monkeypatch, terms)
+        lo, hi = 0.25, 3.0
+        assert _net("coworker_count", lo) < 0 < _net("coworker_count", hi)
+        assert terms.coefficients("coworkers") == (0.0, 0.0)
+        assert abs(_net("coworker_count", hi)) < abs(_net("coworker_count", lo))
+        assert break_even(None, None, None, Scenario(), "coworker_count", (lo, hi)) == hi
+
+
+def _exact_root(terms, parameter):
+    """Root of the net in ``parameter`` in rational arithmetic, or None."""
+    field = scenario_module._PARAMETERS[parameter].field
+    if field is None:
+        return None
+
+    def net(x):
+        values = {
+            name: Fraction(getattr(terms, name))
+            for name in ("area", "coworkers", "workdays", "credit_m2")
+        }
+        values[field] = Fraction(x)
+        allocated = (
+            values["area"] * Fraction(terms.facility_intensity)
+            - values["credit_m2"] * Fraction(terms.credit_intensity)
+        )
+        direct = Fraction(terms.equipment_mj) + Fraction(terms.travel_mj)
+        return direct + allocated / (values["coworkers"] * values["workdays"])
+
+    if field in ("coworkers", "workdays"):  # a + b/x
+        b = 2 * (net(1) - net(2))
+        a = net(1) - b
+        return -b / a if a else None
+    a, b = net(0), net(1) - net(0)  # a + b*x
+    return -a / b if b else None
+
+
+@st.composite
+def break_even_cases(draw):
+    """Random positive terms, a parameter and a bracket: around the root
+    when there is one, often with both bounds on one side of it, and now and
+    then an empty bracket, a bound outside the domain or a bad tolerance."""
+    equipment = draw(st.floats(0.0, 50.0))
+    terms = scenario_module._Terms(
+        baseline=DayType.EMPLOYER_OFFICE,
+        area=draw(st.floats(1.0, 1e4)),
+        coworkers=float(draw(st.integers(1, 1000))),
+        workdays=float(draw(st.integers(1, 366))),
+        credit_m2=draw(st.floats(0.0, 1e3)),
+        credit_intensity=draw(st.floats(0.0, 2000.0)),
+        facility_intensity=draw(st.floats(1.0, 2000.0)),
+        equipment_mj=equipment,
+        # Travel mostly saves more than the equipment costs, as on the
+        # reference site, so that most occupancies have a root.
+        travel_mj=draw(st.floats(-100.0, 20.0).filter(lambda mj: abs(mj) > 1e-3)) - equipment,
+    )
+    parameter = draw(st.sampled_from(scenario_module.SWEEP_PARAMETERS))
+    root = _exact_root(terms, parameter)
+    if root is not None and 0 < root < 1e300 and draw(st.integers(0, 9)) < 9:
+        around = ((0.25, 0.999999), (1.000001, 4.0))
+        below, above = ((0.1, 0.5), (0.6, 0.99)), ((1.01, 2.0), (2.5, 4.0))
+        factors = draw(st.sampled_from([around, around, around, below, above]))
+        lo, hi = (float(root) * draw(st.floats(*factor)) for factor in factors)
+    else:
+        lo = draw(st.floats(-10.0, 1e4))
+        hi = lo + draw(st.floats(1e-3, 1e4))
+    if draw(st.integers(0, 19)) == 19:
+        hi = lo
+    if draw(st.integers(0, 19)) < 19:
+        tolerance = draw(st.floats(1e-9, 1e-3)) * max(abs(lo), abs(hi), 1.0)
+    else:
+        tolerance = draw(st.sampled_from([0.0, -1e-6, math.nan, math.inf]))
+    return terms, parameter, (lo, hi), tolerance
+
+
+def _summands(delta):
+    return delta.facility_mj, delta.equipment_mj, delta.travel_mj, delta.credit_mj
+
+
+def _conditioning(parameter, root):
+    """How much the rounding of the net's summands moves its root, relative
+    to the root: their magnitudes over that of the part that varies."""
+    delta = sweep(None, None, None, Scenario(), parameter, [root]).points[0][1]
+    varying = {
+        "floor_area_m2": delta.facility_mj,
+        "floor_space_credit_m2": delta.credit_mj,
+    }.get(parameter, delta.facility_mj - delta.credit_mj)
+    return sum(map(abs, _summands(delta))) / abs(varying) if varying else math.inf
+
+
+def _outcome(solve, *args):
+    """The root ``solve`` returns, or the class of the error it raises."""
+    try:
+        return solve(*args)
+    except (NoRootError, NonFiniteError, InvalidOverrideError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=break_even_cases())
+def test_exact_root_agrees_with_bisection(case):
+    terms, parameter, bounds, tolerance = case
+    with pytest.MonkeyPatch.context() as patch:
+        _with_terms(patch, terms)
+        closed = _outcome(break_even, None, None, None, Scenario(), parameter, bounds, tolerance)
+        bisected = _outcome(bisect_break_even, parameter, bounds, tolerance)
+        if isinstance(closed, type) or isinstance(bisected, type):
+            assert closed is bisected
+            return
+        lo, hi = bounds
+        assert lo <= closed <= hi
+        # Bisection places the root no better than the rounding of the net
+        # allows; where that blurs it by more than the tolerance, the
+        # distance says nothing about the closed form.
+        if _conditioning(parameter, closed) * 1e-13 * abs(closed) < tolerance:
+            assert abs(closed - bisected) <= tolerance
+        at_closed = sweep(None, None, None, Scenario(), parameter, [closed]).points[0][1]
+        scale = sum(map(abs, _summands(at_closed)))
+        assert abs(at_closed.net_mj) <= abs(_net(parameter, bisected)) + 1e-12 * scale
 
 
 #: Values a sweep point and a scenario override can both express.
