@@ -12,10 +12,12 @@ the object-per-row implementation that preceded the columnar diary tables.
 ``profile`` run with a scenario that overrides inventory fields, claims a
 floor-space credit and replaces the co-working modal profile; its name
 holds quotes, a newline and non-ASCII text, which ``report.json`` carries.
-The sweep digests were recorded from the per-point evaluation that
-preceded the shared scenario terms; the break-even digests from the exact
-root of the net's closed form, which replaced a bisection whose midpoints
-lay within the tolerance of it.
+The ``coworker_count`` and ``cw_days_per_week`` sweep digests were
+recorded from the per-point evaluation that preceded the shared scenario
+terms, and those of the other three parameters from the one ``EnergyDelta``
+per point that preceded the sweep columns; the break-even digests from the
+exact root of the net's closed form, which replaced a bisection whose
+midpoints lay within the tolerance of it.
 
 Paths are passed relative to the working directory so that the reports,
 which name their inputs, do not depend on where the test runs.
@@ -74,6 +76,18 @@ SCENARIO_COMMANDS = {
     "sweep_cw_days_per_week": [
         "sweep", "--parameter", "cw_days_per_week", "--values", "5", "0.25", "2.5", "1",
     ],
+    "sweep_floor_area_m2": [
+        "sweep", "--parameter", "floor_area_m2", "--values",
+        "170", "10", "369.21705475045627", "2000", "170", "0.5", "1e6", "10",
+    ],
+    "sweep_workdays_per_year": [
+        "sweep", "--parameter", "workdays_per_year", "--values",
+        "230", "1", "366", "101.8874593097201", "230", "0.25", "250",
+    ],
+    "sweep_floor_space_credit_m2": [
+        "sweep", "--parameter", "floor_space_credit_m2", "--values",
+        "12.5", "0", "100", "0", "1e-300", "7.75", "5000", "100",
+    ],
     "breakeven_coworker_count": [
         "breakeven", "--parameter", "coworker_count", "--bounds", "10", "500",
     ],
@@ -117,6 +131,15 @@ GOLDEN = {
     "reference/sweep_cw_days_per_week/report.json": "661c00aeb622786ac206900fae6fd6fe1050b92b6b2aa3aa513d53dc3bf52c29",
     "reference/sweep_cw_days_per_week/sweep.csv": "bc80fe6d5e69648e4a47d9c621284a5d4ca21e9e62ab56b5ff6da779f3b48bb1",
     "reference/sweep_cw_days_per_week/sweep.json": "14beb3b3aa1fb6e79928c33131c486f46e5e7bbc40820ca28b86c10319abeba4",
+    "reference/sweep_floor_area_m2/report.json": "31b50438079c31cdc7ff1609d4ab89c300f547f47a70757d71debc1019cb9567",
+    "reference/sweep_floor_area_m2/sweep.csv": "88b3f611114c04b71f1cdf8a48c85dbeeda0b8a440cfb17e5d68ccb88727d79e",
+    "reference/sweep_floor_area_m2/sweep.json": "21a3a497e6a9f3fe24ba8da8a79f3b62905bd6e0554b2def8a52c7ba3cc0ec70",
+    "reference/sweep_workdays_per_year/report.json": "770a08e20d46eb260a0103641ae02ed8b3826bafbec36378f0f3e9242d60817d",
+    "reference/sweep_workdays_per_year/sweep.csv": "3922f948cc144afb32688b2e210343571793017def3eaba50d9f37e74ba49abf",
+    "reference/sweep_workdays_per_year/sweep.json": "887ebdbfb4f92d2a4b958ba9928a1f969088f8970fbb6112e51ab444d0ec42de",
+    "reference/sweep_floor_space_credit_m2/report.json": "63ca5c54f52a4936eca0297f75d48fd6d057364bb5d63d7fe713dc8ff1dd9397",
+    "reference/sweep_floor_space_credit_m2/sweep.csv": "0709d46b4b0c7e13f68d559a74a24eb2dee65ad53f62b4c18ba083fd922971d8",
+    "reference/sweep_floor_space_credit_m2/sweep.json": "3e0e6f430d81d966c3fbdc720019bf915c90d44c0dbcb4f81faa686c22799065",
     "reference/breakeven_coworker_count/breakeven.csv": "4bf83b5f6d6bac9a1dee91bec722402c419ff955b6ebe3edfe3bed03002ebcc0",
     "reference/breakeven_coworker_count/breakeven.json": "71b11d9d4052c2c25c3240b56dfa9ef2450242f5b70033f60d25e08cf97d19d2",
     "reference/breakeven_coworker_count/report.json": "48063f457111349d0672d2863a08ebaf5c723eeb63f3932572fde0d417fe1d5e",
