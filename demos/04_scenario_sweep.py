@@ -32,9 +32,14 @@ def main():
         config.inventory, config.factors, profiles, Scenario(),
         "coworker_count", [15, 30, 60, 90, 120, 240],
     )
-    for value, delta in result.points:
-        bar = "#" * max(0, int(round(delta.net_mj)))
-        print(f"  {value:6.0f} members: facility {delta.facility_mj:7.2f}, net {delta.net_mj:+7.2f}  {bar}")
+    # A sweep is columns: one value, facility, credit and net MJ per point.
+    for value, facility, net in zip(result.values, result.facility_mj, result.net_mj):
+        bar = "#" * max(0, int(round(net)))
+        print(f"  {value:6.0f} members: facility {facility:7.2f}, net {net:+7.2f}  {bar}")
+    print(
+        f"  (equipment {result.equipment_mj:.2f} and travel {result.travel_mj:+.2f} MJ"
+        " at every occupancy)"
+    )
 
     print("\nfloor-space credit: 20 m2 of heated space saved elsewhere,")
     print("valued at the site's own intensity and allocated the same way")

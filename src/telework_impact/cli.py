@@ -320,12 +320,12 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     report = rpt.base_report("sweep", config, __version__, profile_source)
     report["scenario"] = scenario.name
-    print(f"swept {args.parameter} over {len(result.points)} values (baseline {baseline.value})")
+    print(f"swept {args.parameter} over {len(result.values)} values (baseline {baseline.value})")
 
-    def echo(points):
+    def echo(values, nets):
         print("\n".join(
-            f"  {args.parameter}={value:g}: net {_round(delta.net_mj, args):+} MJ"
-            for value, delta in points
+            f"  {args.parameter}={value:g}: net {_round(net, args):+} MJ"
+            for value, net in zip(values, nets)
         ))
 
     rpt.write_sweep(out, result, report, args.format, echo)
@@ -351,21 +351,11 @@ def cmd_breakeven(args) -> int:
         tolerance=args.tolerance,
         baseline=baseline,
     )
-    # Components at the root, evaluated as a degenerate one-point sweep.
-    at_root = sweep(
-        config.inventory,
-        config.factors,
-        profiles,
-        scenario,
-        args.parameter,
-        [root],
-        baseline=baseline,
-    )
-    delta = at_root.points[0][1]
+    delta = root.at_root.points[0][1]  # the components at the root
 
     out = _out_dir(args)
     if args.format in ("csv", "both"):
-        rpt.write_csv(out / "breakeven.csv", rpt.SWEEP_HEADER, rpt.sweep_rows(at_root))
+        rpt.write_csv(out / "breakeven.csv", rpt.SWEEP_HEADER, rpt.sweep_rows(root.at_root))
     payload = {
         "parameter": args.parameter,
         "root": root,

@@ -14,8 +14,9 @@ import json
 from collections import Counter
 from contextlib import ExitStack
 from itertools import chain, islice, repeat
-from operator import attrgetter, is_
+from operator import mul
 from pathlib import Path
+from string import Formatter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .aggregation import DayTypeProfile, profiles_to_dict
@@ -235,82 +236,73 @@ def scenario_delta_to_dict(delta: EnergyDelta, cw_days_per_week: float | None = 
     return payload
 
 
-def _reprs(floats: list[float]) -> list[str]:
-    """``repr`` of each float; a float that is the previous one's very
-    object reuses its text."""
-    repeated = list(map(is_, floats[1:], floats))
-    if not any(repeated):
-        return list(map(repr, floats))
-    texts = [repr(floats[0])]
-    for value, same in zip(floats[1:], repeated):
-        texts.append(texts[-1] if same else repr(value))
-    return texts
-
-
-#: Getters of the floats a delta gives a sweep row, after the value.
-_DELTA_FLOATS = tuple(map(attrgetter, SWEEP_HEADER[2:]))
-
-
 def _sweep_columns(
     result: SweepResult, start: int = 0, stop: int | None = None
 ) -> list[list[str]]:
-    """The float cells of ``result.points[start:stop]``, a column at a time
-    in :data:`SWEEP_HEADER` order (value first), each a float's ``repr``. A
-    sweep's points share one equipment and one travel figure, so a float
-    that is the previous point's object in its column reuses that text."""
-    values, deltas = zip(*result.points[start:stop])
-    return [_reprs(list(values)), *(_reprs(list(map(get, deltas))) for get in _DELTA_FLOATS)]
+    """The ``repr`` of each value, facility, credit and net MJ of the points
+    ``start:stop``, a column each."""
+    columns = (result.values, result.facility_mj, result.credit_mj, result.net_mj)
+    return [list(map(repr, column[start:stop])) for column in columns]
 
 
 def sweep_rows(result: SweepResult) -> list[tuple[str, ...]]:
     """One row per point; every cell after the parameter is a float's
-    ``repr`` (see :func:`_sweep_columns`)."""
-    return list(zip(repeat(result.parameter), *_sweep_columns(result)))
+    ``repr``."""
+    value, facility, credit, net = _sweep_columns(result)
+    equipment, travel = repeat(repr(result.equipment_mj)), repeat(repr(result.travel_mj))
+    return list(zip(repeat(result.parameter), value, facility, equipment, travel, credit, net))
 
 
-#: Day type -> its JSON string, so that no point needs ``json.dumps``.
-_BASELINE_JSON = {day_type: json.dumps(day_type.value) for day_type in DayType}
+def _templates(result: SweepResult) -> tuple[str, str]:
+    """``str.format`` templates of one point's CSV line and of its entry in
+    the sweep document, indented as it sits there and followed by ``,\\n``.
+    They take the point's :func:`_sweep_columns` cells and, in the entry of
+    a ``cw_days_per_week`` sweep, the weekly net's text (with the value
+    again, as the days); what every point shares is laid in as text."""
+    shared = repr(result.equipment_mj), repr(result.travel_mj)
+    cells = dict(zip(SWEEP_HEADER[1:], ("{0}", "{1}", *shared, "{2}", "{3}")))
+    line = ",".join([result.parameter, *cells.values()]) + "\n"
+    cells["baseline"] = json.dumps(result.baseline.value)
+    if result.parameter == "cw_days_per_week":
+        cells.update(cw_days_per_week="{0}", weekly_net_mj="{4}")
+    entry = ",\n".join(f"      {json.dumps(name)}: {cells[name]}" for name in sorted(cells))
+    return line, "    {{\n" + entry + "\n    }},\n"
 
 
-def _point_template(weekly: bool) -> str:
-    """``str.format`` template of one point of the sweep document, indented
-    as it sits there. It takes the point's :func:`_sweep_columns` cells, the
-    baseline's JSON and the weekly net's text, which only a
-    ``cw_days_per_week`` sweep lays out (with the value again, as the
-    days)."""
-    places = {name: place for place, name in enumerate(SWEEP_HEADER[1:])}
-    places["baseline"] = len(places)
-    if weekly:
-        places.update(cw_days_per_week=0, weekly_net_mj=len(places))
-    fields = ",\n".join(f"      {json.dumps(n)}: {{{places[n]}}}" for n in sorted(places))
-    return "    {{\n" + fields + "\n    }}"
+def _laid_out(template: str, columns: list[list[str]]) -> str:
+    """``template`` formatted with each point's cells of ``columns``, all
+    joined: one ``str.join``, where a ``format`` call per point takes ~5x
+    as long."""
+    streams = []
+    for text, index, _, _ in Formatter().parse(template):
+        streams += [repeat(text)] if index is None else [repeat(text), columns[int(index)]]
+    return "".join(chain.from_iterable(zip(*streams)))
 
 
 def _sweep_pieces(result: SweepResult, table, document, on_batch) -> Iterator[str]:
     """The text of the sweep document, one piece per batch of points. Each
-    batch also goes to ``on_batch`` and to the open ``table`` (CSV) and
-    ``document`` (JSON) files that are not ``None`` before the next batch
-    is rendered."""
-    weekly = result.parameter == "cw_days_per_week"
-    point = _point_template(weekly)
+    batch's values and nets also go to ``on_batch``, and its text to the
+    open ``table`` (CSV) and ``document`` (JSON) files that are not
+    ``None``, before the next batch is rendered."""
+    line, entry = _templates(result)
     if table is not None:
         table.write(",".join(SWEEP_HEADER) + "\n")
     text = f'{{\n  "parameter": {json.dumps(result.parameter)},\n  "points": [\n'
-    for start in range(0, len(result.points), _CSV_BATCH_ROWS):
-        batch = result.points[start:start + _CSV_BATCH_ROWS]
-        # Laid out with no row object per point. No cell needs CSV quoting:
-        # each is a supported parameter's name or a float's repr.
-        columns = _sweep_columns(result, start, start + len(batch))
+    for start in range(0, len(result.values), _CSV_BATCH_ROWS):
+        stop = start + _CSV_BATCH_ROWS
+        # No cell needs CSV quoting: each is a supported parameter's name or
+        # a float's repr.
+        columns = _sweep_columns(result, start, stop)
         if table is not None:
-            table.write("\n".join(map(",".join, zip(repeat(result.parameter), *columns))) + "\n")
-        columns.append([_BASELINE_JSON[delta.baseline] for _, delta in batch])
-        if weekly:
-            columns.append([repr(weekly_net_mj(delta, value)) for value, delta in batch])
-        text += ",\n".join(map(point.format, *columns))
+            table.write(_laid_out(line, columns))
+        values, nets = result.values[start:stop], result.net_mj[start:stop]
+        if result.parameter == "cw_days_per_week":
+            columns.append(list(map(repr, map(mul, values, nets))))
+        text += _laid_out(entry, columns)[:-2]  # less the last ",\n"
         del columns  # so that no two batches' cells are alive at once
         if document is not None:
             document.write(text)
-        on_batch(batch)
+        on_batch(values, nets)
         yield text
         text = ",\n"
     text = "\n  ]\n}"
@@ -324,21 +316,20 @@ def write_sweep(
     result: SweepResult,
     report: Mapping,
     formats: str,
-    on_batch: Callable[[Sequence], None],
+    on_batch: Callable[[Sequence[float], Sequence[float]], None],
 ) -> None:
     """Write ``report.json``, which is ``report`` with the sweep document as
     its ``sweep`` member, and, as ``formats`` ("csv", "json" or "both")
-    asks, ``sweep.csv`` and ``sweep.json``: one pass over ``result.points``
-    in batches of ``_CSV_BATCH_ROWS``, each handed to ``on_batch`` too.
+    asks, ``sweep.csv`` and ``sweep.json``: one pass over the columns in
+    batches of ``_CSV_BATCH_ROWS`` points, whose values and nets are handed
+    to ``on_batch`` too.
 
     A batch's cells are rendered once, by :func:`_sweep_columns`, and no
-    file's whole text is held. The tables go out while the member is
-    written, so only ``report.json`` passes through :func:`write_json`.
-    The document is ``json.dumps(sweep_to_dict(result), indent=2,
-    sort_keys=True)``, laid out from the cells. That is exact by
-    construction: a point has fixed keys and only finite floats besides its
-    baseline, and ``json`` renders a finite float with ``float.__repr__``,
-    as the cells do.
+    file's whole text is held; only ``report.json`` passes through
+    :func:`write_json`. The document is ``json.dumps(sweep_to_dict(result),
+    indent=2, sort_keys=True)``, laid out from the cells, exactly: a point
+    has fixed keys and only finite floats besides its baseline, and
+    ``json`` renders a finite float with ``float.__repr__``, as the cells do.
     """
     out_dir = Path(out_dir)
     with ExitStack() as files:

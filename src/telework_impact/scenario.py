@@ -3,15 +3,16 @@
 A scenario can override inventory fields, replace the modal profile of a day
 type, and claim an explicit floor-space credit (net reduction of heated
 space elsewhere, valued at a user-supplied intensity and allocated like the
-facility component). A scenario point is an :class:`EnergyDelta` whose
+facility component). A scenario's delta is an :class:`EnergyDelta` whose
 ``credit_mj`` is reported as its own component, so the three-way
 facility/equipment/travel split stays comparable; its net subtracts it.
 
 Every evaluation first takes the terms that do not depend on the swept
 value (effective inventory, intensities, and the equipment and travel MJ of
 one :func:`compare_day_types` call), once per call; a point then only
-allocates facility and credit energy over coworkers x workdays. Sweeps
-evaluate one parameter over a list of values. Break-even needs no search:
+allocates facility and credit energy over coworkers x workdays. A sweep
+evaluates one parameter over a list of values as columns (a
+:class:`SweepResult`, no delta per point). Break-even needs no search:
 the net is ``a + b*x`` in floor area and floor-space credit and ``a + b/x``
 in coworkers and workdays, so its root is ``-a/b`` or ``-b/a`` with ``a``
 and ``b`` read from the terms. Integer-valued inventory parameters are
@@ -23,7 +24,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Sequence as SequenceABC
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import le, mul
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -44,6 +49,7 @@ from .model import (
     FactorTable,
     SiteInventory,
     TransportMode,
+    _real,
     finite_at_least,
 )
 
@@ -103,7 +109,7 @@ class Scenario:
                 f"unknown inventory fields in overrides: {sorted(unknown)}"
             )
         for name in ("floor_space_credit_m2", "credit_intensity_mj_per_m2_year"):
-            value = _finite(name, getattr(self, name))
+            value = _number(name, getattr(self, name), finite=True)
             if value < 0:
                 raise InvalidOverrideError(f"{name} must be >= 0")
             object.__setattr__(self, name, value)
@@ -115,39 +121,81 @@ class Scenario:
                 for mode, minutes in profile.items():
                     mode = TransportMode(mode)
                     name = f"modal_override[{day_type.value}][{mode.value}]"
-                    minutes = _finite(name, minutes)
+                    minutes = _number(name, minutes, finite=True)
                     if minutes < 0:
                         raise InvalidOverrideError(f"{name} is negative")
                     normalized[day_type][mode] = minutes
             object.__setattr__(self, "modal_override", normalized)
 
 
-def _finite(name: str, value) -> float:
-    """``value`` as a float when it is a finite real number and not a bool;
-    text such as ``"20"`` is refused, not converted. Otherwise
-    :class:`InvalidOverrideError` naming ``name``."""
+def _number(name: str, value, finite: bool = False) -> float:
+    """``value`` as a float when it is a real number and not a bool, and
+    finite if ``finite`` asks; text such as ``"20"`` is refused, not
+    converted. Otherwise :class:`InvalidOverrideError` naming ``name``."""
     try:
-        return finite_at_least(name, value, -math.inf)
+        return finite_at_least(name, value, -math.inf) if finite else _real(name, value)
     except ValueError as exc:
         raise InvalidOverrideError(str(exc)) from None
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Deltas of one sweep of a supported parameter, ordered by value."""
+    """One sweep of a supported parameter as columns, ordered by value; the
+    points share the baseline and the equipment and travel MJ. The net is
+    computed here, as :class:`EnergyDelta` computes it. What a point's
+    evaluation refuses is refused: a value outside the domain, a non-finite
+    MJ or weekly net, a negative facility, equipment or credit."""
 
     parameter: str
-    points: tuple[tuple[float, EnergyDelta], ...]
+    baseline: DayType
+    equipment_mj: float
+    travel_mj: float
+    values: tuple[float, ...]
+    facility_mj: tuple[float, ...]
+    credit_mj: tuple[float, ...]
+    net_mj: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        _parameter(self.parameter)
-        if not self.points:
-            raise ValueError("sweep produced no points")
-        values = [value for value, _ in self.points]
-        if not all(map(math.isfinite, values)):
-            raise ValueError("sweep point values must be finite")
-        if values != sorted(values):
-            raise ValueError("sweep points must be ordered by parameter value")
+        spec = _parameter(self.parameter)
+        values, facility, credit = map(tuple, (self.values, self.facility_mj, self.credit_mj))
+        if not (values and len(values) == len(facility) == len(credit)):
+            raise ValueError("sweep columns must have one length, not 0")
+        # Sorted finite values lie in an interval domain when both ends do.
+        ordered = all(map(math.isfinite, values)) and all(map(le, values, values[1:]))
+        if not (ordered and spec.allows(values[0]) and spec.allows(values[-1])):
+            raise ValueError(f"sweep values must be finite, ascending and {spec.domain}")
+        equipment, travel = self.equipment_mj, self.travel_mj
+        net = tuple([f + equipment + travel - c for f, c in zip(facility, credit)])
+        # A non-finite component makes the net non-finite too.
+        weekly = map(mul, values, net) if spec.field is None else ()
+        finite = all(map(math.isfinite, chain(net, weekly)))
+        if not (finite and min(facility) >= 0 <= equipment and min(credit) >= 0):
+            raise ValueError("sweep MJ must be finite; facility, equipment, credit >= 0")
+        columns = {"values": values, "facility_mj": facility, "credit_mj": credit, "net_mj": net}
+        for name, column in columns.items():
+            object.__setattr__(self, name, column)
+
+    @property
+    def points(self) -> Sequence[tuple[float, EnergyDelta]]:
+        """``(value, EnergyDelta)`` per point, each built when it is read."""
+        return _Points(self)
+
+
+class _Points(SequenceABC):
+    """The points of a :class:`SweepResult`; ``len`` builds no delta."""
+
+    def __init__(self, result: SweepResult):
+        self._result = result
+
+    def __len__(self) -> int:
+        return len(self._result.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        r = self._result
+        facility, credit = r.facility_mj[index], r.credit_mj[index]
+        return r.values[index], EnergyDelta(r.baseline, facility, r.equipment_mj, r.travel_mj, credit)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -240,6 +288,20 @@ class _Terms:
             credit_mj=credit_m2 * self.credit_intensity / divisor,
         )
 
+    def columns(self, field: str | None, values: list[float]) -> tuple[list, list]:
+        """The facility and credit MJ of :meth:`at` at each of ``values``,
+        with its float operations, a column each."""
+        area, coworkers, workdays, credit_m2 = (
+            values if field == name else [getattr(self, name)] * len(values)
+            for name in ("area", "coworkers", "workdays", "credit_m2")
+        )
+        divisors = list(map(mul, coworkers, workdays))
+        intensity, credit_intensity = self.facility_intensity, self.credit_intensity
+        return (
+            [a * intensity / d for a, d in zip(area, divisors)],
+            [c * credit_intensity / d for c, d in zip(credit_m2, divisors)],
+        )
+
 
 def _terms(
     inventory: SiteInventory,
@@ -307,26 +369,50 @@ def sweep(
     values: Sequence[float],
     baseline: DayType = DayType.EMPLOYER_OFFICE,
 ) -> SweepResult:
-    """Evaluate one parameter over a list of values, in ascending order.
-
-    The value-independent terms are computed once; a failing point, one
-    whose MJ figures are not finite among them, raises
-    :class:`SweepPointError` with its value.
-    """
-    spec = _parameter(parameter)
+    """Evaluate one parameter over a list of values, in ascending order:
+    the value-independent terms once, then the points as columns. A value
+    that is a bool or not a real number (``"60"``) raises
+    :class:`InvalidOverrideError`; the first failing point (outside the
+    domain, or with an MJ figure that is not finite) :class:`SweepPointError`
+    with its value."""
+    _parameter(parameter)
     if not values:
         raise InvalidOverrideError("sweep needs at least one value")
-    ordered = sorted(float(v) for v in values)
+    # Plain floats, as the CLI passes, need no test one by one.
+    if not all(type(value) is float for value in values):
+        values = [_number(parameter, value) for value in values]
     terms = _terms(inventory, factors, profiles, scenario, baseline)
-    deltas = []
+    return _sweep(terms, parameter, sorted(values))
+
+
+def _sweep(terms: _Terms, parameter: str, ordered: list[float]) -> SweepResult:
+    """The sweep over the sorted ``ordered`` on ``terms``; see :func:`sweep`."""
+    spec = _PARAMETERS[parameter]
+    with suppress(ValueError, ZeroDivisionError):
+        columns = terms.columns(spec.field, ordered)
+        shared = terms.baseline, terms.equipment_mj, terms.travel_mj
+        return SweepResult(parameter, *shared, ordered, *columns)
+    # A point fails: evaluate them alone, in order, to raise its own error.
     for value in ordered:
         try:
-            deltas.append(terms.at(spec.field, spec.check(parameter, value)))
-            if parameter == "cw_days_per_week":
-                weekly_net_mj(deltas[-1], value)
+            delta = terms.at(spec.field, spec.check(parameter, value))
+            if spec.field is None:
+                weekly_net_mj(delta, value)
         except TeleworkImpactError as exc:
             raise SweepPointError(parameter, value, exc) from exc
-    return SweepResult(parameter=parameter, points=tuple(zip(ordered, deltas)))
+    raise AssertionError(f"the {parameter} sweep failed a check that none of its points fails")
+
+
+class BreakEven(float):
+    """A break-even root, with ``at_root``: the one-point sweep at it."""
+
+    def __new__(cls, root: float, at_root: SweepResult):
+        self = super().__new__(cls, root)
+        self.at_root = at_root
+        return self
+
+    def __getnewargs__(self):  # for copy and pickle
+        return float(self), self.at_root
 
 
 def break_even(
@@ -338,24 +424,26 @@ def break_even(
     bounds: tuple[float, float],
     tolerance: float = 1e-6,
     baseline: DayType = DayType.EMPLOYER_OFFICE,
-) -> float:
+) -> BreakEven:
     """Parameter value at which the scenario net energy delta crosses zero:
     ``-a/b`` for a net ``a + b*x``, ``-b/a`` for ``a + b/x``, clamped to the
     bounds, or a bound where the net is exactly 0. The root is exact up to
-    rounding, so it always meets ``tolerance``, which is only validated.
+    rounding, so it always meets ``tolerance``, which is only validated. It
+    comes with the one-point sweep at it, on the same terms (:class:`BreakEven`).
 
     Raises :class:`InvalidOverrideError` before any evaluation when a bound
-    is not finite, ``lo >= hi``, or the tolerance is not a finite positive
-    number; :class:`NonFiniteError` when a bound is outside the parameter's
-    domain or the net there is not finite; :class:`NoRootError` when the net
-    has one sign at both bounds.
+    is a bool or not a real number, is not finite, ``lo >= hi``, or the
+    tolerance is not a finite positive number; :class:`NonFiniteError` when
+    a bound is outside the parameter's domain or the net there is not
+    finite; :class:`NoRootError` when the net has one sign at both bounds.
     """
     spec = _parameter(parameter)
     if spec.field is None:
         raise InvalidOverrideError(
             f"break-even on {parameter} has no root: the per-day net does not depend on it"
         )
-    lo, hi = float(bounds[0]), float(bounds[1])
+    lo = _number(f"{parameter} lower bound", bounds[0])
+    hi = _number(f"{parameter} upper bound", bounds[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidOverrideError(f"bounds must be finite, got [{lo}, {hi}]")
     if not lo < hi:
@@ -363,23 +451,20 @@ def break_even(
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise InvalidOverrideError(f"tolerance must be finite and > 0, got {tolerance}")
     terms = _terms(inventory, factors, profiles, scenario, baseline)
-
-    def net(value: float) -> float:
-        try:
-            return terms.at(spec.field, spec.check(parameter, value)).net_mj
-        except TeleworkImpactError as exc:
-            raise NonFiniteError(f"evaluation failed at {value}: {exc}") from exc
-
-    f_lo, f_hi = net(lo), net(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
+    try:
+        f_lo, f_hi = _sweep(terms, parameter, [lo, hi]).net_mj
+    except SweepPointError as exc:
+        raise NonFiniteError(f"evaluation failed at {exc.value}: {exc.cause}") from exc.cause
+    if f_lo == 0.0 or f_hi == 0.0:
+        root = lo if f_lo == 0.0 else hi
+    elif (f_lo > 0) == (f_hi > 0):
         raise NoRootError(lo, hi, f_lo, f_hi)
-    a, b = terms.coefficients(spec.field)
-    numerator, denominator = (b, a) if spec.reciprocal else (a, b)
-    if denominator == 0:
-        # The exact net is constant or b/x: only rounding made the signs differ.
-        return lo if abs(f_lo) <= abs(f_hi) else hi
-    return min(max(-numerator / denominator, lo), hi)
+    else:
+        a, b = terms.coefficients(spec.field)
+        numerator, denominator = (b, a) if spec.reciprocal else (a, b)
+        if denominator == 0:
+            # The exact net is constant or b/x: only rounding made the signs differ.
+            root = lo if abs(f_lo) <= abs(f_hi) else hi
+        else:
+            root = min(max(-numerator / denominator, lo), hi)
+    return BreakEven(root, _sweep(terms, parameter, [root]))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from telework_impact import cli
+from telework_impact import energy as energy_module
 from telework_impact.diary import DIARY_HEADER
 from telework_impact.scenario import SWEEP_PARAMETERS
 
@@ -546,6 +547,23 @@ class TestBreakevenCli:
         assert "break-even coworker_count" in stdout
         rows = read_csv(out / "breakeven.csv")
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("parameter", ["coworker_count", "floor_area_m2", "workdays_per_year"])
+    def test_travel_energy_runs_twice_per_breakeven(
+        self, run, tmp_path, monkeypatch, ref_config_path, ref_diaries_path, parameter
+    ):
+        """The root and its components come from one set of scenario terms:
+        one co-working and one baseline travel energy."""
+        calls = []
+        real = energy_module.travel_energy
+        monkeypatch.setattr(
+            energy_module, "travel_energy", lambda *args: calls.append(args) or real(*args)
+        )
+        code, _, _ = run(
+            "breakeven", "--config", ref_config_path, "--diaries", ref_diaries_path,
+            "--parameter", parameter, "--bounds", 10, 1000, "--out", tmp_path / "out",
+        )
+        assert code == 0 and len(calls) == 2
 
     def test_same_sign_bounds_exit_3(self, run, tmp_path, ref_config_path, ref_diaries_path):
         code, _, err = run(

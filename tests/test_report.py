@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from telework_impact import report
 from telework_impact.diary import RejectedDay, RejectReason
-from telework_impact.model import DayType, EnergyDelta
+from telework_impact.model import DayType
 from telework_impact.report import (
     SWEEP_HEADER,
     EncodedJson,
@@ -100,26 +100,34 @@ _MJ = st.just(0.0) | st.floats(min_value=5e-324, max_value=1e300)
 
 @st.composite
 def _sweep_results(draw):
-    """Sweeps over either key set, with repeated values; a co-working-days
-    value stays in the (0, 5] a sweep accepts, so the weekly net is finite."""
+    """Columnar sweeps over either key set, with repeated values and a
+    shared baseline, equipment and travel; a co-working-days value stays in
+    the (0, 5] a sweep accepts, so the weekly net is finite."""
     parameter = draw(st.sampled_from(SWEEP_PARAMETERS))
     top = 5.0 if parameter == "cw_days_per_week" else 1e300
     values = draw(st.lists(st.floats(min_value=5e-324, max_value=top), min_size=1, max_size=6))
     values = sorted(values + draw(st.lists(st.sampled_from(values), max_size=3)))
-    deltas = st.builds(
-        EnergyDelta,
-        baseline=st.sampled_from(DayType),
-        facility_mj=_MJ,
-        equipment_mj=_MJ,
-        travel_mj=st.just(-0.0) | st.floats(min_value=-1e300, max_value=1e300),
-        credit_mj=_MJ,
+    column = st.lists(_MJ, min_size=len(values), max_size=len(values))
+    return SweepResult(
+        parameter,
+        baseline=draw(st.sampled_from(DayType)),
+        equipment_mj=draw(_MJ),
+        travel_mj=draw(st.just(-0.0) | st.floats(min_value=-1e300, max_value=1e300)),
+        values=values,
+        facility_mj=draw(column),
+        credit_mj=draw(column),
     )
-    return SweepResult(parameter, tuple((v, draw(deltas)) for v in values))
 
 
-_REPEATED = (2.5, EnergyDelta(DayType.HOME, 5e-324, 0.0, -0.0, credit_mj=1e300))
-_ZERO = EnergyDelta(DayType.COWORKING, 0.0, 0.0, 0.0)
-_SIGNED_ZERO = EnergyDelta(DayType.COWORKING, 0.0, 0.0, -0.0)
+#: One point repeated: every float cell repeats, 5e-324, -0.0 and 1e300 among them.
+_REPEATED = SweepResult(
+    "cw_days_per_week", DayType.HOME, 0.0, -0.0, (2.5, 2.5), (5e-324, 5e-324), (1e300, 1e300)
+)
+#: 0.0 and -0.0 in turn in the facility and credit columns.
+_SIGNED_ZEROS = SweepResult(
+    "coworker_count", DayType.COWORKING, 0.0, -0.0, (1.0, 2.0, 3.0), (0.0, -0.0, 0.0),
+    (-0.0, 0.0, -0.0),
+)
 _REPORT = {"command": "sweep", "scenario": 'say "hi"\nZürich', "tool": {"name": "t"}}
 
 
@@ -139,27 +147,20 @@ def _expected_csv(result: SweepResult) -> str:
     formats=st.sampled_from(["csv", "json", "both"]),
     batch=st.integers(1, 5),
 )
-# One delta object repeated: every float cell repeats, 5e-324, -0.0 and 1e300
-# among them, across a batch boundary.
-@example(result=SweepResult("cw_days_per_week", (_REPEATED, _REPEATED)), formats="both", batch=1)
-# 0.0 and -0.0 in turn: equal floats that are different objects.
-@example(
-    result=SweepResult("coworker_count", ((1.0, _ZERO), (2.0, _SIGNED_ZERO), (3.0, _ZERO))),
-    formats="both",
-    batch=2,
-)
+@example(result=_REPEATED, formats="both", batch=1)  # across a batch boundary
+@example(result=_SIGNED_ZEROS, formats="both", batch=2)
 def test_sweep_writer_matches_json_and_csv_modules(tmp_path, result, formats, batch):
     """The streamed sweep artifacts equal what ``json`` and ``csv`` write
-    for the whole sweep, whatever the batch size; every point reaches
-    ``on_batch`` once, in order, in batches of at most that size."""
+    for the whole sweep, whatever the batch size; every point's value and
+    net reach ``on_batch`` once, in order, in batches of at most that size."""
     # A directory per example: a leftover sweep.csv would hide a missing one.
     out = Path(tempfile.mkdtemp(dir=tmp_path))
     batches = []
     with mock.patch.object(report, "_CSV_BATCH_ROWS", batch):
-        write_sweep(out, result, _REPORT, formats, batches.append)
+        write_sweep(out, result, _REPORT, formats, lambda *columns: batches.append(columns))
     as_dict = sweep_to_dict(result)
-    assert [p for b in batches for p in b] == list(result.points)
-    assert all(0 < len(b) <= batch for b in batches)
+    assert [p for b in batches for p in zip(*b)] == list(zip(result.values, result.net_mj))
+    assert all(0 < len(values) == len(nets) <= batch for values, nets in batches)
 
     expected = json.dumps({**_REPORT, "sweep": as_dict}, indent=2, sort_keys=True) + "\n"
     assert (out / "report.json").read_text(encoding="utf-8") == expected
@@ -177,17 +178,6 @@ def test_sweep_writer_matches_json_and_csv_modules(tmp_path, result, formats, ba
     # The rows of breakeven.csv are the same cells.
     written = write_csv(tmp_path / "rows.csv", SWEEP_HEADER, sweep_rows(result))
     assert written.read_bytes() == _expected_csv(result).encode("utf-8")
-
-
-def test_sweep_rows_reuse_the_text_of_a_repeated_float():
-    """A float that is the previous point's object reuses its text; an
-    equal float that is another object gets its own ``repr``."""
-    rows = sweep_rows(
-        SweepResult("coworker_count", ((1.0, _ZERO), (2.0, _ZERO), (3.0, _SIGNED_ZERO)))
-    )
-    assert [row[4] for row in rows] == ["0.0", "0.0", "-0.0"]
-    assert rows[0][3] is rows[1][3] and rows[0][4] is rows[1][4]
-    assert rows[1][4] is not rows[2][4]
 
 
 #: Cells that need quoting (``,``, ``"``, ``\r``, ``\n``), empty cells and

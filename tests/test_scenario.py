@@ -1,12 +1,16 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import re
 import random
 from fractions import Fraction
+from itertools import repeat
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rel_err
@@ -184,9 +188,12 @@ class TestSweep:
         with pytest.raises(InvalidOverrideError, match="unsupported"):
             sweep(inventory, factors, profiles, Scenario(), "workplace_count", [1])
         # Nor can a result be built for one: its CSV cells could need quoting.
-        point = sweep(inventory, factors, profiles, Scenario(), "coworker_count", [1]).points
+        r = sweep(inventory, factors, profiles, Scenario(), "coworker_count", [1])
         with pytest.raises(InvalidOverrideError, match="unsupported"):
-            scenario_module.SweepResult("a,b", point)
+            scenario_module.SweepResult(
+                "a,b", r.baseline, r.equipment_mj, r.travel_mj, r.values, r.facility_mj,
+                r.credit_mj,
+            )
 
     def test_missing_profile_is_not_a_point_error(self, base):
         inventory, factors, profiles = base
@@ -230,6 +237,41 @@ class TestSweep:
         with pytest.raises(SweepPointError, match="facility_mj is not finite: inf") as info:
             sweep(inventory, factors, profiles, Scenario(), parameter, [2.0, value])
         assert isinstance(info.value.cause, NonFiniteError)
+
+    @pytest.mark.parametrize("value", ["60", True, None, 1j])
+    def test_text_or_bool_value_is_refused(self, base, monkeypatch, value):
+        inventory, factors, profiles = base
+        monkeypatch.setattr(scenario_module, "_terms", None)  # refused before the terms
+        with pytest.raises(
+            InvalidOverrideError, match=re.escape(f"coworker_count must be a number, got {value!r}")
+        ):
+            sweep(inventory, factors, profiles, Scenario(), "coworker_count", [30.0, value])
+
+    def test_int_and_numpy_values_are_taken_as_floats(self, base):
+        inventory, factors, profiles = base
+        mixed = [120, np.float64(30.0), np.float32(90.0), np.int64(60)]
+        result = sweep(inventory, factors, profiles, Scenario(), "coworker_count", mixed)
+        assert [type(value) for value in result.values] == [float] * 4
+        floats = [120.0, 30.0, 90.0, 60.0]
+        assert result == sweep(inventory, factors, profiles, Scenario(), "coworker_count", floats)
+
+    def test_points_are_built_on_access(self, base, monkeypatch):
+        inventory, factors, profiles = base
+        result = sweep(inventory, factors, profiles, Scenario(), "coworker_count", [30, 60, 120])
+        built = []
+        monkeypatch.setattr(scenario_module, "EnergyDelta", lambda *a: built.append(a) or a)
+        assert len(result.points) == 3 and built == []
+        assert result.points[-1][0] == 120.0 and len(built) == 1
+        assert [value for value, _ in result.points[:2]] == [30.0, 60.0]
+
+    def test_columns_must_have_equal_lengths(self, base):
+        inventory, factors, profiles = base
+        r = sweep(inventory, factors, profiles, Scenario(), "coworker_count", [30, 60])
+        with pytest.raises(ValueError, match="one length"):
+            scenario_module.SweepResult(
+                r.parameter, r.baseline, r.equipment_mj, r.travel_mj, r.values,
+                r.facility_mj, r.credit_mj[:1],
+            )
 
     def test_overflowing_weekly_net_rejected(self, base):
         inventory, factors, profiles = base
@@ -396,6 +438,8 @@ class TestBreakEven:
             ((30.0, 120.0), -1e-6, "tolerance"),
             ((30.0, 120.0), math.nan, "tolerance"),
             ((30.0, 120.0), math.inf, "tolerance"),
+            ((True, 120.0), 1e-6, "coworker_count lower bound must be a number, got True"),
+            ((30.0, "120"), 1e-6, "coworker_count upper bound must be a number, got '120'"),
         ],
     )
     def test_bad_bracket_or_tolerance_rejected_before_terms(
@@ -411,6 +455,16 @@ class TestBreakEven:
             break_even(
                 inventory, factors, profiles, Scenario(), "coworker_count", bounds, tolerance
             )
+
+    def test_root_carries_the_sweep_at_it(self, base):
+        inventory, factors, profiles = base
+        root = break_even(inventory, factors, profiles, Scenario(), "coworker_count", (30, 120))
+        assert isinstance(root, float) and root.at_root.values == (float(root),)
+        assert root.at_root == sweep(
+            inventory, factors, profiles, Scenario(), "coworker_count", [float(root)]
+        )
+        for copied in (copy.deepcopy(root), pickle.loads(pickle.dumps(root))):
+            assert copied == root and copied.at_root == root.at_root
 
     def test_missing_profile_raised_before_any_evaluation(self, base):
         inventory, factors, profiles = base
@@ -598,6 +652,112 @@ def test_exact_root_agrees_with_bisection(case):
         at_closed = sweep(None, None, None, Scenario(), parameter, [closed]).points[0][1]
         scale = sum(map(abs, _summands(at_closed)))
         assert abs(at_closed.net_mj) <= abs(_net(parameter, bisected)) + 1e-12 * scale
+
+
+def per_point_sweep(terms, parameter, values):
+    """sweep() as it was before the columns: one delta per point from
+    ``_Terms.at``, in ascending order, where the first failing point
+    raises."""
+    spec = scenario_module._PARAMETERS[parameter]
+    points = []
+    for value in sorted(values):
+        try:
+            delta = terms.at(spec.field, spec.check(parameter, value))
+            if parameter == "cw_days_per_week":
+                weekly_net_mj(delta, value)
+        except TeleworkImpactError as exc:
+            raise SweepPointError(parameter, value, exc) from exc
+        points.append((value, delta))
+    return points
+
+
+def _bits(points):
+    """Value, baseline, summands and net of each point, every float as its
+    hex text, so that 0.0 and -0.0 differ."""
+    return [
+        (value.hex(), delta.baseline, *(x.hex() for x in (*_summands(delta), delta.net_mj)))
+        for value, delta in points
+    ]
+
+
+def _column_bits(result):
+    """:func:`_bits` of a sweep's columns, which must be those of its points."""
+    shared = (repeat(result.baseline), repeat(result.equipment_mj), repeat(result.travel_mj))
+    rows = zip(result.values, *shared, result.facility_mj, result.credit_mj, result.net_mj)
+    columns = [
+        (value.hex(), baseline, *(x.hex() for x in (facility, equipment, travel, credit, net)))
+        for value, baseline, equipment, travel, facility, credit, net in rows
+    ]
+    assert columns == _bits(result.points)
+    return columns
+
+
+def _sweep_outcome(sweeper, *args):
+    """What ``sweeper`` returns, or the class, message and value of the
+    error it raises."""
+    try:
+        return sweeper(*args)
+    except Exception as exc:  # noqa: BLE001 - the reference's errors are the spec
+        return type(exc), str(exc), repr(getattr(exc, "value", None))
+
+
+#: Terms and values that make a point fail: overflow and underflow, a
+#: negative intensity or equipment (the library takes an unvalidated factor
+#: table), a value outside the domain.
+_EXTREME_TERMS = (5e-324, 1e-300, 1e300, 1e308, 0.0, -1.0)
+_EXTREME_VALUES = (0.0, -0.0, -1.0, 5e-324, 1e308, 5.000000000000001, math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def sweep_cases(draw):
+    """Random terms, a parameter and values: mostly a sweep whose every point
+    evaluates, now and then one extreme term or value."""
+    fields = {
+        "area": draw(st.floats(1.0, 1e4)),
+        "coworkers": float(draw(st.integers(1, 1000))),
+        "workdays": float(draw(st.integers(1, 366))),
+        "credit_m2": draw(st.floats(0.0, 1e3)),
+        "credit_intensity": draw(st.floats(0.0, 2000.0)),
+        "facility_intensity": draw(st.floats(0.0, 2000.0)),
+        "equipment_mj": draw(st.floats(0.0, 50.0)),
+        "travel_mj": draw(st.floats(-100.0, 20.0)),
+    }
+    if draw(st.integers(0, 3)) == 0:
+        fields[draw(st.sampled_from(sorted(fields)))] = draw(st.sampled_from(_EXTREME_TERMS))
+    terms = scenario_module._Terms(baseline=draw(st.sampled_from(DayType)), **fields)
+    parameter = draw(st.sampled_from(scenario_module.SWEEP_PARAMETERS))
+    top = 5.0 if parameter == "cw_days_per_week" else 1e4
+    values = draw(st.lists(st.floats(1e-3, top), min_size=1, max_size=8))
+    values += draw(st.lists(st.sampled_from(values), max_size=2))
+    if draw(st.integers(0, 2)) == 0:
+        values.insert(draw(st.integers(0, len(values))), draw(st.sampled_from(_EXTREME_VALUES)))
+    return terms, parameter, values
+
+
+_OVERFLOWING_WEEK = made_up_terms(area=1e308, facility_intensity=1.0, coworkers=1.0, workdays=1.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=sweep_cases())
+@example(case=(made_up_terms(), "coworker_count", [2.0, 5e-324]))
+@example(case=(made_up_terms(), "floor_area_m2", [1e308, 2.0]))
+@example(case=(made_up_terms(), "cw_days_per_week", [1.0, 2.5, 6.0]))
+@example(case=(made_up_terms(), "coworker_count", [3.0, math.inf, 2.0, math.nan]))
+@example(case=(made_up_terms(facility_intensity=-1.0), "workdays_per_year", [30.0, 60.0]))
+@example(case=(made_up_terms(credit_intensity=-1.0), "floor_space_credit_m2", [0.0, 2.0]))
+@example(case=(_OVERFLOWING_WEEK, "cw_days_per_week", [1.0, 5.0]))
+@example(case=(made_up_terms(), "floor_space_credit_m2", [0.0, -0.0, 3.0, -0.0]))
+def test_columns_equal_a_per_point_sweep(case):
+    """The columnar sweep returns the points of the per-point one to the
+    bit, and fails where it fails: the same class, message and value."""
+    terms, parameter, values = case
+    with pytest.MonkeyPatch.context() as patch:
+        _with_terms(patch, terms)
+        columnar = _sweep_outcome(
+            lambda: _column_bits(sweep(None, None, None, Scenario(), parameter, values))
+        )
+    reference = _sweep_outcome(lambda: _bits(per_point_sweep(terms, parameter, values)))
+    assert columnar == reference
 
 
 #: Values a sweep point and a scenario override can both express.
