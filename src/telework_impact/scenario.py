@@ -166,10 +166,10 @@ class SweepResult:
             raise ValueError(f"sweep values must be finite, ascending and {spec.domain}")
         equipment, travel = self.equipment_mj, self.travel_mj
         net = tuple([f + equipment + travel - c for f, c in zip(facility, credit)])
+        weekly = map(mul, values, net) if spec.field is None else ()  # cw_days_per_week
         # A non-finite component makes the net non-finite too.
-        weekly = map(mul, values, net) if spec.field is None else ()
         finite = all(map(math.isfinite, chain(net, weekly)))
-        if not (finite and min(facility) >= 0 <= equipment and min(credit) >= 0):
+        if not (finite and min(facility) >= 0 and equipment >= 0 and min(credit) >= 0):
             raise ValueError("sweep MJ must be finite; facility, equipment, credit >= 0")
         columns = {"values": values, "facility_mj": facility, "credit_mj": credit, "net_mj": net}
         for name, column in columns.items():
@@ -194,8 +194,10 @@ class _Points(SequenceABC):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         r = self._result
-        facility, credit = r.facility_mj[index], r.credit_mj[index]
-        return r.values[index], EnergyDelta(r.baseline, facility, r.equipment_mj, r.travel_mj, credit)
+        delta = EnergyDelta(
+            r.baseline, r.facility_mj[index], r.equipment_mj, r.travel_mj, r.credit_mj[index]
+        )
+        return r.values[index], delta
 
 
 def load_scenario(path: str | Path) -> Scenario:
