@@ -13,7 +13,7 @@ from telework_impact import (
     apply_quality_filter,
     parse_diary_path,
 )
-from telework_impact.calibration import shipped_diaries_path
+from telework_impact.config import shipped_diaries_path
 
 
 def main():

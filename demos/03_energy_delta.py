@@ -16,7 +16,7 @@ from telework_impact import (
     load_config,
     parse_diary_path,
 )
-from telework_impact.calibration import shipped_config_path, shipped_diaries_path
+from telework_impact.config import shipped_config_path, shipped_diaries_path
 
 
 def main():

@@ -16,7 +16,7 @@ from telework_impact import (
     sweep,
     weekly_net_mj,
 )
-from telework_impact.calibration import shipped_config_path, shipped_diaries_path
+from telework_impact.config import shipped_config_path, shipped_diaries_path
 
 
 def main():

@@ -20,7 +20,7 @@ from telework_impact import (
     parse_diary_path,
     travel_energy,
 )
-from telework_impact.calibration import shipped_config_path, shipped_diaries_path
+from telework_impact.config import shipped_config_path, shipped_diaries_path
 from telework_impact.energy import annual_facility_energy
 
 

@@ -1,135 +1,38 @@
 """Energy accounting for co-working days versus employer-office and
 home-office days: diary validation, day-type profiles, per-coworker-day
-energy allocation, and break-even scenario analysis."""
+energy allocation, and break-even scenario analysis.
 
-from .aggregation import (
-    DayTypeProfile,
-    aggregate_profiles,
-    day_counts,
-    profiles_from_dict,
-    profiles_to_dict,
-)
-from .config import AppConfig, config_fingerprint, load_config
-from .diary import (
-    DIARY_HEADER,
-    DiaryTable,
-    RejectedDay,
-    RejectReason,
-    classify_day,
-    parse_diary_file,
-    parse_diary_path,
-)
-from .energy import (
-    DirectComponents,
-    compare_day_types,
-    direct_components,
-    equipment_energy,
-    facility_energy,
-    travel_energy,
-)
-from .errors import (
-    ConfigError,
-    DiaryFormatError,
-    DivisionDomainError,
-    InvalidOverrideError,
-    MissingFactorError,
-    MissingProfileError,
-    NegativeFactorError,
-    NonFiniteError,
-    NoRootError,
-    SweepPointError,
-    TeleworkImpactError,
-    UnknownCategoryError,
-)
-from .model import (
-    COMPARABLE_DAY_TYPES,
-    Activity,
-    DayType,
-    DiaryDay,
-    EnergyDelta,
-    FactorTable,
-    SiteInventory,
-    TransportMode,
-    validate_factor_table,
-)
-from .quality import QualityRules, apply_quality_filter
-from .scenario import (
-    Scenario,
-    SweepResult,
-    apply_scenario,
-    break_even,
-    evaluate_scenario,
-    load_scenario,
-    sweep,
-    weekly_net_mj,
-)
-from .taxonomy import (
-    EffectClassification,
-    EffectLayer,
-    SignTendency,
-    classify_effect,
-    registered_categories,
-)
+The root exports the names the README and ``demos/`` use; every other name
+imports from its module (``telework_impact.errors``, ``.model``, ...)."""
+
+from .aggregation import aggregate_profiles
+from .config import load_config
+from .diary import classify_day, parse_diary_file, parse_diary_path
+from .energy import compare_day_types, direct_components, equipment_energy, travel_energy
+from .model import Activity, DayType, TransportMode
+from .quality import apply_quality_filter
+from .scenario import Scenario, break_even, evaluate_scenario, sweep, weekly_net_mj
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Activity",
-    "AppConfig",
-    "COMPARABLE_DAY_TYPES",
-    "ConfigError",
     "DayType",
-    "DayTypeProfile",
-    "DiaryDay",
-    "DiaryTable",
-    "DIARY_HEADER",
-    "DiaryFormatError",
-    "DirectComponents",
-    "DivisionDomainError",
-    "EffectClassification",
-    "EffectLayer",
-    "EnergyDelta",
-    "FactorTable",
-    "InvalidOverrideError",
-    "MissingFactorError",
-    "MissingProfileError",
-    "NegativeFactorError",
-    "NonFiniteError",
-    "NoRootError",
-    "QualityRules",
-    "RejectReason",
-    "RejectedDay",
     "Scenario",
-    "SignTendency",
-    "SiteInventory",
-    "SweepPointError",
-    "SweepResult",
-    "TeleworkImpactError",
     "TransportMode",
-    "UnknownCategoryError",
     "aggregate_profiles",
     "apply_quality_filter",
-    "apply_scenario",
     "break_even",
     "classify_day",
-    "classify_effect",
     "compare_day_types",
-    "config_fingerprint",
-    "day_counts",
     "direct_components",
     "equipment_energy",
     "evaluate_scenario",
-    "facility_energy",
     "load_config",
-    "load_scenario",
     "parse_diary_file",
     "parse_diary_path",
-    "profiles_from_dict",
-    "profiles_to_dict",
-    "registered_categories",
     "sweep",
     "travel_energy",
-    "validate_factor_table",
     "weekly_net_mj",
     "__version__",
 ]

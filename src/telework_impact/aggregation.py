@@ -54,17 +54,16 @@ class DayTypeProfile:
         if day_count < 0:
             raise ValueError(f"day_count must be >= 0, got {day_count}")
         object.__setattr__(self, "day_count", day_count)
-        for label, mapping in (
-            ("mean", self.mean_activity_minutes),
-            ("mean", self.mean_mode_minutes),
-            ("share", self.mode_share),
+        for label, attribute in (
+            ("mean", "mean_activity_minutes"),
+            ("mean", "mean_mode_minutes"),
+            ("share", "mode_share"),
         ):
-            for key, value in mapping.items():
-                name = getattr(key, "value", key)
-                if not math.isfinite(value):
-                    raise ValueError(f"{label} for {name} is not finite: {value}")
-                if value < 0:
-                    raise ValueError(f"{label} for {name} is negative")
+            checked = {
+                key: finite_at_least(f"{label} for {getattr(key, 'value', key)}", value)
+                for key, value in getattr(self, attribute).items()
+            }
+            object.__setattr__(self, attribute, checked)
         share_sum = sum(self.mode_share.values())
         # Written so that a sum that is not a number fails too.
         if share_sum and not abs(share_sum - 1.0) <= SHARE_SUM_TOLERANCE:
@@ -73,7 +72,9 @@ class DayTypeProfile:
     def with_mode_minutes(self, mode_minutes: Mapping[TransportMode, float]) -> "DayTypeProfile":
         """Copy of this profile with a replaced modal profile (missing modes
         mean zero); shares are recomputed."""
-        minutes = {m: float(mode_minutes.get(m, 0.0)) for m in TransportMode}
+        minutes = {
+            m: _stored(f"mean for {m.value}", mode_minutes.get(m, 0.0)) for m in TransportMode
+        }
         return DayTypeProfile(
             day_type=self.day_type,
             day_count=self.day_count,
@@ -149,7 +150,7 @@ def profiles_to_dict(profiles: Mapping[DayType, DayTypeProfile]) -> dict:
 
 
 def _stored(name: str, value) -> float:
-    """A stored mean or share as a float: a finite real number, never text
+    """A mean or share as a float: a finite real number, never text
     or a bool converted; otherwise :class:`ValueError` naming ``name``.
     Signs are checked by :class:`DayTypeProfile`."""
     return finite_at_least(name, value, -math.inf)

@@ -63,6 +63,16 @@ class AppConfig:
     path: str
 
 
+def shipped_config_path() -> Path:
+    """The bundled reference case's configuration file."""
+    return Path(__file__).with_name("data") / "reference_config.json"
+
+
+def shipped_diaries_path() -> Path:
+    """The bundled reference case's 250-day diary set."""
+    return Path(__file__).with_name("data") / "reference_diaries.csv"
+
+
 def config_fingerprint(payload: dict) -> str:
     """SHA-256 over the canonical JSON form of the parsed document."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -222,14 +222,9 @@ def delta_rows(deltas: Iterable[EnergyDelta]) -> list[list[str]]:
 
 
 def scenario_delta_to_dict(delta: EnergyDelta, cw_days_per_week: float | None = None) -> dict:
-    payload = {
-        "baseline": delta.baseline.value,
-        "facility_mj": delta.facility_mj,
-        "equipment_mj": delta.equipment_mj,
-        "travel_mj": delta.travel_mj,
-        "credit_mj": delta.credit_mj,
-        "net_mj": delta.net_mj,
-    }
+    """:func:`delta_to_dict` with the credit, and the weekly net when
+    ``cw_days_per_week`` is given."""
+    payload = {**delta_to_dict(delta), "credit_mj": delta.credit_mj}
     if cw_days_per_week is not None:
         payload["cw_days_per_week"] = cw_days_per_week
         payload["weekly_net_mj"] = weekly_net_mj(delta, cw_days_per_week)

@@ -276,23 +276,15 @@ class _Terms:
 
     def at(self, field: str | None = None, value: float = 0.0) -> EnergyDelta:
         """The delta with the allocation input ``field`` (area, coworkers,
-        workdays or credit_m2) replaced by ``value``."""
-        area = value if field == "area" else self.area
-        coworkers = value if field == "coworkers" else self.coworkers
-        workdays = value if field == "workdays" else self.workdays
-        credit_m2 = value if field == "credit_m2" else self.credit_m2
-        divisor = coworkers * workdays
-        return EnergyDelta(
-            baseline=self.baseline,
-            facility_mj=area * self.facility_intensity / divisor,
-            equipment_mj=self.equipment_mj,
-            travel_mj=self.travel_mj,
-            credit_mj=credit_m2 * self.credit_intensity / divisor,
-        )
+        workdays or credit_m2) replaced by ``value``: one point of
+        :meth:`columns`."""
+        (facility,), (credit,) = self.columns(field, [value])
+        return EnergyDelta(self.baseline, facility, self.equipment_mj, self.travel_mj, credit)
 
     def columns(self, field: str | None, values: list[float]) -> tuple[list, list]:
-        """The facility and credit MJ of :meth:`at` at each of ``values``,
-        with its float operations, a column each."""
+        """The facility and credit MJ, ``area * intensity / (coworkers *
+        workdays)``, with the allocation input ``field`` replaced by each of
+        ``values``, a column each."""
         area, coworkers, workdays, credit_m2 = (
             values if field == name else [getattr(self, name)] * len(values)
             for name in ("area", "coworkers", "workdays", "credit_m2")

@@ -13,16 +13,11 @@ import random
 
 import pytest
 
-from telework_impact import (
-    Activity,
-    DayType,
-    DiaryDay,
-    RejectReason,
-    TransportMode,
-    calibration,
-    load_config,
-)
+from telework_impact import Activity, DayType, TransportMode, load_config
 from telework_impact.aggregation import aggregate_profiles
+from telework_impact.config import shipped_config_path, shipped_diaries_path
+from telework_impact.diary import RejectReason
+from telework_impact.model import DiaryDay
 
 
 def make_day(
@@ -148,12 +143,12 @@ def rel_err(actual: float, expected: float) -> float:
 
 @pytest.fixture(scope="session")
 def ref_config_path():
-    return calibration.shipped_config_path()
+    return shipped_config_path()
 
 
 @pytest.fixture(scope="session")
 def ref_diaries_path():
-    return calibration.shipped_diaries_path()
+    return shipped_diaries_path()
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,10 @@ reproduce; factor values that the targets do not pin down are plausible
 round numbers, the remaining ones are back-solved here so the engine output
 matches the targets to float precision. Regenerating the shipped files and
 comparing them byte for byte is part of the test suite, which keeps the
-derivation executable rather than documented prose.
+derivation executable rather than documented prose. Regenerate the files
+into a directory with::
+
+    PYTHONPATH=src python3 tests/reference_case.py --out some_dir
 
 Documented assumptions:
 
@@ -25,10 +28,11 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import json
-from importlib import resources
 from pathlib import Path
 
-from .model import (
+from telework_impact.config import shipped_config_path, shipped_diaries_path
+from telework_impact.diary import DIARY_HEADER
+from telework_impact.model import (
     DESKTOP_COMPUTER,
     PRINTER,
     SCREEN,
@@ -36,7 +40,6 @@ from .model import (
     Activity,
     DayType,
     FactorTable,
-    SiteInventory,
     TransportMode,
 )
 
@@ -125,9 +128,6 @@ _HEATING_MJ_M2_YEAR = 1500.0
 _LIGHTING_MJ_M2_YEAR = 400.0
 _CHOSEN_DEVICE_ENERGY = {SCREEN: 1.08, DESKTOP_COMPUTER: 3.6, PRINTER: 2.5}
 
-CONFIG_FILENAME = "reference_config.json"
-DIARIES_FILENAME = "reference_diaries.csv"
-
 
 def facility_intensity() -> dict[str, float]:
     """Back-solve the intensity total from the facility target, then split it
@@ -160,16 +160,6 @@ def mode_energy_mj_per_pkm() -> dict[TransportMode, float]:
     pt = TransportMode.PUBLIC_TRANSPORT
     pt_pkm_delta = (coworking[pt] - office[pt]) / 60.0 * MODE_SPEED_KMH[pt]
     return {**_CHOSEN_MODE_ENERGY, pt: (TRAVEL_TARGET_MJ - known) / pt_pkm_delta}
-
-
-def reference_inventory() -> SiteInventory:
-    return SiteInventory(
-        floor_area_m2=FLOOR_AREA_M2,
-        workplace_count=WORKPLACE_COUNT,
-        device_counts=dict(DEVICE_COUNTS),
-        coworker_count=COWORKER_COUNT,
-        workdays_per_year=WORKDAYS_PER_YEAR,
-    )
 
 
 def reference_factor_table() -> FactorTable:
@@ -303,29 +293,9 @@ def build_diary_rows() -> list[list[str]]:
 
 
 def render_diary_csv() -> str:
-    from .diary import DIARY_HEADER
-
     lines = [",".join(DIARY_HEADER)]
     lines.extend(",".join(row) for row in build_diary_rows())
     return "\n".join(lines) + "\n"
-
-
-def write_reference_files(out_dir: str | Path) -> tuple[Path, Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config_path = out_dir / CONFIG_FILENAME
-    diaries_path = out_dir / DIARIES_FILENAME
-    config_path.write_text(render_config_json(), encoding="utf-8")
-    diaries_path.write_text(render_diary_csv(), encoding="utf-8")
-    return config_path, diaries_path
-
-
-def shipped_config_path() -> Path:
-    return Path(str(resources.files("telework_impact") / "data" / CONFIG_FILENAME))
-
-
-def shipped_diaries_path() -> Path:
-    return Path(str(resources.files("telework_impact") / "data" / DIARIES_FILENAME))
 
 
 def main(argv=None) -> int:
@@ -333,10 +303,14 @@ def main(argv=None) -> int:
         description="Regenerate the bundled reference configuration and diary set."
     )
     parser.add_argument("--out", default=".", help="output directory")
-    args = parser.parse_args(argv)
-    config_path, diaries_path = write_reference_files(args.out)
-    print(f"wrote {config_path}")
-    print(f"wrote {diaries_path}")
+    out = Path(parser.parse_args(argv).out)
+    out.mkdir(parents=True, exist_ok=True)
+    for shipped, text in (
+        (shipped_config_path(), render_config_json()),
+        (shipped_diaries_path(), render_diary_csv()),
+    ):
+        (out / shipped.name).write_text(text, encoding="utf-8")
+        print(f"wrote {out / shipped.name}")
     return 0
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -7,18 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_day, naive_profiles, random_valid_day, rel_err
-from telework_impact import (
-    Activity,
-    DayType,
+from telework_impact import Activity, DayType, TransportMode, aggregate_profiles
+from telework_impact.aggregation import (
+    SHARE_SUM_TOLERANCE,
     DayTypeProfile,
-    DiaryTable,
-    TransportMode,
-    aggregate_profiles,
     day_counts,
     profiles_from_dict,
     profiles_to_dict,
 )
-from telework_impact.aggregation import SHARE_SUM_TOLERANCE
+from telework_impact.diary import DiaryTable
 
 
 def office_day(travel, work=522.0):
@@ -171,28 +169,54 @@ def test_profiles_dict_roundtrip():
     assert restored == profiles
 
 
+def _coworking_with(section, key, value):
+    """The ways to a co-working profile whose ``section[key]`` is ``value``:
+    read back from a stored payload, built directly, and for mode minutes
+    replaced by ``with_mode_minutes``."""
+    rng = random.Random(11)
+    profiles = aggregate_profiles([random_valid_day(rng) for _ in range(30)])
+    payload = profiles_to_dict(profiles)
+    payload["coworking"][section][key] = value
+    profile = profiles[DayType.COWORKING]
+    mapping = {k: value if k.value == key else v for k, v in getattr(profile, section).items()}
+    builds = [
+        lambda: profiles_from_dict(payload),
+        lambda: dataclasses.replace(profile, **{section: mapping}),
+    ]
+    if section == "mean_mode_minutes":
+        builds.append(lambda: profile.with_mode_minutes(mapping))
+    return builds
+
+
 @pytest.mark.parametrize("section", ["mean_activity_minutes", "mean_mode_minutes", "mode_share"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_stored_profile_rejects_non_finite_values(section, value):
-    rng = random.Random(11)
-    payload = profiles_to_dict(aggregate_profiles([random_valid_day(rng) for _ in range(30)]))
     key = "work" if section == "mean_activity_minutes" else "walk"
-    payload["coworking"][section][key] = value
     label = "share" if section == "mode_share" else "mean"
-    with pytest.raises(ValueError, match=f"{label} for {key} is not finite"):
-        profiles_from_dict(payload)
+    for build in _coworking_with(section, key, value):
+        with pytest.raises(ValueError, match=f"{label} for {key} is not finite"):
+            build()
 
 
 @pytest.mark.parametrize("section", ["mean_activity_minutes", "mean_mode_minutes", "mode_share"])
 @pytest.mark.parametrize("value", ["12", True, None])
 def test_stored_profile_refuses_text_and_bools(section, value):
-    rng = random.Random(11)
-    payload = profiles_to_dict(aggregate_profiles([random_valid_day(rng) for _ in range(30)]))
     key = "work" if section == "mean_activity_minutes" else "walk"
-    payload["coworking"][section][key] = value
     label = "share" if section == "mode_share" else "mean"
-    with pytest.raises(ValueError, match=re.escape(f"{label} for {key} must be a number, got")):
-        profiles_from_dict(payload)
+    for build in _coworking_with(section, key, value):
+        with pytest.raises(ValueError, match=re.escape(f"{label} for {key} must be a number, got")):
+            build()
+
+
+@pytest.mark.parametrize("section", ["mean_activity_minutes", "mean_mode_minutes", "mode_share"])
+def test_profile_stores_floats_and_refuses_negative_values(section):
+    key = "work" if section == "mean_activity_minutes" else "walk"
+    label = "share" if section == "mode_share" else "mean"
+    for build in _coworking_with(section, key, -1)[1:]:
+        with pytest.raises(ValueError, match=re.escape(f"{label} for {key} must be >= 0")):
+            build()
+    profile = _coworking_with("mean_activity_minutes", "work", 500)[1]()
+    assert type(profile.mean_activity_minutes[Activity.WORK]) is float
 
 
 def test_stored_mode_share_must_match_the_mean_minutes():

@@ -14,6 +14,14 @@ from telework_impact.scenario import SWEEP_PARAMETERS
 
 HEADER = ",".join(DIARY_HEADER)
 
+#: The environment of a child interpreter that imports this checkout's package.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
+
 CLEAN_ROWS = [
     "P01,2024-03-04,office,120,510,60,90,10,10,40,60,0",
     "P02,2024-03-04,office,140,520,60,90,10,10,40,80,0",
@@ -643,6 +651,7 @@ class TestBreakevenCli:
             ],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
@@ -682,6 +691,7 @@ def test_module_entrypoint_subprocess(ref_config_path, ref_diaries_path, tmp_pat
         ],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert result.returncode == 0, result.stderr
     assert "net +4.05 MJ" in result.stdout
@@ -694,14 +704,12 @@ class TestLeanImports:
     @staticmethod
     def _numpy_loaded(tmp_path, *statements):
         code = "\n".join([*statements, "import sys", "print('numpy' in sys.modules)"])
-        src = str(Path(cli.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
             cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": path},
+            env=CHILD_ENV,
         )
         assert result.returncode == 0, result.stderr
         return result.stdout.splitlines()[-1] == "True"

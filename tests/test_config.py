@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from telework_impact import ConfigError, config_fingerprint, load_config
-from telework_impact.calibration import build_config_payload
+from reference_case import build_config_payload
+from telework_impact import load_config
+from telework_impact.config import config_fingerprint
+from telework_impact.errors import ConfigError
 
 
 @pytest.fixture()

@@ -17,17 +17,15 @@ from conftest import make_day, naive_failing_rules, random_valid_day
 from telework_impact import (
     Activity,
     DayType,
-    DiaryDay,
-    DiaryFormatError,
-    DiaryTable,
-    QualityRules,
-    RejectedDay,
-    RejectReason,
     TransportMode,
     apply_quality_filter,
     classify_day,
     parse_diary_file,
 )
+from telework_impact.diary import DiaryTable, RejectedDay, RejectReason
+from telework_impact.errors import DiaryFormatError
+from telework_impact.model import DiaryDay
+from telework_impact.quality import QualityRules
 from telework_impact import diary
 from telework_impact.diary import DIARY_HEADER, LOCATION_VOCABULARY
 

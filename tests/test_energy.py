@@ -2,24 +2,20 @@ import random
 
 import pytest
 
+import reference_case
 from conftest import make_day, rel_err
 from telework_impact import (
     DayType,
-    DivisionDomainError,
-    FactorTable,
-    MissingFactorError,
-    MissingProfileError,
-    SiteInventory,
     TransportMode,
     aggregate_profiles,
     compare_day_types,
     direct_components,
     equipment_energy,
-    facility_energy,
     travel_energy,
 )
-from telework_impact.energy import annual_facility_energy, per_coworker_day
-from telework_impact import calibration
+from telework_impact.energy import annual_facility_energy, facility_energy, per_coworker_day
+from telework_impact.errors import DivisionDomainError, MissingFactorError, MissingProfileError
+from telework_impact.model import FactorTable, SiteInventory
 
 
 def table(intensity=(200.0, 30.0, 100.0), devices=None, speed=None, energy=None):
@@ -65,7 +61,7 @@ class TestFacilityEnergy:
 
     def test_reference_calibration(self, ref_inventory, ref_factors):
         value = facility_energy(ref_inventory, ref_factors)
-        assert value == pytest.approx(calibration.FACILITY_TARGET_MJ, abs=1e-9)
+        assert value == pytest.approx(reference_case.FACILITY_TARGET_MJ, abs=1e-9)
 
 
 class TestEquipmentEnergy:
@@ -85,7 +81,7 @@ class TestEquipmentEnergy:
 
     def test_reference_calibration(self, ref_inventory, ref_factors):
         value = equipment_energy(ref_inventory, ref_factors)
-        assert value == pytest.approx(calibration.EQUIPMENT_TARGET_MJ, abs=1e-9)
+        assert value == pytest.approx(reference_case.EQUIPMENT_TARGET_MJ, abs=1e-9)
 
 
 class TestTravelEnergy:
@@ -137,10 +133,10 @@ class TestCompareDayTypes:
             direct,
             ref_factors,
         )
-        assert delta.facility_mj == pytest.approx(calibration.FACILITY_TARGET_MJ, abs=1e-9)
-        assert delta.equipment_mj == pytest.approx(calibration.EQUIPMENT_TARGET_MJ, abs=1e-9)
-        assert delta.travel_mj == pytest.approx(calibration.TRAVEL_TARGET_MJ, abs=1e-9)
-        assert delta.net_mj == pytest.approx(calibration.NET_TARGET_MJ, abs=1e-9)
+        assert delta.facility_mj == pytest.approx(reference_case.FACILITY_TARGET_MJ, abs=1e-9)
+        assert delta.equipment_mj == pytest.approx(reference_case.EQUIPMENT_TARGET_MJ, abs=1e-9)
+        assert delta.travel_mj == pytest.approx(reference_case.TRAVEL_TARGET_MJ, abs=1e-9)
+        assert delta.net_mj == pytest.approx(reference_case.NET_TARGET_MJ, abs=1e-9)
         assert 0.0 < delta.net_mj <= 5.0
         # Travel energy also falls against the home baseline.
         home_delta = compare_day_types(

@@ -32,7 +32,8 @@ from pathlib import Path
 
 import pytest
 
-from telework_impact import calibration, cli
+from telework_impact import cli
+from telework_impact.config import shipped_config_path, shipped_diaries_path
 
 #: Faulty rows and the cause each one plants; inserted after every
 #: ``SPLICE_EVERY`` reference rows.
@@ -153,8 +154,8 @@ GOLDEN = {
 
 
 def _inputs(directory: Path) -> dict[str, str]:
-    reference = calibration.shipped_diaries_path()
-    shutil.copy(calibration.shipped_config_path(), directory / "config.json")
+    reference = shipped_diaries_path()
+    shutil.copy(shipped_config_path(), directory / "config.json")
     shutil.copy(reference, directory / "reference.csv")
     lines = Path(reference).read_text(encoding="utf-8").splitlines()
     header, body = lines[0], lines[1:]

@@ -4,17 +4,13 @@ import random
 import pytest
 
 from conftest import make_day
-from telework_impact import (
-    Activity,
-    DayType,
+from telework_impact import Activity, DayType, TransportMode
+from telework_impact.errors import MissingFactorError, NegativeFactorError, NonFiniteError
+from telework_impact.model import (
     DiaryDay,
     EnergyDelta,
     FactorTable,
-    MissingFactorError,
-    NegativeFactorError,
-    NonFiniteError,
     SiteInventory,
-    TransportMode,
     validate_factor_table,
 )
 

@@ -13,28 +13,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_case
 from conftest import rel_err
 from telework_impact import (
-    ConfigError,
     DayType,
-    InvalidOverrideError,
-    MissingProfileError,
-    NonFiniteError,
-    NoRootError,
     Scenario,
-    SweepPointError,
-    TeleworkImpactError,
     TransportMode,
-    apply_scenario,
     break_even,
     compare_day_types,
     direct_components,
     evaluate_scenario,
-    load_scenario,
     sweep,
     weekly_net_mj,
 )
-from telework_impact import calibration
+from telework_impact.errors import (
+    ConfigError,
+    InvalidOverrideError,
+    MissingProfileError,
+    NonFiniteError,
+    NoRootError,
+    SweepPointError,
+    TeleworkImpactError,
+)
+from telework_impact.model import EnergyDelta
+from telework_impact.scenario import apply_scenario, load_scenario
 from telework_impact import energy as energy_module
 from telework_impact import scenario as scenario_module
 
@@ -87,7 +89,7 @@ class TestApplyScenario:
             credit_intensity_mj_per_m2_year=factors.facility_intensity_total(),
         )
         delta = evaluate_scenario(inventory, factors, profiles, scenario)
-        expected = 20.0 / 170.0 * calibration.FACILITY_TARGET_MJ
+        expected = 20.0 / 170.0 * reference_case.FACILITY_TARGET_MJ
         assert delta.credit_mj == pytest.approx(expected, abs=1e-9)
         assert delta.credit_mj == pytest.approx(2.82, abs=1e-9)
         assert delta.net_mj == pytest.approx(
@@ -655,14 +657,26 @@ def test_exact_root_agrees_with_bisection(case):
 
 
 def per_point_sweep(terms, parameter, values):
-    """sweep() as it was before the columns: one delta per point from
-    ``_Terms.at``, in ascending order, where the first failing point
+    """sweep() as it was before the columns: one delta per point, each
+    allocated on its own, in ascending order, where the first failing point
     raises."""
     spec = scenario_module._PARAMETERS[parameter]
     points = []
     for value in sorted(values):
         try:
-            delta = terms.at(spec.field, spec.check(parameter, value))
+            value = spec.check(parameter, value)
+            area = value if spec.field == "area" else terms.area
+            coworkers = value if spec.field == "coworkers" else terms.coworkers
+            workdays = value if spec.field == "workdays" else terms.workdays
+            credit_m2 = value if spec.field == "credit_m2" else terms.credit_m2
+            divisor = coworkers * workdays
+            delta = EnergyDelta(
+                baseline=terms.baseline,
+                facility_mj=area * terms.facility_intensity / divisor,
+                equipment_mj=terms.equipment_mj,
+                travel_mj=terms.travel_mj,
+                credit_mj=credit_m2 * terms.credit_intensity / divisor,
+            )
             if parameter == "cw_days_per_week":
                 weekly_net_mj(delta, value)
         except TeleworkImpactError as exc:

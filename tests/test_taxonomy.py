@@ -1,7 +1,13 @@
 import pytest
 
-from telework_impact import UnknownCategoryError, classify_effect, registered_categories
-from telework_impact.taxonomy import EFFECT_REGISTRY, EffectLayer, SignTendency
+from telework_impact.errors import UnknownCategoryError
+from telework_impact.taxonomy import (
+    EFFECT_REGISTRY,
+    EffectLayer,
+    SignTendency,
+    classify_effect,
+    registered_categories,
+)
 
 
 def test_facility_operation_entry():
