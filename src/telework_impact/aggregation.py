@@ -13,7 +13,6 @@ by this module: loading stored profiles (``sweep``/``breakeven
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -73,7 +72,8 @@ class DayTypeProfile:
         """Copy of this profile with a replaced modal profile (missing modes
         mean zero); shares are recomputed."""
         minutes = {
-            m: _stored(f"mean for {m.value}", mode_minutes.get(m, 0.0)) for m in TransportMode
+            m: finite_at_least(f"mean for {m.value}", mode_minutes.get(m, 0.0))
+            for m in TransportMode
         }
         return DayTypeProfile(
             day_type=self.day_type,
@@ -149,13 +149,6 @@ def profiles_to_dict(profiles: Mapping[DayType, DayTypeProfile]) -> dict:
     }
 
 
-def _stored(name: str, value) -> float:
-    """A mean or share as a float: a finite real number, never text
-    or a bool converted; otherwise :class:`ValueError` naming ``name``.
-    Signs are checked by :class:`DayTypeProfile`."""
-    return finite_at_least(name, value, -math.inf)
-
-
 def profiles_from_dict(payload: Mapping) -> dict[DayType, DayTypeProfile]:
     """Inverse of :func:`profiles_to_dict`; used when diaries are not
     re-processed and profiles are loaded from a previous run.
@@ -170,16 +163,18 @@ def profiles_from_dict(payload: Mapping) -> dict[DayType, DayTypeProfile]:
         day_type = DayType(day_type_value)
         activities, modes = body["mean_activity_minutes"], body["mean_mode_minutes"]
         mean_activity = {
-            a: _stored(f"mean for {a.value}", activities.get(a.value, 0.0)) for a in Activity
+            a: finite_at_least(f"mean for {a.value}", activities.get(a.value, 0.0))
+            for a in Activity
         }
         mean_mode = {
-            m: _stored(f"mean for {m.value}", modes.get(m.value, 0.0)) for m in TransportMode
+            m: finite_at_least(f"mean for {m.value}", modes.get(m.value, 0.0))
+            for m in TransportMode
         }
         shares = mode_shares(mean_mode)
         stored = body.get("mode_share")
         if stored:
             for mode in TransportMode:
-                share = _stored(f"share for {mode.value}", stored[mode.value])
+                share = finite_at_least(f"share for {mode.value}", stored[mode.value])
                 if not abs(share - shares[mode]) <= SHARE_SUM_TOLERANCE:
                     raise ValueError(
                         f"{day_type.value} mode_share for {mode.value} is {share}, but its"

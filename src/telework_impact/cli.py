@@ -30,7 +30,7 @@ from .errors import (
     NoRootError,
     TeleworkImpactError,
 )
-from .model import COMPARABLE_DAY_TYPES, Activity, DayType, validate_factor_table
+from .model import COMPARABLE_DAY_TYPES, Activity, DayType
 from .quality import apply_quality_filter
 from .scenario import Scenario, break_even, load_scenario, sweep
 from . import report as rpt
@@ -58,20 +58,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser, diaries: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, tables: bool = True) -> None:
+    """The common options; ``--format`` where result ``tables`` are written."""
     parser.add_argument(
         "--config",
         help=f"configuration JSON (falls back to ${CONFIG_ENV_VAR})",
     )
-    if diaries:
-        parser.add_argument("--diaries", help="diary CSV file")
+    parser.add_argument("--diaries", help="diary CSV file")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument(
-        "--format",
-        choices=("csv", "json", "both"),
-        default="both",
-        help="artifact formats for result tables (default: both)",
-    )
+    if tables:
+        parser.add_argument(
+            "--format",
+            choices=("csv", "json", "both"),
+            default="both",
+            help="artifact formats for result tables (default: both)",
+        )
     parser.add_argument(
         "--round",
         type=int,
@@ -90,11 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="parse diaries and report rejected days")
-    _add_common(p)
+    _add_common(p, tables=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("profile", help="aggregate activity and modal profiles per day type")
-    _add_common(p)
+    _add_common(p, tables=False)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("delta", help="energy delta of a co-working day versus baselines")
@@ -262,7 +263,6 @@ def _emit_deltas(args, out: Path, deltas) -> None:
 
 def cmd_delta(args) -> int:
     config = load_config(_config_path(args))
-    validate_factor_table(config.factors, config.inventory)
     rows_seen, kept, rejected = _run_pipeline(args, config)
     profiles = aggregate_profiles(kept)
     direct = direct_components(config.inventory, config.factors)
@@ -302,7 +302,6 @@ def _scenario_from_args(args) -> Scenario:
 
 def cmd_sweep(args) -> int:
     config = load_config(_config_path(args))
-    validate_factor_table(config.factors, config.inventory)
     profiles, profile_source = _load_profiles(args, config)
     scenario = _scenario_from_args(args)
     baseline = _BASELINE_CHOICES[args.baseline][0]
@@ -335,7 +334,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_breakeven(args) -> int:
     config = load_config(_config_path(args))
-    validate_factor_table(config.factors, config.inventory)
     profiles, profile_source = _load_profiles(args, config)
     scenario = _scenario_from_args(args)
     baseline = _BASELINE_CHOICES[args.baseline][0]

@@ -32,9 +32,10 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .quality import QualityRules
+from .energy import equipment_energy
 from .errors import ConfigError
 from .model import FactorTable, SiteInventory
+from .quality import QualityRules
 
 _INVENTORY_KEYS = {
     "floor_area_m2",
@@ -101,7 +102,9 @@ def load_config(path: str | Path) -> AppConfig:
     """Load and validate a configuration file.
 
     Raises :class:`ConfigError` naming the file for any structural problem;
-    value-level invariant violations surface with the same type.
+    value-level invariant violations surface with the same type. A factor
+    table the inventory cannot use raises the factor errors of
+    :class:`FactorTable` and :func:`equipment_energy` as they are.
     """
     path = Path(path)
     try:
@@ -133,6 +136,7 @@ def load_config(path: str | Path) -> AppConfig:
         rules = QualityRules(**rules_section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
+    equipment_energy(inventory, factors)  # every device kind has a factor
 
     return AppConfig(
         inventory=inventory,

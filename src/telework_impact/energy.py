@@ -17,13 +17,12 @@ home are never inferred; they only enter as an explicit scenario credit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from .aggregation import DayTypeProfile
 from .errors import DivisionDomainError, MissingFactorError, MissingProfileError
-from .model import EnergyDelta, FactorTable, SiteInventory, TransportMode
+from .model import EnergyDelta, FactorTable, SiteInventory, TransportMode, finite_at_least
 
 
 def per_coworker_day(annual_mj: float, coworker_count: float, workdays_per_year: float) -> float:
@@ -50,9 +49,7 @@ class DirectComponents:
 
     def __post_init__(self):
         for name in ("facility_mj_per_coworker_day", "equipment_mj_per_coworker_day"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            finite_at_least(name, getattr(self, name))
 
 
 def facility_energy(inventory: SiteInventory, factors: FactorTable) -> float:
@@ -65,7 +62,9 @@ def facility_energy(inventory: SiteInventory, factors: FactorTable) -> float:
 
 
 def equipment_energy(inventory: SiteInventory, factors: FactorTable) -> float:
-    """Device operation energy in MJ per coworker-day, allocated per workplace."""
+    """Device operation energy in MJ per coworker-day, allocated per workplace.
+    A device kind without a factor raises :class:`MissingFactorError` listing
+    every such kind."""
     total = 0.0
     missing = []
     for kind, count in inventory.device_counts.items():
@@ -92,21 +91,10 @@ def travel_energy(mode_minutes: Mapping[TransportMode, float], factors: FactorTa
     differences implicitly include travel-behaviour rebound.
     """
     total = 0.0
-    missing = []
     for mode, minutes in mode_minutes.items():
         mode = TransportMode(mode)
-        minutes = float(minutes)
-        if minutes < 0:
-            raise ValueError(f"mode_minutes[{mode.value}] is negative: {minutes}")
-        if mode not in factors.mode_speed:
-            missing.append(f"mode_speed.{mode.value}")
-        if mode not in factors.mode_energy:
-            missing.append(f"mode_energy.{mode.value}")
-        if missing:
-            continue
+        minutes = finite_at_least(f"mode_minutes[{mode.value}]", minutes)
         total += (minutes / 60.0) * factors.mode_speed[mode] * factors.mode_energy[mode]
-    if missing:
-        raise MissingFactorError(missing)
     return total
 
 

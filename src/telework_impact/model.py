@@ -88,7 +88,8 @@ def _sum_in_order(values: Iterable[float]) -> float:
 def _check_minutes(name: str, minutes: Mapping, kind: type[Enum]) -> dict:
     """Validated copy of a minute map with every member of ``kind`` as a
     key, in declaration order; missing entries become 0.0. Keys may be
-    members or their string values.
+    members or their string values; a value must be a real number and not a
+    bool (text such as ``"12"`` is refused, not converted).
 
     The total is summed left to right in that order, the same order in which
     the columnar diary tables sum a row, so both agree to the last bit.
@@ -99,7 +100,7 @@ def _check_minutes(name: str, minutes: Mapping, kind: type[Enum]) -> dict:
         member = keys.get(key)
         if member is None:
             raise ValueError(f"{name} has unknown key {key!r}")
-        out[member] = float(value)
+        out[member] = _real(f"{name}[{member.value}]", value)
     total = 0.0
     for member, value in out.items():
         if value < 0:
@@ -226,12 +227,16 @@ def _whole_number(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class FactorTable:
-    """All energy coefficients in one place.
+    """All energy coefficients in one place, checked when built.
 
-    Construction refuses a value that is a bool or not a real number, naming
-    its ``group.key``; completeness, finiteness and sign are established by
-    :func:`validate_factor_table`, which every energy computation expects to
-    have run.
+    Every value must be a real number and not a bool (else
+    :class:`ValueError` naming its ``group.key``). Every facility component
+    and every transport mode must have its factors, else
+    :class:`MissingFactorError` lists every missing key. Then the first
+    value that is NaN or infinite raises :class:`NonFiniteError`, and the
+    first negative one :class:`NegativeFactorError`. Device kinds are open:
+    :func:`~telework_impact.config.load_config` checks those of the
+    inventory.
     """
 
     facility_intensity: Mapping[str, float]
@@ -240,6 +245,7 @@ class FactorTable:
     mode_energy: Mapping[TransportMode, float]
 
     def __post_init__(self):
+        named = {}
         for group, key_type in (
             ("facility_intensity", str),
             ("device_daily_energy", str),
@@ -249,53 +255,26 @@ class FactorTable:
             numbers_by_key = {}
             for key, value in getattr(self, group).items():
                 key = key_type(key)
-                numbers_by_key[key] = _real(f"{group}.{getattr(key, 'value', key)}", value)
+                name = f"{group}.{getattr(key, 'value', key)}"
+                numbers_by_key[key] = named[name] = _real(name, value)
             object.__setattr__(self, group, numbers_by_key)
-
-    def facility_intensity_total(self) -> float:
-        """Summed heating + cooling + lighting intensity, MJ/(m2*year)."""
-        return sum(self.facility_intensity.get(c, 0.0) for c in FACILITY_COMPONENTS)
-
-
-def validate_factor_table(table: FactorTable, inventory: SiteInventory) -> FactorTable:
-    """Check the factor table against the mode set and the site inventory.
-
-    Returns the table unchanged when every transport mode has a speed and an
-    energy factor, every device kind present in ``inventory.device_counts``
-    has a daily-energy factor, and all three facility intensity components
-    are present. Raises :class:`MissingFactorError` listing every missing
-    key, :class:`NonFiniteError` for the first NaN or infinite value, or
-    :class:`NegativeFactorError` for the first negative value.
-    """
-    missing = []
-    for component in FACILITY_COMPONENTS:
-        if component not in table.facility_intensity:
-            missing.append(f"facility_intensity.{component}")
-    for mode in TransportMode:
-        if mode not in table.mode_speed:
-            missing.append(f"mode_speed.{mode.value}")
-        if mode not in table.mode_energy:
-            missing.append(f"mode_energy.{mode.value}")
-    for kind in inventory.device_counts:
-        if kind not in table.device_daily_energy:
-            missing.append(f"device_daily_energy.{kind}")
-    if missing:
-        raise MissingFactorError(missing)
-
-    groups = (
-        ("facility_intensity", table.facility_intensity),
-        ("device_daily_energy", table.device_daily_energy),
-        ("mode_speed", table.mode_speed),
-        ("mode_energy", table.mode_energy),
-    )
-    for group_name, mapping in groups:
-        for key, value in mapping.items():
-            name = f"{group_name}.{getattr(key, 'value', key)}"
+        required = [f"facility_intensity.{c}" for c in FACILITY_COMPONENTS] + [
+            f"{group}.{mode.value}"
+            for mode in TransportMode
+            for group in ("mode_speed", "mode_energy")
+        ]
+        missing = [name for name in required if name not in named]
+        if missing:
+            raise MissingFactorError(missing)
+        for name, value in named.items():
             if not math.isfinite(value):
                 raise NonFiniteError(f"{name} is not finite: {value}")
             if value < 0:
                 raise NegativeFactorError(name, value)
-    return table
+
+    def facility_intensity_total(self) -> float:
+        """Summed heating + cooling + lighting intensity, MJ/(m2*year)."""
+        return sum(self.facility_intensity[c] for c in FACILITY_COMPONENTS)
 
 
 _DELTA_COMPONENTS = ("facility_mj", "equipment_mj", "travel_mj", "credit_mj")
@@ -328,10 +307,6 @@ class EnergyDelta:
             values = {name: getattr(self, name) for name in _DELTA_COMPONENTS}
             name = next((n for n, v in values.items() if not math.isfinite(v)), "net_mj")
             raise NonFiniteError(f"{name} is not finite: {values.get(name, net)}")
-        if self.facility_mj < 0:
-            raise ValueError(f"facility_mj must be >= 0, got {self.facility_mj}")
-        if self.equipment_mj < 0:
-            raise ValueError(f"equipment_mj must be >= 0, got {self.equipment_mj}")
-        if self.credit_mj < 0:
-            raise ValueError(f"credit_mj must be >= 0, got {self.credit_mj}")
+        for name in ("facility_mj", "equipment_mj", "credit_mj"):
+            finite_at_least(name, getattr(self, name))
         object.__setattr__(self, "net_mj", net)

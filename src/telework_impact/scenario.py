@@ -109,10 +109,7 @@ class Scenario:
                 f"unknown inventory fields in overrides: {sorted(unknown)}"
             )
         for name in ("floor_space_credit_m2", "credit_intensity_mj_per_m2_year"):
-            value = _number(name, getattr(self, name), finite=True)
-            if value < 0:
-                raise InvalidOverrideError(f"{name} must be >= 0")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _number(name, getattr(self, name), minimum=0.0))
         if self.modal_override is not None:
             normalized = {}
             for day_type, profile in self.modal_override.items():
@@ -121,19 +118,17 @@ class Scenario:
                 for mode, minutes in profile.items():
                     mode = TransportMode(mode)
                     name = f"modal_override[{day_type.value}][{mode.value}]"
-                    minutes = _number(name, minutes, finite=True)
-                    if minutes < 0:
-                        raise InvalidOverrideError(f"{name} is negative")
-                    normalized[day_type][mode] = minutes
+                    normalized[day_type][mode] = _number(name, minutes, minimum=0.0)
             object.__setattr__(self, "modal_override", normalized)
 
 
-def _number(name: str, value, finite: bool = False) -> float:
+def _number(name: str, value, minimum: float | None = None) -> float:
     """``value`` as a float when it is a real number and not a bool, and
-    finite if ``finite`` asks; text such as ``"20"`` is refused, not
-    converted. Otherwise :class:`InvalidOverrideError` naming ``name``."""
+    finite and at least ``minimum`` if one is given; text such as ``"20"`` is
+    refused, not converted. Otherwise :class:`InvalidOverrideError` naming
+    ``name``."""
     try:
-        return finite_at_least(name, value, -math.inf) if finite else _real(name, value)
+        return _real(name, value) if minimum is None else finite_at_least(name, value, minimum)
     except ValueError as exc:
         raise InvalidOverrideError(str(exc)) from None
 

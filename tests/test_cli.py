@@ -273,6 +273,34 @@ class TestDelta:
         assert rows[1][1] != "23.97"  # full precision in the file
 
 
+@pytest.mark.parametrize("command", ["validate", "profile", "delta"])
+def test_negative_factor_refused_by_every_command(
+    run, tmp_path, ref_config_path, ref_diaries_path, command
+):
+    config = json.loads(Path(ref_config_path).read_text(encoding="utf-8"))
+    config["factor_table"]["mode_energy"]["car"] = -1.0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, _, err = run(
+        command, "--config", path, "--diaries", ref_diaries_path, "--out", tmp_path / "out"
+    )
+    assert code == 1
+    assert err == "error: negative factor mode_energy.car = -1.0\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "profile"])
+def test_format_only_on_commands_that_write_tables(
+    capsys, tmp_path, ref_config_path, ref_diaries_path, command
+):
+    argv = [command, "--config", ref_config_path, "--diaries", ref_diaries_path]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*map(str, argv), "--out", str(tmp_path / "out"), "--format", "json"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestSweepCli:
     def test_occupancy_sweep(self, run, tmp_path, ref_config_path, ref_diaries_path):
         out = tmp_path / "out"

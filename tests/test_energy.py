@@ -104,15 +104,22 @@ class TestTravelEnergy:
         with pytest.raises(ValueError):
             travel_energy({TransportMode.CAR: -1.0}, table())
 
+    @pytest.mark.parametrize("value", ["30", True, float("nan"), float("inf")])
+    def test_minutes_must_be_finite_numbers(self, value):
+        with pytest.raises(ValueError, match=r"^mode_minutes\[car\] "):
+            travel_energy({TransportMode.CAR: value}, table())
+
     def test_missing_mode_factor(self):
-        factors = FactorTable(
-            facility_intensity={"heating": 0, "cooling": 0, "lighting": 0},
-            device_daily_energy={},
-            mode_speed={"car": 40.0},
-            mode_energy={},
-        )
-        with pytest.raises(MissingFactorError):
-            travel_energy({TransportMode.CAR: 10.0}, factors)
+        # A table without every mode's factors cannot be built, so no
+        # travel figure is ever computed from one.
+        with pytest.raises(MissingFactorError) as exc:
+            FactorTable(
+                facility_intensity={"heating": 0, "cooling": 0, "lighting": 0},
+                device_daily_energy={},
+                mode_speed={"car": 40.0},
+                mode_energy={},
+            )
+        assert "mode_energy.car" in exc.value.keys
 
 
 def profile_pair(cw_modes, base_modes, baseline=DayType.EMPLOYER_OFFICE):

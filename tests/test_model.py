@@ -1,18 +1,23 @@
+import json
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_day
-from telework_impact import Activity, DayType, TransportMode
-from telework_impact.errors import MissingFactorError, NegativeFactorError, NonFiniteError
-from telework_impact.model import (
-    DiaryDay,
-    EnergyDelta,
-    FactorTable,
-    SiteInventory,
-    validate_factor_table,
+from reference_case import build_config_payload
+from telework_impact import Activity, DayType, Scenario, TransportMode, load_config
+from telework_impact.aggregation import profiles_from_dict, profiles_to_dict
+from telework_impact.errors import (
+    MissingFactorError,
+    NegativeFactorError,
+    NonFiniteError,
+    TeleworkImpactError,
 )
+from telework_impact.model import DiaryDay, EnergyDelta, FactorTable, SiteInventory
 
 
 def full_factor_table(**overrides):
@@ -68,6 +73,14 @@ class TestDiaryDay:
         given = {"car": 10.0, "walk": 5.0}
         dense = make_day(modes={m: given.get(m.value, 0.0) for m in TransportMode})
         assert sparse == dense
+
+    @pytest.mark.parametrize("value", [True, False, "12", None])
+    def test_bool_or_text_minutes_refused(self, value):
+        refused = f"must be a number, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(f"activity_minutes[leisure] {refused}")):
+            make_day(leisure=value)
+        with pytest.raises(ValueError, match=re.escape(f"mode_minutes[car] {refused}")):
+            make_day(modes={"car": value}, travel=0.0)
 
     def test_unknown_minute_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key 'boat'"):
@@ -137,56 +150,68 @@ class TestSiteInventory:
 
 
 class TestValidateFactorTable:
+    """A :class:`FactorTable` is checked when it is built; the device kinds
+    of an inventory are checked by ``load_config``."""
+
     def test_identity_on_valid_input(self):
-        table = full_factor_table()
-        inventory = small_inventory()
-        assert validate_factor_table(table, inventory) is table
+        table = full_factor_table(mode_speed={m: 20 for m in TransportMode})
+        assert table.mode_speed == {m: 20.0 for m in TransportMode}
+        assert table == full_factor_table()
 
     def test_missing_mode_energy(self):
         energy = {m.value: 1.0 for m in TransportMode}
         del energy["walk"]
-        table = full_factor_table(mode_energy=energy)
         with pytest.raises(MissingFactorError) as exc:
-            validate_factor_table(table, small_inventory())
+            full_factor_table(mode_energy=energy)
         assert exc.value.keys == ["mode_energy.walk"]
 
-    def test_unknown_device_kind_needs_factor(self):
-        inventory = small_inventory(device_counts={"screen": 2, "projector": 1})
+    def test_unknown_device_kind_needs_factor(self, tmp_path):
+        payload = build_config_payload()
+        payload["site_inventory"]["device_counts"]["projector"] = 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(MissingFactorError) as exc:
-            validate_factor_table(full_factor_table(), inventory)
+            load_config(path)
         assert exc.value.keys == ["device_daily_energy.projector"]
 
     def test_every_missing_key_listed(self):
-        table = FactorTable(
-            facility_intensity={"heating": 1.0},
-            device_daily_energy={},
-            mode_speed={"car": 40.0},
-            mode_energy={},
-        )
         with pytest.raises(MissingFactorError) as exc:
-            validate_factor_table(table, small_inventory())
-        keys = set(exc.value.keys)
-        assert "facility_intensity.cooling" in keys
-        assert "facility_intensity.lighting" in keys
-        assert "mode_speed.walk" in keys
-        assert "mode_energy.car" in keys
-        assert "device_daily_energy.screen" in keys
-        assert len(keys) == 2 + 4 + 5 + 1
+            FactorTable(
+                facility_intensity={"heating": 1.0},
+                device_daily_energy={},
+                mode_speed={"car": 40.0},
+                mode_energy={},
+            )
+        assert exc.value.keys == [
+            "facility_intensity.cooling",
+            "facility_intensity.lighting",
+            "mode_speed.walk",
+            "mode_energy.walk",
+            "mode_speed.bike",
+            "mode_energy.bike",
+            "mode_energy.car",
+            "mode_speed.public_transport",
+            "mode_energy.public_transport",
+            "mode_speed.other",
+            "mode_energy.other",
+        ]
 
     def test_negative_factor(self):
-        table = full_factor_table(
-            facility_intensity={"heating": -1.0, "cooling": 0.0, "lighting": 0.0}
-        )
-        with pytest.raises(NegativeFactorError, match="facility_intensity.heating"):
-            validate_factor_table(table, small_inventory())
+        with pytest.raises(
+            NegativeFactorError, match="^negative factor facility_intensity.heating = -1.0$"
+        ):
+            full_factor_table(
+                facility_intensity={"heating": -1.0, "cooling": 0.0, "lighting": 0.0}
+            )
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_factor(self, value):
-        table = full_factor_table(mode_energy={m.value: value for m in TransportMode})
-        with pytest.raises(NonFiniteError, match=f"mode_energy.walk is not finite: {value}"):
-            validate_factor_table(table, small_inventory())
+        with pytest.raises(NonFiniteError, match=f"^mode_energy.walk is not finite: {value}$"):
+            full_factor_table(mode_energy={m.value: value for m in TransportMode})
 
-    @pytest.mark.parametrize("value", [True, False, "0.5", None, [1.0]])
+    @pytest.mark.parametrize(
+        "value", [True, False, "0.5", None, [1.0], math.nan, math.inf, -math.inf, -1.0]
+    )
     @pytest.mark.parametrize(
         "group, key",
         [
@@ -203,20 +228,29 @@ class TestValidateFactorTable:
             "mode_speed": {m.value: 20.0 for m in TransportMode},
             "mode_energy": {m.value: 1.0 for m in TransportMode},
         }
-        with pytest.raises(ValueError, match=f"^{group}.{key} must be a number, got"):
+        name = f"{group}.{key}"
+        if not isinstance(value, float):
+            error, message = ValueError, f"{name} must be a number, got {value!r}"
+        elif math.isfinite(value):
+            error, message = NegativeFactorError, f"negative factor {name} = {value}"
+        else:
+            error, message = NonFiniteError, f"{name} is not finite: {value}"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             full_factor_table(**{group: {**tables[group], key: value}})
 
     def test_real_factors_are_stored_as_floats(self):
-        table = full_factor_table(device_daily_energy={"screen": 2, "desktop_computer": 10**400})
-        assert table.device_daily_energy == {"screen": 2.0, "desktop_computer": math.inf}
-        with pytest.raises(NonFiniteError, match="device_daily_energy.desktop_computer"):
-            validate_factor_table(table, small_inventory())
+        table = full_factor_table(device_daily_energy={"screen": 2, "desktop_computer": 3})
+        assert table.device_daily_energy == {"screen": 2.0, "desktop_computer": 3.0}
+        assert all(type(v) is float for v in table.device_daily_energy.values())
+        # An int too large for a float is inf, and so not finite.
+        with pytest.raises(NonFiniteError, match="^device_daily_energy.desktop_computer"):
+            full_factor_table(device_daily_energy={"screen": 2, "desktop_computer": 10**400})
 
     def test_zero_factors_allowed(self):
         table = full_factor_table(
             facility_intensity={"heating": 0.0, "cooling": 0.0, "lighting": 0.0}
         )
-        assert validate_factor_table(table, small_inventory()) is table
+        assert table.facility_intensity_total() == 0.0
 
 
 class TestEnergyDelta:
@@ -275,3 +309,84 @@ def test_enumerations_are_closed():
         "other_location",
         "multi_location",
     }
+
+
+def _config_with(path, value):
+    """``load_config`` on the reference document with ``path`` set to ``value``."""
+
+    def build(directory):
+        payload = build_config_payload()
+        *sections, key = path
+        section = payload
+        for name in sections:
+            section = section.setdefault(name, {})
+        section[key] = value
+        config = directory / "config.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")  # NaN and Infinity as such
+        return load_config(config)
+
+    return build
+
+
+def _profiles_with(profiles, section, key, value):
+    payload = profiles_to_dict(profiles)
+    body = payload["coworking"]
+    if key is None:
+        body[section] = value
+    else:
+        body[section][key] = value
+    return profiles_from_dict(payload)
+
+
+_BAD_NUMBERS = [True, False, math.nan, math.inf, -math.inf]
+
+#: (name the refusal must carry, the values it is tried with, build(value,
+#: directory, profiles)): a config factor, count or area, a quality-rule
+#: threshold, a scenario field, a stored profile, and a diary minute, which
+#: is tried with bools only (non-finite minutes are still taken).
+_PLACES = [
+    *(
+        (name, _BAD_NUMBERS, lambda v, d, p, path=path: _config_with(path, v)(d))
+        for name, path in [
+            ("facility_intensity.heating", ("factor_table", "facility_intensity", "heating")),
+            ("device_daily_energy.screen", ("factor_table", "device_daily_energy", "screen")),
+            ("mode_speed.walk", ("factor_table", "mode_speed", "walk")),
+            ("mode_energy.car", ("factor_table", "mode_energy", "car")),
+            ("floor_area_m2", ("site_inventory", "floor_area_m2")),
+            ("workplace_count", ("site_inventory", "workplace_count")),
+            ("coworker_count", ("site_inventory", "coworker_count")),
+            ("workdays_per_year", ("site_inventory", "workdays_per_year")),
+            ("device_counts[screen]", ("site_inventory", "device_counts", "screen")),
+            ("min_work_minutes", ("quality_rules", "min_work_minutes")),
+        ]
+    ),
+    ("floor_space_credit_m2", _BAD_NUMBERS,
+     lambda v, d, p: Scenario(floor_space_credit_m2=v)),
+    ("credit_intensity_mj_per_m2_year", _BAD_NUMBERS,
+     lambda v, d, p: Scenario(credit_intensity_mj_per_m2_year=v)),
+    ("modal_override[coworking][car]", _BAD_NUMBERS,
+     lambda v, d, p: Scenario(modal_override={"coworking": {"car": v}})),
+    *(
+        (name, _BAD_NUMBERS, lambda v, d, p, where=where: _profiles_with(p, *where, v))
+        for name, where in [
+            ("mean for work", ("mean_activity_minutes", "work")),
+            ("mean for walk", ("mean_mode_minutes", "walk")),
+            ("share for walk", ("mode_share", "walk")),
+            ("day_count", ("day_count", None)),
+        ]
+    ),
+    ("activity_minutes[work]", [True, False], lambda v, d, p: make_day(work=v)),
+    ("mode_minutes[car]", [True, False], lambda v, d, p: make_day(modes={"car": v}, travel=0.0)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bad_number_anywhere_is_refused_by_name(tmp_path_factory, ref_profiles, data):
+    """A bool or a value that is not finite is refused wherever a number
+    enters, and the refusal names the key it was given for."""
+    name, values, build = data.draw(st.sampled_from(_PLACES), label="place")
+    value = data.draw(st.sampled_from(values), label="value")
+    with pytest.raises((TeleworkImpactError, ValueError)) as caught:
+        build(value, tmp_path_factory.mktemp("config"), ref_profiles)
+    assert name in str(caught.value)

@@ -719,8 +719,8 @@ def _sweep_outcome(sweeper):
 
 
 #: Terms and values that make a point fail: overflow and underflow, a
-#: negative intensity or equipment (the library takes an unvalidated factor
-#: table), a value outside the domain.
+#: negative intensity or equipment (terms built here directly; a factor
+#: table refuses a negative factor), a value outside the domain.
 _EXTREME_TERMS = (5e-324, 1e-300, 1e300, 1e308, 0.0, -1.0)
 _EXTREME_VALUES = (0.0, -0.0, -1.0, 5e-324, 1e308, 5.000000000000001, math.nan, math.inf, -math.inf)
 
@@ -911,7 +911,7 @@ class TestScenarioFile:
             ("credit_intensity_mj_per_m2_year",
              '{{"credit_intensity_mj_per_m2_year": {}}}', "must be >= 0"),
             ("modal_override[coworking][walk]",
-             '{{"modal_override": {{"coworking": {{"walk": {}}}}}}}', "is negative"),
+             '{{"modal_override": {{"coworking": {{"walk": {}}}}}}}', "must be >= 0"),
         ],
     )
     def test_non_finite_and_negative_messages(
