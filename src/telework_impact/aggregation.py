@@ -100,15 +100,16 @@ def aggregate_profiles(days: Iterable[DiaryDay]) -> dict[DayType, DayTypeProfile
     Input is expected to be quality-filtered already; days of other types are
     ignored. Day types without any days get a zero profile with day_count 0.
     Takes a :class:`DiaryTable` or any iterable of days; each mean is one
-    ``np.mean`` over the day type's values of a column, in row order.
+    ``np.mean`` over the day type's values of a column, in row order,
+    gathered with one index of the type's rows.
     """
     import numpy as np
 
     table = DiaryTable.from_days(days)
     profiles: dict[DayType, DayTypeProfile] = {}
     for day_type in COMPARABLE_DAY_TYPES:
-        rows = table.day_types == DAY_TYPES.index(day_type)
-        day_count = int(np.count_nonzero(rows))
+        rows = np.flatnonzero(table.day_types == DAY_TYPES.index(day_type))
+        day_count = len(rows)
         if not day_count:
             profiles[day_type] = _empty_profile(day_type)
             continue

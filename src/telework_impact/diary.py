@@ -14,13 +14,15 @@ that enter the table and the first five row numbers.
 
 :func:`parse_diary_file` (any binary or text stream, read once and never
 seeked) and :func:`parse_diary_path` share one reader, which reads
-:data:`CHUNK_ROWS` lines at a time (see :func:`_read_pass`). A quoted record
-that spans lines is read whole, its pass pulling more lines until the quote
-closes. Row numbers are line numbers; a record that spans lines has the
-number of its last line. A record that does not parse, whose date is not a
-date or whose minutes break a day's limits is a ``PARSE_ERROR``; a later row
-with the participant and date of a kept row is a ``DUPLICATE_DAY``. Only a
-missing or wrong header aborts a parse, with :class:`DiaryFormatError`.
+:data:`CHUNK_ROWS` lines at a time (see :func:`_read_pass`). ``np.loadtxt``
+codes dates and locations through memos of their texts, so Python code runs
+once per distinct text; ids stay text. A quoted record that spans lines is
+read whole, its pass pulling more lines until the quote closes. Row numbers
+are line numbers; a record that spans lines has the number of its last
+line. A record that does not parse, whose date is not a date or whose
+minutes break a day's limits is a ``PARSE_ERROR``; a later row with the
+participant and date of a kept row is a ``DUPLICATE_DAY``. Only a missing or
+wrong header aborts a parse, with :class:`DiaryFormatError`.
 
 A parse gives a :class:`DiaryTable`: int32 participant and date codes into
 tuples of the distinct ids and dates, int64 source rows, int8 day-type
@@ -46,7 +48,6 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter, contains
 from pathlib import Path
@@ -100,11 +101,13 @@ NO_ROW = -1
 #: Lines per pass of the read; bounds the memory one pass holds beyond the
 #: growing columns.
 CHUNK_ROWS = 4096
-#: Record of one diary line for ``np.loadtxt``: the three text fields as
-#: they stand, then the nine minute fields.
-_TEXT_FIELDS = DIARY_HEADER[:3]
-_BULK_DTYPE = [(name, object) for name in _TEXT_FIELDS] + [
-    ("minutes", "f8", (len(MINUTE_COLUMNS),))
+#: Record of one diary line for ``np.loadtxt``: the participant id as it
+#: stands, the date text's serial number (see :class:`_DateTexts`), the day
+#: type code of the location (-1 for an unknown one), then the nine minute
+#: fields.
+_BULK_DTYPE = [
+    ("participant_id", object), ("date", "i4"), ("location", "i1"),
+    ("minutes", "f8", (len(MINUTE_COLUMNS),)),
 ]
 
 
@@ -279,23 +282,41 @@ def _rejection(row, participant_id: str, date: str, detail: str, reason=RejectRe
     return RejectedDay(reason, int(row), participant_id.strip(), date.strip(), detail, (reason,))
 
 
-class _Codes(dict):
-    """Texts as they stand -> int codes, each distinct text coded once by
-    ``code``: a memo for a field with few distinct texts, such as dates and
-    locations."""
-
-    def __init__(self, code):
-        super().__init__()
-        self.code = code
+class _LocationCodes(dict):
+    """Location texts as they stand -> day type codes, -1 for a text outside
+    the vocabulary. ``np.loadtxt`` takes ``__getitem__`` as a converter, so
+    only a text not seen before runs Python code."""
 
     def __missing__(self, text):
-        value = self[text] = self.code(text)
-        return value
+        code = self[text] = _LOCATION_CODE.get(text.strip(), -1)
+        return code
 
-    def of(self, texts: list[str]) -> np.ndarray:
-        import numpy as np
 
-        return np.fromiter(map(self.__getitem__, texts), dtype=np.int32, count=len(texts))
+class _DateTexts(dict):
+    """Date texts as they stand -> serial numbers in order of first
+    appearance; a converter for ``np.loadtxt`` as :class:`_LocationCodes`
+    is. By serial, ``texts`` holds each text and ``codes`` the position of
+    its date in ``dates``, or -1 for a text that is not a date, whose error
+    is in ``errors`` by text."""
+
+    def __init__(self):
+        super().__init__()
+        self.texts: list[str] = []
+        self.codes = array("i")
+        self.dates: dict[_dt.date, int] = {}
+        self.errors: dict[str, str] = {}
+
+    def __missing__(self, text):
+        try:
+            date = _dt.date.fromisoformat(text.strip())
+        except ValueError as exc:
+            self.errors[text] = str(exc)
+            self.codes.append(-1)
+        else:
+            self.codes.append(self.dates.setdefault(date, len(self.dates)))
+        serial = self[text] = len(self.texts)
+        self.texts.append(text)
+        return serial
 
 
 def _id_serials(distinct: dict[str, int], texts: list[str], serials: Iterator[int]) -> np.ndarray:
@@ -320,27 +341,14 @@ def _positions(distinct: dict[str, int], serials: np.ndarray) -> None:
     serials[:] = position[serials]
 
 
-def _date_code(distinct: dict[_dt.date, int], errors: dict[str, str], text: str) -> int:
-    """Position of the date of ``text`` in ``distinct``, or -1 for a text
-    that is not a date, whose error goes to ``errors``."""
-    try:
-        date = _dt.date.fromisoformat(text.strip())
-    except ValueError as exc:
-        errors[text] = str(exc)
-        return -1
-    return distinct.setdefault(date, len(distinct))
-
-
-def _parse_record(
-    values: list[str], row: int, dates: _Codes, date_errors: dict[str, str]
-) -> list[float] | RejectedDay:
+def _parse_record(values: list[str], row: int, dates: _DateTexts) -> list[float] | RejectedDay:
     """Minutes of one non-empty CSV record, or its PARSE_ERROR rejection;
     the fields are checked in order: their count, the date, the minutes."""
     try:
         if len(values) != len(DIARY_HEADER):
             raise ValueError(f"expected {len(DIARY_HEADER)} fields, got {len(values)}")
-        if dates[values[1]] < 0:
-            raise ValueError(date_errors[values[1]])
+        if dates.codes[dates[values[1]]] < 0:
+            raise ValueError(dates.errors[values[1]])
         return list(map(float, values[3:]))
     except ValueError as exc:
         return _rejection(row, values[0], values[1] if len(values) > 1 else "", str(exc))
@@ -362,16 +370,21 @@ def _minute_screen(block: np.ndarray) -> np.ndarray:
 _PLAIN_LINE = re.compile(r'[^,"]*,[^,"]*,[^,"]*' + ",[0-9.]+" * len(MINUTE_COLUMNS) + r"\r?\n?")
 
 
-def _load_lines(lines: list[str]) -> np.ndarray | None:
-    """Records of ``lines`` as ``np.loadtxt`` reads them, or ``None`` when it
-    refuses one; blank lines are skipped."""
+def _load_lines(
+    lines: list[str], dates: _DateTexts, locations: _LocationCodes
+) -> np.ndarray | None:
+    """Records of ``lines`` as ``np.loadtxt`` reads them, dates and
+    locations coded through the memos, or ``None`` when it refuses one;
+    blank lines are skipped."""
     import numpy as np
 
     if not lines:
         return np.empty(0, dtype=_BULK_DTYPE)
     try:
+        # Before numpy 2, converters get latin-1 bytes unless encoding is None.
         return np.loadtxt(
-            lines, dtype=_BULK_DTYPE, delimiter=",", comments=None, quotechar=None, ndmin=1
+            lines, dtype=_BULK_DTYPE, delimiter=",", comments=None, quotechar=None, ndmin=1,
+            encoding=None, converters={1: dates.__getitem__, 2: locations.__getitem__},
         )
     except ValueError:
         return None
@@ -412,8 +425,8 @@ def _join_spans(lines: list[str], handle: Iterable[str]) -> None:
 
 
 def _read_pass(
-    lines: list[str], handle: Iterable[str], first_row: int, dates: _Codes,
-    date_errors: dict[str, str], rejected: list[RejectedDay],
+    lines: list[str], handle: Iterable[str], first_row: int, dates: _DateTexts,
+    locations: _LocationCodes, rejected: list[RejectedDay],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Line numbers and records (in the layout of :func:`_load_lines`), in
     line order, of one pass of lines numbered from ``first_row``; records
@@ -433,26 +446,26 @@ def _read_pass(
     if quoted:
         _join_spans(lines, handle)
     # A pass of blank lines alone makes np.loadtxt warn.
-    chunk = None if quoted or not lines[0].strip("\r\n") else _load_lines(lines)
+    chunk = None if quoted or not lines[0].strip("\r\n") else _load_lines(lines, dates, locations)
     if chunk is not None and len(chunk) == len(lines):
         return np.arange(first_row, first_row + len(lines), dtype=np.int64), chunk
 
     at = list(compress(range(len(lines)), map(_PLAIN_LINE.fullmatch, lines)))
-    chunk = _load_lines([lines[i] for i in at])
+    chunk = _load_lines([lines[i] for i in at], dates, locations)
     if chunk is None or len(chunk) != len(at):
-        at, chunk = [], _load_lines([])
+        at, chunk = [], _load_lines([], dates, locations)
     left = np.ones(len(lines), dtype=bool)
     left[at] = False
     left = np.flatnonzero(left).tolist()
     records = []
     for i, values in zip(left, csv.reader(map(lines.__getitem__, left))):
         if values:
-            record = _parse_record(values, first_row + i, dates, date_errors)
+            record = _parse_record(values, first_row + i, dates)
             if isinstance(record, RejectedDay):
                 rejected.append(record)
             else:
                 at.append(i)
-                records.append((values[0], values[1], values[2], record))
+                records.append((values[0], dates[values[1]], locations[values[2]], record))
     order = np.argsort(at, kind="stable")
     chunk = np.concatenate([chunk, np.array(records, dtype=_BULK_DTYPE)])
     return np.array(at, dtype=np.int64)[order] + first_row, chunk[order]
@@ -465,9 +478,11 @@ def _read_bulk(handle: IO[str]) -> tuple[DiaryTable, list[RejectedDay]]:
 
     The minutes are the bits ``float()`` gives: both use CPython's string to
     double conversion, and spellings only ``float()`` takes make ``loadtxt``
-    raise. Each pass numbers its ids with :func:`_id_serials` and codes its
-    dates and locations through memos of their texts; only the columns of
-    its kept rows outlive it.
+    raise. ``np.loadtxt`` codes dates and locations through memos of their
+    texts (:class:`_DateTexts`, :class:`_LocationCodes`), which run Python
+    code once per distinct text; ids stay text, and each pass numbers them
+    with :func:`_id_serials`. Only the columns of a pass's kept rows outlive
+    it.
     """
     import numpy as np
 
@@ -480,25 +495,23 @@ def _read_bulk(handle: IO[str]) -> tuple[DiaryTable, list[RejectedDay]]:
             "unexpected diary header; expected exactly: " + ",".join(DIARY_HEADER)
         )
     distinct_ids: dict[str, int] = {}
-    distinct_dates: dict[_dt.date, int] = {}
-    date_errors: dict[str, str] = {}
     serials = count()
-    dates = _Codes(partial(_date_code, distinct_dates, date_errors))
-    locations = _Codes(lambda text: _LOCATION_CODE.get(text.strip(), -1))
+    dates, locations = _DateTexts(), _LocationCodes()
     columns = (array("q"), array("i"), array("i"), array("b"), array("d"))
     rejected: list[RejectedDay] = []
     unknown_location_rows: list[int] = []
     first_row = len(lines) + 1
     while lines := list(islice(handle, CHUNK_ROWS)):
-        rows, chunk = _read_pass(lines, handle, first_row, dates, date_errors, rejected)
+        rows, chunk = _read_pass(lines, handle, first_row, dates, locations, rejected)
         first_row += len(lines)
-        id_texts, date_texts, location_texts = (chunk[name].tolist() for name in _TEXT_FIELDS)
+        id_texts, date_serials = chunk["participant_id"].tolist(), chunk["date"]
         block = chunk["minutes"]
-        date_codes = dates.of(date_texts)
+        # The view of dates.codes goes before a new text can grow it.
+        date_codes = np.frombuffer(dates.codes, dtype=np.int32)[date_serials]
         drop = date_codes < 0
         for i in np.flatnonzero(drop).tolist():
-            detail = date_errors[date_texts[i]]
-            rejected.append(_rejection(rows[i], id_texts[i], date_texts[i], detail))
+            text = dates.texts[date_serials[i]]
+            rejected.append(_rejection(rows[i], id_texts[i], text, dates.errors[text]))
         # The DiaryDay constructor names the fault of a flagged row, exactly
         # as for a single day.
         for i in np.flatnonzero(_minute_screen(block) & ~drop).tolist():
@@ -506,8 +519,9 @@ def _read_bulk(handle: IO[str]) -> tuple[DiaryTable, list[RejectedDay]]:
                 _day("", _dt.date.min, 0, block[i].tolist(), None)
             except ValueError as exc:
                 drop[i] = True
-                rejected.append(_rejection(rows[i], id_texts[i], date_texts[i], str(exc)))
-        day_types = locations.of(location_texts).astype(np.int8)
+                text = dates.texts[date_serials[i]]
+                rejected.append(_rejection(rows[i], id_texts[i], text, str(exc)))
+        day_types = chunk["location"]
         read = [rows, _id_serials(distinct_ids, id_texts, serials), date_codes, day_types, block]
         if drop.any():
             read = [column[~drop] for column in read]
@@ -523,7 +537,7 @@ def _read_bulk(handle: IO[str]) -> tuple[DiaryTable, list[RejectedDay]]:
     )
     _positions(distinct_ids, id_codes)
     table = DiaryTable(
-        id_codes, distinct_ids, date_codes, distinct_dates, rows, day_types, minutes
+        id_codes, distinct_ids, date_codes, dates.dates, rows, day_types, minutes
     )
     table, unknown_location_rows = _drop_duplicates(table, rejected, unknown_location_rows)
     if unknown_location_rows:

@@ -301,12 +301,12 @@ class EnergyDelta:
     net_mj: float = field(init=False)
 
     def __post_init__(self):
+        for name in _DELTA_COMPONENTS:
+            value = getattr(self, name)
+            if not math.isfinite(_real(name, value)):
+                raise NonFiniteError(f"{name} is not finite: {value}")
+            finite_at_least(name, value, -math.inf if name == "travel_mj" else 0.0)
         net = self.facility_mj + self.equipment_mj + self.travel_mj - self.credit_mj
         if not math.isfinite(net):
-            # A non-finite component makes the net non-finite too; name it.
-            values = {name: getattr(self, name) for name in _DELTA_COMPONENTS}
-            name = next((n for n, v in values.items() if not math.isfinite(v)), "net_mj")
-            raise NonFiniteError(f"{name} is not finite: {values.get(name, net)}")
-        for name in ("facility_mj", "equipment_mj", "credit_mj"):
-            finite_at_least(name, getattr(self, name))
+            raise NonFiniteError(f"net_mj is not finite: {net}")
         object.__setattr__(self, "net_mj", net)

@@ -125,10 +125,12 @@ def test_oracle_equivalence():
 
 def test_means_equal_np_mean_over_day_objects():
     """The columnar means are bit-identical to one np.mean per key over the
-    day objects of a type, in input order, for a list and for a table."""
+    day objects of a type, in input order, for a list, a table and a strided
+    sub-table of the same days."""
     rng = random.Random(77)
     days = [random_valid_day(rng) for _ in range(1000)]
-    for given in (days, DiaryTable.from_days(days)):
+    twice = DiaryTable.from_days([day for day in days for _ in range(2)])
+    for given in (days, DiaryTable.from_days(days), twice[::2]):
         profiles = aggregate_profiles(given)
         for day_type, profile in profiles.items():
             bucket = [d for d in days if d.day_type == day_type]

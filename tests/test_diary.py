@@ -713,6 +713,20 @@ _ROW2 = "P2,2024-01-09,home,60,480,30,30,10,10,40,0,0"
 @example(f"{HEADER}\n{_ROW}\n{_ROW}\n P1 , 2024-01-08,cafe,60,480,30,30,10,10,40,0,0\n", 4)
 @example(f"{HEADER}\nP1,2024-01-08,home,-1,0,0,0,0,0,0,0,0\n{_ROW}\n{_ROW}\n", 1)
 @example(f"{HEADER}\n{_ROW}\n{_ROW2}\n{_ROW2}\n{_ROW}\n", 2)
+# One date spelt two ways, the second row refused by the minute screen: its
+# rejection keeps the text it was given.
+@example(f"{HEADER}\n{_ROW}\nP2, 20240108,home,-1,480,30,30,10,10,40,0,0\n", 4)
+# A pass that np.loadtxt refuses on its last line, after coding that pass's
+# new dates and locations.
+@example(
+    f"{HEADER}\nP1,2024-02-01,coworking,60,480,30,30,10,10,40,0,0\n"
+    "P2,2024-02-02,cafe,60,480,30,30,10,10,40,0,0\n"
+    f"P3,2024-02-03,multiple,60,480,30,30,10,10,40,0,abc\n{_ROW2}\n",
+    3,
+)
+# A padded known location and a padded unknown one.
+@example(f"{HEADER}\nP1,2024-01-08, home ,60,480,30,30,10,10,40,0,0\n"
+         "P2,2024-01-08, cafe ,60,480,30,30,10,10,40,0,0\n", 4)
 def test_bulk_read_equals_row_loop(tmp_path_factory, text, chunk_rows):
     expected = _outcome(row_loop, io.StringIO(text, newline=""))
     path = tmp_path_factory.getbasetemp() / "bulk_read.csv"

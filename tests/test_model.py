@@ -342,8 +342,9 @@ _BAD_NUMBERS = [True, False, math.nan, math.inf, -math.inf]
 
 #: (name the refusal must carry, the values it is tried with, build(value,
 #: directory, profiles)): a config factor, count or area, a quality-rule
-#: threshold, a scenario field, a stored profile, and a diary minute, which
-#: is tried with bools only (non-finite minutes are still taken).
+#: threshold, a scenario field, a stored profile, a diary minute, which is
+#: tried with bools only (non-finite minutes are still taken), and the signed
+#: travel component of an energy delta, also tried with text.
 _PLACES = [
     *(
         (name, _BAD_NUMBERS, lambda v, d, p, path=path: _config_with(path, v)(d))
@@ -377,6 +378,8 @@ _PLACES = [
     ),
     ("activity_minutes[work]", [True, False], lambda v, d, p: make_day(work=v)),
     ("mode_minutes[car]", [True, False], lambda v, d, p: make_day(modes={"car": v}, travel=0.0)),
+    ("travel_mj", [*_BAD_NUMBERS, "1.0"],
+     lambda v, d, p: EnergyDelta(DayType.HOME, 1.0, 1.0, v)),
 ]
 
 
