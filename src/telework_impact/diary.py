@@ -294,10 +294,10 @@ class _LocationCodes(dict):
 
 class _DateTexts(dict):
     """Date texts as they stand -> serial numbers in order of first
-    appearance; a converter for ``np.loadtxt`` as :class:`_LocationCodes`
-    is. By serial, ``texts`` holds each text and ``codes`` the position of
-    its date in ``dates``, or -1 for a text that is not a date, whose error
-    is in ``errors`` by text."""
+    appearance, a converter like :class:`_LocationCodes`. By serial,
+    ``texts`` holds each text and ``codes`` the position of its date in
+    ``dates``, or -1 for a text that is not a date, whose error is in
+    ``errors`` by text."""
 
     def __init__(self):
         super().__init__()
@@ -506,7 +506,7 @@ def _read_bulk(handle: IO[str]) -> tuple[DiaryTable, list[RejectedDay]]:
         first_row += len(lines)
         id_texts, date_serials = chunk["participant_id"].tolist(), chunk["date"]
         block = chunk["minutes"]
-        # The view of dates.codes goes before a new text can grow it.
+        # A temporary view: dates.codes cannot grow while a view of it lives.
         date_codes = np.frombuffer(dates.codes, dtype=np.int32)[date_serials]
         drop = date_codes < 0
         for i in np.flatnonzero(drop).tolist():
