@@ -378,6 +378,10 @@ def cmd_breakeven(args) -> int:
 
 
 def main(argv=None) -> int:
+    # The CLI does no BLAS work. Without BLAS threads the process stays
+    # single-threaded, so that a large diary file can be read in two
+    # processes (see diary.parse_diary_path); numpy is not imported yet.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -13,16 +13,27 @@ call, and a parse logs one warning that gives the number of such rows
 that enter the table and the first five row numbers.
 
 :func:`parse_diary_file` (any binary or text stream, read once and never
-seeked) and :func:`parse_diary_path` share one reader, which reads
-:data:`CHUNK_ROWS` lines at a time (see :func:`_read_pass`). ``np.loadtxt``
-codes dates and locations through memos of their texts, so Python code runs
-once per distinct text; ids stay text. A quoted record that spans lines is
-read whole, its pass pulling more lines until the quote closes. Row numbers
-are line numbers; a record that spans lines has the number of its last
-line. A record that does not parse, whose date is not a date or whose
-minutes break a day's limits is a ``PARSE_ERROR``; a later row with the
-participant and date of a kept row is a ``DUPLICATE_DAY``. Only a missing or
-wrong header aborts a parse, with :class:`DiaryFormatError`.
+seeked) and :func:`parse_diary_path` share one reader, which reads a range
+of lines :data:`CHUNK_ROWS` lines at a time (see :func:`_read_range`) into a
+part, then merges the parts (:func:`_merge`). ``np.loadtxt`` codes dates and
+locations through memos of their texts, so Python code runs once per
+distinct text; ids stay text. A quoted record that spans lines is read
+whole, its pass pulling more lines until the quote closes. Row numbers are
+line numbers; a record that spans lines has the number of its last line. A
+record that does not parse, whose date is not a date or whose minutes break
+a day's limits is a ``PARSE_ERROR``; a later row with the participant and
+date of a kept row is a ``DUPLICATE_DAY``. A byte order mark before the
+header is skipped. Only a missing or wrong header aborts a parse, with
+:class:`DiaryFormatError`.
+
+A file of at least :data:`SPLIT_MIN_BYTES` is read as two ranges, cut just
+after the first ``\n`` from its middle: a forked child reads the second
+while the parent reads the first (see :mod:`.split_read`). The parent forks
+only where that is safe: after numpy is imported, on a host that lets it
+run on two CPUs or more, and from a process with one thread. The CLI keeps
+numpy's BLAS to one thread for this; a library caller in a multi-threaded
+process gets the one-process read. A stream or a smaller file is one range.
+Either way the table, the rejections and the warning are the same.
 
 A parse gives a :class:`DiaryTable`: int32 participant and date codes into
 tuples of the distinct ids and dates, int64 source rows, int8 day-type
@@ -43,6 +54,7 @@ import datetime as _dt
 import io
 import logging
 import numbers
+import os
 import re
 from array import array
 from collections.abc import Sequence
@@ -101,6 +113,9 @@ NO_ROW = -1
 #: Lines per pass of the read; bounds the memory one pass holds beyond the
 #: growing columns.
 CHUNK_ROWS = 4096
+#: Size from which :func:`parse_diary_path` reads a file in two processes,
+#: where that is safe (see :mod:`.split_read`).
+SPLIT_MIN_BYTES = 1 << 20
 #: Record of one diary line for ``np.loadtxt``: the participant id as it
 #: stands, the date text's serial number (see :class:`_DateTexts`), the day
 #: type code of the location (-1 for an unknown one), then the nine minute
@@ -148,9 +163,9 @@ class DiaryTable(Sequence):
 
     An int index builds the :class:`DiaryDay` of that row. A slice, boolean
     mask or index array gives a sub-table that shares the distinct tuples.
-    Those of a sub-table or a parse may hold values that no row has, those
-    of :meth:`from_days` exactly the values of its days. The arrays are
-    read-only.
+    Those of a sub-table may hold values that no row has; those of a parse
+    or of :meth:`from_days` hold exactly the values of its rows, in order of
+    first appearance. The arrays are read-only.
     """
 
     __slots__ = (
@@ -471,40 +486,70 @@ def _read_pass(
     return np.array(at, dtype=np.int64)[order] + first_row, chunk[order]
 
 
-def _read_bulk(handle: IO[str]) -> tuple[DiaryTable, list[RejectedDay]]:
-    """Table and rejections, in row order, of the diary text that
-    ``handle`` yields line by line, read in passes of :data:`CHUNK_ROWS`
-    lines; logs the folded unknown-location warning.
+@dataclass
+class _Part:
+    """What a read of one range of diary lines gives, before the merge.
+
+    ``columns`` are arrays of the kept rows: line numbers (``q``, counted
+    from the range's first row), participant and date codes (``i``) into
+    ``ids`` and ``dates``, which hold each value in order of its first row,
+    day type codes (``b``) and the minutes (``d``, nine a row). ``size`` is
+    the row count, ``lines`` the number of the range's last line. A part
+    received from a child has its columns appended to the head's, and
+    ``columns`` None.
+    """
+
+    columns: tuple[array, ...] | None
+    size: int
+    ids: list[str]
+    dates: list[_dt.date]
+    rejected: list[RejectedDay]
+    unknown_rows: list[int]
+    lines: int
+
+
+def _read_header(handle: IO[str], pull: Iterable[str]) -> int:
+    """Check the header that starts ``handle``; returns its line count. A
+    leading U+FEFF is dropped."""
+    lines = [handle.readline().removeprefix("\ufeff")]
+    if not lines[0]:
+        raise DiaryFormatError("diary file is empty (missing header)")
+    _join_spans(lines, pull)
+    if tuple(h.strip() for h in next(csv.reader(lines[-1:]))) != DIARY_HEADER:
+        raise DiaryFormatError(
+            "unexpected diary header; expected exactly: " + ",".join(DIARY_HEADER)
+        )
+    return len(lines)
+
+
+def _read_range(
+    handle: Iterable[str], first_row: int, pull: Iterable[str] | None = None
+) -> _Part:
+    """The part of the diary lines that ``handle`` yields, numbered from
+    ``first_row`` and read in passes of :data:`CHUNK_ROWS` lines; a record
+    left open by a pass's last line pulls lines from ``pull`` (by default
+    ``handle``).
 
     The minutes are the bits ``float()`` gives: both use CPython's string to
     double conversion, and spellings only ``float()`` takes make ``loadtxt``
     raise. ``np.loadtxt`` codes dates and locations through memos of their
     texts (:class:`_DateTexts`, :class:`_LocationCodes`), which run Python
-    code once per distinct text; ids stay text, and each pass numbers them
-    with :func:`_id_serials`. Only the columns of a pass's kept rows outlive
-    it.
+    code once per distinct text; ids stay text, and each pass numbers those
+    of its kept rows with :func:`_id_serials`. Only the columns of a pass's
+    kept rows outlive it.
     """
     import numpy as np
 
-    lines = [handle.readline()]
-    if not lines[0]:
-        raise DiaryFormatError("diary file is empty (missing header)")
-    _join_spans(lines, handle)
-    if tuple(h.strip() for h in next(csv.reader(lines[-1:]))) != DIARY_HEADER:
-        raise DiaryFormatError(
-            "unexpected diary header; expected exactly: " + ",".join(DIARY_HEADER)
-        )
     distinct_ids: dict[str, int] = {}
     serials = count()
     dates, locations = _DateTexts(), _LocationCodes()
     columns = (array("q"), array("i"), array("i"), array("b"), array("d"))
     rejected: list[RejectedDay] = []
-    unknown_location_rows: list[int] = []
-    first_row = len(lines) + 1
+    unknown_rows: list[int] = []
     while lines := list(islice(handle, CHUNK_ROWS)):
-        rows, chunk = _read_pass(lines, handle, first_row, dates, locations, rejected)
+        rows, chunk = _read_pass(lines, pull or handle, first_row, dates, locations, rejected)
         first_row += len(lines)
-        id_texts, date_serials = chunk["participant_id"].tolist(), chunk["date"]
+        id_texts, date_serials = chunk["participant_id"], chunk["date"]
         block = chunk["minutes"]
         # A temporary view: dates.codes cannot grow while a view of it lives.
         date_codes = np.frombuffer(dates.codes, dtype=np.int32)[date_serials]
@@ -521,30 +566,92 @@ def _read_bulk(handle: IO[str]) -> tuple[DiaryTable, list[RejectedDay]]:
                 drop[i] = True
                 text = dates.texts[date_serials[i]]
                 rejected.append(_rejection(rows[i], id_texts[i], text, str(exc)))
-        day_types = chunk["location"]
-        read = [rows, _id_serials(distinct_ids, id_texts, serials), date_codes, day_types, block]
+        read = [rows, id_texts, date_codes, chunk["location"], block]
         if drop.any():
             read = [column[~drop] for column in read]
         rows, day_types = read[0], read[3]
         unknown = np.flatnonzero(day_types < 0)
-        unknown_location_rows.extend(rows[unknown].tolist())
+        unknown_rows.extend(rows[unknown].tolist())
         day_types[unknown] = _OTHER_CODE
+        read[1] = _id_serials(distinct_ids, read[1].tolist(), serials)
+        # ravel copies a column only where it is a strided field of chunk.
         for column, values in zip(columns, read):
-            column.frombytes(values.tobytes())
+            column.frombytes(values.ravel().view(np.uint8))
 
-    rows, id_codes, date_codes, day_types, minutes = (
-        np.frombuffer(column, dtype=column.typecode) for column in columns
-    )
+    id_codes, date_codes = (np.frombuffer(column, dtype=np.int32) for column in columns[1:3])
     _positions(distinct_ids, id_codes)
-    table = DiaryTable(
-        id_codes, distinct_ids, date_codes, dates.dates, rows, day_types, minutes
+    by_code = list(dates.dates)
+    order = _first_appearance(date_codes, len(by_code)).tolist()
+    return _Part(
+        columns, len(columns[0]), list(distinct_ids), [by_code[code] for code in order],
+        rejected, unknown_rows, first_row - 1,
     )
-    table, unknown_location_rows = _drop_duplicates(table, rejected, unknown_location_rows)
-    if unknown_location_rows:
+
+
+def _first_appearance(codes: np.ndarray, size: int) -> np.ndarray:
+    """Renumber ``codes``, each below ``size``, in place in the order of
+    their first appearance; returns the old code of each new one."""
+    import numpy as np
+
+    first = np.full(size, len(codes), dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    order = np.argsort(first, kind="stable")[:np.count_nonzero(first < len(codes))]
+    new = np.zeros(size, dtype=np.int32)
+    new[order] = np.arange(len(order), dtype=np.int32)
+    codes[:] = new[codes]
+    return order
+
+
+def _renumber(codes: np.ndarray, values: list, more: list) -> list:
+    """``values`` and then those of ``more`` that it lacks, in order;
+    ``codes`` into ``more``, whose values are distinct, become codes into
+    that list in place."""
+    import numpy as np
+
+    position = dict(zip(values, count()))
+    recode = np.fromiter(map(position.get, more, repeat(-1)), np.int32, len(more))
+    new = recode < 0
+    recode[new] = np.arange(len(values), len(values) + np.count_nonzero(new))
+    codes[:] = recode[codes]
+    return values + list(compress(more, new.tolist()))
+
+
+def _merge(head: _Part, tail: _Part | None = None) -> tuple[DiaryTable, list[RejectedDay]]:
+    """Table and rejections, in row order, of the lines of ``head`` and then
+    of ``tail``, whose line numbers go on from head's; drops the duplicate
+    days and logs the folded unknown-location warning.
+
+    The tail's ids and dates are renumbered after head's, by first
+    appearance; its columns are appended to head's, unless they already
+    have been.
+    """
+    import numpy as np
+
+    ids, dates = head.ids, head.dates
+    rejected, unknown_rows = head.rejected, head.unknown_rows
+    if tail is not None and tail.columns is not None:
+        for column, more in zip(head.columns, tail.columns):
+            column.extend(more)
+    rows, id_codes, date_codes, day_types, minutes = (
+        np.frombuffer(column, dtype=column.typecode) for column in head.columns
+    )
+    if tail is not None:
+        start, shift = len(rows) - tail.size, head.lines
+        rows[start:] += shift
+        ids = _renumber(id_codes[start:], ids, tail.ids)
+        dates = _renumber(date_codes[start:], dates, tail.dates)
+        rejected += [
+            RejectedDay(r.reason, r.row + shift, r.participant_id, r.date, r.detail, r.failures)
+            for r in tail.rejected
+        ]
+        unknown_rows += [row + shift for row in tail.unknown_rows]
+    table = DiaryTable(id_codes, ids, date_codes, dates, rows, day_types, minutes)
+    table, unknown_rows = _drop_duplicates(table, rejected, unknown_rows)
+    if unknown_rows:
         logger.warning(
             "%d rows with an unknown location classified as other_location (first rows: %s)",
-            len(unknown_location_rows),
-            ", ".join(map(str, unknown_location_rows[:_WARNED_ROWS])),
+            len(unknown_rows),
+            ", ".join(map(str, unknown_rows[:_WARNED_ROWS])),
         )
     rejected.sort(key=attrgetter("row"))
     return table, rejected
@@ -587,21 +694,30 @@ def parse_diary_file(stream: IO) -> tuple[DiaryTable, list[RejectedDay]]:
     """Parse a diary CSV stream, binary or text (opened with
     ``newline=""``), into a table of days plus PARSE_ERROR and DUPLICATE_DAY
     rejections, both in row order. The stream is read once and never
-    seeked, nor closed; blank lines are skipped. Logs one warning for all
-    kept rows with an unknown location."""
-    if not isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) and "b" not in getattr(
+    seeked, nor closed; blank lines are skipped, and so is a byte order mark
+    before the header. Logs one warning for all kept rows with an unknown
+    location."""
+    text = stream
+    if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(
         stream, "mode", ""
     ):
-        return _read_bulk(stream)
-    text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
+        text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
     try:
-        return _read_bulk(text)
+        return _merge(_read_range(text, _read_header(text, text) + 1))
     finally:
         # A wrapper closes the stream it wraps when it is collected.
-        text.detach()
+        if text is not stream:
+            text.detach()
 
 
 def parse_diary_path(path: str | Path) -> tuple[DiaryTable, list[RejectedDay]]:
-    """Parse a diary CSV file, as :func:`parse_diary_file` does a stream."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        return _read_bulk(handle)
+    """Parse a diary CSV file, as :func:`parse_diary_file` does a stream.
+
+    A file of at least :data:`SPLIT_MIN_BYTES` is read in two processes
+    where that is safe (see :mod:`.split_read`)."""
+    with open(path, "rb") as raw:
+        if os.fstat(raw.fileno()).st_size < SPLIT_MIN_BYTES:
+            return parse_diary_file(raw)
+        from . import split_read
+
+        return split_read.parse(raw, path)

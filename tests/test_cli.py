@@ -780,3 +780,149 @@ class TestLeanImports:
                  "--out", tmp_path / "d"]
             ),
         )
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+#: Run first in each fresh interpreter of TestTwoProcessRead: counts the
+#: forks and gives the outcome of a parse as comparable text.
+_FORK_PRELUDE = """
+import os
+from telework_impact import cli, diary
+forks = []
+_fork = os.fork
+def _counted_fork():
+    forks.append(os.getpid())
+    return _fork()
+os.fork = _counted_fork
+def outcome(path):
+    table, rejected = diary.parse_diary_path(path)
+    columns = [table.participant_ids, table.dates, table.source_rows, table.day_types]
+    return repr(([c.tolist() for c in columns], table.minutes.tobytes(),
+                 table.distinct_ids, table.distinct_dates, rejected))
+def reaped():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+diary.SPLIT_MIN_BYTES = 1
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or _cpus() < 2, reason="reads in two processes")
+class TestTwoProcessRead:
+    """With ``SPLIT_MIN_BYTES`` patched low, a diary file is read in two
+    processes where that is safe, with the result of a read in one. Each
+    check runs in a fresh interpreter: this test session has started
+    numpy's BLAS threads, so it never forks."""
+
+    @staticmethod
+    def _fresh(tmp_path, *statements, env=None):
+        result = subprocess.run(
+            [sys.executable, "-c", "\n".join([_FORK_PRELUDE, *statements])],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**CHILD_ENV, "OPENBLAS_NUM_THREADS": "1"} if env is None else env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.splitlines()[-1]
+
+    @staticmethod
+    def _diaries(tmp_path, ref_diaries_path, span=None):
+        """The reference diaries with a bad date, a short row, an unknown
+        location and a quoted id in each half, a duplicate of the first day
+        in the second half, and ``span`` in the middle."""
+        header, *rows = Path(ref_diaries_path).read_text(encoding="utf-8").splitlines()
+
+        def bad(n):
+            return [
+                f"P9{n},2019-02-30,office,60,480,30,30,10,10,40,0,0",
+                f"P9{n},2019-09-03",
+                f"P9{n},2019-09-02,cafe,60,480,30,30,10,10,40,0,0",
+                f'"P8{n}",2019-09-02,office,60,480,30,30,10,10,40,0,0',
+            ]
+
+        middle = len(rows) // 2
+        rows = [
+            header, *rows[:3], *bad(1), *rows[3:middle], *filter(None, [span]),
+            *rows[middle:-3], rows[0], *bad(9), *rows[-3:],
+        ]
+        path = tmp_path / "diaries.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", ["validate", "delta"])
+    def test_command_forks_once_and_writes_the_same_artifacts(
+        self, run, tmp_path, ref_config_path, ref_diaries_path, command
+    ):
+        diaries = self._diaries(tmp_path, ref_diaries_path)
+        argv = [command, "--config", ref_config_path, "--diaries", diaries, "--out"]
+        assert run(*argv, tmp_path / "one")[0] == 0
+        # cli.main itself keeps the BLAS to one thread, so that it may fork.
+        env = {k: v for k, v in CHILD_ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+        main = TestLeanImports._main([*argv, tmp_path / "two"])
+        assert self._fresh(tmp_path, main, "print(len(forks), reaped())", env=env) == "1 True"
+        names = sorted(p.name for p in (tmp_path / "one").iterdir() if p.name != "run_info.json")
+        assert names == sorted(p.name for p in (tmp_path / "two").iterdir() if p.name != "run_info.json")
+        for name in names:
+            assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_threads_streams_and_small_files_are_read_in_one_process(
+        self, tmp_path, ref_diaries_path
+    ):
+        path = self._diaries(tmp_path, ref_diaries_path)
+        assert self._fresh(
+            tmp_path,
+            "import threading",
+            f"path = {str(path)!r}",
+            "stop = threading.Event()",
+            "thread = threading.Thread(target=stop.wait)",
+            "thread.start()",
+            "threaded = outcome(path)",
+            "stop.set()",
+            "thread.join()",
+            "with open(path, 'rb') as stream:",
+            "    diary.parse_diary_file(stream)",
+            "diary.SPLIT_MIN_BYTES = os.path.getsize(path) + 1",
+            "small = outcome(path)",
+            "assert not forks, forks",
+            "diary.SPLIT_MIN_BYTES = 1",
+            "assert outcome(path) == small == threaded",
+            "print(len(forks), reaped())",
+        ) == "1 True"
+
+    @pytest.mark.parametrize(
+        "span",
+        [
+            pytest.param(None, id="failed_child"),
+            pytest.param('"P\n' + "\n" * 3000 + '7",2019-09-02,home,60,480,30,30,10,10,40,0,0',
+                         id="cut_in_record"),
+        ],
+    )
+    def test_a_failed_child_or_a_cut_in_a_record_gives_the_one_process_read(
+        self, tmp_path, ref_diaries_path, span
+    ):
+        path = self._diaries(tmp_path, ref_diaries_path, span)
+        middle = path.stat().st_size // 2
+        # The cut falls inside the quoted record when there is one.
+        assert bool(span) == ("\n\n" in path.read_text(encoding="utf-8")[middle - 2:middle + 2])
+        assert self._fresh(
+            tmp_path,
+            f"path = {str(path)!r}",
+            "read_range, parent = diary._read_range, os.getpid()",
+            "def failing_in_child(*args):",
+            "    if os.getpid() != parent:",
+            "        raise MemoryError('in the child')",
+            "    return read_range(*args)",
+            f"diary._read_range = {'read_range' if span else 'failing_in_child'}",
+            "two = outcome(path)",
+            "assert reaped()",
+            "diary.SPLIT_MIN_BYTES = os.path.getsize(path) + 1",
+            "assert outcome(path) == two",
+            "print(len(forks))",
+        ) == "1"

@@ -6,6 +6,7 @@ import logging
 import math
 import random
 import warnings
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,7 @@ from telework_impact.diary import DiaryTable, RejectedDay, RejectReason
 from telework_impact.errors import DiaryFormatError
 from telework_impact.model import DiaryDay
 from telework_impact.quality import QualityRules
-from telework_impact import diary
+from telework_impact import diary, split_read
 from telework_impact.diary import DIARY_HEADER, LOCATION_VOCABULARY
 
 HEADER = ",".join(DIARY_HEADER)
@@ -102,6 +103,17 @@ class TestParse:
         assert len(days) == 1 and not rejected
         gc.collect()
         assert not stream.closed
+
+    def test_byte_order_mark_before_the_header_is_skipped(self, tmp_path):
+        # As a spreadsheet saves "CSV UTF-8".
+        text = f"{HEADER}\r\nP\ufeff1,2024-01-08,office,60,480,30,30,10,10,40,0,0\r\n"
+        expected = _outcome(parse_text, text)
+        assert expected[0][0] == ["P\ufeff1"]
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert _outcome(diary.parse_diary_path, path) == expected
+        assert _outcome(parse_diary_file, io.BytesIO(path.read_bytes())) == expected
+        assert _outcome(parse_text, "\ufeff" + text) == expected
 
     def test_unknown_locations_fold_into_one_warning(self, caplog):
         rows = [f"P{i},2024-01-08,cafe {i},60,480,30,30,10,10,40,0,0" for i in range(7)]
@@ -626,8 +638,9 @@ class _Messages(logging.Handler):
 
 
 def _outcome(parse, source):
-    """Every column of the table (minutes as their bits), the rejections and
-    the logged warnings of one parse, or the error it raised."""
+    """Every column of the table (minutes as their bits), its distinct ids
+    and dates in their order, the rejections and the logged warnings of one
+    parse, or the error it raised."""
     logger = logging.getLogger("telework_impact.diary")
     handler = _Messages()
     logger.addHandler(handler)
@@ -645,6 +658,8 @@ def _outcome(parse, source):
         table.day_types.tolist(),
         table.minutes.shape,
         table.minutes.view(np.int64).tolist(),
+        table.distinct_ids,
+        table.distinct_dates,
     )
     return columns, rejected, handler.messages
 
@@ -737,6 +752,46 @@ def test_bulk_read_equals_row_loop(tmp_path_factory, text, chunk_rows):
         assert _outcome(diary.parse_diary_path, path) == expected
         stream = _NonSeekable(text.encode("utf-8"))
         assert _outcome(parse_diary_file, stream) == expected
+
+
+def _line_ends(data: bytes) -> list[int]:
+    """Byte offset after each line of ``data``, as a text read splits it."""
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    return list(accumulate(len(line.encode("utf-8")) for line in lines))
+
+
+_SPAN = '"P\n\n3",2024-01-10,home,60,480,30,30,10,10,40,0,0'
+
+
+@settings(max_examples=200, deadline=None)
+@given(diary_texts(), st.integers(1, 4), st.integers(0, 10**6), st.booleans())
+# A cut inside a quoted record that spans lines, and one after it.
+@example(f"{HEADER}\n{_ROW}\n{_SPAN}\n{_ROW2}\n", 1, 2, False)
+@example(f"{HEADER}\n{_ROW}\n{_SPAN}\n{_ROW2}\n", 4, 3, False)
+@example(f"{HEADER}\n{_ROW}\n{_SPAN}\n{_ROW2}\n", 4, 4, True)
+# A record left open to the end of the file.
+@example(f'{HEADER}\n{_ROW}\n"open,{_ROW}\n{_ROW2}\n{_ROW}', 2, 2, False)
+# A pass whose quoted line csv reads after np.loadtxt has coded the date of
+# the next line.
+@example(f'{HEADER}\n"P1",2024-01-08,home,60,480,30,30,10,10,40,0,0\n{_ROW2}\n', 4, 1, False)
+# A duplicate day across the cut, a bad row and an unknown location on each
+# side, and a new id and a new date only after it.
+@example(
+    f"{HEADER}\r\n{_ROW}\rP2,2019-02-30,cafe,60,480,30,30,10,10,40,0,0\r\n"
+    "P\u00e9,2024-01-08,bar,60,480,30,30,10,10,40,0,0\n"
+    f"P3,x\r\n{_ROW}\rP4,2024-03-01,library,60,480,30,30,10,10,40,0,0\n\n",
+    2, 3, False,
+)
+def test_two_ranges_equal_one(text, chunk_rows, split, bom):
+    data = b"\xef\xbb\xbf" * bom + text.encode("utf-8")
+    ends = _line_ends(data)
+    cut = ends[split % len(ends)] + 3 * bom
+    with mock.patch.object(diary, "CHUNK_ROWS", chunk_rows), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = _outcome(parse_diary_file, io.BytesIO(data))
+        # No path: this process reads both ranges, the second after the first.
+        two_ranges = _outcome(lambda data: split_read.read_split(io.BytesIO(data), cut), data)
+        assert two_ranges == expected
 
 
 def test_duplicate_days_keep_the_first_row():
