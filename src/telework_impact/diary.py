@@ -58,7 +58,7 @@ import os
 import re
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter, contains
@@ -114,8 +114,9 @@ NO_ROW = -1
 #: growing columns.
 CHUNK_ROWS = 4096
 #: Size from which :func:`parse_diary_path` reads a file in two processes,
-#: where that is safe (see :mod:`.split_read`).
-SPLIT_MIN_BYTES = 1 << 20
+#: where that is safe (see :mod:`.split_read`): 1.25 MiB, about where the
+#: fork's fixed cost of ~10 ms is won back on a 2-CPU host.
+SPLIT_MIN_BYTES = 5 << 18
 #: Record of one diary line for ``np.loadtxt``: the participant id as it
 #: stands, the date text's serial number (see :class:`_DateTexts`), the day
 #: type code of the location (-1 for an unknown one), then the nine minute
@@ -640,10 +641,7 @@ def _merge(head: _Part, tail: _Part | None = None) -> tuple[DiaryTable, list[Rej
         rows[start:] += shift
         ids = _renumber(id_codes[start:], ids, tail.ids)
         dates = _renumber(date_codes[start:], dates, tail.dates)
-        rejected += [
-            RejectedDay(r.reason, r.row + shift, r.participant_id, r.date, r.detail, r.failures)
-            for r in tail.rejected
-        ]
+        rejected += [replace(r, row=r.row + shift) for r in tail.rejected]
         unknown_rows += [row + shift for row in tail.unknown_rows]
     table = DiaryTable(id_codes, ids, date_codes, dates, rows, day_types, minutes)
     table, unknown_rows = _drop_duplicates(table, rejected, unknown_rows)
@@ -720,4 +718,4 @@ def parse_diary_path(path: str | Path) -> tuple[DiaryTable, list[RejectedDay]]:
             return parse_diary_file(raw)
         from . import split_read
 
-        return split_read.parse(raw, path)
+        return split_read.parse(raw)

@@ -5,7 +5,9 @@ middle. A forked child reads the lines after the cut while the parent reads
 those before, each into a part (:func:`.diary._read_range`). The child sends
 its part through a pipe, a pickle of all but the columns and then their raw
 bytes, and exits; the parent appends the columns to its own in bounded
-blocks and merges the two parts (:func:`.diary._merge`). The result is
+blocks and merges the two parts (:func:`.diary._merge`). Both processes
+read the one file that the parent opened, by positional reads, so a file
+renamed over the path meanwhile is not read. The result is
 that of a read in one process, which the parent makes itself where a fork is
 not safe, the cut falls inside a quoted record, or the child fails.
 
@@ -18,9 +20,9 @@ from __future__ import annotations
 import io
 import os
 import pickle
+import signal
 from array import array
 from dataclasses import replace
-from pathlib import Path
 from typing import IO, Iterator, NoReturn
 
 from . import diary
@@ -33,18 +35,18 @@ _CUT_WINDOW = 1 << 16
 _PIPE_BLOCK = 1 << 20
 
 
-def parse(raw: IO[bytes], path: str | Path) -> tuple[diary.DiaryTable, list[diary.RejectedDay]]:
-    """Table and rejections of the diary file ``path``, open as ``raw``,
-    read in two processes where :func:`_fork_is_safe` allows it and the
-    file has a cut."""
+def parse(raw: IO[bytes]) -> tuple[diary.DiaryTable, list[diary.RejectedDay]]:
+    """Table and rejections of the diary file open as ``raw``, read in two
+    processes where :func:`_fork_is_safe` allows it and the file has a cut."""
     # Imported before the fork, so that the child need not import it, and
     # before the thread count is taken, since numpy may start BLAS threads.
     import numpy  # noqa: F401
 
-    cut = _cut(raw, os.fstat(raw.fileno()).st_size) if _fork_is_safe() else None
+    fd = raw.fileno()
+    cut = _cut(fd, os.fstat(fd).st_size) if _fork_is_safe() else None
     if cut is None:
         return diary.parse_diary_file(raw)
-    return read_split(raw, cut, path)
+    return read_split(fd, cut, fork=True)
 
 
 def _fork_is_safe() -> bool:
@@ -61,32 +63,32 @@ def _fork_is_safe() -> bool:
         return False
 
 
-def _cut(raw: IO[bytes], size: int) -> int | None:
-    """Offset just after the first ``\\n`` from the middle of a binary file
-    of ``size`` bytes, which starts a line; None if there is none within
-    :data:`_CUT_WINDOW` bytes, or no byte follows it."""
-    raw.seek(size // 2)
-    line = raw.readline(_CUT_WINDOW)
-    raw.seek(0)
-    cut = size // 2 + len(line)
-    return cut if line.endswith(b"\n") and cut < size else None
+def _cut(fd: int, size: int) -> int | None:
+    """Offset just after the first ``\\n`` from the middle of the file of
+    ``size`` bytes open as ``fd``, which starts a line; None if there is none
+    within :data:`_CUT_WINDOW` bytes, or no byte follows it."""
+    end = os.pread(fd, _CUT_WINDOW, size // 2).find(b"\n")
+    cut = size // 2 + end + 1
+    return cut if end >= 0 and cut < size else None
 
 
 class _Range(io.RawIOBase):
-    """The bytes of a binary file from its position on: ``left`` bytes of
-    them, or all up to its end once ``left`` is None."""
+    """The bytes of the file open as ``fd`` from byte ``position`` up to
+    byte ``end``, or up to the file's end once ``end`` is None. Positional
+    reads leave the offset of ``fd``, which a forked child shares, alone."""
 
-    def __init__(self, raw: IO[bytes], left: int):
-        self.raw, self.left = raw, left
+    def __init__(self, fd: int, position: int, end: int | None):
+        self.fd, self.position, self.end = fd, position, end
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
-        if self.left is None:
-            return self.raw.readinto(buffer)
-        read = self.raw.readinto(memoryview(buffer)[:self.left])
-        self.left -= read
+        view = memoryview(buffer)
+        if self.end is not None:
+            view = view[:self.end - self.position]
+        read = os.preadv(self.fd, [view], self.position)
+        self.position += read
         return read
 
 
@@ -96,75 +98,64 @@ def _lines_past(text: IO[str], limited: _Range) -> Iterator[str]:
     the range inside a record: the range is lifted, and they go on to the
     end of the file."""
     yield from text
-    limited.left = None
+    limited.end = None
     yield from text
 
 
 def read_split(
-    raw: IO[bytes], cut: int, path: str | Path | None = None
+    fd: int, cut: int, fork: bool = False
 ) -> tuple[diary.DiaryTable, list[diary.RejectedDay]]:
-    """Table and rejections of the diary file ``raw``, read as the ranges
-    before and after byte ``cut``, which starts a line; the same as a read
-    in one range.
+    """Table and rejections of the diary file open as ``fd``, read as the
+    ranges before and after byte ``cut``, which starts a line; the same as a
+    read in one range.
 
-    With a ``path``, a forked child reads the second range while this
-    process reads the first. If the first range ends inside a quoted record,
-    this process reads on to the end of the file and drops the child's
-    part; if there is no ``path``, or no child, or the child fails, it reads
+    With ``fork``, a forked child reads the second range while this process
+    reads the first. If the first range ends inside a quoted record, this
+    process reads on to the end of the file and drops the child's part;
+    without ``fork``, or without a child, or if the child fails, it reads
     the second range after the first.
     """
-    limited = _Range(raw, cut)
+    limited = _Range(fd, 0, cut)
     text = io.TextIOWrapper(limited, encoding="utf-8-sig", newline="")
     pull = _lines_past(text, limited)
     first_row = diary._read_header(text, pull) + 1
     tail = pid = None
-    if path is not None:
+    if fork:
         receiver, sender = os.pipe()
-        _widen_pipe(sender)
         try:
             pid = os.fork()
         except OSError:
             os.close(receiver)
         if pid == 0:
-            _read_in_child(path, cut, receiver, sender)
+            _read_in_child(fd, cut, receiver, sender)
         os.close(sender)
     try:
         head = diary._read_range(text, first_row, pull)
-        if pid is not None and limited.left is not None:
+        if pid is not None and limited.end is not None:
             with open(receiver, "rb", closefd=False) as pipe:
                 tail = _receive(pipe, head.columns)
     finally:
         if pid is not None:
-            # A child still writing gets EPIPE and exits.
+            if tail is None:
+                # The child's part will not be taken: stop it reading on.
+                os.kill(pid, signal.SIGKILL)
             os.close(receiver)
             os.waitpid(pid, 0)
-    if tail is None and limited.left is not None:
-        limited.left = None
+    if tail is None and limited.end is not None:
+        limited.end = None
         tail = diary._read_range(text, 1)
     return diary._merge(head, tail)
 
 
-def _widen_pipe(fd: int) -> None:
-    """Let the pipe ``fd`` hold :data:`_PIPE_BLOCK` bytes where Linux allows
-    it, so that the child's columns cross it in fewer wake-ups."""
-    import fcntl
-
-    try:
-        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BLOCK)
-    except (AttributeError, OSError):
-        pass
-
-
-def _read_in_child(path: str | Path, cut: int, receiver: int, sender: int) -> NoReturn:
-    """In a forked child: read the range of ``path`` from byte ``cut`` on,
-    send its part through the pipe ``sender`` and leave by ``os._exit``,
+def _read_in_child(fd: int, cut: int, receiver: int, sender: int) -> NoReturn:
+    """In a forked child: read the range of the file ``fd`` from byte ``cut``
+    on, send its part through the pipe ``sender`` and leave by ``os._exit``,
     whatever happens."""
     status = 1
     try:
         os.close(receiver)
-        with open(path, "rb") as raw:
-            raw.seek(cut)
-            part = diary._read_range(io.TextIOWrapper(raw, encoding="utf-8", newline=""), 1)
+        text = io.TextIOWrapper(_Range(fd, cut, None), encoding="utf-8", newline="")
+        part = diary._read_range(text, 1)
         with open(sender, "wb") as pipe:
             pickled = pickle.dumps(
                 (replace(part, columns=None), [len(column) for column in part.columns]),

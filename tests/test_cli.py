@@ -896,6 +896,30 @@ class TestTwoProcessRead:
             "print(len(forks), reaped())",
         ) == "1 True"
 
+    def test_a_file_replaced_during_the_read_is_read_as_it_was_opened(
+        self, tmp_path, ref_diaries_path
+    ):
+        path = self._diaries(tmp_path, ref_diaries_path)
+        other = tmp_path / "other.csv"
+        other.write_text(path.read_text(encoding="utf-8").replace(",home,", ",office,"), encoding="utf-8")
+        assert self._fresh(
+            tmp_path,
+            f"path, other = {str(path)!r}, {str(other)!r}",
+            "diary.SPLIT_MIN_BYTES = os.path.getsize(path) + 1",
+            "one = outcome(path)",
+            "def replacing_fork():",
+            "    os.replace(other, path)",
+            "    return _counted_fork()",
+            "os.fork = replacing_fork",
+            "diary.SPLIT_MIN_BYTES = 1",
+            "assert outcome(path) == one",
+            "assert reaped()",
+            "os.fork = _counted_fork",
+            "diary.SPLIT_MIN_BYTES = os.path.getsize(path) + 1",
+            "assert outcome(path) != one",
+            "print(len(forks))",
+        ) == "1"
+
     @pytest.mark.parametrize(
         "span",
         [
@@ -914,15 +938,44 @@ class TestTwoProcessRead:
         assert self._fresh(
             tmp_path,
             f"path = {str(path)!r}",
+            "import time",
             "read_range, parent = diary._read_range, os.getpid()",
             "def failing_in_child(*args):",
             "    if os.getpid() != parent:",
             "        raise MemoryError('in the child')",
             "    return read_range(*args)",
-            f"diary._read_range = {'read_range' if span else 'failing_in_child'}",
+            "def sleeping_in_child(*args):",
+            "    if os.getpid() != parent:",
+            "        time.sleep(60)",
+            "    return read_range(*args)",
+            # A child whose part is not taken is stopped, not waited for.
+            f"diary._read_range = {'sleeping_in_child' if span else 'failing_in_child'}",
+            "start = time.monotonic()",
             "two = outcome(path)",
+            "assert time.monotonic() - start < 30",
             "assert reaped()",
             "diary.SPLIT_MIN_BYTES = os.path.getsize(path) + 1",
             "assert outcome(path) == two",
             "print(len(forks))",
         ) == "1"
+
+    def test_an_error_in_the_parent_stops_the_child(self, tmp_path, ref_diaries_path):
+        path = self._diaries(tmp_path, ref_diaries_path)
+        assert self._fresh(
+            tmp_path,
+            "import time",
+            f"path = {str(path)!r}",
+            "parent = os.getpid()",
+            "def interrupted(*args):",
+            "    if os.getpid() != parent:",
+            "        time.sleep(60)",
+            "    raise KeyboardInterrupt",
+            "diary._read_range = interrupted",
+            "start = time.monotonic()",
+            "try:",
+            "    outcome(path)",
+            "except KeyboardInterrupt:",
+            "    pass",
+            "assert time.monotonic() - start < 30",
+            "print(len(forks), reaped())",
+        ) == "1 True"

@@ -5,6 +5,7 @@ import io
 import logging
 import math
 import random
+import tempfile
 import warnings
 from itertools import accumulate
 from unittest import mock
@@ -789,8 +790,11 @@ def test_two_ranges_equal_one(text, chunk_rows, split, bom):
     with mock.patch.object(diary, "CHUNK_ROWS", chunk_rows), warnings.catch_warnings():
         warnings.simplefilter("error")
         expected = _outcome(parse_diary_file, io.BytesIO(data))
-        # No path: this process reads both ranges, the second after the first.
-        two_ranges = _outcome(lambda data: split_read.read_split(io.BytesIO(data), cut), data)
+        with tempfile.TemporaryFile() as file:
+            file.write(data)
+            file.flush()
+            # No fork: this process reads both ranges, the second after the first.
+            two_ranges = _outcome(lambda fd: split_read.read_split(fd, cut), file.fileno())
         assert two_ranges == expected
 
 
