@@ -3,12 +3,14 @@
 
 Shows how malformed rows become row-level rejections, how the three
 quantitative quality rules fire, and how work-location strings map to day
-types.
+types. Both kinds of rejections come as a ``RejectionTable``, a sequence of
+``RejectedDay``; ``list(...)`` gives a list of them.
 """
 
 import io
 
-from telework_impact import apply_quality_filter, classify_day, parse_diary_file
+from telework_impact import apply_quality_filter, parse_diary_file
+from telework_impact.diary import LOCATION_VOCABULARY
 
 DIARY_CSV = """\
 participant_id,date,location,travel_min,work_min,chores_min,leisure_min,walk_min,bike_min,car_min,pt_min,other_mode_min
@@ -38,9 +40,9 @@ def main():
     for item in rejected:
         print(f"  {item.participant_id} {item.date}: {item.reason.value} ({item.detail})")
 
-    print("\nwork-location vocabulary:")
-    for raw in ("office", "coworking", "home", "other", "multiple", "bus depot"):
-        print(f"  {raw!r:12} -> {classify_day(raw).value}")
+    print("\nwork-location vocabulary (any other text reads as other_location):")
+    for raw, day_type in LOCATION_VOCABULARY.items():
+        print(f"  {raw!r:12} -> {day_type.value}")
 
 
 if __name__ == "__main__":

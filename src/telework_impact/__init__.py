@@ -7,7 +7,7 @@ imports from its module (``telework_impact.errors``, ``.model``, ...)."""
 
 from .aggregation import aggregate_profiles
 from .config import load_config
-from .diary import classify_day, parse_diary_file, parse_diary_path
+from .diary import parse_diary_file, parse_diary_path
 from .energy import compare_day_types, direct_components, equipment_energy, travel_energy
 from .model import Activity, DayType, TransportMode
 from .quality import apply_quality_filter
@@ -23,7 +23,6 @@ __all__ = [
     "aggregate_profiles",
     "apply_quality_filter",
     "break_even",
-    "classify_day",
     "compare_day_types",
     "direct_components",
     "equipment_energy",

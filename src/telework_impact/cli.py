@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -22,7 +21,7 @@ from .aggregation import (
     profiles_from_dict,
 )
 from .config import AppConfig, load_config
-from .diary import parse_diary_path
+from .diary import in_row_order, parse_diary_path
 from .energy import compare_day_types, direct_components
 from .errors import (
     ConfigError,
@@ -167,8 +166,7 @@ def _run_pipeline(args, config: AppConfig):
     except OSError as exc:
         raise ConfigError(f"cannot read diary file {args.diaries}: {exc}") from exc
     kept, quality_rejected = apply_quality_filter(days, config.quality_rules)
-    # Both lists come in row order, and every row is a line number.
-    rejected = sorted(parse_rejected + quality_rejected, key=attrgetter("row"))
+    rejected = in_row_order(parse_rejected, quality_rejected)
     return len(days) + len(parse_rejected), kept, rejected
 
 
@@ -205,9 +203,7 @@ def cmd_validate(args) -> int:
 
     rpt.write_csv(out / "rejections.csv", rpt.REJECTION_HEADER, rpt.rejection_rows(rejected))
     report = rpt.base_report("validate", config, __version__, {"diaries": str(args.diaries)})
-    report["input_summary"] = rpt.input_summary(
-        args.diaries, rows_seen, len(kept), rejected
-    )
+    report["input_summary"] = rpt.input_summary(args.diaries, rows_seen, len(kept), rejected)
     report["day_counts"] = {t.value: n for t, n in day_counts(kept).items()}
     rpt.write_json(out / "report.json", report)
     rpt.write_run_info(out)
@@ -229,9 +225,7 @@ def cmd_profile(args) -> int:
     rpt.write_json(out / "profiles.json", {"profiles": rpt.profiles_section(profiles)})
     rpt.write_csv(out / "plot_data.csv", rpt.PLOT_HEADER, rpt.plot_rows(profiles))
     report = rpt.base_report("profile", config, __version__, {"diaries": str(args.diaries)})
-    report["input_summary"] = rpt.input_summary(
-        args.diaries, rows_seen, len(kept), rejected
-    )
+    report["input_summary"] = rpt.input_summary(args.diaries, rows_seen, len(kept), rejected)
     report["profiles"] = rpt.profiles_section(profiles)
     rpt.write_json(out / "report.json", report)
     rpt.write_run_info(out)
@@ -275,9 +269,7 @@ def cmd_delta(args) -> int:
     out = _out_dir(args)
     _emit_deltas(args, out, deltas)
     report = rpt.base_report("delta", config, __version__, {"diaries": str(args.diaries)})
-    report["input_summary"] = rpt.input_summary(
-        args.diaries, rows_seen, len(kept), rejected
-    )
+    report["input_summary"] = rpt.input_summary(args.diaries, rows_seen, len(kept), rejected)
     report["profiles"] = rpt.profiles_section(profiles)
     report["deltas"] = [rpt.delta_to_dict(d) for d in deltas]
     rpt.write_json(out / "report.json", report)

@@ -8,9 +8,8 @@ Diary files are UTF-8 CSV with exactly this header::
 (one physical line; wrapped here for readability). Dates are ISO-8601,
 minute fields are non-negative decimals, and the location vocabulary is
 ``office | coworking | home | other | multiple``. Unknown location strings
-fall back to ``other_location``: :func:`classify_day` logs a warning per
-call, and a parse logs one warning that gives the number of such rows
-that enter the table and the first five row numbers.
+fall back to ``other_location``: a parse logs one warning that gives the
+number of such rows that enter the table and the first five row numbers.
 
 :func:`parse_diary_file` (any binary or text stream, read once and never
 seeked) and :func:`parse_diary_path` share one reader, which reads a range
@@ -40,7 +39,8 @@ tuples of the distinct ids and dates, int64 source rows, int8 day-type
 codes and an ``(n, 9)`` float64 matrix of the minute columns. The table is a
 sequence of :class:`DiaryDay`, so code written for lists of days keeps
 working, while the quality filter (:mod:`.quality`) and the aggregation
-work on its arrays.
+work on its arrays. The rejections are a :class:`RejectionTable`, a sequence
+of :class:`RejectedDay` held as columns; the read collects them as records.
 
 numpy is imported by the functions that build or reduce the arrays, not by
 this module, so only the commands that read diaries load it: ``validate``,
@@ -58,10 +58,10 @@ import os
 import re
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress, count, islice, repeat
-from operator import attrgetter, contains
+from operator import contains
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
@@ -72,6 +72,7 @@ from .model import (
     DayType,
     DiaryDay,
     TransportMode,
+    row_number,
 )
 
 if TYPE_CHECKING:
@@ -269,6 +270,94 @@ def _day(participant_id: str, date: _dt.date, code: int, values: list[float], ro
     )
 
 
+#: Reasons in code order; ``RejectionTable.reasons`` holds indices into it.
+REASONS = tuple(RejectReason)
+
+
+class RejectionTable(Sequence):
+    """Rejections held as columns; a read-only sequence of :class:`RejectedDay`.
+
+    ``rows`` is int64 (:data:`NO_ROW` for ``None``), ``reasons`` int8 indices
+    into :data:`REASONS`; the other fields are object arrays, but a quality
+    rule's detail is its template's ``format``, which an int index calls
+    with that row of ``measures`` (work, total and mismatch minutes). An int
+    index builds a :class:`RejectedDay`; a slice, boolean mask or index
+    array gives a sub-table. The arrays are read-only.
+    """
+
+    __slots__ = ("rows", "participant_ids", "dates", "details", "reasons", "failures", "measures")
+
+    def __init__(self, rows, participant_ids, dates, details, reasons, failures, measures=None):
+        import numpy as np
+
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.participant_ids, self.dates, self.details, self.failures = (
+            c if isinstance(c, np.ndarray) else np.fromiter(c, object, len(c))
+            for c in (participant_ids, dates, details, failures)
+        )
+        self.reasons = np.asarray(reasons, dtype=np.int8)
+        measures = np.zeros((len(self.rows), 3)) if measures is None else measures
+        self.measures = np.asarray(measures, dtype=np.float64).reshape(-1, 3)
+        if len(set(map(len, self._columns()))) != 1:
+            raise ValueError("rejection table columns differ in length")
+        for column in self._columns():
+            column.flags.writeable = False
+
+    @classmethod
+    def from_rejected(cls, rejected: Iterable[RejectedDay]) -> RejectionTable:
+        """Table of the given rejections, in order; a table is returned as it
+        is. A row must be ``None`` or a :func:`.model.row_number`."""
+        if isinstance(rejected, RejectionTable):
+            return rejected
+        rejected = list(rejected)
+        fields = ("participant_id", "date", "detail", "failures")
+        ids, dates, details, failures = ([getattr(r, f) for r in rejected] for f in fields)
+        return cls(
+            [NO_ROW if r.row is None else row_number("row", r.row) for r in rejected], ids, dates,
+            details, [REASONS.index(RejectReason(r.reason)) for r in rejected], failures,
+        )
+
+    def _columns(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, item):
+        if isinstance(item, numbers.Integral):
+            i = range(len(self))[item]
+            row, detail = int(self.rows[i]), self.details[i]
+            if callable(detail):
+                detail = detail(*self.measures[i].tolist())
+            return RejectedDay(
+                REASONS[self.reasons[i]], None if row == NO_ROW else row,
+                self.participant_ids[i], self.dates[i], detail, self.failures[i],
+            )
+        return RejectionTable(*(column[item] for column in self._columns()))
+
+
+def in_row_order(*tables: RejectionTable) -> RejectionTable:
+    """The rejections of ``tables`` joined and stably sorted by row."""
+    import numpy as np
+
+    columns = [np.concatenate(parts) for parts in zip(*(table._columns() for table in tables))]
+    order = np.argsort(columns[0], kind="stable")
+    return RejectionTable(*(column[order] for column in columns))
+
+
+def _read_rejections(rows, participant_ids, dates, details, reason) -> RejectionTable:
+    """Table of rejections of the read, all for ``reason``."""
+    codes, failures = [REASONS.index(reason)] * len(rows), [(reason,)] * len(rows)
+    return RejectionTable(rows, participant_ids, dates, details, codes, failures)
+
+
+def identities(table: DiaryTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source rows, participant ids and ISO dates of the days of ``table``:
+    the first three columns of a :class:`RejectionTable` of them."""
+    dates = [date.isoformat() for date in table.distinct_dates]
+    return table.source_rows, table.participant_ids, _decode(dates, table.date_codes)
+
+
 def row_sums(block: np.ndarray) -> np.ndarray:
     """Row totals summed left to right in column order, starting from 0.0,
     as :class:`DiaryDay` sums its minute maps."""
@@ -278,24 +367,6 @@ def row_sums(block: np.ndarray) -> np.ndarray:
     for j in range(block.shape[1]):
         total += block[:, j]
     return total
-
-
-def classify_day(raw_location: str) -> DayType:
-    """Map a raw location string to a :class:`DayType`.
-
-    Total function: anything outside the documented vocabulary maps to
-    ``other_location`` and logs a warning.
-    """
-    key = str(raw_location).strip()
-    day_type = LOCATION_VOCABULARY.get(key)
-    if day_type is None:
-        logger.warning("unknown location %r, classifying as other_location", raw_location)
-        return DayType.OTHER_LOCATION
-    return day_type
-
-
-def _rejection(row, participant_id: str, date: str, detail: str, reason=RejectReason.PARSE_ERROR):
-    return RejectedDay(reason, int(row), participant_id.strip(), date.strip(), detail, (reason,))
 
 
 class _LocationCodes(dict):
@@ -357,8 +428,8 @@ def _positions(distinct: dict[str, int], serials: np.ndarray) -> None:
     serials[:] = position[serials]
 
 
-def _parse_record(values: list[str], row: int, dates: _DateTexts) -> list[float] | RejectedDay:
-    """Minutes of one non-empty CSV record, or its PARSE_ERROR rejection;
+def _parse_record(values: list[str], row: int, dates: _DateTexts) -> list[float] | tuple:
+    """Minutes of one non-empty CSV record, or its PARSE_ERROR record;
     the fields are checked in order: their count, the date, the minutes."""
     try:
         if len(values) != len(DIARY_HEADER):
@@ -367,7 +438,7 @@ def _parse_record(values: list[str], row: int, dates: _DateTexts) -> list[float]
             raise ValueError(dates.errors[values[1]])
         return list(map(float, values[3:]))
     except ValueError as exc:
-        return _rejection(row, values[0], values[1] if len(values) > 1 else "", str(exc))
+        return row, values[0].strip(), values[1].strip() if len(values) > 1 else "", str(exc)
 
 
 def _minute_screen(block: np.ndarray) -> np.ndarray:
@@ -442,11 +513,11 @@ def _join_spans(lines: list[str], handle: Iterable[str]) -> None:
 
 def _read_pass(
     lines: list[str], handle: Iterable[str], first_row: int, dates: _DateTexts,
-    locations: _LocationCodes, rejected: list[RejectedDay],
+    locations: _LocationCodes, rejected: list[tuple],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Line numbers and records (in the layout of :func:`_load_lines`), in
     line order, of one pass of lines numbered from ``first_row``; records
-    that do not parse go to ``rejected``.
+    that do not parse go to ``rejected`` as records (see :class:`_Part`).
 
     ``np.loadtxt`` reads the pass whole unless it holds a ``"`` (see
     :func:`_join_spans`) or a blank line, or ``np.loadtxt`` refuses a line.
@@ -477,7 +548,7 @@ def _read_pass(
     for i, values in zip(left, csv.reader(map(lines.__getitem__, left))):
         if values:
             record = _parse_record(values, first_row + i, dates)
-            if isinstance(record, RejectedDay):
+            if isinstance(record, tuple):
                 rejected.append(record)
             else:
                 at.append(i)
@@ -495,16 +566,16 @@ class _Part:
     from the range's first row), participant and date codes (``i``) into
     ``ids`` and ``dates``, which hold each value in order of its first row,
     day type codes (``b``) and the minutes (``d``, nine a row). ``size`` is
-    the row count, ``lines`` the number of the range's last line. A part
-    received from a child has its columns appended to the head's, and
-    ``columns`` None.
+    the row count, ``lines`` the number of the range's last line, and
+    ``rejected`` the PARSE_ERRORs as columns of line numbers, ids, dates and
+    details. A child's part has ``columns`` None: they go to the head's.
     """
 
     columns: tuple[array, ...] | None
     size: int
     ids: list[str]
     dates: list[_dt.date]
-    rejected: list[RejectedDay]
+    rejected: tuple[tuple, ...]
     unknown_rows: list[int]
     lines: int
 
@@ -545,7 +616,7 @@ def _read_range(
     serials = count()
     dates, locations = _DateTexts(), _LocationCodes()
     columns = (array("q"), array("i"), array("i"), array("b"), array("d"))
-    rejected: list[RejectedDay] = []
+    rejected: list[tuple] = []
     unknown_rows: list[int] = []
     while lines := list(islice(handle, CHUNK_ROWS)):
         rows, chunk = _read_pass(lines, pull or handle, first_row, dates, locations, rejected)
@@ -557,7 +628,7 @@ def _read_range(
         drop = date_codes < 0
         for i in np.flatnonzero(drop).tolist():
             text = dates.texts[date_serials[i]]
-            rejected.append(_rejection(rows[i], id_texts[i], text, dates.errors[text]))
+            rejected.append((int(rows[i]), id_texts[i].strip(), text.strip(), dates.errors[text]))
         # The DiaryDay constructor names the fault of a flagged row, exactly
         # as for a single day.
         for i in np.flatnonzero(_minute_screen(block) & ~drop).tolist():
@@ -566,7 +637,7 @@ def _read_range(
             except ValueError as exc:
                 drop[i] = True
                 text = dates.texts[date_serials[i]]
-                rejected.append(_rejection(rows[i], id_texts[i], text, str(exc)))
+                rejected.append((int(rows[i]), id_texts[i].strip(), text.strip(), str(exc)))
         read = [rows, id_texts, date_codes, chunk["location"], block]
         if drop.any():
             read = [column[~drop] for column in read]
@@ -585,7 +656,7 @@ def _read_range(
     order = _first_appearance(date_codes, len(by_code)).tolist()
     return _Part(
         columns, len(columns[0]), list(distinct_ids), [by_code[code] for code in order],
-        rejected, unknown_rows, first_row - 1,
+        tuple(zip(*rejected)) or ((),) * 4, unknown_rows, first_row - 1,
     )
 
 
@@ -617,7 +688,7 @@ def _renumber(codes: np.ndarray, values: list, more: list) -> list:
     return values + list(compress(more, new.tolist()))
 
 
-def _merge(head: _Part, tail: _Part | None = None) -> tuple[DiaryTable, list[RejectedDay]]:
+def _merge(head: _Part, tail: _Part | None = None) -> tuple[DiaryTable, RejectionTable]:
     """Table and rejections, in row order, of the lines of ``head`` and then
     of ``tail``, whose line numbers go on from head's; drops the duplicate
     days and logs the folded unknown-location warning.
@@ -628,8 +699,8 @@ def _merge(head: _Part, tail: _Part | None = None) -> tuple[DiaryTable, list[Rej
     """
     import numpy as np
 
-    ids, dates = head.ids, head.dates
-    rejected, unknown_rows = head.rejected, head.unknown_rows
+    ids, dates, unknown_rows = head.ids, head.dates, head.unknown_rows
+    rejected = [_read_rejections(*head.rejected, RejectReason.PARSE_ERROR)]
     if tail is not None and tail.columns is not None:
         for column, more in zip(head.columns, tail.columns):
             column.extend(more)
@@ -641,7 +712,9 @@ def _merge(head: _Part, tail: _Part | None = None) -> tuple[DiaryTable, list[Rej
         rows[start:] += shift
         ids = _renumber(id_codes[start:], ids, tail.ids)
         dates = _renumber(date_codes[start:], dates, tail.dates)
-        rejected += [replace(r, row=r.row + shift) for r in tail.rejected]
+        tail_rows, *columns = tail.rejected
+        tail_rows = np.array(tail_rows, dtype=np.int64) + shift
+        rejected.append(_read_rejections(tail_rows, *columns, RejectReason.PARSE_ERROR))
         unknown_rows += [row + shift for row in tail.unknown_rows]
     table = DiaryTable(id_codes, ids, date_codes, dates, rows, day_types, minutes)
     table, unknown_rows = _drop_duplicates(table, rejected, unknown_rows)
@@ -651,16 +724,16 @@ def _merge(head: _Part, tail: _Part | None = None) -> tuple[DiaryTable, list[Rej
             len(unknown_rows),
             ", ".join(map(str, unknown_rows[:_WARNED_ROWS])),
         )
-    rejected.sort(key=attrgetter("row"))
-    return table, rejected
+    return table, in_row_order(*rejected)
 
 
 def _drop_duplicates(
-    table: DiaryTable, rejected: list[RejectedDay], unknown_location_rows: list[int]
+    table: DiaryTable, rejected: list[RejectionTable], unknown_location_rows: list[int]
 ) -> tuple[DiaryTable, list[int]]:
     """The table less every row whose participant and date an earlier row
-    has, each rejected as DUPLICATE_DAY naming that row, and the unknown
-    location rows less the dropped ones."""
+    has, each rejected as DUPLICATE_DAY naming that row (a table of them
+    goes to ``rejected``), and the unknown location rows less the dropped
+    ones."""
     import numpy as np
 
     def pair_keys() -> np.ndarray:
@@ -676,19 +749,18 @@ def _drop_duplicates(
         return table, unknown_location_rows
     _, first, pair = np.unique(pair_keys(), return_index=True, return_inverse=True)
     first = first[pair]
-    later = np.flatnonzero(first != np.arange(len(first))).tolist()
-    rows = table.source_rows.tolist()
-    for i in later:
-        day, detail = table[i], f"duplicate of row {rows[first[i]]}"
-        date, reason = day.date.isoformat(), RejectReason.DUPLICATE_DAY
-        rejected.append(_rejection(rows[i], day.participant_id, date, detail, reason))
-    dropped = {rows[i] for i in later}
+    later = np.flatnonzero(first != np.arange(len(first)))
+    rows = table.source_rows
+    details = [f"duplicate of row {row}" for row in rows[first[later]].tolist()]
+    reason = RejectReason.DUPLICATE_DAY
+    rejected.append(_read_rejections(*identities(table[later]), details, reason))
+    dropped = set(rows[later].tolist())
     keep = np.ones(len(table), dtype=bool)
     keep[later] = False
     return table[keep], [row for row in unknown_location_rows if row not in dropped]
 
 
-def parse_diary_file(stream: IO) -> tuple[DiaryTable, list[RejectedDay]]:
+def parse_diary_file(stream: IO) -> tuple[DiaryTable, RejectionTable]:
     """Parse a diary CSV stream, binary or text (opened with
     ``newline=""``), into a table of days plus PARSE_ERROR and DUPLICATE_DAY
     rejections, both in row order. The stream is read once and never
@@ -708,7 +780,7 @@ def parse_diary_file(stream: IO) -> tuple[DiaryTable, list[RejectedDay]]:
             text.detach()
 
 
-def parse_diary_path(path: str | Path) -> tuple[DiaryTable, list[RejectedDay]]:
+def parse_diary_path(path: str | Path) -> tuple[DiaryTable, RejectionTable]:
     """Parse a diary CSV file, as :func:`parse_diary_file` does a stream.
 
     A file of at least :data:`SPLIT_MIN_BYTES` is read in two processes

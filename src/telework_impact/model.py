@@ -115,11 +115,11 @@ def _check_minutes(name: str, minutes: Mapping, kind: type[Enum]) -> dict:
 class DiaryDay:
     """One participant-day of a time-use diary.
 
-    ``source_row`` is the physical line number in the source CSV (header is
-    line 1); it is metadata only and excluded from equality. The minute maps
-    hold every :class:`Activity` and :class:`TransportMode`, in declaration
-    order (missing entries are stored as 0.0), so days that mean the same
-    compare equal and ``activity_total``/``mode_total`` sum in column order.
+    ``source_row``, ``None`` or the :func:`row_number` of the CSV line (the
+    header's is 1), is metadata only and excluded from equality. The minute
+    maps hold every :class:`Activity` and :class:`TransportMode`, in order
+    (missing entries are stored as 0.0), so days that mean the same compare
+    equal and ``activity_total``/``mode_total`` sum in column order.
     """
 
     participant_id: str
@@ -138,6 +138,8 @@ class DiaryDay:
         object.__setattr__(
             self, "mode_minutes", _check_minutes("mode_minutes", self.mode_minutes, TransportMode)
         )
+        if self.source_row is not None:
+            object.__setattr__(self, "source_row", row_number("source_row", self.source_row))
 
     def activity(self, activity: Activity) -> float:
         return self.activity_minutes.get(activity, 0.0)
@@ -223,6 +225,14 @@ def _whole_number(name: str, value) -> int:
     if isinstance(value, bool) or not whole:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def row_number(name: str, value) -> int:
+    """``value`` as a line number: a whole number that int64 holds, >= 0."""
+    number = _whole_number(name, value)
+    if not 0 <= number < 1 << 63:
+        raise ValueError(f"{name} must be >= 0 and < 2**63, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """The quality filter: rules that exclude low-quality diary entries and
 untypical workdays, checked on the columns of a :class:`DiaryTable`.
 
-:func:`apply_quality_filter` returns the kind of container it is given: a
-table for a table, and for any other iterable of days a list of the very
-same objects.
+:func:`apply_quality_filter` gives the kept days as a :class:`DiaryTable`
+and the rejected ones as a :class:`RejectionTable`, whatever iterable of
+days it is given.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING, Iterable
 
-from .diary import DAY_TYPES, NO_ROW, DiaryTable, RejectedDay, RejectReason, row_sums
+from .diary import (
+    DAY_TYPES, DiaryTable, RejectionTable, RejectReason, identities, row_sums,
+)
 from .model import Activity, DayType, DiaryDay, finite_at_least
 
 if TYPE_CHECKING:
@@ -21,18 +23,17 @@ if TYPE_CHECKING:
 _ACTIVITIES = tuple(Activity)
 _TRAVEL = _ACTIVITIES.index(Activity.TRAVEL)
 _WORK = _ACTIVITIES.index(Activity.WORK)
-_DAY_TYPE_VALUES = tuple(day_type.value for day_type in DAY_TYPES)
 _EXCLUDED_CODES = [DAY_TYPES.index(t) for t in (DayType.OTHER_LOCATION, DayType.MULTI_LOCATION)]
 
 #: Reasons of the quality rules, in the order the rules are checked, and the
-#: detail text of each. Formatting with the rules gives a template whose
-#: fields are a day's work, total, mismatch and day type.
+#: detail text of each. Formatting with the rules and a day type gives a
+#: template whose fields are a day's work, total and mismatch.
 _RULE_REASONS = tuple(RejectReason)[:4]
 _RULE_DETAILS = (
     "work {{0:g}} < {rules.min_work_minutes:g} min",
     "total {{1:g}} < {rules.min_total_minutes:g} min",
     "|travel - modes| = {{2:g}} > {rules.max_mode_mismatch_minutes:g} min",
-    "day type {{3}} excluded",
+    "day type {day_type} excluded",
 )
 
 
@@ -73,20 +74,19 @@ class QualityRules:
 
 def apply_quality_filter(
     days: Iterable[DiaryDay], rules: QualityRules | None = None
-) -> tuple[DiaryTable | list[DiaryDay], list[RejectedDay]]:
+) -> tuple[DiaryTable, RejectionTable]:
     """Partition days into (kept, rejected) according to the quality rules.
 
     The first failing rule (in :class:`RejectReason` order) is the primary
-    reason; all failing rules are attached. ``kept`` is the kind of
-    container given: a :class:`DiaryTable` for a table, otherwise a list of
-    the very same day objects. Rejections are described from the table's
-    columns; no day object is built for them.
+    reason; all failing rules are attached. Any iterable of days is taken as
+    a :class:`DiaryTable` (see :meth:`DiaryTable.from_days`), and ``kept`` is
+    that table or a sub-table of it. The rejections are gathered from the
+    table's columns, with no object per rejected day; a rule's detail is
+    formatted only when a :class:`RejectedDay` is built from them.
     """
     import numpy as np
 
     rules = rules or QualityRules()
-    if not isinstance(days, DiaryTable):
-        days = list(days)
     table = DiaryTable.from_days(days)
     # One rule column at a time, so that a large table holds one float
     # column beyond its own at once.
@@ -96,38 +96,28 @@ def apply_quality_filter(
     failing[:, 2] = _mismatch(table.minutes) > rules.max_mode_mismatch_minutes
     failing[:, 3] = np.isin(table.day_types, _EXCLUDED_CODES) & rules.exclude_multi_location
     rejected_at = np.flatnonzero(failing.any(axis=1))
-    minutes = table.minutes[rejected_at]
-    # The reason, failures and detail template of each combination of
-    # failing rules, built once; bit k of a combination is rule k.
-    combinations = failing[rejected_at] @ (1 << np.arange(len(_RULE_REASONS)))
-    outcomes = {}
-    for combination in set(combinations.tolist()):
+    rejected_days, failing = table[rejected_at], failing[rejected_at]
+    # The failures and detail template of each combination of failing rules
+    # and day type, built once; bit k of a combination is rule k.
+    combinations = failing @ (1 << np.arange(len(_RULE_REASONS)))
+    combinations = combinations * len(DAY_TYPES) + rejected_days.day_types
+    keys, outcome = np.unique(combinations, return_inverse=True)
+    failures, details = [], []
+    for key in keys.tolist():
+        combination, code = divmod(key, len(DAY_TYPES))
         flags = [combination >> k & 1 for k in range(len(_RULE_REASONS))]
-        failures = tuple(compress(_RULE_REASONS, flags))
-        details = (text.format(rules=rules) for text in compress(_RULE_DETAILS, flags))
-        outcomes[combination] = failures[0], failures, "; ".join(details)
-    date_codes = table.date_codes[rejected_at].tolist()
-    iso_dates = {code: table.distinct_dates[code].isoformat() for code in set(date_codes)}
-
-    rejected: list[RejectedDay] = []
-    for row, id_code, date_code, code, combination, work_i, total_i, mismatch_i in zip(
-        table.source_rows[rejected_at].tolist(),
-        table.participant_codes[rejected_at].tolist(),
-        date_codes,
-        table.day_types[rejected_at].tolist(),
-        combinations.tolist(),
-        minutes[:, _WORK].tolist(),
-        _total(minutes).tolist(),
-        _mismatch(minutes).tolist(),
-    ):
-        reason, failures, template = outcomes[combination]
-        detail = template.format(work_i, total_i, mismatch_i, _DAY_TYPE_VALUES[code])
-        participant_id, date = table.distinct_ids[id_code], iso_dates[date_code]
-        row = None if row == NO_ROW else row
-        rejected.append(RejectedDay(reason, row, participant_id, date, detail, failures))
-
+        failures.append(tuple(compress(_RULE_REASONS, flags)))
+        texts = compress(_RULE_DETAILS, flags)
+        template = "; ".join(t.format(rules=rules, day_type=DAY_TYPES[code].value) for t in texts)
+        details.append(template.format)
+    minutes = rejected_days.minutes
+    rejected = RejectionTable(
+        *identities(rejected_days),
+        np.fromiter(details, object, len(details))[outcome],
+        failing.argmax(axis=1),  # the first failing rule's code
+        np.fromiter(failures, object, len(failures))[outcome],
+        np.column_stack([minutes[:, _WORK], _total(minutes), _mismatch(minutes)]),
+    )
     keep = np.ones(len(table), dtype=bool)
     keep[rejected_at] = False
-    if isinstance(days, DiaryTable):
-        return (days[keep] if rejected else days), rejected
-    return list(compress(days, keep.tolist())), rejected
+    return (table[keep] if len(rejected) else table), rejected

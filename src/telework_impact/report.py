@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .aggregation import DayTypeProfile, profiles_to_dict
 from .config import AppConfig
-from .diary import RejectedDay, RejectReason
+from .diary import NO_ROW, REASONS, RejectedDay, RejectionTable
 from .model import Activity, DayType, EnergyDelta, TransportMode
 from .scenario import SweepResult, weekly_net_mj
 
@@ -136,20 +136,17 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[s
     return path
 
 
-#: Reason -> its CSV cell, so that no rejection reads the Enum ``value``.
-_REASON_VALUES = {reason: reason.value for reason in RejectReason}
+#: Reason code -> its CSV cell, so that no rejection reads the Enum ``value``.
+_REASON_VALUES = tuple(reason.value for reason in REASONS)
 
 
 def rejection_rows(rejected: Iterable[RejectedDay]) -> list[list[str]]:
-    return [
-        [
-            "" if item.row is None else str(item.row),
-            item.participant_id,
-            item.date,
-            _REASON_VALUES[item.reason],
-        ]
-        for item in rejected
-    ]
+    """The cells of ``rejections.csv``, read from a :class:`RejectionTable`'s columns."""
+    table = RejectionTable.from_rejected(rejected)
+    rows = ["" if row == NO_ROW else str(row) for row in table.rows.tolist()]
+    reasons = map(_REASON_VALUES.__getitem__, table.reasons.tolist())
+    ids, dates = table.participant_ids.tolist(), table.dates.tolist()
+    return list(map(list, zip(rows, ids, dates, reasons)))
 
 
 def profile_rows(profiles: Mapping[DayType, DayTypeProfile]) -> list[list[str]]:
@@ -362,15 +359,15 @@ def input_summary(
     diary_path: str | Path,
     parsed_count: int,
     kept_count: int,
-    rejected: Sequence[RejectedDay],
+    rejected: Iterable[RejectedDay],
 ) -> dict:
-    counts = Counter(item.reason for item in rejected)
-    by_reason = {reason.value: count for reason, count in counts.items()}
+    counts = Counter(RejectionTable.from_rejected(rejected).reasons.tolist())
+    by_reason = {_REASON_VALUES[code]: count for code, count in counts.items()}
     return {
         "diaries": str(diary_path),
         "rows_parsed": parsed_count,
         "kept": kept_count,
-        "rejected": len(rejected),
+        "rejected": sum(counts.values()),
         "rejected_by_reason": by_reason,
     }
 

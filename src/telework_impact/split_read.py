@@ -35,7 +35,7 @@ _CUT_WINDOW = 1 << 16
 _PIPE_BLOCK = 1 << 20
 
 
-def parse(raw: IO[bytes]) -> tuple[diary.DiaryTable, list[diary.RejectedDay]]:
+def parse(raw: IO[bytes]) -> tuple[diary.DiaryTable, diary.RejectionTable]:
     """Table and rejections of the diary file open as ``raw``, read in two
     processes where :func:`_fork_is_safe` allows it and the file has a cut."""
     # Imported before the fork, so that the child need not import it, and
@@ -104,7 +104,7 @@ def _lines_past(text: IO[str], limited: _Range) -> Iterator[str]:
 
 def read_split(
     fd: int, cut: int, fork: bool = False
-) -> tuple[diary.DiaryTable, list[diary.RejectedDay]]:
+) -> tuple[diary.DiaryTable, diary.RejectionTable]:
     """Table and rejections of the diary file open as ``fd``, read as the
     ranges before and after byte ``cut``, which starts a line; the same as a
     read in one range.

@@ -115,7 +115,7 @@ def test_criterion_2_filter_fixture_exactness():
         actual_kept = {day.participant_id for day in kept}
         actual_rejected = {
             (item.participant_id, item.reason)
-            for item in parse_rejected + quality_rejected
+            for item in list(parse_rejected) + list(quality_rejected)
         }
         assert actual_kept == expected_kept
         assert actual_rejected == expected_rejected

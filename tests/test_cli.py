@@ -9,7 +9,7 @@ import pytest
 
 from telework_impact import cli
 from telework_impact import energy as energy_module
-from telework_impact.diary import DIARY_HEADER
+from telework_impact.diary import DIARY_HEADER, RejectReason
 from telework_impact.scenario import SWEEP_PARAMETERS
 
 HEADER = ",".join(DIARY_HEADER)
@@ -801,7 +801,7 @@ def outcome(path):
     table, rejected = diary.parse_diary_path(path)
     columns = [table.participant_ids, table.dates, table.source_rows, table.day_types]
     return repr(([c.tolist() for c in columns], table.minutes.tobytes(),
-                 table.distinct_ids, table.distinct_dates, rejected))
+                 table.distinct_ids, table.distinct_dates, list(rejected)))
 def reaped():
     try:
         os.waitpid(-1, os.WNOHANG)
@@ -871,6 +871,47 @@ class TestTwoProcessRead:
         assert names == sorted(p.name for p in (tmp_path / "two").iterdir() if p.name != "run_info.json")
         for name in names:
             assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_validate_builds_no_rejected_day(self, tmp_path, ref_config_path, ref_diaries_path):
+        """Rejections reach rejections.csv and report.json as columns from
+        both processes: ``validate`` builds no RejectedDay. The benchmark's
+        tracer, which builds them after its spans, still counts each reason."""
+        rule_rows = [
+            "P71,2019-09-02,office,60,100,300,300,10,10,40,0,0",  # work too short
+            "P72,2019-09-02,office,60,300,50,50,10,10,40,0,0",  # total too short
+            "P73,2019-09-02,office,200,500,30,30,10,10,40,0,0",  # mode mismatch
+        ]
+        diaries = self._diaries(tmp_path, ref_diaries_path, "\n".join(rule_rows))
+        argv = ["validate", "--config", str(ref_config_path), "--diaries", str(diaries), "--out"]
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        counted = json.loads(self._fresh(
+            tmp_path,
+            "import json, sys",
+            f"sys.path.insert(0, {str(perfbench)!r})",
+            "import tracing",
+            "from telework_impact import report",
+            "built, init = [], diary.RejectedDay.__init__",
+            "def counted_init(self, *args, **kwargs):",
+            "    built.append(args)",
+            "    init(self, *args, **kwargs)",
+            "diary.RejectedDay.__init__ = counted_init",
+            f"assert cli.main({argv + [str(tmp_path / 'plain')]!r}) == 0",
+            "untraced = len(built)",
+            "tracer = tracing.Tracer('validate')",
+            "tracing.install(tracer, cli, report)",
+            f"assert cli.main({argv + [str(tmp_path / 'traced')]!r}) == 0",
+            "print(json.dumps([untraced, len(forks), reaped(), tracer.counts]))",
+        ))
+        untraced, forks, reaped, counts = counted
+        assert (untraced, forks, reaped) == (0, 2, True)
+        report = json.loads((tmp_path / "plain" / "report.json").read_text(encoding="utf-8"))
+        by_reason = report["input_summary"]["rejected_by_reason"]
+        assert set(by_reason) == {reason.value for reason in RejectReason}
+        tallied = {k: n for k, n in counts.items() if k.startswith("diary.rejected.")}
+        assert tallied == {f"diary.rejected.{reason}": n for reason, n in by_reason.items()}
+        for name in ("rejections.csv", "report.json"):
+            plain, traced = (tmp_path / out / name for out in ("plain", "traced"))
+            assert plain.read_bytes() == traced.read_bytes()
 
     def test_threads_streams_and_small_files_are_read_in_one_process(
         self, tmp_path, ref_diaries_path

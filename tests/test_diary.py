@@ -21,13 +21,13 @@ from telework_impact import (
     DayType,
     TransportMode,
     apply_quality_filter,
-    classify_day,
     parse_diary_file,
 )
-from telework_impact.diary import DiaryTable, RejectedDay, RejectReason
+from telework_impact.diary import DiaryTable, RejectedDay, RejectionTable, RejectReason
 from telework_impact.errors import DiaryFormatError
 from telework_impact.model import DiaryDay
 from telework_impact.quality import QualityRules
+from telework_impact.report import rejection_rows
 from telework_impact import diary, split_read
 from telework_impact.diary import DIARY_HEADER, LOCATION_VOCABULARY
 
@@ -38,30 +38,10 @@ def parse_text(text):
     return parse_diary_file(io.StringIO(text))
 
 
-class TestClassifyDay:
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [
-            ("office", DayType.EMPLOYER_OFFICE),
-            ("coworking", DayType.COWORKING),
-            ("home", DayType.HOME),
-            ("other", DayType.OTHER_LOCATION),
-            ("multiple", DayType.MULTI_LOCATION),
-        ],
-    )
-    def test_vocabulary(self, raw, expected):
-        assert classify_day(raw) is expected
-
-    def test_unknown_string_falls_back_with_warning(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="telework_impact.diary"):
-            assert classify_day("bus depot") is DayType.OTHER_LOCATION
-        assert "bus depot" in caplog.text
-
-
 class TestParse:
     def test_empty_file_with_header(self):
         days, rejected = parse_text(HEADER + "\n")
-        assert len(days) == 0 and rejected == []
+        assert len(days) == 0 and list(rejected) == []
 
     def test_missing_header_aborts(self):
         with pytest.raises(DiaryFormatError):
@@ -196,7 +176,7 @@ class TestQualityFilter:
         )
         assert day.activity_total() == 900.0
         kept, rejected = apply_quality_filter([day])
-        assert kept == [day] and not rejected
+        assert list(kept) == [day] and not rejected
 
     def test_total_too_short(self):
         day = make_day(work=300.0, travel=20.0, modes={"car": 20.0}, chores=50, leisure=100)
@@ -208,7 +188,7 @@ class TestQualityFilter:
         # Exactly 240 work / 480 total / 100 min mismatch all pass.
         day = make_day(work=240.0, travel=200.0, modes={"car": 100.0}, chores=20, leisure=20)
         kept, rejected = apply_quality_filter([day])
-        assert kept == [day]
+        assert list(kept) == [day]
 
     def test_excluded_locations(self):
         days = [
@@ -223,7 +203,7 @@ class TestQualityFilter:
         rules = QualityRules(exclude_multi_location=False)
         day = make_day(day_type=DayType.MULTI_LOCATION, modes={"car": 30.0})
         kept, rejected = apply_quality_filter([day], rules)
-        assert kept == [day]
+        assert list(kept) == [day]
 
     def test_first_failing_rule_is_primary_and_all_attached(self):
         day = make_day(
@@ -286,6 +266,7 @@ class TestQualityFilter:
             assert item.failures == failures
             assert item.detail == "; ".join(part for part, fail in zip(parts, fails) if fail)
             assert (item.row, item.participant_id) == (combination + 2, f"P{combination}")
+            assert type(item.row) is int
             assert item.date == f"2024-01-{1 + combination:02d}"
 
 
@@ -318,7 +299,7 @@ class TestFilterProperties:
         days = self.make_population(7)
         kept, _ = apply_quality_filter(days)
         kept2, rejected2 = apply_quality_filter(kept)
-        assert kept2 == kept and not rejected2
+        assert list(kept2) == list(kept) and not rejected2
 
     def test_monotone_in_work_threshold(self):
         days = self.make_population(13)
@@ -334,7 +315,7 @@ class TestFilterProperties:
         random.Random(5).shuffle(shuffled)
         kept_a, _ = apply_quality_filter(days)
         kept_b, _ = apply_quality_filter(shuffled)
-        assert sorted(id(d) for d in kept_a) == sorted(id(d) for d in kept_b)
+        assert sorted(d.source_row for d in kept_a) == sorted(d.source_row for d in kept_b)
 
 
 class TestDiaryTable:
@@ -367,17 +348,16 @@ class TestDiaryTable:
         assert [d.source_row for d in table] == [5, 6, 7, 8]
         assert DiaryTable.from_days(table) is table
 
-    def test_filter_returns_the_kind_of_container_given(self):
+    def test_filter_gives_tables_for_any_days(self):
         table, _ = parse_text(HEADER + "\n" + "\n".join(self.rows()) + "\n")
         rules = QualityRules(min_work_minutes=495.0)
         kept_table, rejected_table = apply_quality_filter(table, rules)
-        assert isinstance(kept_table, DiaryTable)
-        days = list(table)
-        kept_list, rejected_list = apply_quality_filter(days, rules)
-        assert type(kept_list) is list and kept_list[0] is days[1]
-        assert list(kept_table) == kept_list
-        assert rejected_table == rejected_list
-        assert [r.row for r in rejected_table] == [2, 4]
+        kept_list, rejected_list = apply_quality_filter(list(table), rules)
+        for kept, rejected in ((kept_table, rejected_table), (kept_list, rejected_list)):
+            assert isinstance(kept, DiaryTable) and isinstance(rejected, RejectionTable)
+            assert list(kept) == [table[1]]
+            assert [r.row for r in rejected] == [2, 4]
+        assert list(rejected_table) == list(rejected_list)
 
 
 # Minutes small enough that no total exceeds a day. The fixed values reach the
@@ -662,7 +642,7 @@ def _outcome(parse, source):
         table.distinct_ids,
         table.distinct_dates,
     )
-    return columns, rejected, handler.messages
+    return columns, list(rejected), handler.messages
 
 
 def _check_layout(table):
@@ -939,3 +919,60 @@ def test_bad_dates_read_in_bulk_skip_the_row_parse(monkeypatch, tmp_path, ref_di
     assert {item.row for item in rejected} == bad_rows | {83}
     bad_dates = {item.date for item in rejected if item.row in bad_rows}
     assert bad_dates == {"2019-02-30", "2019/09/02", ""}
+
+
+# --- Rejections as columns ----------------------------------------------------
+
+
+_REASONS = st.sampled_from(list(RejectReason))
+
+
+@st.composite
+def rejected_days(draw):
+    """Any rejection a table holds: failures in any order, and a reason that
+    need not be among them."""
+    return RejectedDay(
+        draw(_REASONS),
+        draw(st.none() | st.integers(0, 2**63 - 1)),
+        draw(st.text(max_size=5)),
+        draw(st.text(max_size=10)),
+        draw(st.text(max_size=12)),
+        tuple(draw(st.lists(_REASONS, max_size=4))),
+    )
+
+
+def per_object_rejection_rows(rejected):
+    """``report.rejection_rows`` as it read each rejection object: the
+    reference for the columns."""
+    return [
+        ["" if item.row is None else str(item.row), item.participant_id, item.date,
+         item.reason.value]
+        for item in rejected
+    ]
+
+
+_UNORDERED = (
+    RejectedDay(RejectReason.TOTAL_TOO_SHORT, None, "P1", "2024-01-08", "why",
+                (RejectReason.MODE_MISMATCH, RejectReason.WORK_TOO_SHORT)),
+    RejectedDay(RejectReason.PARSE_ERROR, 0, "", "", "", ()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rejected_days(), max_size=12), st.data())
+@example(list(_UNORDERED), None)
+def test_rejection_table_holds_its_rejections(rejected, data):
+    table = RejectionTable.from_rejected(rejected)
+    assert list(table) == rejected
+    assert all(type(item.row) in (int, type(None)) for item in table)
+    assert RejectionTable.from_rejected(table) is table
+    assert rejection_rows(table) == rejection_rows(rejected) == per_object_rejection_rows(rejected)
+    with pytest.raises(ValueError):
+        table.rows[:1] = 7
+    n = len(rejected)
+    for item in _sub_tables(data.draw, n) if data is not None else []:
+        assert list(table[item]) == [rejected[i] for i in np.arange(n)[item].tolist()]
+    halves = rejected[::2], rejected[1::2]
+    joined = diary.in_row_order(*map(RejectionTable.from_rejected, halves))
+    by_row = sorted(halves[0] + halves[1], key=lambda r: diary.NO_ROW if r.row is None else r.row)
+    assert list(joined) == by_row

@@ -17,6 +17,7 @@ from telework_impact.errors import (
     NonFiniteError,
     TeleworkImpactError,
 )
+from telework_impact.diary import RejectedDay, RejectionTable, RejectReason
 from telework_impact.model import DiaryDay, EnergyDelta, FactorTable, SiteInventory
 
 
@@ -380,6 +381,11 @@ _PLACES = [
     ("mode_minutes[car]", [True, False], lambda v, d, p: make_day(modes={"car": v}, travel=0.0)),
     ("travel_mj", [*_BAD_NUMBERS, "1.0"],
      lambda v, d, p: EnergyDelta(DayType.HOME, 1.0, 1.0, v)),
+    # A row number: -1 would read back as no row, 2.7 as 2, and 2**63 does
+    # not fit the int64 row column of a table.
+    ("source_row", [*_BAD_NUMBERS, -1, 2.7, "3", 2**63], lambda v, d, p: make_day(row=v)),
+    ("row", [*_BAD_NUMBERS, -1, 2.7, "3", 2**63],
+     lambda v, d, p: RejectionTable.from_rejected([RejectedDay(RejectReason.PARSE_ERROR, v)])),
 ]
 
 
@@ -393,3 +399,20 @@ def test_bad_number_anywhere_is_refused_by_name(tmp_path_factory, ref_profiles, 
     with pytest.raises((TeleworkImpactError, ValueError)) as caught:
         build(value, tmp_path_factory.mktemp("config"), ref_profiles)
     assert name in str(caught.value)
+
+
+@pytest.mark.parametrize("value", [-1, 2.7, True, "3", 2**63])
+def test_row_a_table_cannot_hold_is_refused_by_name(value):
+    """Before, ``DiaryDay`` kept such a ``source_row``: -1 read back as no
+    row through a table, 2.7 as 2, and True stayed True."""
+    with pytest.raises(ValueError, match="^source_row "):
+        make_day(row=value)
+    with pytest.raises(ValueError, match="^row "):
+        RejectionTable.from_rejected([RejectedDay(RejectReason.PARSE_ERROR, value)])
+
+
+def test_whole_rows_are_kept_as_ints():
+    for value in (0, 3.0, 2**63 - 1):
+        assert type(make_day(row=value).source_row) is int
+        [item] = RejectionTable.from_rejected([RejectedDay(RejectReason.PARSE_ERROR, value)])
+        assert item.row == value and type(item.row) is int
