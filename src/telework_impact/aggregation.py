@@ -6,9 +6,9 @@ modal split as a share of mean travel-mode time. Shares are computed from
 means of minutes (equivalently, totals), not as means of per-day shares, so
 short-travel days are weighted by their actual travel time.
 
-numpy is imported by :func:`aggregate_profiles` and :func:`day_counts`, not
-by this module: loading stored profiles (``sweep``/``breakeven
---profiles``) needs none.
+numpy and :mod:`.diary` are imported by :func:`aggregate_profiles` and
+:func:`day_counts`, not by this module: loading stored profiles
+(``sweep``/``breakeven --profiles``) needs neither.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .diary import DAY_TYPES, DiaryTable
 from .model import (
     COMPARABLE_DAY_TYPES,
+    DAY_TYPES,
     Activity,
     DayType,
     DiaryDay,
@@ -105,6 +105,8 @@ def aggregate_profiles(days: Iterable[DiaryDay]) -> dict[DayType, DayTypeProfile
     """
     import numpy as np
 
+    from .diary import DiaryTable
+
     table = DiaryTable.from_days(days)
     profiles: dict[DayType, DayTypeProfile] = {}
     for day_type in COMPARABLE_DAY_TYPES:
@@ -128,6 +130,8 @@ def aggregate_profiles(days: Iterable[DiaryDay]) -> dict[DayType, DayTypeProfile
 def day_counts(days: Iterable[DiaryDay]) -> dict[DayType, int]:
     """Exact day counts by classified type, zero-filled for all types."""
     import numpy as np
+
+    from .diary import DiaryTable
 
     counts = np.bincount(DiaryTable.from_days(days).day_types, minlength=len(DAY_TYPES))
     return dict(zip(DAY_TYPES, counts.tolist()))

@@ -21,7 +21,6 @@ from .aggregation import (
     profiles_from_dict,
 )
 from .config import AppConfig, load_config
-from .diary import in_row_order, parse_diary_path
 from .energy import compare_day_types, direct_components
 from .errors import (
     ConfigError,
@@ -30,7 +29,6 @@ from .errors import (
     TeleworkImpactError,
 )
 from .model import COMPARABLE_DAY_TYPES, Activity, DayType
-from .quality import apply_quality_filter
 from .scenario import Scenario, break_even, load_scenario, sweep
 from . import report as rpt
 
@@ -155,6 +153,20 @@ def _out_dir(args) -> Path:
     return out
 
 
+def parse_diary_path(path):
+    """The diary reader; it and the quality filter are imported on a run's
+    first call, so that only the runs that read diaries load them."""
+    from .diary import parse_diary_path
+
+    return parse_diary_path(path)
+
+
+def apply_quality_filter(days, rules):
+    from .quality import apply_quality_filter
+
+    return apply_quality_filter(days, rules)
+
+
 def _run_pipeline(args, config: AppConfig):
     """The diary file's data rows (parsed days plus the rows the read
     rejected), its kept days and every rejection. Only the count of the full
@@ -166,6 +178,8 @@ def _run_pipeline(args, config: AppConfig):
     except OSError as exc:
         raise ConfigError(f"cannot read diary file {args.diaries}: {exc}") from exc
     kept, quality_rejected = apply_quality_filter(days, config.quality_rules)
+    from .diary import in_row_order
+
     rejected = in_row_order(parse_rejected, quality_rejected)
     return len(days) + len(parse_rejected), kept, rejected
 

@@ -1,7 +1,8 @@
 """Configuration file loading and fingerprinting.
 
 One JSON document carries both the site inventory and the factor table
-(plus optional quality-rule overrides)::
+(plus optional overrides of the :class:`QualityRules`, which live here so
+that loading a config does not import the quality filter)::
 
     {
       "site_inventory": {
@@ -29,28 +30,40 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .energy import equipment_energy
 from .errors import ConfigError
-from .model import FactorTable, SiteInventory
-from .quality import QualityRules
+from .model import FactorTable, SiteInventory, finite_at_least
 
-_INVENTORY_KEYS = {
-    "floor_area_m2",
-    "workplace_count",
-    "device_counts",
-    "coworker_count",
-    "workdays_per_year",
-}
-_FACTOR_KEYS = {"facility_intensity", "device_daily_energy", "mode_speed", "mode_energy"}
-_RULE_KEYS = {
-    "min_work_minutes",
-    "min_total_minutes",
-    "max_mode_mismatch_minutes",
-    "exclude_multi_location",
-}
+
+@dataclass(frozen=True)
+class QualityRules:
+    """Thresholds for excluding low-quality entries and untypical workdays.
+
+    Defaults: at least 4 h of work, at least 8 h recorded in total, and at
+    most 100 min absolute difference between the travel activity and the sum
+    of the per-mode times.
+    """
+
+    min_work_minutes: float = 240.0
+    min_total_minutes: float = 480.0
+    max_mode_mismatch_minutes: float = 100.0
+    exclude_multi_location: bool = True
+
+    def __post_init__(self):
+        for name in ("min_work_minutes", "min_total_minutes", "max_mode_mismatch_minutes"):
+            object.__setattr__(self, name, finite_at_least(name, getattr(self, name)))
+        if not isinstance(self.exclude_multi_location, bool):
+            value = self.exclude_multi_location
+            raise ValueError(f"exclude_multi_location must be true or false, got {value!r}")
+
+
+#: The keys of each section, as the fields of the type it is read into.
+_INVENTORY_KEYS, _FACTOR_KEYS, _RULE_KEYS = (
+    {f.name for f in fields(cls)} for cls in (SiteInventory, FactorTable, QualityRules)
+)
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,10 @@ working, while the quality filter (:mod:`.quality`) and the aggregation
 work on its arrays. The rejections are a :class:`RejectionTable`, a sequence
 of :class:`RejectedDay` held as columns; the read collects them as records.
 
-numpy is imported by the functions that build or reduce the arrays, not by
-this module, so only the commands that read diaries load it: ``validate``,
+The package root, the CLI, :mod:`.aggregation` and :mod:`.report` import
+this module inside the functions that need it, and numpy is imported by the
+functions that build or reduce the arrays, so only the commands that read
+diaries load this module, :mod:`.quality` and numpy: ``validate``,
 ``profile``, ``delta``, and ``sweep``/``breakeven`` with ``--diaries``.
 """
 
@@ -67,6 +69,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DiaryFormatError
 from .model import (
+    DAY_TYPES,
     MINUTES_PER_DAY,
     Activity,
     DayType,
@@ -100,8 +103,6 @@ MINUTE_COLUMNS = DIARY_HEADER[3:]
 _ACTIVITIES = tuple(Activity)
 _MODES = tuple(TransportMode)
 
-#: Day types in code order; ``DiaryTable.day_types`` holds indices into it.
-DAY_TYPES = tuple(DayType)
 _DAY_TYPE_CODE = {day_type: code for code, day_type in enumerate(DAY_TYPES)}
 _LOCATION_CODE = {raw: _DAY_TYPE_CODE[day_type] for raw, day_type in LOCATION_VOCABULARY.items()}
 _OTHER_CODE = _DAY_TYPE_CODE[DayType.OTHER_LOCATION]

@@ -66,6 +66,9 @@ class DayType(str, Enum):
     MULTI_LOCATION = "multi_location"
 
 
+#: Day types in code order; ``DiaryTable.day_types`` holds indices into it.
+DAY_TYPES = tuple(DayType)
+
 #: Day types that take part in aggregation and energy comparison.
 COMPARABLE_DAY_TYPES = (DayType.EMPLOYER_OFFICE, DayType.COWORKING, DayType.HOME)
 

@@ -3,19 +3,18 @@ untypical workdays, checked on the columns of a :class:`DiaryTable`.
 
 :func:`apply_quality_filter` gives the kept days as a :class:`DiaryTable`
 and the rejected ones as a :class:`RejectionTable`, whatever iterable of
-days it is given.
+days it is given. Its thresholds, :class:`QualityRules`, live in
+:mod:`.config`, which reads them without importing this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING, Iterable
 
-from .diary import (
-    DAY_TYPES, DiaryTable, RejectionTable, RejectReason, identities, row_sums,
-)
-from .model import Activity, DayType, DiaryDay, finite_at_least
+from .config import QualityRules
+from .diary import DiaryTable, RejectionTable, RejectReason, identities, row_sums
+from .model import DAY_TYPES, Activity, DayType, DiaryDay
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,28 +47,6 @@ def _mismatch(minutes: np.ndarray) -> np.ndarray:
 
     mismatch = row_sums(minutes[:, len(_ACTIVITIES):])
     return np.abs(np.subtract(minutes[:, _TRAVEL], mismatch, out=mismatch), out=mismatch)
-
-
-@dataclass(frozen=True)
-class QualityRules:
-    """Thresholds for excluding low-quality entries and untypical workdays.
-
-    Defaults: at least 4 h of work, at least 8 h recorded in total, and at
-    most 100 min absolute difference between the travel activity and the sum
-    of the per-mode times.
-    """
-
-    min_work_minutes: float = 240.0
-    min_total_minutes: float = 480.0
-    max_mode_mismatch_minutes: float = 100.0
-    exclude_multi_location: bool = True
-
-    def __post_init__(self):
-        for name in ("min_work_minutes", "min_total_minutes", "max_mode_mismatch_minutes"):
-            object.__setattr__(self, name, finite_at_least(name, getattr(self, name)))
-        if not isinstance(self.exclude_multi_location, bool):
-            value = self.exclude_multi_location
-            raise ValueError(f"exclude_multi_location must be true or false, got {value!r}")
 
 
 def apply_quality_filter(

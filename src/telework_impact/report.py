@@ -17,13 +17,15 @@ from itertools import chain, islice, repeat
 from operator import mul
 from pathlib import Path
 from string import Formatter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .aggregation import DayTypeProfile, profiles_to_dict
 from .config import AppConfig
-from .diary import NO_ROW, REASONS, RejectedDay, RejectionTable
 from .model import Activity, DayType, EnergyDelta, TransportMode
 from .scenario import SweepResult, weekly_net_mj
+
+if TYPE_CHECKING:
+    from .diary import RejectedDay
 
 REJECTION_HEADER = ("row", "participant_id", "date", "reason")
 PROFILE_HEADER = ("day_type", "metric", "key", "value")
@@ -136,15 +138,13 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[s
     return path
 
 
-#: Reason code -> its CSV cell, so that no rejection reads the Enum ``value``.
-_REASON_VALUES = tuple(reason.value for reason in REASONS)
-
-
 def rejection_rows(rejected: Iterable[RejectedDay]) -> list[list[str]]:
     """The cells of ``rejections.csv``, read from a :class:`RejectionTable`'s columns."""
+    from .diary import NO_ROW, REASONS, RejectionTable
+
     table = RejectionTable.from_rejected(rejected)
     rows = ["" if row == NO_ROW else str(row) for row in table.rows.tolist()]
-    reasons = map(_REASON_VALUES.__getitem__, table.reasons.tolist())
+    reasons = map([reason.value for reason in REASONS].__getitem__, table.reasons.tolist())
     ids, dates = table.participant_ids.tolist(), table.dates.tolist()
     return list(map(list, zip(rows, ids, dates, reasons)))
 
@@ -361,8 +361,10 @@ def input_summary(
     kept_count: int,
     rejected: Iterable[RejectedDay],
 ) -> dict:
+    from .diary import REASONS, RejectionTable
+
     counts = Counter(RejectionTable.from_rejected(rejected).reasons.tolist())
-    by_reason = {_REASON_VALUES[code]: count for code, count in counts.items()}
+    by_reason = {REASONS[code].value: count for code, count in counts.items()}
     return {
         "diaries": str(diary_path),
         "rows_parsed": parsed_count,

@@ -726,12 +726,21 @@ def test_module_entrypoint_subprocess(ref_config_path, ref_diaries_path, tmp_pat
 
 
 class TestLeanImports:
-    """Only commands that read diaries load numpy. Each check runs in a fresh
-    interpreter, since this test session has imported numpy already."""
+    """Only commands that read diaries load numpy, the diary reader and the
+    quality filter. Each check runs in a fresh interpreter, since this test
+    session has imported all of them already."""
+
+    #: What a run that reads no diary must not load.
+    DIARY_READER = (
+        "numpy", "telework_impact.diary", "telework_impact.quality", "telework_impact.split_read",
+    )
 
     @staticmethod
-    def _numpy_loaded(tmp_path, *statements):
-        code = "\n".join([*statements, "import sys", "print('numpy' in sys.modules)"])
+    def _loaded(tmp_path, modules, *statements):
+        """Those of ``modules`` in ``sys.modules`` after ``statements`` ran."""
+        code = "\n".join(
+            [*statements, "import sys", f"print(*[m for m in {list(modules)!r} if m in sys.modules])"]
+        )
         result = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
@@ -740,17 +749,23 @@ class TestLeanImports:
             env=CHILD_ENV,
         )
         assert result.returncode == 0, result.stderr
-        return result.stdout.splitlines()[-1] == "True"
+        return set(result.stdout.splitlines()[-1].split())
 
     @staticmethod
     def _main(argv):
         return f"assert cli.main({[str(a) for a in argv]!r}) == 0"
 
     @pytest.mark.parametrize("module", ["telework_impact", "telework_impact.cli"])
-    def test_import_loads_no_numpy(self, tmp_path, module):
-        assert not self._numpy_loaded(tmp_path, f"import {module}")
+    def test_import_and_load_config_load_no_diary_reader(self, tmp_path, module):
+        assert not self._loaded(
+            tmp_path,
+            [*self.DIARY_READER, "logging"],
+            f"import {module}",
+            "from telework_impact.config import load_config, shipped_config_path",
+            "load_config(shipped_config_path())",
+        )
 
-    def test_sweep_and_breakeven_on_profiles_load_no_numpy(
+    def test_sweep_and_breakeven_on_profiles_load_no_diary_reader(
         self, run, tmp_path, ref_config_path, ref_diaries_path
     ):
         assert run(
@@ -758,8 +773,9 @@ class TestLeanImports:
             "--out", tmp_path / "p",
         )[0] == 0
         common = ["--config", ref_config_path, "--profiles", tmp_path / "p" / "profiles.json"]
-        assert not self._numpy_loaded(
+        assert not self._loaded(
             tmp_path,
+            self.DIARY_READER,
             "from telework_impact import cli",
             self._main(
                 ["sweep", *common, "--parameter", "coworker_count", "--values", 30, 60,
@@ -772,14 +788,62 @@ class TestLeanImports:
         )
 
     def test_delta_on_diaries_loads_numpy(self, tmp_path, ref_config_path, ref_diaries_path):
-        assert self._numpy_loaded(
+        assert "numpy" in self._loaded(
             tmp_path,
+            ["numpy"],
             "from telework_impact import cli",
             self._main(
                 ["delta", "--config", ref_config_path, "--diaries", ref_diaries_path,
                  "--out", tmp_path / "d"]
             ),
         )
+
+    def test_validate_on_diaries_loads_diary_reader(
+        self, tmp_path, ref_config_path, ref_diaries_path
+    ):
+        # The shipped file is below diary.SPLIT_MIN_BYTES: one range, no split_read.
+        assert self._loaded(
+            tmp_path,
+            self.DIARY_READER,
+            "from telework_impact import cli",
+            self._main(
+                ["validate", "--config", ref_config_path, "--diaries", ref_diaries_path,
+                 "--out", tmp_path / "v"]
+            ),
+        ) == {"numpy", "telework_impact.diary", "telework_impact.quality"}
+
+
+class TestLazyRootNames:
+    """The package root resolves the diary reader's names on first access."""
+
+    def test_diary_reader_names_are_the_module_functions(self):
+        from telework_impact import apply_quality_filter, parse_diary_file, parse_diary_path
+        from telework_impact import diary, quality
+
+        assert parse_diary_file is diary.parse_diary_file
+        assert parse_diary_path is diary.parse_diary_path
+        assert apply_quality_filter is quality.apply_quality_filter
+
+    def test_every_exported_name_resolves_and_is_listed(self):
+        import telework_impact
+
+        for name in telework_impact.__all__:
+            assert getattr(telework_impact, name) is not None
+        assert set(telework_impact.__all__) <= set(dir(telework_impact))
+
+    def test_unknown_name_raises(self):
+        import telework_impact
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            telework_impact.no_such_name
+        with pytest.raises(ImportError):
+            from telework_impact import no_such_name  # noqa: F401
+
+    def test_moved_names_are_one_object(self):
+        from telework_impact import config, diary, model, quality
+
+        assert quality.QualityRules is config.QualityRules
+        assert diary.DAY_TYPES is model.DAY_TYPES
 
 
 def _cpus():
