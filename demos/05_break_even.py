@@ -21,7 +21,6 @@ from telework_impact import (
     travel_energy,
 )
 from telework_impact.config import shipped_config_path, shipped_diaries_path
-from telework_impact.energy import annual_facility_energy
 
 
 def main():
@@ -41,9 +40,9 @@ def main():
     )
 
     # Closed form: annual facility energy per workday / (travel saving - equipment).
-    per_workday = annual_facility_energy(inventory.floor_area_m2, factors) / (
-        inventory.workdays_per_year
-    )
+    per_workday = (
+        inventory.floor_area_m2 * factors.facility_intensity_total()
+    ) / inventory.workdays_per_year
     travel = travel_energy(
         profiles[DayType.COWORKING].mean_mode_minutes, factors
     ) - travel_energy(profiles[DayType.EMPLOYER_OFFICE].mean_mode_minutes, factors)

@@ -23,6 +23,7 @@ from .model import (
     DayType,
     DiaryDay,
     TransportMode,
+    _sum_in_order,
     _whole_number,
     finite_at_least,
 )
@@ -32,7 +33,7 @@ SHARE_SUM_TOLERANCE = 1e-9
 
 def mode_shares(mode_minutes: Mapping[TransportMode, float]) -> dict[TransportMode, float]:
     """Share of each mode in the total; all zeros when the total is zero."""
-    total = float(sum(mode_minutes.get(m, 0.0) for m in TransportMode))
+    total = _sum_in_order(mode_minutes.get(m, 0.0) for m in TransportMode)
     if total <= 0.0:
         return {m: 0.0 for m in TransportMode}
     return {m: mode_minutes.get(m, 0.0) / total for m in TransportMode}

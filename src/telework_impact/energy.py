@@ -2,8 +2,9 @@
 
 Three components are quantified:
 
-* facility: heating + cooling + lighting of the shared space, allocated as
-  ``floor_area * intensity / (coworkers * workdays_per_year)``,
+* facility: heating + cooling + lighting of the shared space, a year's MJ
+  shared over coworkers x workdays by :func:`allocate`, with which scenarios
+  also allocate their floor-space credit,
 * equipment: daily device energy summed over the inventory, allocated per
   workplace,
 * travel: ``minutes/60 * speed * energy_per_person_km`` summed over modes,
@@ -21,23 +22,14 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .aggregation import DayTypeProfile
-from .errors import DivisionDomainError, MissingFactorError, MissingProfileError
-from .model import EnergyDelta, FactorTable, SiteInventory, TransportMode, finite_at_least
+from .errors import MissingFactorError, MissingProfileError
+from .model import EnergyDelta, FactorTable, SiteInventory, TransportMode, finite_at_least, finite_mj
 
 
-def per_coworker_day(annual_mj: float, coworker_count: float, workdays_per_year: float) -> float:
-    """Allocate an annual MJ total down to one coworker-day."""
-    if coworker_count <= 0 or workdays_per_year <= 0:
-        raise DivisionDomainError(
-            f"allocation requires positive divisors, got coworkers={coworker_count}, "
-            f"workdays={workdays_per_year}"
-        )
-    return annual_mj / (coworker_count * workdays_per_year)
-
-
-def annual_facility_energy(floor_area_m2: float, factors: FactorTable) -> float:
-    """Yearly heating + cooling + lighting energy of the space, MJ."""
-    return floor_area_m2 * factors.facility_intensity_total()
+def allocate(area_m2: float, intensity: float, coworkers: float, workdays: float) -> float:
+    """MJ per coworker-day of ``area_m2`` at ``intensity`` MJ/(m2*year): a
+    year's energy of that area shared over ``coworkers`` x ``workdays``."""
+    return area_m2 * intensity / (coworkers * workdays)
 
 
 @dataclass(frozen=True)
@@ -49,16 +41,7 @@ class DirectComponents:
 
     def __post_init__(self):
         for name in ("facility_mj_per_coworker_day", "equipment_mj_per_coworker_day"):
-            finite_at_least(name, getattr(self, name))
-
-
-def facility_energy(inventory: SiteInventory, factors: FactorTable) -> float:
-    """Facility energy in MJ per coworker-day."""
-    return per_coworker_day(
-        annual_facility_energy(inventory.floor_area_m2, factors),
-        inventory.coworker_count,
-        inventory.workdays_per_year,
-    )
+            finite_mj(name, getattr(self, name))
 
 
 def equipment_energy(inventory: SiteInventory, factors: FactorTable) -> float:
@@ -78,8 +61,16 @@ def equipment_energy(inventory: SiteInventory, factors: FactorTable) -> float:
 
 
 def direct_components(inventory: SiteInventory, factors: FactorTable) -> DirectComponents:
+    """Facility and equipment MJ per coworker-day. A figure that is not
+    finite (an overflow) raises :class:`NonFiniteError` naming it."""
+    facility = allocate(
+        inventory.floor_area_m2,
+        factors.facility_intensity_total(),
+        inventory.coworker_count,
+        inventory.workdays_per_year,
+    )
     return DirectComponents(
-        facility_mj_per_coworker_day=facility_energy(inventory, factors),
+        facility_mj_per_coworker_day=facility,
         equipment_mj_per_coworker_day=equipment_energy(inventory, factors),
     )
 

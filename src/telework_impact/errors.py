@@ -49,10 +49,6 @@ class MissingProfileError(TeleworkImpactError):
         super().__init__(f"no days available for day type '{value}'")
 
 
-class DivisionDomainError(TeleworkImpactError):
-    """Allocation divisor (coworkers or workdays) is not positive."""
-
-
 class InvalidOverrideError(TeleworkImpactError):
     """Scenario override violates an inventory or scenario invariant."""
 

@@ -218,6 +218,15 @@ def finite_at_least(name: str, value, minimum: float = 0.0) -> float:
     return number
 
 
+def finite_mj(name: str, value, minimum: float = 0.0) -> float:
+    """An MJ figure checked as by :func:`finite_at_least`, except that a NaN
+    or infinite number (a product that overflowed) raises
+    :class:`NonFiniteError` naming ``name``."""
+    if not math.isfinite(_real(name, value)):
+        raise NonFiniteError(f"{name} is not finite: {value}")
+    return finite_at_least(name, value, minimum)
+
+
 def _whole_number(name: str, value) -> int:
     """``value`` as an int; a bool, a non-number such as ``"7"`` or a number
     with a fractional part is refused rather than converted or truncated.
@@ -287,7 +296,7 @@ class FactorTable:
 
     def facility_intensity_total(self) -> float:
         """Summed heating + cooling + lighting intensity, MJ/(m2*year)."""
-        return sum(self.facility_intensity[c] for c in FACILITY_COMPONENTS)
+        return _sum_in_order(self.facility_intensity[c] for c in FACILITY_COMPONENTS)
 
 
 _DELTA_COMPONENTS = ("facility_mj", "equipment_mj", "travel_mj", "credit_mj")
@@ -315,10 +324,7 @@ class EnergyDelta:
 
     def __post_init__(self):
         for name in _DELTA_COMPONENTS:
-            value = getattr(self, name)
-            if not math.isfinite(_real(name, value)):
-                raise NonFiniteError(f"{name} is not finite: {value}")
-            finite_at_least(name, value, -math.inf if name == "travel_mj" else 0.0)
+            finite_mj(name, getattr(self, name), -math.inf if name == "travel_mj" else 0.0)
         net = self.facility_mj + self.equipment_mj + self.travel_mj - self.credit_mj
         if not math.isfinite(net):
             raise NonFiniteError(f"net_mj is not finite: {net}")

@@ -12,12 +12,13 @@ import csv
 import datetime as _dt
 import json
 from collections import Counter
+from collections.abc import Iterator
 from contextlib import ExitStack
 from itertools import chain, islice, repeat
 from operator import mul
 from pathlib import Path
 from string import Formatter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .aggregation import DayTypeProfile, profiles_to_dict
 from .config import AppConfig
@@ -44,52 +45,16 @@ SWEEP_HEADER = (
 RUN_INFO_FILENAME = "run_info.json"
 
 
-def fmt(value) -> str:
-    """Full-precision cell rendering; floats use shortest round-trip repr."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-class EncodedJson:
-    """JSON text laid out the way :func:`write_json` lays out a value, given
-    as pieces that :func:`write_json` writes one at a time, so that a long
-    text never has to be held whole. ``chunks`` may be an iterator, which
-    is then consumed by the one write it is given to."""
-
-    def __init__(self, chunks: Iterable[str]):
-        self.chunks = chunks
-
-
-def _json_pieces(payload) -> Iterator[str]:
-    """The pieces of ``json.dumps(payload, indent=2, sort_keys=True)``, where
-    ``payload`` may be an :class:`EncodedJson`, which stands for the value
-    its pieces encode, or a dict with string keys that holds some as
-    members.
-
-    A member's pieces are spliced in re-indented by two spaces, one piece
-    at a time. That is exact when every raw newline of the text is
-    structural, as in the output of ``json.dumps`` (which escapes newlines
-    inside strings) and of :func:`write_sweep`.
-    """
-    if isinstance(payload, EncodedJson):
-        yield from payload.chunks
-    elif isinstance(payload, dict) and any(isinstance(v, EncodedJson) for v in payload.values()):
-        opening = "{"
-        for key, value in sorted(payload.items()):
-            yield f"{opening}\n  {json.dumps(key)}: "
-            for piece in _json_pieces(value):
-                yield piece.replace("\n", "\n  ")
-            opening = ","
-        yield "\n}"
-    else:
-        yield json.dumps(payload, indent=2, sort_keys=True)
-
-
 def write_json(path: str | Path, payload) -> Path:
+    """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline.
+    An iterator, which ``json`` cannot encode, is taken as that text in
+    pieces, written one at a time so that a long text is never held whole
+    (see :func:`write_sweep`)."""
     path = Path(path)
+    if not isinstance(payload, Iterator):
+        payload = [json.dumps(payload, indent=2, sort_keys=True)]
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(_json_pieces(payload))
+        handle.writelines(payload)
         handle.write("\n")
     return path
 
@@ -153,28 +118,12 @@ def profile_rows(profiles: Mapping[DayType, DayTypeProfile]) -> list[list[str]]:
     rows = []
     for day_type, profile in profiles.items():
         rows.append([day_type.value, "day_count", "days", str(profile.day_count)])
-        for activity in Activity:
-            rows.append(
-                [
-                    day_type.value,
-                    "mean_activity_minutes",
-                    activity.value,
-                    fmt(profile.mean_activity_minutes[activity]),
-                ]
-            )
-        for mode in TransportMode:
-            rows.append(
-                [
-                    day_type.value,
-                    "mean_mode_minutes",
-                    mode.value,
-                    fmt(profile.mean_mode_minutes[mode]),
-                ]
-            )
-        for mode in TransportMode:
-            rows.append(
-                [day_type.value, "mode_share", mode.value, fmt(profile.mode_share[mode])]
-            )
+        for metric, keys, values in (
+            ("mean_activity_minutes", Activity, profile.mean_activity_minutes),
+            ("mean_mode_minutes", TransportMode, profile.mean_mode_minutes),
+            ("mode_share", TransportMode, profile.mode_share),
+        ):
+            rows += [[day_type.value, metric, key.value, repr(values[key])] for key in keys]
     return rows
 
 
@@ -206,14 +155,11 @@ def delta_to_dict(delta: EnergyDelta) -> dict:
 
 
 def delta_rows(deltas: Iterable[EnergyDelta]) -> list[list[str]]:
+    """The cells of ``DELTA_HEADER``; every cell after the baseline is a
+    float's ``repr``."""
+    components = DELTA_HEADER[1:]
     return [
-        [
-            delta.baseline.value,
-            fmt(delta.facility_mj),
-            fmt(delta.equipment_mj),
-            fmt(delta.travel_mj),
-            fmt(delta.net_mj),
-        ]
+        [delta.baseline.value, *(repr(getattr(delta, name)) for name in components)]
         for delta in deltas
     ]
 
@@ -317,11 +263,13 @@ def write_sweep(
     to ``on_batch`` too.
 
     A batch's cells are rendered once, by :func:`_sweep_columns`, and no
-    file's whole text is held; only ``report.json`` passes through
-    :func:`write_json`. The document is ``json.dumps(sweep_to_dict(result),
-    indent=2, sort_keys=True)``, laid out from the cells, exactly: a point
-    has fixed keys and only finite floats besides its baseline, and
-    ``json`` renders a finite float with ``float.__repr__``, as the cells do.
+    file's whole text is held. The document is
+    ``json.dumps(sweep_to_dict(result), indent=2, sort_keys=True)``, laid out
+    from the cells, exactly: a point has fixed keys and only finite floats
+    besides its baseline, and ``json`` renders a finite float with
+    ``float.__repr__``, as the cells do. ``report.json`` is ``json.dumps``
+    of ``report`` with a ``None`` sweep, cut at that member and joined
+    around the document's pieces, which :func:`write_json` writes.
     """
     out_dir = Path(out_dir)
     with ExitStack() as files:
@@ -332,8 +280,15 @@ def write_sweep(
             )
         if formats in ("json", "both"):
             document = files.enter_context(open(out_dir / "sweep.json", "w", encoding="utf-8"))
-        member = EncodedJson(_sweep_pieces(result, table, document, on_batch))
-        write_json(out_dir / "report.json", {**report, "sweep": member})
+        # The one line at two spaces' indent that reads so: a JSON string
+        # escapes its quotes and newlines, and a nested member sits deeper.
+        slot = '\n  "sweep": '
+        text = json.dumps({**report, "sweep": None}, indent=2, sort_keys=True)
+        head, _, tail = text.partition(slot + "null")
+        # Every raw newline of the document is structural: indent it as a member.
+        pieces = _sweep_pieces(result, table, document, on_batch)
+        member = (piece.replace("\n", "\n  ") for piece in pieces)
+        write_json(out_dir / "report.json", chain([head + slot], member, [tail]))
 
 
 def sweep_to_dict(result: SweepResult) -> dict:

@@ -10,13 +10,15 @@ facility/equipment/travel split stays comparable; its net subtracts it.
 Every evaluation first takes the terms that do not depend on the swept
 value (effective inventory, intensities, and the equipment and travel MJ of
 one :func:`compare_day_types` call), once per call; a point then only
-allocates facility and credit energy over coworkers x workdays. A sweep
-evaluates one parameter over a list of values as columns (a
-:class:`SweepResult`, no delta per point). Break-even needs no search:
-the net is ``a + b*x`` in floor area and floor-space credit and ``a + b/x``
-in coworkers and workdays, so its root is ``-a/b`` or ``-b/a`` with ``a``
-and ``b`` read from the terms. Integer-valued inventory parameters are
-relaxed to reals for sweeping and root finding (round up for planning).
+allocates facility and credit energy over coworkers x workdays with
+:func:`~telework_impact.energy.allocate`, the function that allocates the
+facility of :func:`direct_components`. A sweep evaluates one parameter over
+a list of values as columns (a :class:`SweepResult`, no delta per point).
+Break-even needs no search: the net is ``a + b*x`` in floor area and
+floor-space credit and ``a + b/x`` in coworkers and workdays, so its root is
+``-a/b`` or ``-b/a`` with ``a`` and ``b`` read from the terms.
+Integer-valued inventory parameters are relaxed to reals for sweeping and
+root finding (round up for planning).
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ import math
 from collections.abc import Sequence as SequenceABC
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import le, mul
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .aggregation import DayTypeProfile
-from .energy import compare_day_types, direct_components
+from .energy import allocate, compare_day_types, direct_components
 from .errors import (
     ConfigError,
     InvalidOverrideError,
@@ -277,18 +279,17 @@ class _Terms:
         return EnergyDelta(self.baseline, facility, self.equipment_mj, self.travel_mj, credit)
 
     def columns(self, field: str | None, values: list[float]) -> tuple[list, list]:
-        """The facility and credit MJ, ``area * intensity / (coworkers *
-        workdays)``, with the allocation input ``field`` replaced by each of
-        ``values``, a column each."""
+        """The facility and credit MJ, as :func:`allocate` allocates them,
+        with the allocation input ``field`` replaced by each of ``values``, a
+        column each."""
         area, coworkers, workdays, credit_m2 = (
             values if field == name else [getattr(self, name)] * len(values)
             for name in ("area", "coworkers", "workdays", "credit_m2")
         )
-        divisors = list(map(mul, coworkers, workdays))
-        intensity, credit_intensity = self.facility_intensity, self.credit_intensity
+        intensity, credit_intensity = repeat(self.facility_intensity), repeat(self.credit_intensity)
         return (
-            [a * intensity / d for a, d in zip(area, divisors)],
-            [c * credit_intensity / d for c, d in zip(credit_m2, divisors)],
+            list(map(allocate, area, intensity, coworkers, workdays)),
+            list(map(allocate, credit_m2, credit_intensity, coworkers, workdays)),
         )
 
 

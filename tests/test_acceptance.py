@@ -40,11 +40,7 @@ from telework_impact import (
 )
 from telework_impact.aggregation import DayTypeProfile, mode_shares
 from telework_impact.diary import DIARY_HEADER, RejectReason
-from telework_impact.energy import (
-    DirectComponents,
-    annual_facility_energy,
-    per_coworker_day,
-)
+from telework_impact.energy import DirectComponents, allocate
 from telework_impact.model import FactorTable, SiteInventory
 from telework_impact.scenario import Scenario
 
@@ -219,9 +215,9 @@ def test_criterion_5_allocation_property_suite():
 
             # facility scales with area and with 1/occupancy
             base = intensity * area / (coworkers * workdays)
-            scaled = per_coworker_day(k * area * intensity, coworkers, workdays)
+            scaled = allocate(k * area, intensity, coworkers, workdays)
             assert rel_err(scaled, k * base) < 1e-12
-            more_people = per_coworker_day(area * intensity, k * coworkers, workdays)
+            more_people = allocate(area, intensity, k * coworkers, workdays)
             assert rel_err(more_people * (k * coworkers), base * coworkers) < 1e-12
 
             # equipment linear in device counts
@@ -296,8 +292,8 @@ def test_criterion_6_break_even(ref_inventory, ref_factors, ref_profiles, tmp_pa
             (30.0, 120.0),
             tolerance=1e-6,
         )
-        annual_per_workday = annual_facility_energy(
-            ref_inventory.floor_area_m2, ref_factors
+        annual_per_workday = (
+            ref_inventory.floor_area_m2 * ref_factors.facility_intensity_total()
         ) / ref_inventory.workdays_per_year
         travel = travel_energy(
             ref_profiles[DayType.COWORKING].mean_mode_minutes, ref_factors

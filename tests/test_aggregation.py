@@ -13,6 +13,7 @@ from telework_impact.aggregation import (
     SHARE_SUM_TOLERANCE,
     DayTypeProfile,
     day_counts,
+    mode_shares,
     profiles_from_dict,
     profiles_to_dict,
 )
@@ -101,6 +102,14 @@ def test_shares_sum_to_one():
                 assert abs(total - 1.0) <= 1e-9
             else:
                 assert total == 0.0
+
+
+def test_mode_shares_divide_by_the_left_to_right_total():
+    """The bits of every Python: ``sum`` compensates from Python 3.12 on
+    and would give the car a share of 0.5."""
+    minutes = {TransportMode.WALK: 0.1, TransportMode.BIKE: 0.2, TransportMode.CAR: 0.3}
+    assert mode_shares(minutes)[TransportMode.CAR] == 0.3 / ((0.1 + 0.2) + 0.3)
+    assert mode_shares(minutes)[TransportMode.CAR] == 0.4999999999999999
 
 
 def test_oracle_equivalence():

@@ -289,6 +289,41 @@ def test_negative_factor_refused_by_every_command(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta"],
+        ["sweep", "--parameter", "floor_area_m2", "--values", "100", "170"],
+        ["breakeven", "--parameter", "coworker_count", "--bounds", "1", "1000"],
+    ],
+    ids=["delta", "sweep", "breakeven"],
+)
+@pytest.mark.parametrize(
+    "group, key, component",
+    [
+        ("site_inventory", "floor_area_m2", "facility_mj_per_coworker_day"),
+        ("device_daily_energy", "screen", "equipment_mj_per_coworker_day"),
+    ],
+    ids=["facility", "equipment"],
+)
+def test_overflowing_direct_component_is_an_input_error(
+    run, tmp_path, ref_config_path, ref_diaries_path, argv, group, key, component
+):
+    """A config whose own facility or equipment MJ overflows is refused with
+    the component named, even by a sweep whose points replace the area."""
+    config = json.loads(Path(ref_config_path).read_text(encoding="utf-8"))
+    section = config[group] if group in config else config["factor_table"][group]
+    section[key] = 1e308
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, _, err = run(
+        *argv, "--config", path, "--diaries", ref_diaries_path, "--out", tmp_path / "out"
+    )
+    assert code == 1
+    assert err == f"error: {component} is not finite: inf\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["validate", "profile"])
 def test_format_only_on_commands_that_write_tables(
     capsys, tmp_path, ref_config_path, ref_diaries_path, command

@@ -13,8 +13,8 @@ from telework_impact import (
     equipment_energy,
     travel_energy,
 )
-from telework_impact.energy import annual_facility_energy, facility_energy, per_coworker_day
-from telework_impact.errors import DivisionDomainError, MissingFactorError, MissingProfileError
+from telework_impact.energy import allocate
+from telework_impact.errors import MissingFactorError, MissingProfileError
 from telework_impact.model import FactorTable, SiteInventory
 
 
@@ -46,21 +46,14 @@ def inventory(**overrides):
 class TestFacilityEnergy:
     def test_hand_example(self):
         # 100 m2 * 330 MJ/m2yr / (30 coworkers * 220 workdays) = 5 MJ
-        value = facility_energy(inventory(), table(intensity=(300.0, 10.0, 20.0)))
-        assert value == pytest.approx(5.0, rel=1e-12)
+        direct = direct_components(inventory(), table(intensity=(300.0, 10.0, 20.0)))
+        assert direct.facility_mj_per_coworker_day == pytest.approx(5.0, rel=1e-12)
 
     def test_area_zero_limit(self):
-        assert annual_facility_energy(0.0, table()) == 0.0
-        assert per_coworker_day(0.0, 30, 220) == 0.0
-
-    def test_division_domain_guard(self):
-        with pytest.raises(DivisionDomainError):
-            per_coworker_day(100.0, 0, 220)
-        with pytest.raises(DivisionDomainError):
-            per_coworker_day(100.0, 30, 0)
+        assert allocate(0.0, table().facility_intensity_total(), 30, 220) == 0.0
 
     def test_reference_calibration(self, ref_inventory, ref_factors):
-        value = facility_energy(ref_inventory, ref_factors)
+        value = direct_components(ref_inventory, ref_factors).facility_mj_per_coworker_day
         assert value == pytest.approx(reference_case.FACILITY_TARGET_MJ, abs=1e-9)
 
 
@@ -190,19 +183,14 @@ class TestLinearity:
         for _ in range(500):
             area = rng.uniform(10, 1000)
             heat, cool, light = (rng.uniform(0, 2000) for _ in range(3))
+            intensity = table(intensity=(heat, cool, light)).facility_intensity_total()
             n = rng.randrange(1, 500)
             w = rng.randrange(1, 366)
             k = rng.randrange(1, 9)  # rational scaling
-            base = per_coworker_day(
-                annual_facility_energy(area, table(intensity=(heat, cool, light))), n, w
-            )
-            scaled_area = per_coworker_day(
-                annual_facility_energy(k * area, table(intensity=(heat, cool, light))), n, w
-            )
+            base = allocate(area, intensity, n, w)
+            scaled_area = allocate(k * area, intensity, n, w)
             assert rel_err(scaled_area, k * base) < 1e-12
-            occupancy = per_coworker_day(
-                annual_facility_energy(area, table(intensity=(heat, cool, light))), k * n, w
-            )
+            occupancy = allocate(area, intensity, k * n, w)
             assert rel_err(occupancy * (k * n), base * n) < 1e-12
 
     def test_equipment_linear_in_counts(self):

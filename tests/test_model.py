@@ -253,6 +253,14 @@ class TestValidateFactorTable:
         )
         assert table.facility_intensity_total() == 0.0
 
+    def test_facility_intensity_total_sums_left_to_right(self):
+        """The bits of every Python: ``sum`` compensates from Python 3.12 on
+        and would give 0.6."""
+        table = full_factor_table(
+            facility_intensity={"heating": 0.1, "cooling": 0.2, "lighting": 0.3}
+        )
+        assert table.facility_intensity_total() == (0.1 + 0.2) + 0.3 == 0.6000000000000001
+
 
 class TestEnergyDelta:
     def test_net_is_component_sum(self):

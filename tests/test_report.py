@@ -13,8 +13,6 @@ from telework_impact.diary import RejectedDay, RejectReason
 from telework_impact.model import DayType
 from telework_impact.report import (
     SWEEP_HEADER,
-    EncodedJson,
-    fmt,
     rejection_rows,
     sweep_rows,
     sweep_to_dict,
@@ -24,21 +22,18 @@ from telework_impact.report import (
 )
 from telework_impact.scenario import SWEEP_PARAMETERS, SweepResult
 
-#: Strings that stress the splice: newlines, quotes, escapes, non-ASCII.
-_TEXT = st.text(st.sampled_from('a :,{}[]"\\\n\t\r/éß€\u2028\U0001f600')) | st.text()
+#: Strings that stress the splice: newlines, quotes, escapes, non-ASCII, and
+#: the text of the member at which the sweep is spliced into ``report.json``.
+_TEXT = (
+    st.text(st.sampled_from('a :,{}[]"\\\n\t\r/éß€\u2028\U0001f600'))
+    | st.text()
+    | st.sampled_from(["sweep", '"sweep": null', '\n  "sweep": null'])
+)
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
     max_leaves=20,
 )
-
-
-def test_fmt_full_precision():
-    assert fmt(0.1) == "0.1"
-    assert fmt(1.0 / 3.0) == repr(1.0 / 3.0)
-    assert float(fmt(23.969999999999995)) == 23.969999999999995
-    assert fmt(5) == "5"
-    assert fmt("office") == "office"
 
 
 def test_write_json_is_canonical(tmp_path):
@@ -61,38 +56,6 @@ def test_rejection_rows():
         ["7", "P1", "x", "PARSE_ERROR"],
         ["", "P2", "2024-01-08", "WORK_TOO_SHORT"],
     ]
-
-
-def _split(text: str, cuts: list[int]) -> list[str]:
-    """``text`` in pieces, cut at ``cuts`` (taken modulo its length + 1)."""
-    bounds = sorted({0, len(text), *(cut % (len(text) + 1) for cut in cuts)})
-    return [text[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    payload=st.dictionaries(_TEXT, _JSON, max_size=5),
-    key=_TEXT,
-    member=_JSON,
-    cuts=st.lists(st.integers(0, 10_000), max_size=6),
-)
-@example(
-    payload={"scenario": 'say "hi"\nZürich', "a": [{"b": "x\ny"}]},
-    key="sweep",
-    member={"points": [{"value": 1.5, "name": "\n  \"\n"}], "z": {}},
-    cuts=[1, 2, 17],
-)
-def test_encoded_member_splices_exactly(tmp_path, payload, key, member, cuts):
-    """A member given as pieces cut anywhere, even inside an escape or
-    between a newline and its indent, is written as ``json.dumps`` lays out
-    the whole value; so is such a member alone."""
-    text = json.dumps(member, indent=2, sort_keys=True)
-    expected = json.dumps({**payload, key: member}, indent=2, sort_keys=True) + "\n"
-    pieces = iter(_split(text, cuts))
-    written = write_json(tmp_path / "report.json", {**payload, key: EncodedJson(pieces)})
-    assert written.read_text(encoding="utf-8") == expected
-    written = write_json(tmp_path / "member.json", EncodedJson(_split(text, cuts)))
-    assert written.read_text(encoding="utf-8") == text + "\n"
 
 
 _MJ = st.just(0.0) | st.floats(min_value=5e-324, max_value=1e300)
@@ -146,23 +109,33 @@ def _expected_csv(result: SweepResult) -> str:
     result=_sweep_results(),
     formats=st.sampled_from(["csv", "json", "both"]),
     batch=st.integers(1, 5),
+    run_report=st.dictionaries(_TEXT, _JSON, max_size=5),
 )
-@example(result=_REPEATED, formats="both", batch=1)  # across a batch boundary
-@example(result=_SIGNED_ZEROS, formats="both", batch=2)
-def test_sweep_writer_matches_json_and_csv_modules(tmp_path, result, formats, batch):
+# Across a batch boundary.
+@example(result=_REPEATED, formats="both", batch=1, run_report=_REPORT)
+@example(result=_SIGNED_ZEROS, formats="both", batch=2, run_report=_REPORT)
+# The member's text in a value, and a member of that name deeper in, before it.
+@example(
+    result=_SIGNED_ZEROS,
+    formats="csv",
+    batch=2,
+    run_report={"a": {"sweep": None, "x": '\n  "sweep": null'}, "sweep": 1, "z": []},
+)
+def test_sweep_writer_matches_json_and_csv_modules(tmp_path, result, formats, batch, run_report):
     """The streamed sweep artifacts equal what ``json`` and ``csv`` write
-    for the whole sweep, whatever the batch size; every point's value and
-    net reach ``on_batch`` once, in order, in batches of at most that size."""
+    for the whole sweep, whatever the batch size and the rest of the report;
+    every point's value and net reach ``on_batch`` once, in order, in
+    batches of at most that size."""
     # A directory per example: a leftover sweep.csv would hide a missing one.
     out = Path(tempfile.mkdtemp(dir=tmp_path))
     batches = []
     with mock.patch.object(report, "_CSV_BATCH_ROWS", batch):
-        write_sweep(out, result, _REPORT, formats, lambda *columns: batches.append(columns))
+        write_sweep(out, result, run_report, formats, lambda *columns: batches.append(columns))
     as_dict = sweep_to_dict(result)
     assert [p for b in batches for p in zip(*b)] == list(zip(result.values, result.net_mj))
     assert all(0 < len(values) == len(nets) <= batch for values, nets in batches)
 
-    expected = json.dumps({**_REPORT, "sweep": as_dict}, indent=2, sort_keys=True) + "\n"
+    expected = json.dumps({**run_report, "sweep": as_dict}, indent=2, sort_keys=True) + "\n"
     assert (out / "report.json").read_text(encoding="utf-8") == expected
     document = out / "sweep.json"
     if formats == "csv":

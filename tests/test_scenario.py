@@ -10,7 +10,7 @@ from itertools import repeat
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference_case
@@ -35,7 +35,7 @@ from telework_impact.errors import (
     SweepPointError,
     TeleworkImpactError,
 )
-from telework_impact.model import EnergyDelta
+from telework_impact.model import EnergyDelta, FactorTable, SiteInventory
 from telework_impact.scenario import apply_scenario, load_scenario
 from telework_impact import energy as energy_module
 from telework_impact import scenario as scenario_module
@@ -48,11 +48,11 @@ def base(ref_inventory, ref_factors, ref_profiles):
 
 def analytic_occupancy_root(inventory, factors, profiles):
     """Solve area*intensity/W / N + equipment + travel = 0 for N by hand."""
-    from telework_impact.energy import annual_facility_energy, equipment_energy, travel_energy
+    from telework_impact.energy import equipment_energy, travel_energy
 
-    annual_per_workday = annual_facility_energy(inventory.floor_area_m2, factors) / (
-        inventory.workdays_per_year
-    )
+    annual_per_workday = (
+        inventory.floor_area_m2 * factors.facility_intensity_total()
+    ) / inventory.workdays_per_year
     travel = travel_energy(
         profiles[DayType.COWORKING].mean_mode_minutes, factors
     ) - travel_energy(profiles[DayType.EMPLOYER_OFFICE].mean_mode_minutes, factors)
@@ -60,18 +60,51 @@ def analytic_occupancy_root(inventory, factors, profiles):
     return annual_per_workday / -(equipment + travel)
 
 
+_MJ_FACTOR = st.floats(0.0, 1e4)
+
+
+@st.composite
+def sites(draw):
+    """A valid inventory and factor table, with a factor for every device."""
+    kinds = st.sampled_from(["screen", "printer", "tv"])
+    devices = draw(st.dictionaries(kinds, st.integers(0, 50)))
+    inventory = SiteInventory(
+        floor_area_m2=draw(st.floats(1e-3, 1e6)),
+        workplace_count=draw(st.integers(1, 1000)),
+        device_counts=devices,
+        coworker_count=draw(st.integers(1, 10**6)),
+        workdays_per_year=draw(st.integers(1, 366)),
+    )
+    factors = FactorTable(
+        facility_intensity={c: draw(_MJ_FACTOR) for c in ("heating", "cooling", "lighting")},
+        device_daily_energy={kind: draw(_MJ_FACTOR) for kind in devices},
+        mode_speed={m: draw(st.floats(0.0, 100.0)) for m in TransportMode},
+        mode_energy={m: draw(st.floats(0.0, 10.0)) for m in TransportMode},
+    )
+    return inventory, factors
+
+
 class TestApplyScenario:
-    def test_empty_scenario_is_identity(self, base):
-        inventory, factors, profiles = base
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+    @given(site=sites())
+    def test_empty_scenario_is_identity(self, ref_profiles, site):
+        """Bit for bit: the default scenario evaluates to the day-type
+        comparison, and a sweep at the inventory's own allocation inputs
+        allocates its facility as :func:`direct_components` does."""
+        inventory, factors = site
         assert apply_scenario(inventory, Scenario()) == inventory
         direct = direct_components(inventory, factors)
         for baseline in (DayType.EMPLOYER_OFFICE, DayType.HOME):
             plain = compare_day_types(
-                profiles[DayType.COWORKING], profiles[baseline], direct, factors
+                ref_profiles[DayType.COWORKING], ref_profiles[baseline], direct, factors
             )
-            scen = evaluate_scenario(inventory, factors, profiles, Scenario(), baseline)
+            scen = evaluate_scenario(inventory, factors, ref_profiles, Scenario(), baseline)
             assert scen == plain
             assert scen.credit_mj == 0.0
+        for parameter in ("floor_area_m2", "coworker_count", "workdays_per_year"):
+            own = getattr(inventory, parameter)
+            result = sweep(inventory, factors, ref_profiles, Scenario(), parameter, [own])
+            assert result.facility_mj == (direct.facility_mj_per_coworker_day,)
 
     def test_doubling_coworkers_halves_facility(self, base):
         inventory, factors, profiles = base
