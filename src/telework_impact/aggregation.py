@@ -13,19 +13,22 @@ numpy and :mod:`.diary` are imported by :func:`aggregate_profiles` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .model import (
     COMPARABLE_DAY_TYPES,
+    COUNT,
     DAY_TYPES,
+    NON_NEGATIVE,
     Activity,
     DayType,
     DiaryDay,
     TransportMode,
     _sum_in_order,
-    _whole_number,
-    finite_at_least,
+    check_fields,
+    checked,
+    declared,
 )
 
 SHARE_SUM_TOLERANCE = 1e-9
@@ -44,26 +47,19 @@ class DayTypeProfile:
     """Aggregated mean activity minutes and modal profile for one day type."""
 
     day_type: DayType
-    day_count: int
-    mean_activity_minutes: Mapping[Activity, float]
-    mean_mode_minutes: Mapping[TransportMode, float]
-    mode_share: Mapping[TransportMode, float]
+    day_count: int = declared(COUNT)
+    mean_activity_minutes: Mapping[Activity, float] = declared(
+        NON_NEGATIVE, (Activity,), "mean for {1}"
+    )
+    mean_mode_minutes: Mapping[TransportMode, float] = declared(
+        NON_NEGATIVE, (TransportMode,), "mean for {1}"
+    )
+    mode_share: Mapping[TransportMode, float] = declared(
+        NON_NEGATIVE, (TransportMode,), "share for {1}"
+    )
 
     def __post_init__(self):
-        day_count = _whole_number("day_count", self.day_count)
-        if day_count < 0:
-            raise ValueError(f"day_count must be >= 0, got {day_count}")
-        object.__setattr__(self, "day_count", day_count)
-        for label, attribute in (
-            ("mean", "mean_activity_minutes"),
-            ("mean", "mean_mode_minutes"),
-            ("share", "mode_share"),
-        ):
-            checked = {
-                key: finite_at_least(f"{label} for {getattr(key, 'value', key)}", value)
-                for key, value in getattr(self, attribute).items()
-            }
-            object.__setattr__(self, attribute, checked)
+        check_fields(self)
         share_sum = sum(self.mode_share.values())
         # Written so that a sum that is not a number fails too.
         if share_sum and not abs(share_sum - 1.0) <= SHARE_SUM_TOLERANCE:
@@ -71,28 +67,15 @@ class DayTypeProfile:
 
     def with_mode_minutes(self, mode_minutes: Mapping[TransportMode, float]) -> "DayTypeProfile":
         """Copy of this profile with a replaced modal profile (missing modes
-        mean zero); shares are recomputed."""
-        minutes = {
-            m: finite_at_least(f"mean for {m.value}", mode_minutes.get(m, 0.0))
-            for m in TransportMode
-        }
-        return DayTypeProfile(
-            day_type=self.day_type,
-            day_count=self.day_count,
-            mean_activity_minutes=dict(self.mean_activity_minutes),
-            mean_mode_minutes=minutes,
-            mode_share=mode_shares(minutes),
-        )
+        mean zero); shares are recomputed, from the minutes a copy checks."""
+        minutes = {m: mode_minutes.get(m, 0.0) for m in TransportMode}
+        profile = replace(self, mean_mode_minutes=minutes, mode_share={})
+        return replace(profile, mode_share=mode_shares(profile.mean_mode_minutes))
 
 
 def _empty_profile(day_type: DayType) -> DayTypeProfile:
-    return DayTypeProfile(
-        day_type=day_type,
-        day_count=0,
-        mean_activity_minutes={a: 0.0 for a in Activity},
-        mean_mode_minutes={m: 0.0 for m in TransportMode},
-        mode_share={m: 0.0 for m in TransportMode},
-    )
+    modes = dict.fromkeys(TransportMode, 0.0)
+    return DayTypeProfile(day_type, 0, dict.fromkeys(Activity, 0.0), modes, modes)
 
 
 def aggregate_profiles(days: Iterable[DiaryDay]) -> dict[DayType, DayTypeProfile]:
@@ -167,32 +150,23 @@ def profiles_from_dict(payload: Mapping) -> dict[DayType, DayTypeProfile]:
     profiles: dict[DayType, DayTypeProfile] = {}
     for day_type_value, body in payload.items():
         day_type = DayType(day_type_value)
-        activities, modes = body["mean_activity_minutes"], body["mean_mode_minutes"]
-        mean_activity = {
-            a: finite_at_least(f"mean for {a.value}", activities.get(a.value, 0.0))
-            for a in Activity
-        }
-        mean_mode = {
-            m: finite_at_least(f"mean for {m.value}", modes.get(m.value, 0.0))
-            for m in TransportMode
-        }
-        shares = mode_shares(mean_mode)
+        activities = body["mean_activity_minutes"]
+        profile = profiles[day_type] = DayTypeProfile(
+            day_type=day_type,
+            day_count=body["day_count"],
+            mean_activity_minutes={a: activities.get(a.value, 0.0) for a in Activity},
+            mean_mode_minutes={},
+            mode_share={},
+        ).with_mode_minutes(body["mean_mode_minutes"])
         stored = body.get("mode_share")
         if stored:
             for mode in TransportMode:
-                share = finite_at_least(f"share for {mode.value}", stored[mode.value])
-                if not abs(share - shares[mode]) <= SHARE_SUM_TOLERANCE:
+                share = checked(f"share for {mode.value}", stored[mode.value], NON_NEGATIVE)
+                if not abs(share - profile.mode_share[mode]) <= SHARE_SUM_TOLERANCE:
                     raise ValueError(
                         f"{day_type.value} mode_share for {mode.value} is {share}, but its"
-                        f" mean mode minutes give {shares[mode]}"
+                        f" mean mode minutes give {profile.mode_share[mode]}"
                     )
-        profiles[day_type] = DayTypeProfile(
-            day_type=day_type,
-            day_count=body["day_count"],
-            mean_activity_minutes=mean_activity,
-            mean_mode_minutes=mean_mode,
-            mode_share=shares,
-        )
     for day_type in COMPARABLE_DAY_TYPES:
         profiles.setdefault(day_type, _empty_profile(day_type))
     return profiles

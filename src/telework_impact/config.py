@@ -6,24 +6,27 @@ that loading a config does not import the quality filter)::
 
     {
       "site_inventory": {
-        "floor_area_m2": 170.0,
-        "workplace_count": 14,
-        "device_counts": {"screen": 18, "desktop_computer": 1, "printer": 1, "tv": 1},
-        "coworker_count": 60,
-        "workdays_per_year": 230
+        "floor_area_m2": 170.0,                  // real > 0
+        "workplace_count": 14,                   // whole >= 1
+        "device_counts": {"screen": 18, ...},    // whole >= 0 each
+        "coworker_count": 60,                    // whole >= 1
+        "workdays_per_year": 230                 // whole in [1, 366]
       },
-      "factor_table": {
+      "factor_table": {                          // real >= 0 each
         "facility_intensity": {"heating": ..., "cooling": ..., "lighting": ...},
         "device_daily_energy": {"screen": ..., ...},
         "mode_speed": {"walk": ..., "bike": ..., "car": ..., "public_transport": ..., "other": ...},
         "mode_energy": {...}
       },
-      "quality_rules": {"min_work_minutes": 240, ...}   // optional
+      "quality_rules": {"min_work_minutes": 240, ...}   // optional, real >= 0 each
     }
 
-Units are fixed by convention (m2, MJ, km/h, MJ per person-km, minutes) and
-never embedded in the file. The fingerprint hashes the canonical form of the
-parsed document, so it changes iff a semantically relevant byte changes.
+Each number must lie in the domain its field declares (see :mod:`.model`):
+a real is finite, a whole number is at most ``2**53``, and a bool or text
+such as ``"14"`` is refused. Units are fixed by convention (m2, MJ, km/h,
+MJ per person-km, minutes) and never embedded in the file. The fingerprint
+hashes the canonical form of the parsed document, so it changes iff a
+semantically relevant byte changes.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from pathlib import Path
 
 from .energy import equipment_energy
 from .errors import ConfigError
-from .model import FactorTable, SiteInventory, finite_at_least
+from .model import NON_NEGATIVE, FactorTable, SiteInventory, check_fields, declared
 
 
 @dataclass(frozen=True)
@@ -47,14 +50,13 @@ class QualityRules:
     of the per-mode times.
     """
 
-    min_work_minutes: float = 240.0
-    min_total_minutes: float = 480.0
-    max_mode_mismatch_minutes: float = 100.0
+    min_work_minutes: float = declared(NON_NEGATIVE, default=240.0)
+    min_total_minutes: float = declared(NON_NEGATIVE, default=480.0)
+    max_mode_mismatch_minutes: float = declared(NON_NEGATIVE, default=100.0)
     exclude_multi_location: bool = True
 
     def __post_init__(self):
-        for name in ("min_work_minutes", "min_total_minutes", "max_mode_mismatch_minutes"):
-            object.__setattr__(self, name, finite_at_least(name, getattr(self, name)))
+        check_fields(self)
         if not isinstance(self.exclude_multi_location, bool):
             value = self.exclude_multi_location
             raise ValueError(f"exclude_multi_location must be true or false, got {value!r}")
@@ -115,7 +117,7 @@ def load_config(path: str | Path) -> AppConfig:
     """Load and validate a configuration file.
 
     Raises :class:`ConfigError` naming the file for any structural problem;
-    value-level invariant violations surface with the same type. A factor
+    a number outside its field's domain surfaces with the same type. A factor
     table the inventory cannot use raises the factor errors of
     :class:`FactorTable` and :func:`equipment_energy` as they are.
     """

@@ -69,13 +69,14 @@ from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DiaryFormatError
 from .model import (
+    COUNT,
     DAY_TYPES,
-    MINUTES_PER_DAY,
+    MINUTE,
     Activity,
     DayType,
     DiaryDay,
     TransportMode,
-    row_number,
+    checked,
 )
 
 if TYPE_CHECKING:
@@ -307,15 +308,15 @@ class RejectionTable(Sequence):
     @classmethod
     def from_rejected(cls, rejected: Iterable[RejectedDay]) -> RejectionTable:
         """Table of the given rejections, in order; a table is returned as it
-        is. A row must be ``None`` or a :func:`.model.row_number`."""
+        is. A row must be ``None`` or a line number, a :data:`.model.COUNT`."""
         if isinstance(rejected, RejectionTable):
             return rejected
         rejected = list(rejected)
         fields = ("participant_id", "date", "detail", "failures")
         ids, dates, details, failures = ([getattr(r, f) for r in rejected] for f in fields)
         return cls(
-            [NO_ROW if r.row is None else row_number("row", r.row) for r in rejected], ids, dates,
-            details, [REASONS.index(RejectReason(r.reason)) for r in rejected], failures,
+            [NO_ROW if r.row is None else checked("row", r.row, COUNT) for r in rejected],
+            ids, dates, details, [REASONS.index(RejectReason(r.reason)) for r in rejected], failures,
         )
 
     def _columns(self) -> tuple:
@@ -443,12 +444,12 @@ def _parse_record(values: list[str], row: int, dates: _DateTexts) -> list[float]
 
 
 def _minute_screen(block: np.ndarray) -> np.ndarray:
-    """Mask of the rows of a minute matrix with a negative value or an
-    activity or mode total over a day: the rows a :class:`DiaryDay` may
-    refuse."""
-    suspect = (block < 0).any(axis=1)
-    suspect |= row_sums(block[:, :len(_ACTIVITIES)]) > MINUTES_PER_DAY
-    suspect |= row_sums(block[:, len(_ACTIVITIES):]) > MINUTES_PER_DAY
+    """Mask of the rows of a minute matrix with a value outside
+    :data:`.model.MINUTE` or an activity or mode total over a day: the rows
+    a :class:`DiaryDay` may refuse."""
+    suspect = ((block < MINUTE.low) | (block > MINUTE.high)).any(axis=1)
+    suspect |= row_sums(block[:, :len(_ACTIVITIES)]) > MINUTE.high
+    suspect |= row_sums(block[:, len(_ACTIVITIES):]) > MINUTE.high
     return suspect
 
 

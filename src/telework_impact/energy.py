@@ -23,7 +23,10 @@ from typing import Mapping
 
 from .aggregation import DayTypeProfile
 from .errors import MissingFactorError, MissingProfileError
-from .model import EnergyDelta, FactorTable, SiteInventory, TransportMode, finite_at_least, finite_mj
+from .model import (
+    MJ_ERRORS, NON_NEGATIVE, EnergyDelta, FactorTable, SiteInventory, TransportMode,
+    check_fields, checked, declared,
+)
 
 
 def allocate(area_m2: float, intensity: float, coworkers: float, workdays: float) -> float:
@@ -36,12 +39,11 @@ def allocate(area_m2: float, intensity: float, coworkers: float, workdays: float
 class DirectComponents:
     """The two always-positive direct contributions of a co-working day."""
 
-    facility_mj_per_coworker_day: float
-    equipment_mj_per_coworker_day: float
+    facility_mj_per_coworker_day: float = declared(NON_NEGATIVE)
+    equipment_mj_per_coworker_day: float = declared(NON_NEGATIVE)
 
     def __post_init__(self):
-        for name in ("facility_mj_per_coworker_day", "equipment_mj_per_coworker_day"):
-            finite_mj(name, getattr(self, name))
+        check_fields(self, MJ_ERRORS)
 
 
 def equipment_energy(inventory: SiteInventory, factors: FactorTable) -> float:
@@ -84,7 +86,7 @@ def travel_energy(mode_minutes: Mapping[TransportMode, float], factors: FactorTa
     total = 0.0
     for mode, minutes in mode_minutes.items():
         mode = TransportMode(mode)
-        minutes = finite_at_least(f"mode_minutes[{mode.value}]", minutes)
+        minutes = checked(f"mode_minutes[{mode.value}]", minutes, NON_NEGATIVE)
         total += (minutes / 60.0) * factors.mode_speed[mode] * factors.mode_energy[mode]
     return total
 

@@ -15,6 +15,11 @@ class ConfigError(TeleworkImpactError):
     """Configuration file is missing, unreadable, or malformed."""
 
 
+class DomainError(TeleworkImpactError, ValueError):
+    """A number is outside its declared domain: of the wrong kind, not
+    finite, or out of range (see :func:`.model.checked`)."""
+
+
 class UnknownCategoryError(TeleworkImpactError):
     """Effect category name is not in the taxonomy registry."""
 

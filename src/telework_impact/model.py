@@ -9,18 +9,24 @@ Conventions used everywhere in the package:
   threads.
 
 Missing entries in the minute maps of a :class:`DiaryDay` mean zero.
+
+Every number field declares its :class:`Domain` once (:func:`declared`),
+and ``__post_init__`` checks it with :func:`checked`, the one check of a
+number, which names it in a refusal: :class:`~.errors.DomainError`, a
+:class:`ValueError`, unless the class documents its own errors.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .errors import MissingFactorError, NegativeFactorError, NonFiniteError
+from .errors import DomainError, MissingFactorError, NegativeFactorError, NonFiniteError
 
 MINUTES_PER_DAY = 1440.0
 
@@ -73,9 +79,8 @@ DAY_TYPES = tuple(DayType)
 COMPARABLE_DAY_TYPES = (DayType.EMPLOYER_OFFICE, DayType.COWORKING, DayType.HOME)
 
 
-#: Minute-map key -> member; members hash and compare equal to their values,
-#: so one lookup serves both spellings.
-_MINUTE_KEYS = {kind: {m.value: m for m in kind} for kind in (Activity, TransportMode)}
+#: The minute maps of a :class:`DiaryDay` and the keys each holds, in order.
+_MINUTE_MAPS = (("activity_minutes", tuple(Activity)), ("mode_minutes", tuple(TransportMode)))
 
 
 def _sum_in_order(values: Iterable[float]) -> float:
@@ -88,29 +93,130 @@ def _sum_in_order(values: Iterable[float]) -> float:
     return total
 
 
-def _check_minutes(name: str, minutes: Mapping, kind: type[Enum]) -> dict:
-    """Validated copy of a minute map with every member of ``kind`` as a
-    key, in declaration order; missing entries become 0.0. Keys may be
-    members or their string values; a value must be a real number and not a
-    bool (text such as ``"12"`` is refused, not converted).
+#: The largest whole number a field takes: up to it, ``float()`` of one is exact.
+WHOLE_MAX = 2**53
 
-    The total is summed left to right in that order, the same order in which
-    the columnar diary tables sum a row, so both agree to the last bit.
-    """
-    keys = _MINUTE_KEYS[kind]
-    out = dict.fromkeys(keys.values(), 0.0)
-    for key, value in minutes.items():
-        member = keys.get(key)
-        if member is None:
-            raise ValueError(f"{name} has unknown key {key!r}")
-        out[member] = _real(f"{name}[{member.value}]", value)
-    total = 0.0
-    for member, value in out.items():
-        if value < 0:
-            raise ValueError(f"{name}[{member.value}] is negative: {value}")
-        total += value
-    if total > MINUTES_PER_DAY:
-        raise ValueError(f"{name} total {total} exceeds {MINUTES_PER_DAY} minutes")
+
+class Domain(NamedTuple):
+    """The numbers a field takes: whole numbers (kept as ints, at most
+    :data:`WHOLE_MAX`) or reals (kept as floats, finite when ``finite``),
+    from ``low`` (excluded when ``open``) up to ``high``."""
+
+    whole: bool
+    low: float
+    high: float = math.inf
+    open: bool = False
+    finite: bool = True
+
+    def __str__(self) -> str:
+        if self.high == math.inf:
+            return f"{'>' if self.open else '>='} {self.low:g}"
+        return f"in {'(' if self.open else '['}{self.low:g}, {self.high:g}]"
+
+
+#: The domains fields declare.
+REAL = Domain(False, -math.inf)
+NON_NEGATIVE = Domain(False, 0.0)
+POSITIVE = Domain(False, 0.0, open=True)
+COUNT = Domain(True, 0)
+AT_LEAST_ONE = Domain(True, 1)
+#: A diary minute. NaN is still taken, so the read keeps a row holding one
+#: (ROADMAP item 1); an infinite minute is out of range.
+MINUTE = Domain(False, 0.0, MINUTES_PER_DAY, finite=False)
+
+#: What :func:`checked` raises for a value of the wrong kind, one not finite
+#: and one out of range; an MJ figure not finite is an overflow.
+DOMAIN_ERRORS = (DomainError, DomainError, DomainError)
+MJ_ERRORS = (DomainError, NonFiniteError, DomainError)
+
+
+def _shown(value) -> str:
+    """``repr(value)``, but a whole number beyond :data:`WHOLE_MAX` as ``1.000000e+400``."""
+    if isinstance(value, numbers.Integral) and abs(value) > WHOLE_MAX:
+        from decimal import Decimal
+
+        return f"{Decimal(int(value)):.6e}"
+    return repr(value)
+
+
+def checked(name: str, value, domain: Domain, errors: tuple = DOMAIN_ERRORS):
+    """``value`` as the number it is in ``domain``: an int for a whole
+    number (14.0 gives 14), else a float. Otherwise, with a text that starts
+    with ``name``, it raises ``errors[0]`` for a bool, text such as ``"1"``
+    or a fraction where a whole number is declared; ``errors[1]`` for a
+    real that is not finite in a finite domain; ``errors[2]`` out of range."""
+    whole, low, high, open_low, finite = domain
+    plain = type(value) in (float, int)  # needs no test of the abstract types
+    if not plain and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise errors[0](f"{name} must be a {'whole ' if whole else ''}number, got {_shown(value)}")
+    if not whole:
+        try:
+            number = value if type(value) is float else float(value)
+        except OverflowError:  # an int too large for a float
+            number = math.inf if value > 0 else -math.inf
+    elif type(value) is int or isinstance(value, numbers.Integral) or (
+        math.isfinite(value) and value % 1 == 0
+    ):
+        number = int(value)
+    else:
+        raise errors[0](f"{name} must be a whole number, got {_shown(value)}")
+    if finite and not whole and not math.isfinite(number):
+        raise errors[1](f"{name} is not finite: {_shown(value)}")
+    if number < low or open_low and number == low or number > high:
+        raise errors[2](f"{name} must be {domain}, got {_shown(value)}")
+    if whole and number > WHOLE_MAX:
+        raise errors[2](f"{name} must be <= 2**53, got {_shown(value)}")
+    return number
+
+
+def declared(domain: Domain, keys: tuple = (), name: str = "", **options):
+    """A dataclass field whose numbers lie in ``domain``: its value or, with
+    ``keys`` (a key type per level), the values of mappings that deep.
+    ``name`` formats the field and keys into the name a refusal gives
+    (``field[key]...``). Its metadata holds ``"declared": (domain, keys, name)``."""
+    name = name or "{0}" + "".join(f"[{{{level}}}]" for level in range(1, len(keys) + 1))
+    return field(metadata={"declared": (domain, keys, name)}, **options)
+
+
+@functools.cache
+def _declarations(cls) -> tuple:
+    """``(field name, (domain, keys, name), default is None)`` of each
+    declared field of the dataclass ``cls``."""
+    return tuple(
+        (f.name, f.metadata["declared"], f.default is None)
+        for f in fields(cls) if "declared" in f.metadata
+    )
+
+
+def check_fields(obj, errors: tuple = DOMAIN_ERRORS) -> None:
+    """Replace each declared field of the frozen dataclass ``obj`` by what
+    :func:`checked` gives for it, a mapping by a dict of its keys as their
+    types; a field whose default is None may be None."""
+    for name, declaration, optional in _declarations(type(obj)):
+        value = getattr(obj, name)
+        if value is None and optional:
+            continue
+        if declaration[1]:  # a mapping
+            value = _checked(declaration, (name,), value, errors)
+        else:
+            value = checked(name, value, declaration[0], errors)
+        object.__setattr__(obj, name, value)
+
+
+def _checked(declaration: tuple, names: tuple, mapping, errors: tuple) -> dict:
+    """``mapping`` with its keys as their level's key type and its values
+    checked; ``names`` are the field and the keys that lead to it."""
+    domain, keys, template = declaration
+    key_type, deeper = keys[len(names) - 1], len(names) < len(keys)
+    out = {}
+    for key, value in mapping.items():
+        try:
+            key = key if type(key) is key_type else key_type(key)
+        except ValueError:
+            raise ValueError(f"{names[0]} has unknown key {key!r}") from None
+        named = (*names, getattr(key, "_value_", key))  # an enum member's value
+        out[key] = (_checked(declaration, named, value, errors) if deeper
+                    else checked(template.format(*named), value, domain, errors))
     return out
 
 
@@ -118,31 +224,29 @@ def _check_minutes(name: str, minutes: Mapping, kind: type[Enum]) -> dict:
 class DiaryDay:
     """One participant-day of a time-use diary.
 
-    ``source_row``, ``None`` or the :func:`row_number` of the CSV line (the
+    ``source_row``, ``None`` or the line number of the CSV record (the
     header's is 1), is metadata only and excluded from equality. The minute
     maps hold every :class:`Activity` and :class:`TransportMode`, in order
     (missing entries are stored as 0.0), so days that mean the same compare
-    equal and ``activity_total``/``mode_total`` sum in column order.
+    equal and ``activity_total``/``mode_total`` sum in column order, as the
+    columnar diary tables sum a row. A map's total is at most a day.
     """
 
     participant_id: str
     date: _dt.date
     day_type: DayType
-    activity_minutes: Mapping[Activity, float]
-    mode_minutes: Mapping[TransportMode, float]
-    source_row: int | None = field(default=None, compare=False)
+    activity_minutes: Mapping[Activity, float] = declared(MINUTE, (Activity,))
+    mode_minutes: Mapping[TransportMode, float] = declared(MINUTE, (TransportMode,))
+    source_row: int | None = declared(COUNT, default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "activity_minutes",
-            _check_minutes("activity_minutes", self.activity_minutes, Activity),
-        )
-        object.__setattr__(
-            self, "mode_minutes", _check_minutes("mode_minutes", self.mode_minutes, TransportMode)
-        )
-        if self.source_row is not None:
-            object.__setattr__(self, "source_row", row_number("source_row", self.source_row))
+        check_fields(self)
+        for name, members in _MINUTE_MAPS:
+            minutes = {**dict.fromkeys(members, 0.0), **getattr(self, name)}
+            object.__setattr__(self, name, minutes)
+            total = _sum_in_order(minutes.values())
+            if total > MINUTE.high:
+                raise ValueError(f"{name} total {total} exceeds {MINUTES_PER_DAY} minutes")
 
     def activity(self, activity: Activity) -> float:
         return self.activity_minutes.get(activity, 0.0)
@@ -161,124 +265,51 @@ class DiaryDay:
 class SiteInventory:
     """Physical description of the co-working site used for allocation."""
 
-    floor_area_m2: float
-    workplace_count: int
-    device_counts: Mapping[str, int]
-    coworker_count: int
-    workdays_per_year: int
+    floor_area_m2: float = declared(POSITIVE)
+    workplace_count: int = declared(AT_LEAST_ONE)
+    device_counts: Mapping[str, int] = declared(COUNT, (str,))
+    coworker_count: int = declared(AT_LEAST_ONE)
+    workdays_per_year: int = declared(Domain(True, 1, 366))
 
     def __post_init__(self):
-        area = finite_at_least("floor_area_m2", self.floor_area_m2, -math.inf)
-        if area <= 0:
-            raise ValueError(f"floor_area_m2 must be > 0, got {self.floor_area_m2}")
-        workplaces = _whole_number("workplace_count", self.workplace_count)
-        coworkers = _whole_number("coworker_count", self.coworker_count)
-        workdays = _whole_number("workdays_per_year", self.workdays_per_year)
-        if workplaces < 1:
-            raise ValueError(f"workplace_count must be >= 1, got {self.workplace_count}")
-        if coworkers < 1:
-            raise ValueError(f"coworker_count must be >= 1, got {self.coworker_count}")
-        if not 1 <= workdays <= 366:
-            raise ValueError(
-                f"workdays_per_year must be in [1, 366], got {self.workdays_per_year}"
-            )
-        counts = {}
-        for kind, count in self.device_counts.items():
-            count = _whole_number(f"device_counts[{kind}]", count)
-            if count < 0:
-                raise ValueError(f"device_counts[{kind}] is negative: {count}")
-            counts[str(kind)] = count
-        object.__setattr__(self, "floor_area_m2", area)
-        object.__setattr__(self, "workplace_count", workplaces)
-        object.__setattr__(self, "coworker_count", coworkers)
-        object.__setattr__(self, "workdays_per_year", workdays)
-        object.__setattr__(self, "device_counts", counts)
+        check_fields(self)
 
 
-def _real(name: str, value) -> float:
-    """``value`` as a float when it is a real number and not a bool (an int
-    too large for a float is inf); otherwise :class:`ValueError` naming
-    ``name``. Text such as ``"0.5"`` is refused, not converted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
-
-
-def finite_at_least(name: str, value, minimum: float = 0.0) -> float:
-    """``value`` as a float when it is a real number, not a bool, finite and
-    at least ``minimum``; otherwise :class:`ValueError` naming ``name``."""
-    number = _real(name, value)
-    if not math.isfinite(number):
-        raise ValueError(f"{name} is not finite: {value!r}")
-    if number < minimum:
-        raise ValueError(f"{name} must be >= {minimum:g}")
-    return number
-
-
-def finite_mj(name: str, value, minimum: float = 0.0) -> float:
-    """An MJ figure checked as by :func:`finite_at_least`, except that a NaN
-    or infinite number (a product that overflowed) raises
-    :class:`NonFiniteError` naming ``name``."""
-    if not math.isfinite(_real(name, value)):
-        raise NonFiniteError(f"{name} is not finite: {value}")
-    return finite_at_least(name, value, minimum)
-
-
-def _whole_number(name: str, value) -> int:
-    """``value`` as an int; a bool, a non-number such as ``"7"`` or a number
-    with a fractional part is refused rather than converted or truncated.
-    Integral floats such as 14.0 pass."""
-    whole = isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and float(value).is_integer()
-    )
-    if isinstance(value, bool) or not whole:
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def row_number(name: str, value) -> int:
-    """``value`` as a line number: a whole number that int64 holds, >= 0."""
-    number = _whole_number(name, value)
-    if not 0 <= number < 1 << 63:
-        raise ValueError(f"{name} must be >= 0 and < 2**63, got {value!r}")
-    return number
+class _Negative(Exception):
+    """A factor below 0: a :class:`NegativeFactorError` once no key is missing."""
 
 
 @dataclass(frozen=True)
 class FactorTable:
-    """All energy coefficients in one place, checked when built.
+    """All energy coefficients in one place, each a finite real >= 0.
 
-    Every value must be a real number and not a bool (else
-    :class:`ValueError` naming its ``group.key``). Every facility component
-    and every transport mode must have its factors, else
-    :class:`MissingFactorError` lists every missing key. Then the first
-    value that is NaN or infinite raises :class:`NonFiniteError`, and the
-    first negative one :class:`NegativeFactorError`. Device kinds are open:
-    :func:`~telework_impact.config.load_config` checks those of the
-    inventory.
+    Refusals name ``group.key``, in this order: the first value that is a
+    bool or not a number (:class:`DomainError`), every missing facility
+    component and mode factor (:class:`MissingFactorError`), then the first
+    value that is NaN or infinite (:class:`NonFiniteError`) or negative
+    (:class:`NegativeFactorError`). Device kinds are open:
+    :func:`~telework_impact.config.load_config` checks the inventory's.
     """
 
-    facility_intensity: Mapping[str, float]
-    device_daily_energy: Mapping[str, float]
-    mode_speed: Mapping[TransportMode, float]
-    mode_energy: Mapping[TransportMode, float]
+    facility_intensity: Mapping[str, float] = declared(NON_NEGATIVE, (str,), "{0}.{1}")
+    device_daily_energy: Mapping[str, float] = declared(NON_NEGATIVE, (str,), "{0}.{1}")
+    mode_speed: Mapping[TransportMode, float] = declared(NON_NEGATIVE, (TransportMode,), "{0}.{1}")
+    mode_energy: Mapping[TransportMode, float] = declared(NON_NEGATIVE, (TransportMode,), "{0}.{1}")
 
     def __post_init__(self):
-        named = {}
-        for group, key_type in (
-            ("facility_intensity", str),
-            ("device_daily_energy", str),
-            ("mode_speed", TransportMode),
-            ("mode_energy", TransportMode),
-        ):
+        named, refused, errors = set(), [], (DomainError, NonFiniteError, _Negative)
+        for group, (domain, (key_type,), template), _ in _declarations(FactorTable):
             numbers_by_key = {}
             for key, value in getattr(self, group).items():
                 key = key_type(key)
-                name = f"{group}.{getattr(key, 'value', key)}"
-                numbers_by_key[key] = named[name] = _real(name, value)
+                name = template.format(group, getattr(key, "_value_", key))
+                named.add(name)
+                try:
+                    numbers_by_key[key] = checked(name, value, domain, errors)
+                except NonFiniteError as exc:
+                    refused.append(exc)
+                except _Negative:
+                    refused.append(NegativeFactorError(name, float(value)))
             object.__setattr__(self, group, numbers_by_key)
         required = [f"facility_intensity.{c}" for c in FACILITY_COMPONENTS] + [
             f"{group}.{mode.value}"
@@ -288,18 +319,12 @@ class FactorTable:
         missing = [name for name in required if name not in named]
         if missing:
             raise MissingFactorError(missing)
-        for name, value in named.items():
-            if not math.isfinite(value):
-                raise NonFiniteError(f"{name} is not finite: {value}")
-            if value < 0:
-                raise NegativeFactorError(name, value)
+        if refused:
+            raise refused[0]
 
     def facility_intensity_total(self) -> float:
         """Summed heating + cooling + lighting intensity, MJ/(m2*year)."""
         return _sum_in_order(self.facility_intensity[c] for c in FACILITY_COMPONENTS)
-
-
-_DELTA_COMPONENTS = ("facility_mj", "equipment_mj", "travel_mj", "credit_mj")
 
 
 @dataclass(frozen=True)
@@ -312,19 +337,19 @@ class EnergyDelta:
     as its own non-negative component. ``net_mj`` is always exactly
     facility + equipment + travel - credit; a plain day-type comparison has
     credit 0. A component or net that is not finite raises
-    :class:`NonFiniteError`.
+    :class:`NonFiniteError`, a negative facility, equipment or credit
+    :class:`DomainError`.
     """
 
     baseline: DayType
-    facility_mj: float
-    equipment_mj: float
-    travel_mj: float
-    credit_mj: float = 0.0
+    facility_mj: float = declared(NON_NEGATIVE)
+    equipment_mj: float = declared(NON_NEGATIVE)
+    travel_mj: float = declared(REAL)
+    credit_mj: float = declared(NON_NEGATIVE, default=0.0)
     net_mj: float = field(init=False)
 
     def __post_init__(self):
-        for name in _DELTA_COMPONENTS:
-            finite_mj(name, getattr(self, name), -math.inf if name == "travel_mj" else 0.0)
+        check_fields(self, MJ_ERRORS)
         net = self.facility_mj + self.equipment_mj + self.travel_mj - self.credit_mj
         if not math.isfinite(net):
             raise NonFiniteError(f"net_mj is not finite: {net}")

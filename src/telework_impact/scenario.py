@@ -19,6 +19,9 @@ floor-space credit and ``a + b/x`` in coworkers and workdays, so its root is
 ``-a/b`` or ``-b/a`` with ``a`` and ``b`` read from the terms.
 Integer-valued inventory parameters are relaxed to reals for sweeping and
 root finding (round up for planning).
+A :class:`Scenario` declares its numbers' domains (see :mod:`.model`) and
+refuses one outside with :class:`InvalidOverrideError` naming the key, as
+it refuses an override outside the inventory field's domain.
 """
 
 from __future__ import annotations
@@ -46,16 +49,25 @@ from .errors import (
     TeleworkImpactError,
 )
 from .model import (
+    MJ_ERRORS,
+    NON_NEGATIVE,
+    POSITIVE,
+    REAL,
     DayType,
+    Domain,
     EnergyDelta,
     FactorTable,
     SiteInventory,
     TransportMode,
-    _real,
-    finite_at_least,
+    check_fields,
+    checked,
+    declared,
 )
 
 _INVENTORY_FIELDS = tuple(f.name for f in dataclasses.fields(SiteInventory))
+
+#: What a scenario refuses, it refuses with InvalidOverrideError.
+_OVERRIDE_ERRORS = (InvalidOverrideError,) * 3
 
 MAX_CW_DAYS_PER_WEEK = 5.0
 
@@ -96,13 +108,16 @@ SWEEP_PARAMETERS = tuple(_PARAMETERS)
 
 @dataclass(frozen=True)
 class Scenario:
-    """One what-if configuration; the default instance changes nothing."""
+    """One what-if configuration; the default instance changes nothing.
+    Every number is finite and >= 0."""
 
     name: str = "baseline"
     overrides: Mapping[str, object] = field(default_factory=dict)
-    modal_override: Mapping[DayType, Mapping[TransportMode, float]] | None = None
-    floor_space_credit_m2: float = 0.0
-    credit_intensity_mj_per_m2_year: float = 0.0
+    modal_override: Mapping[DayType, Mapping[TransportMode, float]] | None = declared(
+        NON_NEGATIVE, (DayType, TransportMode), default=None
+    )
+    floor_space_credit_m2: float = declared(NON_NEGATIVE, default=0.0)
+    credit_intensity_mj_per_m2_year: float = declared(NON_NEGATIVE, default=0.0)
 
     def __post_init__(self):
         unknown = set(self.overrides) - set(_INVENTORY_FIELDS)
@@ -110,29 +125,7 @@ class Scenario:
             raise InvalidOverrideError(
                 f"unknown inventory fields in overrides: {sorted(unknown)}"
             )
-        for name in ("floor_space_credit_m2", "credit_intensity_mj_per_m2_year"):
-            object.__setattr__(self, name, _number(name, getattr(self, name), minimum=0.0))
-        if self.modal_override is not None:
-            normalized = {}
-            for day_type, profile in self.modal_override.items():
-                day_type = DayType(day_type)
-                normalized[day_type] = {}
-                for mode, minutes in profile.items():
-                    mode = TransportMode(mode)
-                    name = f"modal_override[{day_type.value}][{mode.value}]"
-                    normalized[day_type][mode] = _number(name, minutes, minimum=0.0)
-            object.__setattr__(self, "modal_override", normalized)
-
-
-def _number(name: str, value, minimum: float | None = None) -> float:
-    """``value`` as a float when it is a real number and not a bool, and
-    finite and at least ``minimum`` if one is given; text such as ``"20"`` is
-    refused, not converted. Otherwise :class:`InvalidOverrideError` naming
-    ``name``."""
-    try:
-        return _real(name, value) if minimum is None else finite_at_least(name, value, minimum)
-    except ValueError as exc:
-        raise InvalidOverrideError(str(exc)) from None
+        check_fields(self, _OVERRIDE_ERRORS)
 
 
 @dataclass(frozen=True)
@@ -344,10 +337,7 @@ def weekly_net_mj(delta: EnergyDelta, cw_days_per_week: float) -> float:
     """Weekly aggregate: one co-working day avoids one commute, so the weekly
     net scales linearly with the number of co-working days. A product that
     overflows raises :class:`NonFiniteError`."""
-    weekly = cw_days_per_week * delta.net_mj
-    if not math.isfinite(weekly):
-        raise NonFiniteError(f"weekly_net_mj is not finite: {weekly}")
-    return weekly
+    return checked("weekly_net_mj", cw_days_per_week * delta.net_mj, REAL, MJ_ERRORS)
 
 
 def sweep(
@@ -370,7 +360,8 @@ def sweep(
         raise InvalidOverrideError("sweep needs at least one value")
     # Plain floats, as the CLI passes, need no test one by one.
     if not all(type(value) is float for value in values):
-        values = [_number(parameter, value) for value in values]
+        any_real = Domain(False, -math.inf, finite=False)  # _PARAMETERS test the rest
+        values = [checked(parameter, value, any_real, _OVERRIDE_ERRORS) for value in values]
     terms = _terms(inventory, factors, profiles, scenario, baseline)
     return _sweep(terms, parameter, sorted(values))
 
@@ -432,14 +423,11 @@ def break_even(
         raise InvalidOverrideError(
             f"break-even on {parameter} has no root: the per-day net does not depend on it"
         )
-    lo = _number(f"{parameter} lower bound", bounds[0])
-    hi = _number(f"{parameter} upper bound", bounds[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidOverrideError(f"bounds must be finite, got [{lo}, {hi}]")
+    lo = checked(f"{parameter} lower bound", bounds[0], REAL, _OVERRIDE_ERRORS)
+    hi = checked(f"{parameter} upper bound", bounds[1], REAL, _OVERRIDE_ERRORS)
     if not lo < hi:
         raise InvalidOverrideError(f"bounds must satisfy lo < hi, got [{lo}, {hi}]")
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise InvalidOverrideError(f"tolerance must be finite and > 0, got {tolerance}")
+    checked("tolerance", tolerance, POSITIVE, _OVERRIDE_ERRORS)
     terms = _terms(inventory, factors, profiles, scenario, baseline)
     try:
         f_lo, f_hi = _sweep(terms, parameter, [lo, hi]).net_mj

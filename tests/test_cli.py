@@ -324,6 +324,83 @@ def test_overflowing_direct_component_is_an_input_error(
     assert "Traceback" not in err
 
 
+#: The three commands that evaluate the config, each on the shipped diaries.
+_EVALUATING = {
+    "delta": ["delta"],
+    "sweep": ["sweep", "--parameter", "floor_area_m2", "--values", "100", "170"],
+    "breakeven": ["breakeven", "--parameter", "floor_area_m2", "--bounds", "1", "1000"],
+}
+
+
+@pytest.mark.parametrize("argv", _EVALUATING.values(), ids=_EVALUATING)
+@pytest.mark.parametrize(
+    "where, name",
+    [
+        (("coworker_count",), "coworker_count must be <= 2**53"),
+        (("workplace_count",), "workplace_count must be <= 2**53"),
+        (("device_counts", "screen"), "device_counts[screen] must be <= 2**53"),
+        (("workdays_per_year",), "workdays_per_year must be in [1, 366]"),
+    ],
+    ids=["coworkers", "workplaces", "screens", "workdays"],
+)
+def test_count_too_large_for_a_float_is_an_input_error(
+    run, tmp_path, ref_config_path, ref_diaries_path, argv, where, name
+):
+    """Before, a count of 10**400 ended in an OverflowError traceback from
+    the allocation, and a workdays count of 10**400 was echoed digit by digit."""
+    config = json.loads(Path(ref_config_path).read_text(encoding="utf-8"))
+    section = config["site_inventory"]
+    for key in where[:-1]:
+        section = section[key]
+    section[where[-1]] = 10**400
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, _, err = run(
+        *argv, "--config", path, "--diaries", ref_diaries_path, "--out", tmp_path / "out"
+    )
+    assert code == 1
+    assert err == f"error: config {path}: {name}, got 1.000000e+400\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [_EVALUATING["sweep"], _EVALUATING["breakeven"]],
+                         ids=["sweep", "breakeven"])
+def test_override_too_large_for_a_float_is_an_input_error(
+    run, tmp_path, ref_config_path, ref_diaries_path, argv
+):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"overrides": {"coworker_count": 10**400}}), encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = run(
+        *argv, "--config", ref_config_path, "--diaries", ref_diaries_path,
+        "--scenario", scenario, "--out", out,
+    )
+    assert code == 1
+    assert err == "error: coworker_count must be <= 2**53, got 1.000000e+400\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["profile", "delta"])
+def test_nan_minutes_of_a_kept_day_are_an_input_error(
+    run, tmp_path, ref_config_path, ref_diaries_path, command
+):
+    """The read keeps a row whose minutes are NaN (ROADMAP item 1), so the
+    co-working mean is NaN. Before, that ended in an uncaught ValueError."""
+    rows = read_csv(ref_diaries_path)
+    row = next(row for row in rows if row[2] == "coworking")
+    row[3] = row[9] = "nan"  # travel_min and car_min
+    diaries = write_diaries(tmp_path, [",".join(row) for row in rows[1:]])
+    code, _, _ = run("validate", "--config", ref_config_path, "--diaries", diaries,
+                     "--out", tmp_path / "validated")
+    assert code == 0
+    out = tmp_path / "out"
+    code, _, err = run(command, "--config", ref_config_path, "--diaries", diaries, "--out", out)
+    assert code == 1
+    assert err == "error: mean for travel is not finite: nan\n"
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "profile"])
 def test_format_only_on_commands_that_write_tables(
     capsys, tmp_path, ref_config_path, ref_diaries_path, command

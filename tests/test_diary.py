@@ -881,7 +881,7 @@ def test_dirty_file_is_read_without_the_row_loop(monkeypatch, tmp_path, ref_diar
     assert len(rejected) > 150 and len(messages) == 1
     assert {item.date for item in rejected} >= {"2019-02-30", "2019/09/02", ""}
     assert any("12,5" in item.detail for item in rejected)
-    assert any("negative" in item.detail for item in rejected)
+    assert any("must be in [0, 1440], got -" in item.detail for item in rejected)
 
 
 def test_bad_dates_read_in_bulk_skip_the_row_parse(monkeypatch, tmp_path, ref_diaries_path):
@@ -933,7 +933,7 @@ def rejected_days(draw):
     need not be among them."""
     return RejectedDay(
         draw(_REASONS),
-        draw(st.none() | st.integers(0, 2**63 - 1)),
+        draw(st.none() | st.integers(0, 2**53)),
         draw(st.text(max_size=5)),
         draw(st.text(max_size=10)),
         draw(st.text(max_size=12)),

@@ -940,11 +940,11 @@ class TestScenarioFile:
     @pytest.mark.parametrize(
         "key, document, negative",
         [
-            ("floor_space_credit_m2", '{{"floor_space_credit_m2": {}}}', "must be >= 0"),
+            ("floor_space_credit_m2", '{{"floor_space_credit_m2": {}}}', "must be >= 0, got -1.5"),
             ("credit_intensity_mj_per_m2_year",
-             '{{"credit_intensity_mj_per_m2_year": {}}}', "must be >= 0"),
+             '{{"credit_intensity_mj_per_m2_year": {}}}', "must be >= 0, got -1.5"),
             ("modal_override[coworking][walk]",
-             '{{"modal_override": {{"coworking": {{"walk": {}}}}}}}', "must be >= 0"),
+             '{{"modal_override": {{"coworking": {{"walk": {}}}}}}}', "must be >= 0, got -1.5"),
         ],
     )
     def test_non_finite_and_negative_messages(
