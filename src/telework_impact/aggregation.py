@@ -13,7 +13,7 @@ numpy and :mod:`.diary` are imported by :func:`aggregate_profiles` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from .model import (
@@ -31,6 +31,7 @@ from .model import (
     declared,
 )
 
+#: How far a stored share may lie from the one its mean minutes give.
 SHARE_SUM_TOLERANCE = 1e-9
 
 
@@ -44,7 +45,8 @@ def mode_shares(mode_minutes: Mapping[TransportMode, float]) -> dict[TransportMo
 
 @dataclass(frozen=True)
 class DayTypeProfile:
-    """Aggregated mean activity minutes and modal profile for one day type."""
+    """Aggregated mean activity minutes and modal profile for one day type;
+    ``mode_share`` is not an input but derived from ``mean_mode_minutes``."""
 
     day_type: DayType
     day_count: int = declared(COUNT)
@@ -54,28 +56,21 @@ class DayTypeProfile:
     mean_mode_minutes: Mapping[TransportMode, float] = declared(
         NON_NEGATIVE, (TransportMode,), "mean for {1}"
     )
-    mode_share: Mapping[TransportMode, float] = declared(
-        NON_NEGATIVE, (TransportMode,), "share for {1}"
-    )
+    mode_share: Mapping[TransportMode, float] = field(init=False)
 
     def __post_init__(self):
         check_fields(self)
-        share_sum = sum(self.mode_share.values())
-        # Written so that a sum that is not a number fails too.
-        if share_sum and not abs(share_sum - 1.0) <= SHARE_SUM_TOLERANCE:
-            raise ValueError(f"mode shares sum to {share_sum}, expected 1")
+        object.__setattr__(self, "mode_share", mode_shares(self.mean_mode_minutes))
 
     def with_mode_minutes(self, mode_minutes: Mapping[TransportMode, float]) -> "DayTypeProfile":
         """Copy of this profile with a replaced modal profile (missing modes
-        mean zero); shares are recomputed, from the minutes a copy checks."""
-        minutes = {m: mode_minutes.get(m, 0.0) for m in TransportMode}
-        profile = replace(self, mean_mode_minutes=minutes, mode_share={})
-        return replace(profile, mode_share=mode_shares(profile.mean_mode_minutes))
+        mean zero), and the shares derived from it."""
+        return replace(self, mean_mode_minutes={m: mode_minutes.get(m, 0.0) for m in TransportMode})
 
 
 def _empty_profile(day_type: DayType) -> DayTypeProfile:
     modes = dict.fromkeys(TransportMode, 0.0)
-    return DayTypeProfile(day_type, 0, dict.fromkeys(Activity, 0.0), modes, modes)
+    return DayTypeProfile(day_type, 0, dict.fromkeys(Activity, 0.0), modes)
 
 
 def aggregate_profiles(days: Iterable[DiaryDay]) -> dict[DayType, DayTypeProfile]:
@@ -100,13 +95,11 @@ def aggregate_profiles(days: Iterable[DiaryDay]) -> dict[DayType, DayTypeProfile
             profiles[day_type] = _empty_profile(day_type)
             continue
         means = [float(np.mean(column[rows])) for column in table.minutes.T]
-        mean_mode = dict(zip(TransportMode, means[len(Activity):]))
         profiles[day_type] = DayTypeProfile(
             day_type=day_type,
             day_count=day_count,
             mean_activity_minutes=dict(zip(Activity, means)),
-            mean_mode_minutes=mean_mode,
-            mode_share=mode_shares(mean_mode),
+            mean_mode_minutes=dict(zip(TransportMode, means[len(Activity):])),
         )
     return profiles
 
@@ -150,14 +143,13 @@ def profiles_from_dict(payload: Mapping) -> dict[DayType, DayTypeProfile]:
     profiles: dict[DayType, DayTypeProfile] = {}
     for day_type_value, body in payload.items():
         day_type = DayType(day_type_value)
-        activities = body["mean_activity_minutes"]
+        activities, modes = body["mean_activity_minutes"], body["mean_mode_minutes"]
         profile = profiles[day_type] = DayTypeProfile(
             day_type=day_type,
             day_count=body["day_count"],
             mean_activity_minutes={a: activities.get(a.value, 0.0) for a in Activity},
-            mean_mode_minutes={},
-            mode_share={},
-        ).with_mode_minutes(body["mean_mode_minutes"])
+            mean_mode_minutes={m: modes.get(m.value, 0.0) for m in TransportMode},
+        )
         stored = body.get("mode_share")
         if stored:
             for mode in TransportMode:

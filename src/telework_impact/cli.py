@@ -9,7 +9,6 @@ decimals and wall-clock metadata lives only in the run_info sidecar.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -20,7 +19,7 @@ from .aggregation import (
     day_counts,
     profiles_from_dict,
 )
-from .config import AppConfig, load_config
+from .config import AppConfig, load_config, read_json
 from .energy import compare_day_types, direct_components
 from .errors import (
     ConfigError,
@@ -188,12 +187,7 @@ def _load_profiles(args, config: AppConfig):
     """Profiles either recomputed from diaries or loaded from a profiles JSON."""
     if getattr(args, "profiles", None):
         path = Path(args.profiles)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read profiles file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"profiles file {path} is not valid JSON: {exc}") from exc
+        payload = read_json(path, "profiles")
         if isinstance(payload, dict):
             payload = payload.get("profiles", payload)
         if not isinstance(payload, dict):

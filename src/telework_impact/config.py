@@ -26,7 +26,8 @@ a real is finite, a whole number is at most ``2**53``, and a bool or text
 such as ``"14"`` is refused. Units are fixed by convention (m2, MJ, km/h,
 MJ per person-km, minutes) and never embedded in the file. The fingerprint
 hashes the canonical form of the parsed document, so it changes iff a
-semantically relevant byte changes.
+semantically relevant byte changes. :func:`read_json` reads this file, and
+the scenario and profiles files too.
 """
 
 from __future__ import annotations
@@ -95,6 +96,17 @@ def config_fingerprint(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def read_json(path: Path, kind: str):
+    """The parsed ``kind`` file (config, scenario or profiles) at ``path``; one
+    that cannot be read or is not JSON raises :class:`ConfigError` naming it."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON is UTF-8
+        raise ConfigError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+
+
 def _require(payload: dict, key: str, path: Path) -> dict:
     if key not in payload:
         raise ConfigError(f"config {path} lacks required section '{key}'")
@@ -122,14 +134,7 @@ def load_config(path: str | Path) -> AppConfig:
     :class:`FactorTable` and :func:`equipment_energy` as they are.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    payload = read_json(path, "config")
     if not isinstance(payload, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
 

@@ -5,7 +5,7 @@ Diary files are UTF-8 CSV with exactly this header::
     participant_id,date,location,travel_min,work_min,chores_min,leisure_min,
     walk_min,bike_min,car_min,pt_min,other_mode_min
 
-(one physical line; wrapped here for readability). Dates are ISO-8601,
+(one physical line; wrapped here for readability). Dates are YYYY-MM-DD,
 minute fields are non-negative decimals, and the location vocabulary is
 ``office | coworking | home | other | multiple``. Unknown location strings
 fall back to ``other_location``: a parse logs one warning that gives the
@@ -107,6 +107,8 @@ _MODES = tuple(TransportMode)
 _DAY_TYPE_CODE = {day_type: code for code, day_type in enumerate(DAY_TYPES)}
 _LOCATION_CODE = {raw: _DAY_TYPE_CODE[day_type] for raw, day_type in LOCATION_VOCABULARY.items()}
 _OTHER_CODE = _DAY_TYPE_CODE[DayType.OTHER_LOCATION]
+#: The one date form; ``date.fromisoformat`` alone takes more from Python 3.11 on.
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 #: Row numbers the folded unknown-location warning lists.
 _WARNED_ROWS = 5
 
@@ -396,8 +398,11 @@ class _DateTexts(dict):
         self.errors: dict[str, str] = {}
 
     def __missing__(self, text):
+        stripped = text.strip()
         try:
-            date = _dt.date.fromisoformat(text.strip())
+            if not _ISO_DATE.fullmatch(stripped):
+                raise ValueError(f"Invalid isoformat string: {stripped!r}")
+            date = _dt.date.fromisoformat(stripped)
         except ValueError as exc:
             self.errors[text] = str(exc)
             self.codes.append(-1)

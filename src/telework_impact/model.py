@@ -10,10 +10,11 @@ Conventions used everywhere in the package:
 
 Missing entries in the minute maps of a :class:`DiaryDay` mean zero.
 
-Every number field declares its :class:`Domain` once (:func:`declared`),
-and ``__post_init__`` checks it with :func:`checked`, the one check of a
-number, which names it in a refusal: :class:`~.errors.DomainError`, a
-:class:`ValueError`, unless the class documents its own errors.
+Every number field declares its :class:`Domain` once (:func:`declared`), as
+does each parameter :mod:`.scenario` sweeps. :func:`checked`, the one check
+of a number, whose range test is :meth:`Domain.allows`, checks it from
+``__post_init__`` and names it in a refusal: :class:`~.errors.DomainError`,
+a :class:`ValueError`, unless the class documents its own errors.
 """
 
 from __future__ import annotations
@@ -108,6 +109,10 @@ class Domain(NamedTuple):
     open: bool = False
     finite: bool = True
 
+    def allows(self, number: float) -> bool:
+        """Whether ``number`` is within the bounds; NaN is (:func:`checked` refuses it)."""
+        return not (number < self.low or self.open and number == self.low or number > self.high)
+
     def __str__(self) -> str:
         if self.high == math.inf:
             return f"{'>' if self.open else '>='} {self.low:g}"
@@ -145,7 +150,7 @@ def checked(name: str, value, domain: Domain, errors: tuple = DOMAIN_ERRORS):
     with ``name``, it raises ``errors[0]`` for a bool, text such as ``"1"``
     or a fraction where a whole number is declared; ``errors[1]`` for a
     real that is not finite in a finite domain; ``errors[2]`` out of range."""
-    whole, low, high, open_low, finite = domain
+    whole = domain.whole
     plain = type(value) in (float, int)  # needs no test of the abstract types
     if not plain and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise errors[0](f"{name} must be a {'whole ' if whole else ''}number, got {_shown(value)}")
@@ -160,9 +165,9 @@ def checked(name: str, value, domain: Domain, errors: tuple = DOMAIN_ERRORS):
         number = int(value)
     else:
         raise errors[0](f"{name} must be a whole number, got {_shown(value)}")
-    if finite and not whole and not math.isfinite(number):
+    if domain.finite and not whole and not math.isfinite(number):
         raise errors[1](f"{name} is not finite: {_shown(value)}")
-    if number < low or open_low and number == low or number > high:
+    if not domain.allows(number):
         raise errors[2](f"{name} must be {domain}, got {_shown(value)}")
     if whole and number > WHOLE_MAX:
         raise errors[2](f"{name} must be <= 2**53, got {_shown(value)}")
@@ -351,6 +356,4 @@ class EnergyDelta:
     def __post_init__(self):
         check_fields(self, MJ_ERRORS)
         net = self.facility_mj + self.equipment_mj + self.travel_mj - self.credit_mj
-        if not math.isfinite(net):
-            raise NonFiniteError(f"net_mj is not finite: {net}")
-        object.__setattr__(self, "net_mj", net)
+        object.__setattr__(self, "net_mj", checked("net_mj", net, REAL, MJ_ERRORS))

@@ -21,13 +21,13 @@ Integer-valued inventory parameters are relaxed to reals for sweeping and
 root finding (round up for planning).
 A :class:`Scenario` declares its numbers' domains (see :mod:`.model`) and
 refuses one outside with :class:`InvalidOverrideError` naming the key, as
-it refuses an override outside the inventory field's domain.
+it refuses an override outside the inventory field's domain or a swept
+value outside the :class:`~.model.Domain` its parameter declares.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from collections.abc import Sequence as SequenceABC
 from contextlib import suppress
@@ -35,9 +35,10 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import le, mul
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .aggregation import DayTypeProfile
+from .config import read_json
 from .energy import allocate, compare_day_types, direct_components
 from .errors import (
     ConfigError,
@@ -74,31 +75,21 @@ MAX_CW_DAYS_PER_WEEK = 5.0
 
 class _Parameter(NamedTuple):
     """How a swept parameter enters a point: the :class:`_Terms` field a
-    value replaces (None: the per-day net does not depend on it), the values
-    it takes (``domain`` as errors state it, tested by ``allows``), and the
-    form of the net in it, ``a + b/x`` when ``reciprocal``, else ``a + b*x``."""
+    value replaces (None: the per-day net does not depend on it), the
+    :class:`~.model.Domain` of its values, and the form of the net in it,
+    ``a + b/x`` when ``reciprocal``, else ``a + b*x``."""
 
     field: str | None
-    domain: str
-    allows: Callable[[float], bool]
+    domain: Domain
     reciprocal: bool = False
-
-    def check(self, name: str, value: float) -> float:
-        if not math.isfinite(value):
-            raise InvalidOverrideError(f"{name} must be finite, got {value}")
-        if not self.allows(value):
-            raise InvalidOverrideError(f"{name} must be {self.domain}, got {value}")
-        return value
 
 
 _PARAMETERS = {
-    "coworker_count": _Parameter("coworkers", "> 0", lambda v: v > 0, reciprocal=True),
-    "workdays_per_year": _Parameter("workdays", "> 0", lambda v: v > 0, reciprocal=True),
-    "floor_area_m2": _Parameter("area", "> 0", lambda v: v > 0),
-    "floor_space_credit_m2": _Parameter("credit_m2", ">= 0", lambda v: v >= 0),
-    "cw_days_per_week": _Parameter(
-        None, f"in (0, {MAX_CW_DAYS_PER_WEEK:g}]", lambda v: 0 < v <= MAX_CW_DAYS_PER_WEEK
-    ),
+    "coworker_count": _Parameter("coworkers", POSITIVE, reciprocal=True),
+    "workdays_per_year": _Parameter("workdays", POSITIVE, reciprocal=True),
+    "floor_area_m2": _Parameter("area", POSITIVE),
+    "floor_space_credit_m2": _Parameter("credit_m2", NON_NEGATIVE),
+    "cw_days_per_week": _Parameter(None, Domain(False, 0.0, MAX_CW_DAYS_PER_WEEK, open=True)),
 }
 
 #: Parameters supported by sweep(); break_even() takes all but
@@ -152,7 +143,7 @@ class SweepResult:
             raise ValueError("sweep columns must have one length, not 0")
         # Sorted finite values lie in an interval domain when both ends do.
         ordered = all(map(math.isfinite, values)) and all(map(le, values, values[1:]))
-        if not (ordered and spec.allows(values[0]) and spec.allows(values[-1])):
+        if not (ordered and spec.domain.allows(values[0]) and spec.domain.allows(values[-1])):
             raise ValueError(f"sweep values must be finite, ascending and {spec.domain}")
         equipment, travel = self.equipment_mj, self.travel_mj
         net = tuple([f + equipment + travel - c for f, c in zip(facility, credit)])
@@ -193,12 +184,7 @@ class _Points(SequenceABC):
 def load_scenario(path: str | Path) -> Scenario:
     """Read a scenario JSON document; unknown keys are rejected."""
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
+    payload = read_json(path, "scenario")
     if not isinstance(payload, dict):
         raise ConfigError(f"scenario file {path} must contain a JSON object")
     unknown = set(payload) - {f.name for f in dataclasses.fields(Scenario)}
@@ -376,7 +362,7 @@ def _sweep(terms: _Terms, parameter: str, ordered: list[float]) -> SweepResult:
     # A point fails: evaluate them alone, in order, to raise its own error.
     for value in ordered:
         try:
-            delta = terms.at(spec.field, spec.check(parameter, value))
+            delta = terms.at(spec.field, checked(parameter, value, spec.domain, _OVERRIDE_ERRORS))
             if spec.field is None:
                 weekly_net_mj(delta, value)
         except TeleworkImpactError as exc:

@@ -38,7 +38,7 @@ from telework_impact import (
     parse_diary_path,
     travel_energy,
 )
-from telework_impact.aggregation import DayTypeProfile, mode_shares
+from telework_impact.aggregation import DayTypeProfile
 from telework_impact.diary import DIARY_HEADER, RejectReason
 from telework_impact.energy import DirectComponents, allocate
 from telework_impact.model import FactorTable, SiteInventory
@@ -192,7 +192,6 @@ def _random_profile(rng, day_type):
         day_count=1,
         mean_activity_minutes={a: rng.uniform(0, 300) for a in Activity},
         mean_mode_minutes=minutes,
-        mode_share=mode_shares(minutes),
     )
 
 

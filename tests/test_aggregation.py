@@ -18,6 +18,7 @@ from telework_impact.aggregation import (
     profiles_to_dict,
 )
 from telework_impact.diary import DiaryTable
+from telework_impact.model import COMPARABLE_DAY_TYPES
 
 
 def office_day(travel, work=522.0):
@@ -182,18 +183,18 @@ def test_profiles_dict_roundtrip():
 
 def _coworking_with(section, key, value):
     """The ways to a co-working profile whose ``section[key]`` is ``value``:
-    read back from a stored payload, built directly, and for mode minutes
-    replaced by ``with_mode_minutes``."""
+    read back from a stored payload, and for the means built directly and
+    for mode minutes replaced by ``with_mode_minutes`` (a profile derives
+    its shares, so only a stored file holds them)."""
     rng = random.Random(11)
     profiles = aggregate_profiles([random_valid_day(rng) for _ in range(30)])
     payload = profiles_to_dict(profiles)
     payload["coworking"][section][key] = value
     profile = profiles[DayType.COWORKING]
     mapping = {k: value if k.value == key else v for k, v in getattr(profile, section).items()}
-    builds = [
-        lambda: profiles_from_dict(payload),
-        lambda: dataclasses.replace(profile, **{section: mapping}),
-    ]
+    builds = [lambda: profiles_from_dict(payload)]
+    if section != "mode_share":
+        builds.append(lambda: dataclasses.replace(profile, **{section: mapping}))
     if section == "mean_mode_minutes":
         builds.append(lambda: profile.with_mode_minutes(mapping))
     return builds
@@ -223,7 +224,7 @@ def test_stored_profile_refuses_text_and_bools(section, value):
 def test_profile_stores_floats_and_refuses_negative_values(section):
     key = "work" if section == "mean_activity_minutes" else "walk"
     label = "share" if section == "mode_share" else "mean"
-    for build in _coworking_with(section, key, -1)[1:]:
+    for build in _coworking_with(section, key, -1):
         with pytest.raises(ValueError, match=re.escape(f"{label} for {key} must be >= 0")):
             build()
     profile = _coworking_with("mean_activity_minutes", "work", 500)[1]()
@@ -251,19 +252,48 @@ def test_stored_mode_share_must_match_the_mean_minutes():
     assert profiles_from_dict(payload) == profiles
 
 
-def test_share_sum_check_rejects_a_sum_that_is_not_a_number():
-    # Each share is finite but their sum overflows, so the sum is inf and
-    # |sum - 1| is not <= the tolerance.
-    shares = {m: 0.0 for m in TransportMode}
-    shares[TransportMode.WALK] = shares[TransportMode.CAR] = 1.7e308
-    with pytest.raises(ValueError, match="mode shares sum to inf"):
-        DayTypeProfile(
-            day_type=DayType.COWORKING,
-            day_count=1,
-            mean_activity_minutes={a: 0.0 for a in Activity},
-            mean_mode_minutes={m: 0.0 for m in TransportMode},
-            mode_share=shares,
-        )
+def test_shares_are_not_an_input():
+    """Before, a profile took shares that contradict its minutes (walk 1.0
+    for minutes all by car) and wrote them to the profile tables."""
+    activities = dict.fromkeys(Activity, 60.0)
+    car = {**dict.fromkeys(TransportMode, 0.0), TransportMode.CAR: 10.0}
+    with pytest.raises(TypeError):
+        DayTypeProfile(DayType.HOME, 1, activities, car, {TransportMode.WALK: 1.0})
+    with pytest.raises(TypeError):
+        DayTypeProfile(DayType.HOME, 1, activities, car, mode_share={TransportMode.WALK: 1.0})
+    profile = DayTypeProfile(DayType.HOME, 1, activities, car)
+    assert profile.mode_share == {**dict.fromkeys(TransportMode, 0.0), TransportMode.CAR: 1.0}
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(profile, mode_share=profile.mode_share)
+
+
+_MEAN = st.floats(0.0, 1440.0, allow_subnormal=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    minutes=st.fixed_dictionaries({m: _MEAN for m in TransportMode}),
+    replaced=st.dictionaries(st.sampled_from(list(TransportMode)), _MEAN),
+    days=st.lists(st.builds(
+        lambda day_type, modes: make_day(day_type=day_type, modes=modes),
+        st.sampled_from(list(COMPARABLE_DAY_TYPES)),
+        st.fixed_dictionaries({m: st.floats(0.0, 140.0) for m in TransportMode}),
+    ), max_size=20),
+)
+def test_every_profile_derives_its_shares_from_its_minutes(minutes, replaced, days):
+    """However a profile is made, its shares are those of its mean mode
+    minutes, bit for bit: built directly, by ``with_mode_minutes``, by
+    ``aggregate_profiles`` and read back by ``profiles_from_dict``."""
+    direct = DayTypeProfile(DayType.COWORKING, 2, dict.fromkeys(Activity, 0.0), minutes)
+    aggregated = aggregate_profiles(days)
+    profiles = [direct, direct.with_mode_minutes(replaced), *aggregated.values(),
+                *profiles_from_dict(profiles_to_dict(aggregated)).values()]
+    for profile in profiles:
+        expected = mode_shares(profile.mean_mode_minutes)
+        assert [x.hex() for x in profile.mode_share.values()] == [
+            x.hex() for x in expected.values()
+        ]
+        assert list(profile.mode_share) == list(TransportMode)
 
 
 @pytest.mark.parametrize(

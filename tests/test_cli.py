@@ -413,6 +413,37 @@ def test_format_only_on_commands_that_write_tables(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("option", ["--config", "--scenario", "--profiles"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read {kind} file {path}: [Errno 2] No such file or directory: '{path}'"),
+        (b"nope", "{kind} file {path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff{}", "{kind} file {path} is not valid JSON: 'utf-8' codec can't decode byte 0xff"
+                    " in position 0: invalid start byte"),
+    ],
+    ids=["missing", "not-json", "not-utf-8"],
+)
+def test_json_file_that_cannot_be_read_exits_1(
+    run, tmp_path, ref_config_path, ref_diaries_path, option, content, message
+):
+    """The config, scenario and profiles files are read alike, and a file
+    that is missing or not JSON is refused by kind and path; before, one
+    that is not UTF-8 ended in a traceback."""
+    kind = option[2:]
+    path = tmp_path / f"{kind}.json"
+    if content is not None:
+        path.write_bytes(content)
+    files = {"--config": ref_config_path, "--diaries": ref_diaries_path, option: path}
+    code, out, err = run(
+        "sweep", *[item for pair in files.items() for item in pair],
+        "--parameter", "coworker_count", "--values", 60, "--out", tmp_path / "out",
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {message.format(kind=kind, path=path)}\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestSweepCli:
     def test_occupancy_sweep(self, run, tmp_path, ref_config_path, ref_diaries_path):
         out = tmp_path / "out"
@@ -534,7 +565,7 @@ class TestSweepCli:
             "--parameter", parameter, f"--values={value}", "--out", out,
         )
         assert code == 1
-        assert "must be finite" in err
+        assert f"{parameter} is not finite: " in err
         assert not (out / "sweep.json").exists()
 
     @pytest.mark.parametrize(
@@ -884,7 +915,14 @@ class TestLeanImports:
             "profile", "--config", ref_config_path, "--diaries", ref_diaries_path,
             "--out", tmp_path / "p",
         )[0] == 0
-        common = ["--config", ref_config_path, "--profiles", tmp_path / "p" / "profiles.json"]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(
+            {"floor_space_credit_m2": 20.0, "credit_intensity_mj_per_m2_year": 1945.8}
+        ), encoding="utf-8")
+        common = [
+            "--config", ref_config_path, "--profiles", tmp_path / "p" / "profiles.json",
+            "--scenario", scenario,
+        ]
         assert not self._loaded(
             tmp_path,
             self.DIARY_READER,

@@ -5,6 +5,7 @@ import io
 import logging
 import math
 import random
+import re
 import tempfile
 import warnings
 from itertools import accumulate
@@ -496,7 +497,10 @@ def row_loop(stream):
         try:
             if len(values) != len(DIARY_HEADER):
                 raise ValueError(f"expected {len(DIARY_HEADER)} fields, got {len(values)}")
-            date = dt.date.fromisoformat(values[1].strip())
+            date_text = values[1].strip()
+            if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", date_text):
+                raise ValueError(f"Invalid isoformat string: {date_text!r}")
+            date = dt.date.fromisoformat(date_text)
             minutes = [float(value) for value in values[3:]]
             location = values[2].strip()
             day = DiaryDay(
@@ -919,6 +923,36 @@ def test_bad_dates_read_in_bulk_skip_the_row_parse(monkeypatch, tmp_path, ref_di
     assert {item.row for item in rejected} == bad_rows | {83}
     bad_dates = {item.date for item in rejected if item.row in bad_rows}
     assert bad_dates == {"2019-02-30", "2019/09/02", ""}
+
+
+#: ISO-8601 spellings of 2019-09-02 that ``date.fromisoformat`` takes from
+#: Python 3.11 on, but that are not YYYY-MM-DD.
+_OTHER_ISO_DATES = ("20190902", "2019-W36-1", "2019W361")
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["bulk", "csv"])
+def test_only_yyyy_mm_dd_is_a_date(monkeypatch, tmp_path, ref_diaries_path, quoted):
+    """The other spellings of a date are a PARSE_ERROR on every Python, read
+    in a bulk pass or, quoted, on the csv path. Beside the participant's
+    2019-09-02 row, such a row is not a DUPLICATE_DAY of it."""
+    with open(ref_diaries_path, encoding="utf-8", newline="") as handle:
+        header, first, *rest = csv.reader(handle)
+    assert first[:2] == ["P01", "2019-09-02"]
+    spelled = [[first[0], f'"{text}"' if quoted else text, *first[2:]] for text in _OTHER_ISO_DATES]
+    path = tmp_path / "dates.csv"
+    path.write_text("".join(f"{','.join(fields)}\n" for fields in [header, first, *spelled, *rest]),
+                    encoding="utf-8")
+    with open(path, encoding="utf-8", newline="") as handle:
+        expected = _outcome(row_loop, handle)
+    if not quoted:
+        monkeypatch.setattr(diary, "_parse_record", _fail_row_parse)
+    assert _outcome(diary.parse_diary_path, path) == expected
+    (ids, *_), rejected, _ = expected
+    assert len(ids) == 250
+    assert [(item.row, item.reason, item.date, item.detail) for item in rejected] == [
+        (row, RejectReason.PARSE_ERROR, text, f"Invalid isoformat string: {text!r}")
+        for row, text in enumerate(_OTHER_ISO_DATES, start=3)
+    ]
 
 
 # --- Rejections as columns ----------------------------------------------------

@@ -7,6 +7,8 @@ import re
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_day
 from reference_case import build_config_payload
@@ -27,9 +29,11 @@ from telework_impact.model import (
     COUNT,
     WHOLE_MAX,
     DiaryDay,
+    Domain,
     EnergyDelta,
     FactorTable,
     SiteInventory,
+    checked,
 )
 
 
@@ -356,7 +360,6 @@ _VALID = {
     DayTypeProfile: dict(
         day_type=DayType.HOME, day_count=3, mean_activity_minutes={a: 60.0 for a in Activity},
         mean_mode_minutes={m: 6.0 for m in TransportMode},
-        mode_share={m: 0.2 for m in TransportMode},
     ),
     DiaryDay: dict(
         participant_id="P01", date=dt.date(2024, 1, 8), day_type=DayType.COWORKING,
@@ -417,7 +420,7 @@ _NAMED_BEFORE = [
     "mode_energy.car", "floor_area_m2", "workplace_count", "coworker_count",
     "workdays_per_year", "device_counts[screen]", "min_work_minutes", "floor_space_credit_m2",
     "credit_intensity_mj_per_m2_year", "modal_override[coworking][car]", "mean for work",
-    "mean for walk", "share for walk", "day_count", "activity_minutes[work]",
+    "mean for walk", "day_count", "activity_minutes[work]",
     "mode_minutes[car]", "travel_mj", "source_row", "row",
 ]
 
@@ -487,3 +490,44 @@ def test_whole_rows_are_kept_as_ints():
         assert type(make_day(row=value).source_row) is int
         [item] = RejectionTable.from_rejected([RejectedDay(RejectReason.PARSE_ERROR, value)])
         assert item.row == value and type(item.row) is int
+
+
+class _OutOfRange(Exception):
+    """The refusal ``checked`` raises here for a value out of range only."""
+
+
+@st.composite
+def _domains(draw):
+    """A real or whole domain with an open or closed low bound and a finite
+    or infinite high bound at or above it."""
+    whole = draw(st.booleans())
+    bound = st.integers(-1000, 1000) if whole else st.floats(-1e6, 1e6, allow_subnormal=True)
+    low = draw(bound)
+    high = draw(st.just(math.inf) | bound.filter(lambda high: high >= low))
+    return Domain(whole, low, high, open=draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(domain=_domains())
+def test_allows_is_the_range_test_of_checked(domain):
+    """At each finite bound, just inside it and just outside it, ``checked``
+    refuses a value as out of range exactly where ``Domain.allows`` says no,
+    and that is where the value lies outside the bounds."""
+    whole = domain.whole
+    values = []
+    for bound in (domain.low, domain.high):
+        if math.isfinite(bound):
+            values += [bound - 1, bound, bound + 1] if whole else [
+                math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)
+            ]
+    for value in values:
+        inside = (domain.low < value if domain.open else domain.low <= value) and value <= domain.high
+        assert domain.allows(value) is inside
+        try:
+            checked("x", value, domain, (TypeError, ArithmeticError, _OutOfRange))
+        except _OutOfRange as exc:
+            assert not inside and str(exc) == f"x must be {domain}, got {value!r}"
+        else:
+            assert inside
+    # NaN lies within no bounds, but it is refused as not finite, not here.
+    assert domain.allows(math.nan)

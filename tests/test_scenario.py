@@ -35,7 +35,7 @@ from telework_impact.errors import (
     SweepPointError,
     TeleworkImpactError,
 )
-from telework_impact.model import EnergyDelta, FactorTable, SiteInventory
+from telework_impact.model import EnergyDelta, FactorTable, SiteInventory, checked
 from telework_impact.scenario import apply_scenario, load_scenario
 from telework_impact import energy as energy_module
 from telework_impact import scenario as scenario_module
@@ -260,7 +260,7 @@ class TestSweep:
     @pytest.mark.parametrize("parameter", scenario_module.SWEEP_PARAMETERS)
     def test_non_finite_value_rejected(self, base, parameter, value):
         inventory, factors, profiles = base
-        with pytest.raises(SweepPointError, match="must be finite") as info:
+        with pytest.raises(SweepPointError, match=f"{parameter} is not finite: ") as info:
             sweep(inventory, factors, profiles, Scenario(), parameter, [2.0, value])
         assert isinstance(info.value.cause, InvalidOverrideError)
 
@@ -697,7 +697,7 @@ def per_point_sweep(terms, parameter, values):
     points = []
     for value in sorted(values):
         try:
-            value = spec.check(parameter, value)
+            value = checked(parameter, value, spec.domain, (InvalidOverrideError,) * 3)
             area = value if spec.field == "area" else terms.area
             coworkers = value if spec.field == "coworkers" else terms.coworkers
             workdays = value if spec.field == "workdays" else terms.workdays
