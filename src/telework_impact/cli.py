@@ -209,7 +209,7 @@ def cmd_validate(args) -> int:
     rows_seen, kept, rejected = _run_pipeline(args, config)
     out = _out_dir(args)
 
-    rpt.write_csv(out / "rejections.csv", rpt.REJECTION_HEADER, rpt.rejection_rows(rejected))
+    rpt.write_csv(out / "rejections.csv", rpt.REJECTION_HEADER, rpt.rejection_columns(rejected))
     report = rpt.base_report("validate", config, __version__, {"diaries": str(args.diaries)})
     report["input_summary"] = rpt.input_summary(args.diaries, rows_seen, len(kept), rejected)
     report["day_counts"] = {t.value: n for t, n in day_counts(kept).items()}

@@ -246,19 +246,30 @@ class DiaryTable(Sequence):
                 self.minutes[i].tolist(),
                 None if row == NO_ROW else row,
             )
+        import numpy as np
+
+        # take copies the rows of a matrix several times faster than indexing
+        # it by a mask or an index array.
+        rows = np.arange(len(self))[item]
         return DiaryTable(
-            self.participant_codes[item], self.distinct_ids,
-            self.date_codes[item], self.distinct_dates,
-            self.source_rows[item], self.day_types[item], self.minutes[item],
+            self.participant_codes.take(rows), self.distinct_ids,
+            self.date_codes.take(rows), self.distinct_dates,
+            self.source_rows.take(rows), self.day_types.take(rows), self.minutes.take(rows, axis=0),
         )
 
     def __repr__(self) -> str:
         return f"DiaryTable({len(self)} days)"
 
 
-def _decode(values: tuple, codes: np.ndarray) -> np.ndarray:
+def _decode(values: Sequence, codes: np.ndarray) -> np.ndarray:
+    """``values`` at ``codes``, as an object array. Fewer codes than a
+    quarter of the values are looked up one by one, so that a sub-table
+    decodes in time that follows its size; more index an array of all the
+    values, which is then the cheaper way."""
     import numpy as np
 
+    if 4 * len(codes) < len(values):
+        return np.fromiter(map(values.__getitem__, codes.tolist()), object, len(codes))
     return np.array(values, dtype=object)[codes]
 
 
@@ -341,12 +352,26 @@ class RejectionTable(Sequence):
 
 
 def in_row_order(*tables: RejectionTable) -> RejectionTable:
-    """The rejections of ``tables`` joined and stably sorted by row."""
+    """The rejections of ``tables`` joined and stably sorted by row; a lone
+    table in row order is returned as it is. Each table's part of a column
+    is copied once, straight to its places, since an object column costs a
+    visit to every object it holds."""
     import numpy as np
 
-    columns = [np.concatenate(parts) for parts in zip(*(table._columns() for table in tables))]
-    order = np.argsort(columns[0], kind="stable")
-    return RejectionTable(*(column[order] for column in columns))
+    rows = np.concatenate([table.rows for table in tables])
+    if len(tables) == 1 and not (rows[1:] < rows[:-1]).any():
+        return tables[0]
+    order = np.argsort(rows, kind="stable")
+    places = np.empty_like(order)
+    places[order] = np.arange(len(order))
+    places = np.split(places, np.cumsum([len(table) for table in tables])[:-1])
+    columns = []
+    for parts in zip(*(table._columns() for table in tables)):
+        column = np.empty((len(order), *parts[0].shape[1:]), parts[0].dtype)
+        for part, at in zip(parts, places):
+            column[at] = part
+        columns.append(column)
+    return RejectionTable(*columns)
 
 
 def _read_rejections(rows, participant_ids, dates, details, reason) -> RejectionTable:
@@ -571,17 +596,20 @@ class _Part:
 
     ``columns`` are arrays of the kept rows: line numbers (``q``, counted
     from the range's first row), participant and date codes (``i``) into
-    ``ids`` and ``dates``, which hold each value in order of its first row,
-    day type codes (``b``) and the minutes (``d``, nine a row). ``size`` is
-    the row count, ``lines`` the number of the range's last line, and
-    ``rejected`` the PARSE_ERRORs as columns of line numbers, ids, dates and
-    details. A child's part has ``columns`` None: they go to the head's.
+    ``ids`` and ``dates``, day type codes (``b``) and the minutes (``d``,
+    nine a row). ``ids`` and ``dates`` hold each value in order of its first
+    row, as the keys of a dict (whose values are of no further use) where
+    :func:`_read_range` made the part, as a list in the part a child sends.
+    ``size`` is the row count, ``lines`` the number of the range's last
+    line, and ``rejected`` the PARSE_ERRORs as columns of line numbers, ids,
+    dates and details. A child's part has ``columns`` None: they go to the
+    head's.
     """
 
     columns: tuple[array, ...] | None
     size: int
-    ids: list[str]
-    dates: list[_dt.date]
+    ids: dict[str, int] | list[str]
+    dates: dict[_dt.date, None] | list[_dt.date]
     rejected: tuple[tuple, ...]
     unknown_rows: list[int]
     lines: int
@@ -662,7 +690,7 @@ def _read_range(
     by_code = list(dates.dates)
     order = _first_appearance(date_codes, len(by_code)).tolist()
     return _Part(
-        columns, len(columns[0]), list(distinct_ids), [by_code[code] for code in order],
+        columns, len(columns[0]), distinct_ids, dict.fromkeys(by_code[code] for code in order),
         tuple(zip(*rejected)) or ((),) * 4, unknown_rows, first_row - 1,
     )
 
@@ -681,18 +709,23 @@ def _first_appearance(codes: np.ndarray, size: int) -> np.ndarray:
     return order
 
 
-def _renumber(codes: np.ndarray, values: list, more: list) -> list:
-    """``values`` and then those of ``more`` that it lacks, in order;
-    ``codes`` into ``more``, whose values are distinct, become codes into
-    that list in place."""
+def _renumber(codes: np.ndarray, values: dict, more: Sequence) -> list:
+    """The keys of ``values`` and then the values of ``more`` that they
+    lack, in order; ``codes`` into ``more``, whose values are distinct,
+    become codes into that list in place. Where ``more`` has none of the
+    keys, as when no participant has rows on both sides of a cut, that is
+    a shift, and no dict of positions is built."""
     import numpy as np
 
+    if values.keys().isdisjoint(more):
+        codes += len(values)
+        return [*values, *more]
     position = dict(zip(values, count()))
     recode = np.fromiter(map(position.get, more, repeat(-1)), np.int32, len(more))
     new = recode < 0
     recode[new] = np.arange(len(values), len(values) + np.count_nonzero(new))
     codes[:] = recode[codes]
-    return values + list(compress(more, new.tolist()))
+    return [*values, *compress(more, new.tolist())]
 
 
 def _merge(head: _Part, tail: _Part | None = None) -> tuple[DiaryTable, RejectionTable]:
@@ -707,7 +740,7 @@ def _merge(head: _Part, tail: _Part | None = None) -> tuple[DiaryTable, Rejectio
     import numpy as np
 
     ids, dates, unknown_rows = head.ids, head.dates, head.unknown_rows
-    rejected = [_read_rejections(*head.rejected, RejectReason.PARSE_ERROR)]
+    parse_rows, *parse_errors = head.rejected
     if tail is not None and tail.columns is not None:
         for column, more in zip(head.columns, tail.columns):
             column.extend(more)
@@ -720,9 +753,10 @@ def _merge(head: _Part, tail: _Part | None = None) -> tuple[DiaryTable, Rejectio
         ids = _renumber(id_codes[start:], ids, tail.ids)
         dates = _renumber(date_codes[start:], dates, tail.dates)
         tail_rows, *columns = tail.rejected
-        tail_rows = np.array(tail_rows, dtype=np.int64) + shift
-        rejected.append(_read_rejections(tail_rows, *columns, RejectReason.PARSE_ERROR))
+        parse_rows += tuple(row + shift for row in tail_rows)
+        parse_errors = [mine + theirs for mine, theirs in zip(parse_errors, columns)]
         unknown_rows += [row + shift for row in tail.unknown_rows]
+    rejected = [_read_rejections(parse_rows, *parse_errors, RejectReason.PARSE_ERROR)]
     table = DiaryTable(id_codes, ids, date_codes, dates, rows, day_types, minutes)
     table, unknown_rows = _drop_duplicates(table, rejected, unknown_rows)
     if unknown_rows:

@@ -10,7 +10,7 @@ days it is given. Its thresholds, :class:`QualityRules`, live in
 from __future__ import annotations
 
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .config import QualityRules
 from .diary import DiaryTable, RejectionTable, RejectReason, identities, row_sums
@@ -49,6 +49,18 @@ def _mismatch(minutes: np.ndarray) -> np.ndarray:
     return np.abs(np.subtract(minutes[:, _TRAVEL], mismatch, out=mismatch), out=mismatch)
 
 
+def _failing(table: DiaryTable, rules: QualityRules) -> Iterator[np.ndarray]:
+    """Mask of the rows of ``table`` each rule fails, in rule order; each is
+    computed when it is taken, so that a large table holds one float column
+    beyond its own at once."""
+    import numpy as np
+
+    yield table.minutes[:, _WORK] < rules.min_work_minutes
+    yield _total(table.minutes) < rules.min_total_minutes
+    yield _mismatch(table.minutes) > rules.max_mode_mismatch_minutes
+    yield np.isin(table.day_types, _EXCLUDED_CODES) & rules.exclude_multi_location
+
+
 def apply_quality_filter(
     days: Iterable[DiaryDay], rules: QualityRules | None = None
 ) -> tuple[DiaryTable, RejectionTable]:
@@ -65,24 +77,21 @@ def apply_quality_filter(
 
     rules = rules or QualityRules()
     table = DiaryTable.from_days(days)
-    # One rule column at a time, so that a large table holds one float
-    # column beyond its own at once.
-    failing = np.empty((len(table), len(_RULE_REASONS)), dtype=bool)
-    failing[:, 0] = table.minutes[:, _WORK] < rules.min_work_minutes
-    failing[:, 1] = _total(table.minutes) < rules.min_total_minutes
-    failing[:, 2] = _mismatch(table.minutes) > rules.max_mode_mismatch_minutes
-    failing[:, 3] = np.isin(table.day_types, _EXCLUDED_CODES) & rules.exclude_multi_location
-    rejected_at = np.flatnonzero(failing.any(axis=1))
-    rejected_days, failing = table[rejected_at], failing[rejected_at]
-    # The failures and detail template of each combination of failing rules
-    # and day type, built once; bit k of a combination is rule k.
-    combinations = failing @ (1 << np.arange(len(_RULE_REASONS)))
-    combinations = combinations * len(DAY_TYPES) + rejected_days.day_types
+    # Bit k of a row's combination is set where rule k fails.
+    failing = np.zeros(len(table), dtype=np.uint8)
+    for k, fails in enumerate(_failing(table, rules)):
+        failing |= fails.view(np.uint8) << k
+    rejected_at = np.flatnonzero(failing)
+    rejected_days = table[rejected_at]
+    # The first failing rule, the failures and the detail template of each
+    # combination of failing rules and day type, built once.
+    combinations = failing[rejected_at].astype(np.intp) * len(DAY_TYPES) + rejected_days.day_types
     keys, outcome = np.unique(combinations, return_inverse=True)
-    failures, details = [], []
+    firsts, failures, details = [], [], []
     for key in keys.tolist():
         combination, code = divmod(key, len(DAY_TYPES))
         flags = [combination >> k & 1 for k in range(len(_RULE_REASONS))]
+        firsts.append(flags.index(1))
         failures.append(tuple(compress(_RULE_REASONS, flags)))
         texts = compress(_RULE_DETAILS, flags)
         template = "; ".join(t.format(rules=rules, day_type=DAY_TYPES[code].value) for t in texts)
@@ -91,7 +100,7 @@ def apply_quality_filter(
     rejected = RejectionTable(
         *identities(rejected_days),
         np.fromiter(details, object, len(details))[outcome],
-        failing.argmax(axis=1),  # the first failing rule's code
+        np.array(firsts, dtype=np.int8)[outcome],
         np.fromiter(failures, object, len(failures))[outcome],
         np.column_stack([minutes[:, _WORK], _total(minutes), _mismatch(minutes)]),
     )

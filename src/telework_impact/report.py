@@ -11,14 +11,13 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import json
-from collections import Counter
 from collections.abc import Iterator
 from contextlib import ExitStack
 from itertools import chain, islice, repeat
 from operator import mul
 from pathlib import Path
 from string import Formatter
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .aggregation import DayTypeProfile, profiles_to_dict
 from .config import AppConfig
@@ -64,38 +63,69 @@ def write_json(path: str | Path, payload) -> Path:
 _CSV_BATCH_ROWS = 4096
 
 
-def _plain_csv(rows: list[Sequence[str]]) -> str | None:
-    """The text ``csv.writer(lineterminator="\\n")`` writes for ``rows`` when
-    no cell needs quoting: every row has a cell, every cell is a ``str``
-    without ``,``, ``"``, ``\\r`` or ``\\n``, and no row is a lone empty cell
-    (which the writer quotes). ``None`` otherwise."""
+class CsvColumns(NamedTuple):
+    """The cells of a table of ``size`` rows held as columns:
+    ``cells(start, stop)`` gives those of the rows ``start:stop``, a list
+    per column, so that :func:`write_csv` renders a batch at a time."""
+
+    size: int
+    cells: Callable[[int, int], list[list[str]]]
+
+
+def _plain_columns(columns: Sequence[Sequence[str]]) -> str | None:
+    """The text ``csv.writer(lineterminator="\\n")`` writes for the rows
+    ``zip(*columns)`` when no cell needs quoting: every cell is a ``str``
+    without ``,``, ``"``, ``\\r`` or ``\\n``, and no row is a lone empty
+    cell. ``None`` otherwise."""
     try:
-        separators = sum(map(len, rows)) - len(rows)
-        lines = list(map(",".join, rows))
+        cells = "".join(map("".join, columns))
     except TypeError:
         return None
-    if not all(rows) or "" in lines:
+    if any(mark in cells for mark in ',"\r\n') or len(columns) == 1 and "" in columns[0]:
         return None
-    text = "\n".join(lines) + "\n"
-    # Each row gives len(row) - 1 commas and one newline; any more sit in cells.
-    if text.count(",") != separators or text.count("\n") != len(lines):
-        return None
-    if '"' in text or "\r" in text:
-        return None
-    return text
+    # Cell, ",", cell, ..., cell, "\n": every other item is a separator.
+    width, rows = 2 * len(columns), len(columns[0])
+    items = [","] * (width * rows)
+    for j, column in enumerate(columns):
+        items[2 * j::width] = column
+    items[width - 1::width] = ["\n"] * rows
+    return "".join(items)
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> Path:
-    """Write ``header`` and ``rows`` as the bytes of
-    ``csv.writer(lineterminator="\\n")``: a batch of rows in which no cell
-    needs quoting is laid out as text (see :func:`_plain_csv`), any other
+def _plain_rows(rows: list[Sequence[str]]) -> str | None:
+    """:func:`_plain_columns` of ``rows`` when every row has the same number
+    of cells, at least one; ``None`` otherwise."""
+    try:
+        widths = set(map(len, rows))
+    except TypeError:
+        return None
+    return _plain_columns(list(zip(*rows))) if len(widths) == 1 and 0 not in widths else None
+
+
+def write_csv(
+    path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]] | CsvColumns
+) -> Path:
+    """Write ``header`` and ``rows``, rows of cells or :class:`CsvColumns`,
+    as the bytes of ``csv.writer(lineterminator="\\n")``. They are taken
+    ``_CSV_BATCH_ROWS`` rows at a time: a batch in which no cell needs
+    quoting is laid out as text (see :func:`_plain_columns`), any other
     goes through ``csv.writer``."""
     path = Path(path)
-    rows = chain([header], rows)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
+        if isinstance(rows, CsvColumns):
+            writer.writerow(header)
+            for start in range(0, rows.size, _CSV_BATCH_ROWS):
+                columns = rows.cells(start, start + _CSV_BATCH_ROWS)
+                text = _plain_columns(columns)
+                if text is None:
+                    writer.writerows(zip(*columns))
+                else:
+                    handle.write(text)
+            return path
+        rows = chain([header], rows)
         while batch := list(islice(rows, _CSV_BATCH_ROWS)):
-            text = _plain_csv(batch)
+            text = _plain_rows(batch)
             if text is None:
                 writer.writerows(batch)
             else:
@@ -103,15 +133,35 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[s
     return path
 
 
-def rejection_rows(rejected: Iterable[RejectedDay]) -> list[list[str]]:
-    """The cells of ``rejections.csv``, read from a :class:`RejectionTable`'s columns."""
+def rejection_columns(rejected: Iterable[RejectedDay]) -> CsvColumns:
+    """The cells of ``rejections.csv`` as :class:`CsvColumns`, read from a
+    :class:`RejectionTable`'s columns a batch at a time."""
+    import numpy as np
+
     from .diary import NO_ROW, REASONS, RejectionTable
 
     table = RejectionTable.from_rejected(rejected)
-    rows = ["" if row == NO_ROW else str(row) for row in table.rows.tolist()]
-    reasons = map([reason.value for reason in REASONS].__getitem__, table.reasons.tolist())
-    ids, dates = table.participant_ids.tolist(), table.dates.tolist()
-    return list(map(list, zip(rows, ids, dates, reasons)))
+    reasons = np.array([reason.value for reason in REASONS], dtype=object)
+
+    def cells(start: int, stop: int) -> list[list[str]]:
+        rows = table.rows[start:stop]
+        texts = list(map(str, rows.tolist()))
+        for i in np.flatnonzero(rows == NO_ROW).tolist():
+            texts[i] = ""
+        return [
+            texts,
+            table.participant_ids[start:stop].tolist(),
+            table.dates[start:stop].tolist(),
+            reasons[table.reasons[start:stop]].tolist(),
+        ]
+
+    return CsvColumns(len(table), cells)
+
+
+def rejection_rows(rejected: Iterable[RejectedDay]) -> list[list[str]]:
+    """The cells of ``rejections.csv``, a list per row (see :func:`rejection_columns`)."""
+    columns = rejection_columns(rejected)
+    return list(map(list, zip(*columns.cells(0, columns.size))))
 
 
 def profile_rows(profiles: Mapping[DayType, DayTypeProfile]) -> list[list[str]]:
@@ -316,16 +366,18 @@ def input_summary(
     kept_count: int,
     rejected: Iterable[RejectedDay],
 ) -> dict:
+    import numpy as np
+
     from .diary import REASONS, RejectionTable
 
-    counts = Counter(RejectionTable.from_rejected(rejected).reasons.tolist())
-    by_reason = {REASONS[code].value: count for code, count in counts.items()}
+    table = RejectionTable.from_rejected(rejected)
+    counts = np.bincount(table.reasons, minlength=len(REASONS)).tolist()
     return {
         "diaries": str(diary_path),
         "rows_parsed": parsed_count,
         "kept": kept_count,
-        "rejected": sum(counts.values()),
-        "rejected_by_reason": by_reason,
+        "rejected": len(table),
+        "rejected_by_reason": {r.value: n for r, n in zip(REASONS, counts) if n},
     }
 
 

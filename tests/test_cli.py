@@ -853,6 +853,26 @@ def test_usage_error_exits_1():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "values", [["x"], ["60", "1e3", "x", "y"], ["60", ""]], ids=["x", "x-among", "empty"]
+)
+def test_sweep_values_that_are_not_numbers_are_a_usage_error(values, tmp_path):
+    """A text ``float`` refuses among ``--values`` exits 1 with argparse's
+    words for ``type=float``, naming the first such text."""
+    result = subprocess.run(
+        [sys.executable, "-m", "telework_impact", "sweep", "--config", "config.json",
+         "--parameter", "coworker_count", "--values", *values, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    bad = next(value for value in values if value in ("x", ""))
+    assert result.returncode == 1
+    assert result.stderr.splitlines()[-1] == (
+        f"telework-impact sweep: error: argument --values: invalid float value: {bad!r}"
+    )
+    assert result.stderr.startswith("usage: telework-impact sweep ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_module_entrypoint_subprocess(ref_config_path, ref_diaries_path, tmp_path):
     result = subprocess.run(
         [
@@ -1126,6 +1146,24 @@ class TestTwoProcessRead:
         for name in ("rejections.csv", "report.json"):
             plain, traced = (tmp_path / out / name for out in ("plain", "traced"))
             assert plain.read_bytes() == traced.read_bytes()
+
+    def test_ids_holding_a_newline_reach_the_parent_from_the_child(
+        self, tmp_path, ref_diaries_path
+    ):
+        """The child sends its ids as one text joined by newlines, or as a
+        list where an id holds one."""
+        path = self._diaries(tmp_path, ref_diaries_path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('"P\n77",2019-09-02,home,60,480,30,30,10,10,40,0,0\n')
+        assert self._fresh(
+            tmp_path,
+            f"path = {str(path)!r}",
+            "two = outcome(path)",
+            r"assert 'P\n77' in diary.parse_diary_path(path)[0].distinct_ids",
+            "diary.SPLIT_MIN_BYTES = os.path.getsize(path) + 1",
+            "assert outcome(path) == two",
+            "print(len(forks), reaped())",
+        ) == "2 True"
 
     def test_threads_streams_and_small_files_are_read_in_one_process(
         self, tmp_path, ref_diaries_path

@@ -782,6 +782,43 @@ def test_two_ranges_equal_one(text, chunk_rows, split, bom):
         assert two_ranges == expected
 
 
+def _day_rows(ids, day, location="home"):
+    return [f"{pid},2024-01-{day:02d},{location},60,480,30,30,10,10,40,0,0" for pid in ids]
+
+
+@pytest.mark.parametrize(
+    "head, tail",
+    [
+        (_day_rows(["P1", "P2", "P3"], 8), _day_rows(["P4", "P5", "P6", "P7"], 8)),
+        (_day_rows(["P1", "P2", "P3"], 8), _day_rows(["P3", "P1", "P2"], 9)),
+        (_day_rows(["P1", "P2", "P3"], 8), _day_rows(["P4", "P2", "P5", "P1"], 9)),
+        (_day_rows(["P1", "P2"], 8) + ["P3,x"], _day_rows(["P4", "P1", "P2"], 8, "cafe")),
+    ],
+    ids=["all_new_ids", "all_repeated_ids", "mixed_ids", "duplicate_day"],
+)
+@pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
+def test_two_range_read_equals_one_range_read(monkeypatch, head, tail, chunk_rows):
+    """Without a fork, the ranges before and after a cut between head and
+    tail, read one after the other, give the read of one range, whether the
+    tail's ids are all new to the head (their codes are shifted), all among
+    its ids or some of each, and when the tail repeats one of its days."""
+    head_text = f"{HEADER}\n" + "".join(f"{row}\n" for row in head)
+    data = (head_text + "".join(f"{row}\n" for row in tail)).encode("utf-8")
+    monkeypatch.setattr(diary, "CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(diary, "SPLIT_MIN_BYTES", 1)
+    expected = _outcome(parse_diary_file, io.BytesIO(data))
+    with tempfile.TemporaryFile() as file:
+        file.write(data)
+        file.flush()
+        cut = len(head_text.encode("utf-8"))
+        assert _outcome(lambda fd: split_read.read_split(fd, cut), file.fileno()) == expected
+    (*_, distinct_ids, _), rejected, _ = expected
+    kept_ids = (row.split(",")[0] for row in head + tail if not row.endswith(",x"))
+    assert distinct_ids == tuple(dict.fromkeys(kept_ids))
+    duplicates = [item.row for item in rejected if item.reason is RejectReason.DUPLICATE_DAY]
+    assert duplicates == ([len(head) + 3, len(head) + 4] if "cafe" in tail[0] else [])
+
+
 def test_duplicate_days_keep_the_first_row():
     rows = [_ROW, _ROW, _ROW2, " P1 ,2024-01-08,home,0,500,0,0,0,0,0,0,0", _ROW2]
     days, rejected = parse_text(HEADER + "\n" + "\n".join(rows) + "\n")
@@ -833,6 +870,20 @@ def test_coded_table_decodes_to_its_days(data):
         assert sub.source_rows.tolist() == expected_rows
         assert [sub[i] for i in range(len(sub))] == reference
         assert [sub[i].source_row for i in range(len(sub))] == [d.source_row for d in reference]
+
+
+@pytest.mark.parametrize("rows", [[3, 0, 17, 3], list(range(20))[::-1]], ids=["few", "all"])
+def test_sub_tables_decode_few_or_many_rows_to_their_values(rows):
+    """Fewer rows than a quarter of the distinct values are decoded one by
+    one, more through an array of all the values; both give each row's."""
+    ids = [f"P{i:02d}" for i in range(20)]
+    dates = [dt.date(2024, 1, 1) + dt.timedelta(days=i) for i in range(20)]
+    table = DiaryTable(
+        range(20), ids, range(20)[::-1], dates, range(2, 22), [0] * 20, np.zeros((20, 9))
+    )
+    sub = table[np.array(rows)]
+    assert sub.participant_ids.tolist() == [ids[i] for i in rows]
+    assert sub.dates.tolist() == [dates[19 - i] for i in rows]
 
 
 def _fail_row_parse(values, row, *codes):

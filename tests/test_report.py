@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -9,10 +10,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from telework_impact import report
-from telework_impact.diary import RejectedDay, RejectReason
+from telework_impact.diary import RejectedDay, RejectionTable, RejectReason
 from telework_impact.model import DayType
 from telework_impact.report import (
+    REJECTION_HEADER,
     SWEEP_HEADER,
+    rejection_columns,
     rejection_rows,
     sweep_rows,
     sweep_to_dict,
@@ -179,3 +182,83 @@ def test_write_csv_matches_csv_writer(tmp_path, header, rows, batch):
     with mock.patch.object(report, "_CSV_BATCH_ROWS", batch):
         written = write_csv(tmp_path / "table.csv", header, rows)
     assert written.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+#: ``_CELL`` less the texts csv.writer refuses before Python 3.11, those
+#: holding NUL, which the layout writes as later versions do.
+_WRITABLE_CELL = _CELL if sys.version_info >= (3, 11) else _CELL.filter(lambda c: "\0" not in c)
+
+
+def _csv_bytes(header, rows) -> bytes:
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return expected.getvalue().encode("utf-8")
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    columns=st.integers(1, 4).flatmap(
+        lambda width: st.integers(0, 9).flatmap(
+            lambda size: st.lists(
+                st.lists(_WRITABLE_CELL, min_size=size, max_size=size),
+                min_size=width,
+                max_size=width,
+            )
+        )
+    ),
+    batch=st.integers(1, 5),
+)
+# One column with an empty cell, which csv.writer quotes, beside plain ones.
+@example(columns=[["a", "", "b"]], batch=2)
+@example(columns=[["", "x"], ["", ""]], batch=1)
+def test_columns_are_written_as_csv_writer_writes_their_rows(tmp_path, columns, batch):
+    source = report.CsvColumns(
+        len(columns[0]), lambda start, stop: [column[start:stop] for column in columns]
+    )
+    header = [f"h{j}" for j in range(len(columns))]
+    with mock.patch.object(report, "_CSV_BATCH_ROWS", batch):
+        written = write_csv(tmp_path / "columns.csv", header, source)
+    assert written.read_bytes() == _csv_bytes(header, zip(*columns))
+
+
+#: Ids and dates with cells that need quoting, empty ones and plain ones.
+_ID = st.sampled_from(["P1", "", "a,b", 'say "hi"', "cr\r", "two\nlines", "é"]) | _WRITABLE_CELL
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            RejectedDay,
+            st.sampled_from(RejectReason),
+            st.none() | st.integers(0, 10**6),
+            _ID,
+            _ID,
+        ),
+        max_size=14,
+    ),
+    st.integers(1, 5),
+)
+@example([RejectedDay(RejectReason.PARSE_ERROR, None, "", "")], 4096)
+@example(
+    [RejectedDay(RejectReason.DUPLICATE_DAY, 3, "P,1", "2024-01-08"),
+     RejectedDay(RejectReason.PARSE_ERROR, 4, "P2", "2024-01-09"),
+     RejectedDay(RejectReason.MODE_MISMATCH, None, "P\r\n3", '"')],
+    1,
+)
+def test_rejections_csv_from_columns_is_what_csv_writer_writes(tmp_path, rejected, batch):
+    """rejections.csv, laid out from the columns of a RejectionTable in
+    batches, is byte for byte what csv.writer writes for its rows, with an
+    empty row cell for a rejection without a row."""
+    rows = [
+        ["" if item.row is None else str(item.row), item.participant_id, item.date,
+         item.reason.value]
+        for item in rejected
+    ]
+    table = RejectionTable.from_rejected(rejected)
+    with mock.patch.object(report, "_CSV_BATCH_ROWS", batch):
+        written = write_csv(tmp_path / "rejections.csv", REJECTION_HEADER, rejection_columns(table))
+    assert written.read_bytes() == _csv_bytes(REJECTION_HEADER, rows)
+    assert rejection_rows(table) == rows
