@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
+from .errors import DomainError
 from .model import (
     COMPARABLE_DAY_TYPES,
     COUNT,
@@ -46,7 +47,8 @@ def mode_shares(mode_minutes: Mapping[TransportMode, float]) -> dict[TransportMo
 @dataclass(frozen=True)
 class DayTypeProfile:
     """Aggregated mean activity minutes and modal profile for one day type;
-    ``mode_share`` is not an input but derived from ``mean_mode_minutes``."""
+    ``mode_share`` is not an input but derived from ``mean_mode_minutes``.
+    The text of a refused number starts with the day type."""
 
     day_type: DayType
     day_count: int = declared(COUNT)
@@ -59,7 +61,10 @@ class DayTypeProfile:
     mode_share: Mapping[TransportMode, float] = field(init=False)
 
     def __post_init__(self):
-        check_fields(self)
+        try:
+            check_fields(self)
+        except DomainError as exc:
+            raise DomainError(f"{getattr(self.day_type, 'value', self.day_type)} {exc}") from None
         object.__setattr__(self, "mode_share", mode_shares(self.mean_mode_minutes))
 
     def with_mode_minutes(self, mode_minutes: Mapping[TransportMode, float]) -> "DayTypeProfile":

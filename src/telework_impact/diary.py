@@ -28,11 +28,13 @@ header is skipped. Only a missing or wrong header aborts a parse, with
 A file of at least :data:`SPLIT_MIN_BYTES` is read as two ranges, cut just
 after the first ``\n`` from its middle: a forked child reads the second
 while the parent reads the first (see :mod:`.split_read`). The parent forks
-only where that is safe: after numpy is imported, on a host that lets it
-run on two CPUs or more, and from a process with one thread. The CLI keeps
-numpy's BLAS to one thread for this; a library caller in a multi-threaded
-process gets the one-process read. A stream or a smaller file is one range.
-Either way the table, the rejections and the warning are the same.
+only where that is safe: on a host that lets it run on two CPUs or more,
+and from a process with one thread. A process in which numpy has started
+BLAS threads gets the one-process read, so the CLI sets
+``OPENBLAS_NUM_THREADS=1`` before it imports this module, and a library
+caller who wants the two-process read does the same. A stream or a smaller
+file is one range. Either way the table, the rejections and the warning are
+the same.
 
 A parse gives a :class:`DiaryTable`: int32 participant and date codes into
 tuples of the distinct ids and dates, int64 source rows, int8 day-type
@@ -42,11 +44,11 @@ working, while the quality filter (:mod:`.quality`) and the aggregation
 work on its arrays. The rejections are a :class:`RejectionTable`, a sequence
 of :class:`RejectedDay` held as columns; the read collects them as records.
 
-The package root, the CLI, :mod:`.aggregation` and :mod:`.report` import
-this module inside the functions that need it, and numpy is imported by the
-functions that build or reduce the arrays, so only the commands that read
-diaries load this module, :mod:`.quality` and numpy: ``validate``,
-``profile``, ``delta``, and ``sweep``/``breakeven`` with ``--diaries``.
+Importing this module imports numpy. The package root, the CLI,
+:mod:`.aggregation` and :mod:`.report` import it inside the functions that
+need it, so only the commands that read diaries load it, :mod:`.quality`
+and numpy: ``validate``, ``profile``, ``delta``, and ``sweep``/``breakeven``
+with ``--diaries``.
 """
 
 from __future__ import annotations
@@ -65,7 +67,9 @@ from enum import Enum
 from itertools import chain, compress, count, islice, repeat
 from operator import contains
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator
+from typing import IO, Iterable, Iterator
+
+import numpy as np
 
 from .errors import DiaryFormatError
 from .model import (
@@ -78,9 +82,6 @@ from .model import (
     TransportMode,
     checked,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -183,8 +184,6 @@ class DiaryTable(Sequence):
         self, participant_codes, distinct_ids, date_codes, distinct_dates, source_rows,
         day_types, minutes,
     ):
-        import numpy as np
-
         self.participant_codes = np.asarray(participant_codes, dtype=np.int32)
         self.distinct_ids = tuple(distinct_ids)
         self.date_codes = np.asarray(date_codes, dtype=np.int32)
@@ -246,8 +245,6 @@ class DiaryTable(Sequence):
                 self.minutes[i].tolist(),
                 None if row == NO_ROW else row,
             )
-        import numpy as np
-
         # take copies the rows of a matrix several times faster than indexing
         # it by a mask or an index array.
         rows = np.arange(len(self))[item]
@@ -266,8 +263,6 @@ def _decode(values: Sequence, codes: np.ndarray) -> np.ndarray:
     quarter of the values are looked up one by one, so that a sub-table
     decodes in time that follows its size; more index an array of all the
     values, which is then the cheaper way."""
-    import numpy as np
-
     if 4 * len(codes) < len(values):
         return np.fromiter(map(values.__getitem__, codes.tolist()), object, len(codes))
     return np.array(values, dtype=object)[codes]
@@ -303,8 +298,6 @@ class RejectionTable(Sequence):
     __slots__ = ("rows", "participant_ids", "dates", "details", "reasons", "failures", "measures")
 
     def __init__(self, rows, participant_ids, dates, details, reasons, failures, measures=None):
-        import numpy as np
-
         self.rows = np.asarray(rows, dtype=np.int64)
         self.participant_ids, self.dates, self.details, self.failures = (
             c if isinstance(c, np.ndarray) else np.fromiter(c, object, len(c))
@@ -356,8 +349,6 @@ def in_row_order(*tables: RejectionTable) -> RejectionTable:
     table in row order is returned as it is. Each table's part of a column
     is copied once, straight to its places, since an object column costs a
     visit to every object it holds."""
-    import numpy as np
-
     rows = np.concatenate([table.rows for table in tables])
     if len(tables) == 1 and not (rows[1:] < rows[:-1]).any():
         return tables[0]
@@ -390,8 +381,6 @@ def identities(table: DiaryTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def row_sums(block: np.ndarray) -> np.ndarray:
     """Row totals summed left to right in column order, starting from 0.0,
     as :class:`DiaryDay` sums its minute maps."""
-    import numpy as np
-
     total = np.zeros(len(block))
     for j in range(block.shape[1]):
         total += block[:, j]
@@ -443,8 +432,6 @@ def _id_serials(distinct: dict[str, int], texts: list[str], serials: Iterator[in
     each id to the number its first row drew from ``serials``. One dict call
     per text and no Python code, as most ids of a file may be new;
     :func:`_positions` turns the numbers into codes."""
-    import numpy as np
-
     keys = map(str.strip, texts)
     return np.fromiter(map(distinct.setdefault, keys, serials), dtype=np.int32, count=len(texts))
 
@@ -452,8 +439,6 @@ def _id_serials(distinct: dict[str, int], texts: list[str], serials: Iterator[in
 def _positions(distinct: dict[str, int], serials: np.ndarray) -> None:
     """Replace the serial numbers in place by the positions of their ids in
     ``distinct``, that is in order of first appearance."""
-    import numpy as np
-
     firsts = np.fromiter(distinct.values(), dtype=np.int32, count=len(distinct))
     position = np.zeros(firsts.max(initial=-1) + 1, dtype=np.int32)
     position[firsts] = np.arange(len(firsts), dtype=np.int32)
@@ -495,8 +480,6 @@ def _load_lines(
     """Records of ``lines`` as ``np.loadtxt`` reads them, dates and
     locations coded through the memos, or ``None`` when it refuses one;
     blank lines are skipped."""
-    import numpy as np
-
     if not lines:
         return np.empty(0, dtype=_BULK_DTYPE)
     try:
@@ -559,8 +542,6 @@ def _read_pass(
     (which ``float()`` takes and ``loadtxt`` does not), one record at a time
     through :func:`_parse_record`.
     """
-    import numpy as np
-
     quoted = '"' in "".join(lines)
     if quoted:
         _join_spans(lines, handle)
@@ -645,8 +626,6 @@ def _read_range(
     of its kept rows with :func:`_id_serials`. Only the columns of a pass's
     kept rows outlive it.
     """
-    import numpy as np
-
     distinct_ids: dict[str, int] = {}
     serials = count()
     dates, locations = _DateTexts(), _LocationCodes()
@@ -698,8 +677,6 @@ def _read_range(
 def _first_appearance(codes: np.ndarray, size: int) -> np.ndarray:
     """Renumber ``codes``, each below ``size``, in place in the order of
     their first appearance; returns the old code of each new one."""
-    import numpy as np
-
     first = np.full(size, len(codes), dtype=np.int64)
     np.minimum.at(first, codes, np.arange(len(codes)))
     order = np.argsort(first, kind="stable")[:np.count_nonzero(first < len(codes))]
@@ -715,8 +692,6 @@ def _renumber(codes: np.ndarray, values: dict, more: Sequence) -> list:
     become codes into that list in place. Where ``more`` has none of the
     keys, as when no participant has rows on both sides of a cut, that is
     a shift, and no dict of positions is built."""
-    import numpy as np
-
     if values.keys().isdisjoint(more):
         codes += len(values)
         return [*values, *more]
@@ -737,8 +712,6 @@ def _merge(head: _Part, tail: _Part | None = None) -> tuple[DiaryTable, Rejectio
     appearance; its columns are appended to head's, unless they already
     have been.
     """
-    import numpy as np
-
     ids, dates, unknown_rows = head.ids, head.dates, head.unknown_rows
     parse_rows, *parse_errors = head.rejected
     if tail is not None and tail.columns is not None:
@@ -775,8 +748,6 @@ def _drop_duplicates(
     has, each rejected as DUPLICATE_DAY naming that row (a table of them
     goes to ``rejected``), and the unknown location rows less the dropped
     ones."""
-    import numpy as np
-
     def pair_keys() -> np.ndarray:
         keys = table.participant_codes.astype(np.int64)
         keys *= len(table.distinct_dates)

@@ -10,14 +10,13 @@ days it is given. Its thresholds, :class:`QualityRules`, live in
 from __future__ import annotations
 
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .config import QualityRules
 from .diary import DiaryTable, RejectionTable, RejectReason, identities, row_sums
 from .model import DAY_TYPES, Activity, DayType, DiaryDay
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _ACTIVITIES = tuple(Activity)
 _TRAVEL = _ACTIVITIES.index(Activity.TRAVEL)
@@ -43,8 +42,6 @@ def _total(minutes: np.ndarray) -> np.ndarray:
 
 def _mismatch(minutes: np.ndarray) -> np.ndarray:
     """|travel - modes| of each row of a minute matrix."""
-    import numpy as np
-
     mismatch = row_sums(minutes[:, len(_ACTIVITIES):])
     return np.abs(np.subtract(minutes[:, _TRAVEL], mismatch, out=mismatch), out=mismatch)
 
@@ -53,8 +50,6 @@ def _failing(table: DiaryTable, rules: QualityRules) -> Iterator[np.ndarray]:
     """Mask of the rows of ``table`` each rule fails, in rule order; each is
     computed when it is taken, so that a large table holds one float column
     beyond its own at once."""
-    import numpy as np
-
     yield table.minutes[:, _WORK] < rules.min_work_minutes
     yield _total(table.minutes) < rules.min_total_minutes
     yield _mismatch(table.minutes) > rules.max_mode_mismatch_minutes
@@ -73,8 +68,6 @@ def apply_quality_filter(
     table's columns, with no object per rejected day; a rule's detail is
     formatted only when a :class:`RejectedDay` is built from them.
     """
-    import numpy as np
-
     rules = rules or QualityRules()
     table = DiaryTable.from_days(days)
     # Bit k of a row's combination is set where rule k fails.

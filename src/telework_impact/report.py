@@ -13,7 +13,7 @@ import datetime as _dt
 import json
 from collections.abc import Iterator
 from contextlib import ExitStack
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import mul
 from pathlib import Path
 from string import Formatter
@@ -92,42 +92,26 @@ def _plain_columns(columns: Sequence[Sequence[str]]) -> str | None:
     return "".join(items)
 
 
-def _plain_rows(rows: list[Sequence[str]]) -> str | None:
-    """:func:`_plain_columns` of ``rows`` when every row has the same number
-    of cells, at least one; ``None`` otherwise."""
-    try:
-        widths = set(map(len, rows))
-    except TypeError:
-        return None
-    return _plain_columns(list(zip(*rows))) if len(widths) == 1 and 0 not in widths else None
-
-
 def write_csv(
     path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]] | CsvColumns
 ) -> Path:
     """Write ``header`` and ``rows``, rows of cells or :class:`CsvColumns`,
-    as the bytes of ``csv.writer(lineterminator="\\n")``. They are taken
-    ``_CSV_BATCH_ROWS`` rows at a time: a batch in which no cell needs
-    quoting is laid out as text (see :func:`_plain_columns`), any other
-    goes through ``csv.writer``."""
+    as the bytes of ``csv.writer(lineterminator="\\n")``. Rows go straight to
+    it; columns are taken ``_CSV_BATCH_ROWS`` rows at a time, and a batch in
+    which no cell needs quoting is laid out as text (see
+    :func:`_plain_columns`)."""
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        if isinstance(rows, CsvColumns):
-            writer.writerow(header)
-            for start in range(0, rows.size, _CSV_BATCH_ROWS):
-                columns = rows.cells(start, start + _CSV_BATCH_ROWS)
-                text = _plain_columns(columns)
-                if text is None:
-                    writer.writerows(zip(*columns))
-                else:
-                    handle.write(text)
+        writer.writerow(header)
+        if not isinstance(rows, CsvColumns):
+            writer.writerows(rows)
             return path
-        rows = chain([header], rows)
-        while batch := list(islice(rows, _CSV_BATCH_ROWS)):
-            text = _plain_rows(batch)
+        for start in range(0, rows.size, _CSV_BATCH_ROWS):
+            columns = rows.cells(start, start + _CSV_BATCH_ROWS)
+            text = _plain_columns(columns)
             if text is None:
-                writer.writerows(batch)
+                writer.writerows(zip(*columns))
             else:
                 handle.write(text)
     return path

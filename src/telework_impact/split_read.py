@@ -40,10 +40,6 @@ _PIPE_BLOCK = 1 << 20
 def parse(raw: IO[bytes]) -> tuple[diary.DiaryTable, diary.RejectionTable]:
     """Table and rejections of the diary file open as ``raw``, read in two
     processes where :func:`_fork_is_safe` allows it and the file has a cut."""
-    # Imported before the fork, so that the child need not import it, and
-    # before the thread count is taken, since numpy may start BLAS threads.
-    import numpy  # noqa: F401
-
     fd = raw.fileno()
     cut = _cut(fd, os.fstat(fd).st_size) if _fork_is_safe() else None
     if cut is None:

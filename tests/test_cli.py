@@ -9,7 +9,7 @@ import pytest
 
 from telework_impact import cli
 from telework_impact import energy as energy_module
-from telework_impact.diary import DIARY_HEADER, RejectReason
+from telework_impact.diary import DIARY_HEADER, SPLIT_MIN_BYTES, RejectReason
 from telework_impact.scenario import SWEEP_PARAMETERS
 
 HEADER = ",".join(DIARY_HEADER)
@@ -396,7 +396,7 @@ def test_nan_minutes_of_a_kept_day_are_an_input_error(
     out = tmp_path / "out"
     code, _, err = run(command, "--config", ref_config_path, "--diaries", diaries, "--out", out)
     assert code == 1
-    assert err == "error: mean for travel is not finite: nan\n"
+    assert err == "error: coworking mean for travel is not finite: nan\n"
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -657,7 +657,7 @@ class TestSweepCli:
             "--parameter", "coworker_count", "--values", 60, "--out", out,
         )
         assert code == 1
-        assert "mean for walk is not finite" in err
+        assert f"{stored} is malformed: coworking mean for walk is not finite: nan\n" in err
         assert not (out / "sweep.json").exists()
 
     def test_negative_stored_day_count_exit_1(
@@ -678,7 +678,7 @@ class TestSweepCli:
             "--parameter", "coworker_count", "--values", 60, "--out", out,
         )
         assert code == 1
-        assert err.endswith(f"{stored} is malformed: day_count must be >= 0, got -3\n")
+        assert err.endswith(f"{stored} is malformed: coworking day_count must be >= 0, got -3\n")
         assert not (out / "sweep.json").exists()
 
     def test_swapped_stored_mode_shares_exit_1(
@@ -1021,42 +1021,53 @@ def _cpus():
 
 
 #: Run first in each fresh interpreter of TestTwoProcessRead: counts the
-#: forks and gives the outcome of a parse as comparable text.
-_FORK_PRELUDE = """
+#: forks. It imports no more than cli, which leaves numpy to cli.main.
+_FORK_COUNTER = """
 import os
-from telework_impact import cli, diary
+from telework_impact import cli
 forks = []
 _fork = os.fork
 def _counted_fork():
     forks.append(os.getpid())
     return _fork()
 os.fork = _counted_fork
-def outcome(path):
-    table, rejected = diary.parse_diary_path(path)
-    columns = [table.participant_ids, table.dates, table.source_rows, table.day_types]
-    return repr(([c.tolist() for c in columns], table.minutes.tobytes(),
-                 table.distinct_ids, table.distinct_dates, list(rejected)))
 def reaped():
     try:
         os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
         return True
     return False
+"""
+
+#: Run next by the checks that call the diary reader themselves: gives the
+#: outcome of a parse as comparable text, and reads every file in two
+#: processes where that is safe.
+_DIARY_HELPERS = """
+from telework_impact import diary
+def shown(table, rejected):
+    columns = [table.participant_ids, table.dates, table.source_rows, table.day_types]
+    return repr(([c.tolist() for c in columns], table.minutes.tobytes(),
+                 table.distinct_ids, table.distinct_dates, list(rejected)))
+def outcome(path):
+    return shown(*diary.parse_diary_path(path))
 diary.SPLIT_MIN_BYTES = 1
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "fork") or _cpus() < 2, reason="reads in two processes")
 class TestTwoProcessRead:
-    """With ``SPLIT_MIN_BYTES`` patched low, a diary file is read in two
-    processes where that is safe, with the result of a read in one. Each
-    check runs in a fresh interpreter: this test session has started
-    numpy's BLAS threads, so it never forks."""
+    """A diary file of at least ``SPLIT_MIN_BYTES`` is read in two processes
+    where that is safe, with the result of a read in one. Each check runs in
+    a fresh interpreter: this test session has started numpy's BLAS threads,
+    so it never forks."""
 
     @staticmethod
-    def _fresh(tmp_path, *statements, env=None):
+    def _fresh(tmp_path, *statements, env=None, helpers=True):
+        """The last line printed by a fresh interpreter that runs
+        ``_FORK_COUNTER``, ``_DIARY_HELPERS`` if ``helpers``, then ``statements``."""
+        prelude = [_FORK_COUNTER, _DIARY_HELPERS] if helpers else [_FORK_COUNTER]
         result = subprocess.run(
-            [sys.executable, "-c", "\n".join([_FORK_PRELUDE, *statements])],
+            [sys.executable, "-c", "\n".join([*prelude, *statements])],
             capture_output=True,
             text=True,
             cwd=tmp_path,
@@ -1067,11 +1078,16 @@ class TestTwoProcessRead:
         return result.stdout.splitlines()[-1]
 
     @staticmethod
-    def _diaries(tmp_path, ref_diaries_path, span=None):
+    def _diaries(tmp_path, ref_diaries_path, span=None, large=False):
         """The reference diaries with a bad date, a short row, an unknown
         location and a quoted id in each half, a duplicate of the first day
-        in the second half, and ``span`` in the middle."""
+        in the second half, and ``span`` in the middle. A ``large`` file
+        repeats the reference rows under distinct ids until it holds at
+        least ``SPLIT_MIN_BYTES``."""
         header, *rows = Path(ref_diaries_path).read_text(encoding="utf-8").splitlines()
+        if large:
+            copies = SPLIT_MIN_BYTES // len("\n".join(rows)) + 1
+            rows = [f"C{k}{row}" for k in range(copies) for row in rows]
 
         def bad(n):
             return [
@@ -1088,23 +1104,48 @@ class TestTwoProcessRead:
         ]
         path = tmp_path / "diaries.csv"
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert not large or path.stat().st_size >= SPLIT_MIN_BYTES
         return path
 
     @pytest.mark.parametrize("command", ["validate", "delta"])
     def test_command_forks_once_and_writes_the_same_artifacts(
         self, run, tmp_path, ref_config_path, ref_diaries_path, command
     ):
-        diaries = self._diaries(tmp_path, ref_diaries_path)
+        diaries = self._diaries(tmp_path, ref_diaries_path, large=True)
         argv = [command, "--config", ref_config_path, "--diaries", diaries, "--out"]
         assert run(*argv, tmp_path / "one")[0] == 0
-        # cli.main itself keeps the BLAS to one thread, so that it may fork.
+        # cli.main itself keeps the BLAS to one thread, so that it may fork:
+        # nothing before it imports numpy, and the environment leaves the
+        # thread count to numpy.
         env = {k: v for k, v in CHILD_ENV.items() if k != "OPENBLAS_NUM_THREADS"}
         main = TestLeanImports._main([*argv, tmp_path / "two"])
-        assert self._fresh(tmp_path, main, "print(len(forks), reaped())", env=env) == "1 True"
+        assert self._fresh(
+            tmp_path, main, "print(len(forks), reaped())", env=env, helpers=False
+        ) == "1 True"
         names = sorted(p.name for p in (tmp_path / "one").iterdir() if p.name != "run_info.json")
         assert names == sorted(p.name for p in (tmp_path / "two").iterdir() if p.name != "run_info.json")
         for name in names:
             assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_library_caller_with_one_blas_thread_reads_in_two_processes(
+        self, tmp_path, ref_diaries_path
+    ):
+        """The README's route: with ``OPENBLAS_NUM_THREADS=1`` set before
+        the import, the root's ``parse_diary_path`` forks once for a large
+        file and gives the one-process read."""
+        path = self._diaries(tmp_path, ref_diaries_path, large=True)
+        assert self._fresh(
+            tmp_path,
+            "import telework_impact",
+            f"path = {str(path)!r}",
+            "parsed = telework_impact.parse_diary_path(path)",
+            "counted = len(forks), reaped()",
+            _DIARY_HELPERS,
+            "with open(path, 'rb') as stream:",
+            "    assert shown(*parsed) == shown(*diary.parse_diary_file(stream))",
+            "print(*counted)",
+            helpers=False,
+        ) == "1 True"
 
     def test_validate_builds_no_rejected_day(self, tmp_path, ref_config_path, ref_diaries_path):
         """Rejections reach rejections.csv and report.json as columns from

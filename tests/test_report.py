@@ -159,33 +159,8 @@ def test_sweep_writer_matches_json_and_csv_modules(tmp_path, result, formats, ba
 #: Cells that need quoting (``,``, ``"``, ``\r``, ``\n``), empty cells and
 #: non-ASCII text among plain ones; rows of no cell and of one.
 _CELL = st.text(st.sampled_from('ab1.,"\r\n é€\U0001f600'), max_size=4) | st.text(max_size=4)
-_CSV_ROWS = st.lists(st.lists(_CELL, max_size=4), max_size=12)
-
-
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(header=st.lists(_CELL, min_size=1, max_size=4), rows=_CSV_ROWS, batch=st.integers(1, 5))
-# Laid out as text, in one batch and in several.
-@example(header=["row", "reason"], rows=[["7", "PARSE_ERROR"], ["8", "Zürich €"]], batch=4096)
-@example(header=["a", "b"], rows=[["1", ""], ["", "2"], ["é", "x y"]], batch=1)
-# Through csv.writer: every cell or row that needs quoting, and a row of no
-# cell; in batches that mix both ways.
-@example(
-    header=["a"],
-    rows=[["x,y"], ['say "hi"'], ["cr\r"], ["two\nlines"], [""], [], ["", ""], ["plain"]],
-    batch=2,
-)
-def test_write_csv_matches_csv_writer(tmp_path, header, rows, batch):
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    with mock.patch.object(report, "_CSV_BATCH_ROWS", batch):
-        written = write_csv(tmp_path / "table.csv", header, rows)
-    assert written.read_bytes() == expected.getvalue().encode("utf-8")
-
-
 #: ``_CELL`` less the texts csv.writer refuses before Python 3.11, those
-#: holding NUL, which the layout writes as later versions do.
+#: holding NUL, which the layout of columns writes as later versions do.
 _WRITABLE_CELL = _CELL if sys.version_info >= (3, 11) else _CELL.filter(lambda c: "\0" not in c)
 
 
@@ -195,6 +170,21 @@ def _csv_bytes(header, rows) -> bytes:
     writer.writerow(header)
     writer.writerows(rows)
     return expected.getvalue().encode("utf-8")
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    header=st.lists(_WRITABLE_CELL, min_size=1, max_size=4),
+    rows=st.lists(st.lists(_WRITABLE_CELL, max_size=4), max_size=12),
+)
+# Every cell or row that needs quoting, and a row of no cell.
+@example(
+    header=["a"],
+    rows=[["x,y"], ['say "hi"'], ["cr\r"], ["two\nlines"], [""], [], ["", ""], ["plain"]],
+)
+def test_write_csv_matches_csv_writer(tmp_path, header, rows):
+    written = write_csv(tmp_path / "table.csv", header, rows)
+    assert written.read_bytes() == _csv_bytes(header, rows)
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
