@@ -13,10 +13,9 @@ numpy and :mod:`.diary` are imported by :func:`aggregate_profiles` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import DomainError
 from .model import (
     COMPARABLE_DAY_TYPES,
     COUNT,
@@ -30,6 +29,7 @@ from .model import (
     check_fields,
     checked,
     declared,
+    read_object,
 )
 
 #: How far a stored share may lie from the one its mean minutes give.
@@ -48,7 +48,7 @@ def mode_shares(mode_minutes: Mapping[TransportMode, float]) -> dict[TransportMo
 class DayTypeProfile:
     """Aggregated mean activity minutes and modal profile for one day type;
     ``mode_share`` is not an input but derived from ``mean_mode_minutes``.
-    The text of a refused number starts with the day type."""
+    A mean missing from a map is 0.0; a refusal starts with the day type."""
 
     day_type: DayType
     day_count: int = declared(COUNT)
@@ -63,19 +63,9 @@ class DayTypeProfile:
     def __post_init__(self):
         try:
             check_fields(self)
-        except DomainError as exc:
-            raise DomainError(f"{getattr(self.day_type, 'value', self.day_type)} {exc}") from None
+        except ValueError as exc:  # a DomainError or an unknown key
+            raise type(exc)(f"{getattr(self.day_type, 'value', self.day_type)} {exc}") from None
         object.__setattr__(self, "mode_share", mode_shares(self.mean_mode_minutes))
-
-    def with_mode_minutes(self, mode_minutes: Mapping[TransportMode, float]) -> "DayTypeProfile":
-        """Copy of this profile with a replaced modal profile (missing modes
-        mean zero), and the shares derived from it."""
-        return replace(self, mean_mode_minutes={m: mode_minutes.get(m, 0.0) for m in TransportMode})
-
-
-def _empty_profile(day_type: DayType) -> DayTypeProfile:
-    modes = dict.fromkeys(TransportMode, 0.0)
-    return DayTypeProfile(day_type, 0, dict.fromkeys(Activity, 0.0), modes)
 
 
 def aggregate_profiles(days: Iterable[DiaryDay]) -> dict[DayType, DayTypeProfile]:
@@ -97,7 +87,7 @@ def aggregate_profiles(days: Iterable[DiaryDay]) -> dict[DayType, DayTypeProfile
         rows = np.flatnonzero(table.day_types == DAY_TYPES.index(day_type))
         day_count = len(rows)
         if not day_count:
-            profiles[day_type] = _empty_profile(day_type)
+            profiles[day_type] = DayTypeProfile(day_type, 0, {}, {})
             continue
         means = [float(np.mean(column[rows])) for column in table.minutes.T]
         profiles[day_type] = DayTypeProfile(
@@ -140,30 +130,26 @@ def profiles_from_dict(payload: Mapping) -> dict[DayType, DayTypeProfile]:
     """Inverse of :func:`profiles_to_dict`; used when diaries are not
     re-processed and profiles are loaded from a previous run.
 
-    The modal split is derived from the stored mean mode minutes with
-    :func:`mode_shares`, as :func:`aggregate_profiles` derives it. A stored
-    ``mode_share`` is only checked against it: one that differs by more
-    than ``SHARE_SUM_TOLERANCE`` is refused, naming the day type and mode.
+    Each body is read by :func:`~.model.read_object`. The modal split is
+    derived from the stored mean mode minutes with :func:`mode_shares`, as
+    :func:`aggregate_profiles` derives it. A stored ``mode_share`` is
+    optional and only checked against it: one that differs by more than
+    ``SHARE_SUM_TOLERANCE`` is refused, naming the day type and mode.
     """
     profiles: dict[DayType, DayTypeProfile] = {}
-    for day_type_value, body in payload.items():
+    for day_type_value, body in {**payload}.items():  # TypeError unless a mapping
         day_type = DayType(day_type_value)
-        activities, modes = body["mean_activity_minutes"], body["mean_mode_minutes"]
-        profile = profiles[day_type] = DayTypeProfile(
-            day_type=day_type,
-            day_count=body["day_count"],
-            mean_activity_minutes={a: activities.get(a.value, 0.0) for a in Activity},
-            mean_mode_minutes={m: modes.get(m.value, 0.0) for m in TransportMode},
-        )
-        stored = body.get("mode_share")
-        if stored:
-            for mode in TransportMode:
-                share = checked(f"share for {mode.value}", stored[mode.value], NON_NEGATIVE)
-                if not abs(share - profile.mode_share[mode]) <= SHARE_SUM_TOLERANCE:
-                    raise ValueError(
-                        f"{day_type.value} mode_share for {mode.value} is {share}, but its"
-                        f" mean mode minutes give {profile.mode_share[mode]}"
-                    )
+        body = {**body}
+        stored = body.pop("mode_share", None) or {}
+        profile = profiles[day_type] = read_object(DayTypeProfile, body, day_type.value, day_type)
+        stored = {TransportMode(key): share for key, share in stored.items()}
+        for mode in filter(stored.__contains__, TransportMode):  # in mode order
+            share = checked(f"share for {mode.value}", stored[mode], NON_NEGATIVE)
+            if not abs(share - profile.mode_share[mode]) <= SHARE_SUM_TOLERANCE:
+                raise ValueError(
+                    f"{day_type.value} mode_share for {mode.value} is {share}, but its"
+                    f" mean mode minutes give {profile.mode_share[mode]}"
+                )
     for day_type in COMPARABLE_DAY_TYPES:
-        profiles.setdefault(day_type, _empty_profile(day_type))
+        profiles.setdefault(day_type, DayTypeProfile(day_type, 0, {}, {}))
     return profiles

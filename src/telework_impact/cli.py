@@ -188,10 +188,8 @@ def _load_profiles(args, config: AppConfig):
     if getattr(args, "profiles", None):
         path = Path(args.profiles)
         payload = read_json(path, "profiles")
-        if isinstance(payload, dict):
-            payload = payload.get("profiles", payload)
-        if not isinstance(payload, dict):
-            raise ConfigError(f"profiles file {path} must contain a JSON object of profiles")
+        if payload.keys() == {"profiles"}:  # the shape 'profile' writes
+            payload = payload["profiles"]
         try:
             return profiles_from_dict(payload), {"profiles": str(path)}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -21,25 +21,27 @@ that loading a config does not import the quality filter)::
       "quality_rules": {"min_work_minutes": 240, ...}   // optional, real >= 0 each
     }
 
-Each number must lie in the domain its field declares (see :mod:`.model`):
-a real is finite, a whole number is at most ``2**53``, and a bool or text
-such as ``"14"`` is refused. Units are fixed by convention (m2, MJ, km/h,
-MJ per person-km, minutes) and never embedded in the file. The fingerprint
-hashes the canonical form of the parsed document, so it changes iff a
-semantically relevant byte changes. :func:`read_json` reads this file, and
-the scenario and profiles files too.
+A section holds the fields of its dataclass (:func:`.model.read_object`),
+each unless it has a default, and no other key. Each number must lie in the
+domain its field declares (see :mod:`.model`): a real is finite, a whole
+number is at most ``2**53``, and a bool or text such as ``"14"`` is refused.
+Units are fixed by convention (m2, MJ, km/h, MJ per person-km, minutes) and
+never embedded in the file. The fingerprint hashes the canonical form of
+the parsed document, so it changes iff a semantically relevant byte
+changes. :func:`read_json` reads this file, and the scenario and profiles
+files too; each must hold a JSON object.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .energy import equipment_energy
 from .errors import ConfigError
-from .model import NON_NEGATIVE, FactorTable, SiteInventory, check_fields, declared
+from .model import NON_NEGATIVE, FactorTable, SiteInventory, check_fields, declared, read_object
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,10 @@ class QualityRules:
             raise ValueError(f"exclude_multi_location must be true or false, got {value!r}")
 
 
-#: The keys of each section, as the fields of the type it is read into.
-_INVENTORY_KEYS, _FACTOR_KEYS, _RULE_KEYS = (
-    {f.name for f in fields(cls)} for cls in (SiteInventory, FactorTable, QualityRules)
-)
+#: The sections of a config file and the types they are read into.
+_SECTIONS = {
+    "site_inventory": SiteInventory, "factor_table": FactorTable, "quality_rules": QualityRules
+}
 
 
 @dataclass(frozen=True)
@@ -96,64 +98,38 @@ def config_fingerprint(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def read_json(path: Path, kind: str):
-    """The parsed ``kind`` file (config, scenario or profiles) at ``path``; one
-    that cannot be read or is not JSON raises :class:`ConfigError` naming it."""
+def read_json(path: Path, kind: str) -> dict:
+    """The JSON object of the ``kind`` file (config, scenario or profiles) at
+    ``path``; one that cannot be read, is not JSON or holds no object raises
+    :class:`ConfigError` naming it."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON is UTF-8
         raise ConfigError(f"{kind} file {path} is not valid JSON: {exc}") from exc
-
-
-def _require(payload: dict, key: str, path: Path) -> dict:
-    if key not in payload:
-        raise ConfigError(f"config {path} lacks required section '{key}'")
-    section = payload[key]
-    if not isinstance(section, dict):
-        raise ConfigError(f"config {path}: section '{key}' must be an object")
-    return section
-
-
-def _check_keys(section: dict, allowed: set, required: set, name: str, path: Path) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"config {path}: unknown keys in {name}: {sorted(unknown)}")
-    missing = required - set(section)
-    if missing:
-        raise ConfigError(f"config {path}: {name} lacks keys: {sorted(missing)}")
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{kind} file {path} must contain a JSON object")
+    return payload
 
 
 def load_config(path: str | Path) -> AppConfig:
     """Load and validate a configuration file.
 
     Raises :class:`ConfigError` naming the file for any structural problem;
-    a number outside its field's domain surfaces with the same type. A factor
-    table the inventory cannot use raises the factor errors of
-    :class:`FactorTable` and :func:`equipment_energy` as they are.
+    a key outside a section's fields or a number outside its field's domain
+    surfaces with the same type. A factor table the inventory cannot use
+    raises the factor errors of :class:`FactorTable` and
+    :func:`equipment_energy` as they are.
     """
     path = Path(path)
     payload = read_json(path, "config")
-    if not isinstance(payload, dict):
-        raise ConfigError(f"config file {path} must contain a JSON object")
-
-    inventory_section = _require(payload, "site_inventory", path)
-    _check_keys(inventory_section, _INVENTORY_KEYS, _INVENTORY_KEYS, "site_inventory", path)
-    factor_section = _require(payload, "factor_table", path)
-    _check_keys(factor_section, _FACTOR_KEYS, _FACTOR_KEYS, "factor_table", path)
-    rules_section = payload.get("quality_rules", {})
-    if not isinstance(rules_section, dict):
-        raise ConfigError(f"config {path}: section 'quality_rules' must be an object")
-    _check_keys(rules_section, _RULE_KEYS, set(), "quality_rules", path)
-    extra = set(payload) - {"site_inventory", "factor_table", "quality_rules"}
-    if extra:
+    if extra := payload.keys() - _SECTIONS:
         raise ConfigError(f"config {path}: unknown top-level keys: {sorted(extra)}")
-
     try:
-        inventory = SiteInventory(**inventory_section)
-        factors = FactorTable(**factor_section)
-        rules = QualityRules(**rules_section)
+        inventory, factors, rules = (
+            read_object(cls, payload.get(name, {}), name) for name, cls in _SECTIONS.items()
+        )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
     equipment_energy(inventory, factors)  # every device kind has a factor

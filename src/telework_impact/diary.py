@@ -22,8 +22,8 @@ line numbers; a record that spans lines has the number of its last line. A
 record that does not parse, whose date is not a date or whose minutes break
 a day's limits is a ``PARSE_ERROR``; a later row with the participant and
 date of a kept row is a ``DUPLICATE_DAY``. A byte order mark before the
-header is skipped. Only a missing or wrong header aborts a parse, with
-:class:`DiaryFormatError`.
+header is skipped. Only a missing or wrong header, or a byte that is not
+UTF-8, aborts a parse, with :class:`DiaryFormatError`.
 
 A file of at least :data:`SPLIT_MIN_BYTES` is read as two ranges, cut just
 after the first ``\n`` from its middle: a forked child reads the second
@@ -124,7 +124,7 @@ CHUNK_ROWS = 4096
 #: fork's fixed cost of ~10 ms is won back on a 2-CPU host.
 SPLIT_MIN_BYTES = 5 << 18
 #: Record of one diary line for ``np.loadtxt``: the participant id as it
-#: stands, the date text's serial number (see :class:`_DateTexts`), the day
+#: stands, the date code of the date text (see :class:`_DateTexts`), the day
 #: type code of the location (-1 for an unknown one), then the nine minute
 #: fields.
 _BULK_DTYPE = [
@@ -398,18 +398,17 @@ class _LocationCodes(dict):
 
 
 class _DateTexts(dict):
-    """Date texts as they stand -> serial numbers in order of first
-    appearance, a converter like :class:`_LocationCodes`. By serial,
-    ``texts`` holds each text and ``codes`` the position of its date in
-    ``dates``, or -1 for a text that is not a date, whose error is in
-    ``errors`` by text."""
+    """Date texts as they stand -> date codes, a converter like
+    :class:`_LocationCodes`: the position of the date in ``dates``, in order
+    of first appearance, or ``~k`` for the k-th text that is not a date,
+    whose stripped text and error ``refused[k]`` holds. A stripped date text
+    is its date's ``isoformat()``."""
 
     def __init__(self):
         super().__init__()
-        self.texts: list[str] = []
-        self.codes = array("i")
-        self.dates: dict[_dt.date, int] = {}
-        self.errors: dict[str, str] = {}
+        self.dates: list[_dt.date] = []
+        self.codes: dict[_dt.date, int] = {}
+        self.refused: list[tuple[str, str]] = []
 
     def __missing__(self, text):
         stripped = text.strip()
@@ -418,13 +417,14 @@ class _DateTexts(dict):
                 raise ValueError(f"Invalid isoformat string: {stripped!r}")
             date = _dt.date.fromisoformat(stripped)
         except ValueError as exc:
-            self.errors[text] = str(exc)
-            self.codes.append(-1)
+            code = ~len(self.refused)
+            self.refused.append((stripped, str(exc)))
         else:
-            self.codes.append(self.dates.setdefault(date, len(self.dates)))
-        serial = self[text] = len(self.texts)
-        self.texts.append(text)
-        return serial
+            code = self.codes.setdefault(date, len(self.dates))
+            if code == len(self.dates):
+                self.dates.append(date)
+        self[text] = code
+        return code
 
 
 def _id_serials(distinct: dict[str, int], texts: list[str], serials: Iterator[int]) -> np.ndarray:
@@ -451,8 +451,8 @@ def _parse_record(values: list[str], row: int, dates: _DateTexts) -> list[float]
     try:
         if len(values) != len(DIARY_HEADER):
             raise ValueError(f"expected {len(DIARY_HEADER)} fields, got {len(values)}")
-        if dates.codes[dates[values[1]]] < 0:
-            raise ValueError(dates.errors[values[1]])
+        if (code := dates[values[1]]) < 0:
+            raise ValueError(dates.refused[~code][1])
         return list(map(float, values[3:]))
     except ValueError as exc:
         return row, values[0].strip(), values[1].strip() if len(values) > 1 else "", str(exc)
@@ -635,14 +635,10 @@ def _read_range(
     while lines := list(islice(handle, CHUNK_ROWS)):
         rows, chunk = _read_pass(lines, pull or handle, first_row, dates, locations, rejected)
         first_row += len(lines)
-        id_texts, date_serials = chunk["participant_id"], chunk["date"]
-        block = chunk["minutes"]
-        # A temporary view: dates.codes cannot grow while a view of it lives.
-        date_codes = np.frombuffer(dates.codes, dtype=np.int32)[date_serials]
+        id_texts, date_codes, block = chunk["participant_id"], chunk["date"], chunk["minutes"]
         drop = date_codes < 0
         for i in np.flatnonzero(drop).tolist():
-            text = dates.texts[date_serials[i]]
-            rejected.append((int(rows[i]), id_texts[i].strip(), text.strip(), dates.errors[text]))
+            rejected.append((int(rows[i]), id_texts[i].strip(), *dates.refused[~date_codes[i]]))
         # The DiaryDay constructor names the fault of a flagged row, exactly
         # as for a single day.
         for i in np.flatnonzero(_minute_screen(block) & ~drop).tolist():
@@ -650,8 +646,8 @@ def _read_range(
                 _day("", _dt.date.min, 0, block[i].tolist(), None)
             except ValueError as exc:
                 drop[i] = True
-                text = dates.texts[date_serials[i]]
-                rejected.append((int(rows[i]), id_texts[i].strip(), text.strip(), str(exc)))
+                date = dates.dates[date_codes[i]].isoformat()
+                rejected.append((int(rows[i]), id_texts[i].strip(), date, str(exc)))
         read = [rows, id_texts, date_codes, chunk["location"], block]
         if drop.any():
             read = [column[~drop] for column in read]
@@ -666,10 +662,9 @@ def _read_range(
 
     id_codes, date_codes = (np.frombuffer(column, dtype=np.int32) for column in columns[1:3])
     _positions(distinct_ids, id_codes)
-    by_code = list(dates.dates)
-    order = _first_appearance(date_codes, len(by_code)).tolist()
+    order = _first_appearance(date_codes, len(dates.dates)).tolist()
     return _Part(
-        columns, len(columns[0]), distinct_ids, dict.fromkeys(by_code[code] for code in order),
+        columns, len(columns[0]), distinct_ids, dict.fromkeys(dates.dates[code] for code in order),
         tuple(zip(*rejected)) or ((),) * 4, unknown_rows, first_row - 1,
     )
 
@@ -778,7 +773,8 @@ def parse_diary_file(stream: IO) -> tuple[DiaryTable, RejectionTable]:
     rejections, both in row order. The stream is read once and never
     seeked, nor closed; blank lines are skipped, and so is a byte order mark
     before the header. Logs one warning for all kept rows with an unknown
-    location."""
+    location. A stream that is not UTF-8 raises :class:`DiaryFormatError`
+    naming it."""
     text = stream
     if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(
         stream, "mode", ""
@@ -786,6 +782,8 @@ def parse_diary_file(stream: IO) -> tuple[DiaryTable, RejectionTable]:
         text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
     try:
         return _merge(_read_range(text, _read_header(text, text) + 1))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(stream, exc) from None
     finally:
         # A wrapper closes the stream it wraps when it is collected.
         if text is not stream:
@@ -802,4 +800,13 @@ def parse_diary_path(path: str | Path) -> tuple[DiaryTable, RejectionTable]:
             return parse_diary_file(raw)
         from . import split_read
 
-        return split_read.parse(raw)
+        try:
+            return split_read.parse(raw)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(raw, exc) from None
+
+
+def _not_utf8(stream: IO, exc: UnicodeDecodeError) -> DiaryFormatError:
+    """The refusal of the diary ``stream`` whose read met ``exc``."""
+    name, bad = getattr(stream, "name", "stream"), exc.object[exc.start:exc.end]
+    return DiaryFormatError(f"diary file {name} is not UTF-8: {exc.reason} {bad!r}")

@@ -14,7 +14,8 @@ Every number field declares its :class:`Domain` once (:func:`declared`), as
 does each parameter :mod:`.scenario` sweeps. :func:`checked`, the one check
 of a number, whose range test is :meth:`Domain.allows`, checks it from
 ``__post_init__`` and names it in a refusal: :class:`~.errors.DomainError`,
-a :class:`ValueError`, unless the class documents its own errors.
+a :class:`ValueError`, unless the class documents its own errors. Every
+JSON object an input file holds becomes its dataclass by :func:`read_object`.
 """
 
 from __future__ import annotations
@@ -23,16 +24,13 @@ import datetime as _dt
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, MissingFactorError, NegativeFactorError, NonFiniteError
 
 MINUTES_PER_DAY = 1440.0
-
-#: Facility intensity components, all required in a factor table.
-FACILITY_COMPONENTS = ("heating", "cooling", "lighting")
 
 #: Named device kinds. Device kinds are open-ended strings; any other name
 #: (coffee machine, projector, ...) is allowed as long as the factor table
@@ -63,6 +61,14 @@ class TransportMode(str, Enum):
     OTHER = "other"
 
 
+class FacilityComponent(str, Enum):
+    """Closed set of facility intensity components, all required in a factor table."""
+
+    HEATING = "heating"
+    COOLING = "cooling"
+    LIGHTING = "lighting"
+
+
 class DayType(str, Enum):
     """Work location of a participant-day."""
 
@@ -78,10 +84,6 @@ DAY_TYPES = tuple(DayType)
 
 #: Day types that take part in aggregation and energy comparison.
 COMPARABLE_DAY_TYPES = (DayType.EMPLOYER_OFFICE, DayType.COWORKING, DayType.HOME)
-
-
-#: The minute maps of a :class:`DiaryDay` and the keys each holds, in order.
-_MINUTE_MAPS = (("activity_minutes", tuple(Activity)), ("mode_minutes", tuple(TransportMode)))
 
 
 def _sum_in_order(values: Iterable[float]) -> float:
@@ -196,7 +198,8 @@ def _declarations(cls) -> tuple:
 def check_fields(obj, errors: tuple = DOMAIN_ERRORS) -> None:
     """Replace each declared field of the frozen dataclass ``obj`` by what
     :func:`checked` gives for it, a mapping by a dict of its keys as their
-    types; a field whose default is None may be None."""
+    types, which holds every member of an enum of the last level in order
+    (0.0 where missing); a field whose default is None may be None."""
     for name, declaration, optional in _declarations(type(obj)):
         value = getattr(obj, name)
         if value is None and optional:
@@ -213,7 +216,7 @@ def _checked(declaration: tuple, names: tuple, mapping, errors: tuple) -> dict:
     checked; ``names`` are the field and the keys that lead to it."""
     domain, keys, template = declaration
     key_type, deeper = keys[len(names) - 1], len(names) < len(keys)
-    out = {}
+    out = dict.fromkeys(key_type, 0.0) if not deeper and issubclass(key_type, Enum) else {}
     for key, value in mapping.items():
         try:
             key = key if type(key) is key_type else key_type(key)
@@ -223,6 +226,22 @@ def _checked(declaration: tuple, names: tuple, mapping, errors: tuple) -> dict:
         out[key] = (_checked(declaration, named, value, errors) if deeper
                     else checked(template.format(*named), value, domain, errors))
     return out
+
+
+def read_object(cls, payload, where: str, *given):
+    """``cls(*given, **payload)`` for the JSON object ``payload``, the section
+    ``where`` of a file. A ValueError naming ``where`` refuses a payload that
+    is not an object, a key that is no init field of the dataclass ``cls``
+    after the ``given`` ones, and a missing one without a default."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"section '{where}' must be an object")
+    init = [f for f in fields(cls) if f.init][len(given):]
+    if unknown := payload.keys() - {f.name for f in init}:
+        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+    required = {f.name for f in init if f.default is MISSING and f.default_factory is MISSING}
+    if missing := required - payload.keys():
+        raise ValueError(f"{where} lacks keys: {sorted(missing)}")
+    return cls(*given, **payload)
 
 
 @dataclass(frozen=True)
@@ -246,10 +265,8 @@ class DiaryDay:
 
     def __post_init__(self):
         check_fields(self)
-        for name, members in _MINUTE_MAPS:
-            minutes = {**dict.fromkeys(members, 0.0), **getattr(self, name)}
-            object.__setattr__(self, name, minutes)
-            total = _sum_in_order(minutes.values())
+        for name in ("activity_minutes", "mode_minutes"):
+            total = _sum_in_order(getattr(self, name).values())
             if total > MINUTE.high:
                 raise ValueError(f"{name} total {total} exceeds {MINUTES_PER_DAY} minutes")
 
@@ -288,15 +305,18 @@ class _Negative(Exception):
 class FactorTable:
     """All energy coefficients in one place, each a finite real >= 0.
 
-    Refusals name ``group.key``, in this order: the first value that is a
-    bool or not a number (:class:`DomainError`), every missing facility
-    component and mode factor (:class:`MissingFactorError`), then the first
-    value that is NaN or infinite (:class:`NonFiniteError`) or negative
+    Refusals name the key, in this order: the first key outside its enum (a
+    :class:`ValueError`) or value, as ``group.key``, that is a bool or not a
+    number (:class:`DomainError`), every missing facility component and
+    mode factor (:class:`MissingFactorError`), then the first value that is
+    NaN or infinite (:class:`NonFiniteError`) or negative
     (:class:`NegativeFactorError`). Device kinds are open:
     :func:`~telework_impact.config.load_config` checks the inventory's.
     """
 
-    facility_intensity: Mapping[str, float] = declared(NON_NEGATIVE, (str,), "{0}.{1}")
+    facility_intensity: Mapping[FacilityComponent, float] = declared(
+        NON_NEGATIVE, (FacilityComponent,), "{0}.{1}"
+    )
     device_daily_energy: Mapping[str, float] = declared(NON_NEGATIVE, (str,), "{0}.{1}")
     mode_speed: Mapping[TransportMode, float] = declared(NON_NEGATIVE, (TransportMode,), "{0}.{1}")
     mode_energy: Mapping[TransportMode, float] = declared(NON_NEGATIVE, (TransportMode,), "{0}.{1}")
@@ -316,7 +336,7 @@ class FactorTable:
                 except _Negative:
                     refused.append(NegativeFactorError(name, float(value)))
             object.__setattr__(self, group, numbers_by_key)
-        required = [f"facility_intensity.{c}" for c in FACILITY_COMPONENTS] + [
+        required = [f"facility_intensity.{c.value}" for c in FacilityComponent] + [
             f"{group}.{mode.value}"
             for mode in TransportMode
             for group in ("mode_speed", "mode_energy")
@@ -329,7 +349,7 @@ class FactorTable:
 
     def facility_intensity_total(self) -> float:
         """Summed heating + cooling + lighting intensity, MJ/(m2*year)."""
-        return _sum_in_order(self.facility_intensity[c] for c in FACILITY_COMPONENTS)
+        return _sum_in_order(self.facility_intensity[c] for c in FacilityComponent)
 
 
 @dataclass(frozen=True)

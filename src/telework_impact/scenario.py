@@ -63,6 +63,7 @@ from .model import (
     check_fields,
     checked,
     declared,
+    read_object,
 )
 
 _INVENTORY_FIELDS = tuple(f.name for f in dataclasses.fields(SiteInventory))
@@ -182,16 +183,13 @@ class _Points(SequenceABC):
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Read a scenario JSON document; unknown keys are rejected."""
+    """Read a scenario JSON document with :func:`~.model.read_object`, so
+    unknown keys are rejected; the name defaults to the file's stem."""
     path = Path(path)
     payload = read_json(path, "scenario")
-    if not isinstance(payload, dict):
-        raise ConfigError(f"scenario file {path} must contain a JSON object")
-    unknown = set(payload) - {f.name for f in dataclasses.fields(Scenario)}
-    if unknown:
-        raise ConfigError(f"unknown scenario keys in {path}: {sorted(unknown)}")
+    payload = {**payload, "name": str(payload.get("name", path.stem))}
     try:
-        return Scenario(**{**payload, "name": str(payload.get("name", path.stem))})
+        return read_object(Scenario, payload, "scenario")
     except (AttributeError, TypeError, ValueError, KeyError) as exc:
         # AttributeError: a modal override that is not an object of objects.
         raise ConfigError(f"invalid scenario in {path}: {exc}") from exc
@@ -210,12 +208,13 @@ def apply_scenario(inventory: SiteInventory, scenario: Scenario) -> SiteInventor
 def _profile(
     profiles: Mapping[DayType, DayTypeProfile], scenario: Scenario, day_type: DayType
 ) -> DayTypeProfile:
-    """The day type's profile with the scenario's modal override applied."""
+    """The day type's profile with the scenario's modal override applied
+    (missing modes mean zero), and the shares derived from it."""
     profile = profiles.get(day_type)
     if profile is None:
         raise MissingProfileError(day_type)
     minutes = (scenario.modal_override or {}).get(day_type)
-    return profile if minutes is None else profile.with_mode_minutes(minutes)
+    return profile if minutes is None else dataclasses.replace(profile, mean_mode_minutes=minutes)
 
 
 @dataclass(frozen=True)

@@ -181,11 +181,29 @@ def test_profiles_dict_roundtrip():
     assert restored == profiles
 
 
+def test_stored_profile_missing_a_name_reads_it_as_zero():
+    """A mean a stored profile lacks is 0.0, as a diary minute is; the
+    stored shares, which it changes, are left out too."""
+    rng = random.Random(11)
+    profile = aggregate_profiles([random_valid_day(rng) for _ in range(30)])[DayType.COWORKING]
+    payload = profiles_to_dict({DayType.COWORKING: profile})
+    body = payload["coworking"]
+    del body["mean_activity_minutes"]["leisure"], body["mean_mode_minutes"]["car"]
+    del body["mode_share"]
+    restored = profiles_from_dict(payload)[DayType.COWORKING]
+    assert restored == dataclasses.replace(
+        profile,
+        mean_activity_minutes={**profile.mean_activity_minutes, Activity.LEISURE: 0.0},
+        mean_mode_minutes={**profile.mean_mode_minutes, TransportMode.CAR: 0.0},
+    )
+    assert list(restored.mean_mode_minutes) == list(TransportMode)
+    assert restored.mode_share[TransportMode.CAR] == 0.0
+
+
 def _coworking_with(section, key, value):
     """The ways to a co-working profile whose ``section[key]`` is ``value``:
-    read back from a stored payload, and for the means built directly and
-    for mode minutes replaced by ``with_mode_minutes`` (a profile derives
-    its shares, so only a stored file holds them)."""
+    read back from a stored payload, and for the means built directly (a
+    profile derives its shares, so only a stored file holds them)."""
     rng = random.Random(11)
     profiles = aggregate_profiles([random_valid_day(rng) for _ in range(30)])
     payload = profiles_to_dict(profiles)
@@ -195,8 +213,6 @@ def _coworking_with(section, key, value):
     builds = [lambda: profiles_from_dict(payload)]
     if section != "mode_share":
         builds.append(lambda: dataclasses.replace(profile, **{section: mapping}))
-    if section == "mean_mode_minutes":
-        builds.append(lambda: profile.with_mode_minutes(mapping))
     return builds
 
 
@@ -282,11 +298,12 @@ _MEAN = st.floats(0.0, 1440.0, allow_subnormal=True)
 )
 def test_every_profile_derives_its_shares_from_its_minutes(minutes, replaced, days):
     """However a profile is made, its shares are those of its mean mode
-    minutes, bit for bit: built directly, by ``with_mode_minutes``, by
+    minutes, bit for bit: built directly, with its mode minutes replaced, by
     ``aggregate_profiles`` and read back by ``profiles_from_dict``."""
     direct = DayTypeProfile(DayType.COWORKING, 2, dict.fromkeys(Activity, 0.0), minutes)
     aggregated = aggregate_profiles(days)
-    profiles = [direct, direct.with_mode_minutes(replaced), *aggregated.values(),
+    profiles = [direct, dataclasses.replace(direct, mean_mode_minutes=replaced),
+                *aggregated.values(),
                 *profiles_from_dict(profiles_to_dict(aggregated)).values()]
     for profile in profiles:
         expected = mode_shares(profile.mean_mode_minutes)

@@ -9,6 +9,7 @@ import pytest
 
 from telework_impact import cli
 from telework_impact import energy as energy_module
+from telework_impact.aggregation import profiles_to_dict
 from telework_impact.diary import DIARY_HEADER, SPLIT_MIN_BYTES, RejectReason
 from telework_impact.scenario import SWEEP_PARAMETERS
 
@@ -421,8 +422,9 @@ def test_format_only_on_commands_that_write_tables(
         (b"nope", "{kind} file {path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
         (b"\xff{}", "{kind} file {path} is not valid JSON: 'utf-8' codec can't decode byte 0xff"
                     " in position 0: invalid start byte"),
+        (b"[]", "{kind} file {path} must contain a JSON object"),
     ],
-    ids=["missing", "not-json", "not-utf-8"],
+    ids=["missing", "not-json", "not-utf-8", "not-an-object"],
 )
 def test_json_file_that_cannot_be_read_exits_1(
     run, tmp_path, ref_config_path, ref_diaries_path, option, content, message
@@ -441,6 +443,99 @@ def test_json_file_that_cannot_be_read_exits_1(
     )
     assert (code, out) == (1, "")
     assert err == f"error: {message.format(kind=kind, path=path)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _renamed(mapping, old, new):
+    mapping[new] = mapping.pop(old)
+
+
+def _carr(document):
+    """Car spelt ``carr`` in the stored co-working means, without the stored
+    shares, which would no longer match them."""
+    body = document["profiles"]["coworking"]
+    del body["mode_share"]
+    _renamed(body["mean_mode_minutes"], "car", "carr")
+
+
+#: A key at each level of the three JSON inputs that is not one of its
+#: fields or names: the input, the change to its valid document, and the
+#: refusal's text after the file's name.
+_UNKNOWN_KEYS = {
+    "config": ("config", lambda d: d.update(sites={}), ": unknown top-level keys: ['sites']"),
+    "site_inventory": (
+        "config", lambda d: d["site_inventory"].update(floor_area_ft2=1830.0),
+        ": unknown keys in site_inventory: ['floor_area_ft2']",
+    ),
+    "factor_table": (
+        "config", lambda d: d["factor_table"].update(heat={}),
+        ": unknown keys in factor_table: ['heat']",
+    ),
+    "quality_rules": (
+        "config", lambda d: d.update(quality_rules={"min_work": 240}),
+        ": unknown keys in quality_rules: ['min_work']",
+    ),
+    "facility_intensity": (
+        "config", lambda d: d["factor_table"]["facility_intensity"].update(ventilation=900),
+        ": 'ventilation' is not a valid FacilityComponent",
+    ),
+    "mode_speed": (
+        "config", lambda d: _renamed(d["factor_table"]["mode_speed"], "car", "carr"),
+        ": 'carr' is not a valid TransportMode",
+    ),
+    "scenario": ("scenario", lambda d: d.update(credit=3), ": unknown keys in scenario: ['credit']"),
+    "modal_override day type": (
+        "scenario", lambda d: d.update(modal_override={"cafe": {"walk": 10}}),
+        ": modal_override has unknown key 'cafe'",
+    ),
+    "modal_override mode": (
+        "scenario", lambda d: d.update(modal_override={"coworking": {"boat": 10}}),
+        ": modal_override has unknown key 'boat'",
+    ),
+    "profile body": (
+        "profiles", lambda d: d["profiles"]["coworking"].update(mean_minutes={}),
+        " is malformed: unknown keys in coworking: ['mean_minutes']",
+    ),
+    "profile activity": (
+        "profiles",
+        lambda d: _renamed(d["profiles"]["coworking"]["mean_activity_minutes"], "work", "wrk"),
+        " is malformed: coworking mean_activity_minutes has unknown key 'wrk'",
+    ),
+    "profile mode": (
+        "profiles", _carr, " is malformed: coworking mean_mode_minutes has unknown key 'carr'"
+    ),
+    "profile share": (
+        "profiles", lambda d: _renamed(d["profiles"]["coworking"]["mode_share"], "car", "carr"),
+        " is malformed: 'carr' is not a valid TransportMode",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, change, refusal", _UNKNOWN_KEYS.values(), ids=_UNKNOWN_KEYS)
+def test_every_input_key_is_one_of_its_fields(
+    run, tmp_path, ref_config_path, ref_profiles, kind, change, refusal
+):
+    """Config sections, scenarios and stored profile bodies are read by one
+    key rule, and their minute and factor maps take only the names of their
+    sets. Before, a stored ``carr`` ran ``sweep`` to exit 0 at net -28.45 MJ
+    and ``facility_intensity.ventilation`` was ignored."""
+    documents = {
+        "config": json.loads(Path(ref_config_path).read_text(encoding="utf-8")),
+        "scenario": {},
+        "profiles": {"profiles": profiles_to_dict(ref_profiles)},
+    }
+    paths = {name: tmp_path / f"{name}.json" for name in documents}
+    argv = [item for name in documents for item in (f"--{name}", paths[name])]
+    argv += ["--parameter", "coworker_count", "--values", 60, "--out"]
+    for name, document in documents.items():
+        paths[name].write_text(json.dumps(document), encoding="utf-8")
+    assert run("sweep", *argv, tmp_path / "valid")[0] == 0
+    change(documents[kind])
+    paths[kind].write_text(json.dumps(documents[kind]), encoding="utf-8")
+    code, out, err = run("sweep", *argv, tmp_path / "out")
+    prefix = {"config": "config", "scenario": "invalid scenario in", "profiles": "profiles file"}
+    assert (code, out) == (1, "")
+    assert err == f"error: {prefix[kind]} {paths[kind]}{refusal}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -784,15 +879,20 @@ class TestBreakevenCli:
         assert code == 2
         assert "insufficient data" in err and "employer_office" in err
 
-    def test_profiles_not_an_object_exit_1(self, run, tmp_path, ref_config_path):
+    @pytest.mark.parametrize(
+        "document, refusal",
+        [("[]", " must contain a JSON object"),
+         ('{"profiles": []}', " is malformed: 'list' object is not a mapping")],
+    )
+    def test_profiles_not_an_object_exit_1(self, run, tmp_path, ref_config_path, document, refusal):
         stored = tmp_path / "profiles.json"
-        stored.write_text("[]", encoding="utf-8")
+        stored.write_text(document, encoding="utf-8")
         code, _, err = run(
             "breakeven", "--config", ref_config_path, "--profiles", stored,
             "--parameter", "coworker_count", "--bounds", 30, 120, "--out", tmp_path / "out",
         )
         assert code == 1
-        assert err == f"error: profiles file {stored} must contain a JSON object of profiles\n"
+        assert err == f"error: profiles file {stored}{refusal}\n"
 
     def test_cw_days_per_week_exit_1(self, run, tmp_path, ref_config_path, ref_diaries_path):
         code, _, err = run(
@@ -1313,3 +1413,33 @@ class TestTwoProcessRead:
             "assert time.monotonic() - start < 30",
             "print(len(forks), reaped())",
         ) == "1 True"
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["shipped", "past-split-size"])
+def test_diary_that_is_not_utf8_is_refused_by_name(
+    tmp_path, ref_config_path, ref_diaries_path, large
+):
+    """One 0xFF byte in the second half of the file: before, ``validate``
+    ended in a traceback, and a file read in two processes lost its child
+    first. The fork counter sees whether a child was left unreaped."""
+    if large:
+        path = TestTwoProcessRead._diaries(tmp_path, ref_diaries_path, large=True)
+    else:
+        path = tmp_path / "diaries.csv"
+        path.write_bytes(Path(ref_diaries_path).read_bytes())
+    data = bytearray(path.read_bytes())
+    data[data.index(b"\n", len(data) * 3 // 4) + 1] = 0xFF  # the first byte of a line
+    path.write_bytes(data)
+    argv = ["validate", "--config", str(ref_config_path), "--diaries", str(path), "--out", "out"]
+    statements = [f"code = cli.main({argv!r})", "print(len(forks), reaped())", "sys.exit(code)"]
+    result = subprocess.run(
+        [sys.executable, "-c", "\n".join([_FORK_COUNTER, "import sys", *statements])],
+        capture_output=True, text=True, cwd=tmp_path, env=CHILD_ENV, timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        f"error: diary file {path} is not UTF-8: invalid start byte b'\\xff'"
+    ]
+    forks = int(large and hasattr(os, "fork") and _cpus() >= 2)
+    assert result.stdout.split() == [str(forks), "True"]
+    assert not (tmp_path / "out").exists()

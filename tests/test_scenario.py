@@ -909,7 +909,7 @@ class TestScenarioFile:
         assert scenario.modal_override[DayType.COWORKING][TransportMode.WALK] == 40.0
         # The weekly frequency is a sweep parameter, not a scenario key.
         path.write_text(json.dumps({**payload, "cw_days_per_week": 2.5}), encoding="utf-8")
-        with pytest.raises(ConfigError, match="unknown scenario keys.*cw_days_per_week"):
+        with pytest.raises(ConfigError, match="unknown keys in scenario: .*cw_days_per_week"):
             load_scenario(path)
 
     @pytest.mark.parametrize("value", ["20", True, False, None, [1.0]])
