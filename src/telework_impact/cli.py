@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .aggregation import (
@@ -398,5 +399,21 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
 
 
+def run() -> NoReturn:
+    """The process entry point: :func:`main`, then ``os._exit`` with its code
+    once stdout, stderr and logging are flushed, which skips the interpreter's
+    teardown; every artifact is closed by then. A SystemExit or an exception
+    out of main, and a flush that fails (a closed pipe), end as usual."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        raise SystemExit(code)
+    if "logging" in sys.modules:
+        sys.modules["logging"].shutdown()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

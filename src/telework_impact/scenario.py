@@ -101,7 +101,7 @@ SWEEP_PARAMETERS = tuple(_PARAMETERS)
 @dataclass(frozen=True)
 class Scenario:
     """One what-if configuration; the default instance changes nothing.
-    Every number is finite and >= 0."""
+    The name is a non-empty text; every number is finite and >= 0."""
 
     name: str = "baseline"
     overrides: Mapping[str, object] = field(default_factory=dict)
@@ -112,6 +112,8 @@ class Scenario:
     credit_intensity_mj_per_m2_year: float = declared(NON_NEGATIVE, default=0.0)
 
     def __post_init__(self):
+        if not (isinstance(self.name, str) and self.name):
+            raise ValueError(f"name must be a non-empty string, got {self.name!r}")
         unknown = set(self.overrides) - set(_INVENTORY_FIELDS)
         if unknown:
             raise InvalidOverrideError(
@@ -184,10 +186,9 @@ class _Points(SequenceABC):
 
 def load_scenario(path: str | Path) -> Scenario:
     """Read a scenario JSON document with :func:`~.model.read_object`, so
-    unknown keys are rejected; the name defaults to the file's stem."""
+    unknown keys are rejected; an absent name defaults to the file's stem."""
     path = Path(path)
-    payload = read_json(path, "scenario")
-    payload = {**payload, "name": str(payload.get("name", path.stem))}
+    payload = {"name": path.stem, **read_json(path, "scenario")}
     try:
         return read_object(Scenario, payload, "scenario")
     except (AttributeError, TypeError, ValueError, KeyError) as exc:

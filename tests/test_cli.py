@@ -539,6 +539,30 @@ def test_every_input_key_is_one_of_its_fields(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", [None, 3, ""], ids=["null", "number", "empty"])
+def test_scenario_name_must_be_a_non_empty_text(
+    run, tmp_path, ref_config_path, ref_profiles, name
+):
+    """Only an absent name is the file's stem. Before, ``"name": null`` ran
+    ``sweep`` to exit 0 and wrote the scenario ``"None"`` into report.json."""
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text(json.dumps({"profiles": profiles_to_dict(ref_profiles)}), encoding="utf-8")
+    scenario = tmp_path / "smaller.json"
+    argv = ["sweep", "--config", ref_config_path, "--profiles", profiles, "--scenario", scenario,
+            "--parameter", "coworker_count", "--values", 60, "--out"]
+    scenario.write_text("{}", encoding="utf-8")
+    assert run(*argv, tmp_path / "valid")[0] == 0
+    report = json.loads((tmp_path / "valid" / "report.json").read_text(encoding="utf-8"))
+    assert report["scenario"] == "smaller"
+    scenario.write_text(json.dumps({"name": name}), encoding="utf-8")
+    code, out, err = run(*argv, tmp_path / "out")
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: invalid scenario in {scenario}: name must be a non-empty string, got {name!r}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 class TestSweepCli:
     def test_occupancy_sweep(self, run, tmp_path, ref_config_path, ref_diaries_path):
         out = tmp_path / "out"
@@ -986,6 +1010,168 @@ def test_module_entrypoint_subprocess(ref_config_path, ref_diaries_path, tmp_pat
     )
     assert result.returncode == 0, result.stderr
     assert "net +4.05 MJ" in result.stdout
+
+
+class TestProcessExit:
+    """``python -m telework_impact`` ends through ``cli.run``: ``os._exit``
+    once stdout and stderr are flushed, without the interpreter's teardown.
+    It leaves what ``cli.main`` leaves in process. That holds because every
+    artifact is closed inside ``main`` and the two-process diary read reaps
+    its child before it returns, also when it fails: ``reaped()`` in
+    TestTwoProcessRead and test_diary_that_is_not_utf8_is_refused_by_name
+    pin the second."""
+
+    SWEEP_VALUES = [str(value) for value in range(1, 20001)]
+
+    @staticmethod
+    def _env(unbuffered):
+        """CHILD_ENV with console lines written unbuffered or not."""
+        env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+        return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+    @staticmethod
+    def _module(*argv):
+        """The command line of ``python -m telework_impact`` with ``argv``."""
+        return [sys.executable, "-m", "telework_impact", *map(str, argv)]
+
+    @staticmethod
+    def _artifacts(out):
+        """The files in ``out`` by name, run_info.json by its keys alone:
+        it holds only the clock time of the run."""
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        files["run_info.json"] = sorted(json.loads(files["run_info.json"]))
+        return files
+
+    def test_every_command_leaves_what_main_leaves(
+        self, run, tmp_path, monkeypatch, ref_config_path, ref_diaries_path
+    ):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(
+            {"floor_space_credit_m2": 20.0, "credit_intensity_mj_per_m2_year": 1945.8}
+        ), encoding="utf-8")
+        stored = ["--profiles", tmp_path / "main" / "profile" / "profiles.json",
+                  "--scenario", scenario, "--parameter", "coworker_count"]
+        commands = {
+            "profile": ["--diaries", ref_diaries_path],
+            "validate": ["--diaries", ref_diaries_path],
+            "delta": ["--diaries", ref_diaries_path, "--baseline", "both"],
+            "sweep": [*stored, "--values", 30, 60, 120],
+            "breakeven": [*stored, "--bounds", 1, 1000],
+        }
+        for side in ("main", "module"):
+            (tmp_path / side).mkdir()
+        # Relative --out directories, so that the console lines that name
+        # them are the same on both sides.
+        monkeypatch.chdir(tmp_path / "main")
+        for command, options in commands.items():
+            argv = [command, "--config", ref_config_path, *options, "--out", command]
+            code, out, err = run(*argv)
+            result = subprocess.run(
+                self._module(*argv), capture_output=True, cwd=tmp_path / "module",
+                env=self._env(False), timeout=120,
+            )
+            assert (result.returncode, result.stdout, result.stderr) == (
+                code, out.encode(), err.encode()
+            ), command
+            assert self._artifacts(tmp_path / "module" / command) == self._artifacts(
+                tmp_path / "main" / command
+            ), command
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["delta"], cli.EXIT_OK),
+            (["delta", "--round", "x"], cli.EXIT_INPUT_ERROR),
+            (["validate", "--diaries", "missing.csv"], cli.EXIT_INPUT_ERROR),
+            (["validate", "--diaries", "bad.csv"], cli.EXIT_INSUFFICIENT_DATA),
+            (["breakeven", "--parameter", "coworker_count", "--bounds", 100, 120],
+             cli.EXIT_NO_ROOT),
+        ],
+        ids=["ok", "usage", "input_error", "insufficient_data", "no_root"],
+    )
+    def test_exit_codes_are_those_of_main(
+        self, tmp_path, monkeypatch, ref_config_path, ref_diaries_path, argv, code
+    ):
+        write_diaries(tmp_path, BAD_ROWS, name="bad.csv")
+        monkeypatch.chdir(tmp_path)
+        argv = [*argv, "--config", ref_config_path, "--out", "out"]
+        if "--diaries" not in argv:
+            argv += ["--diaries", ref_diaries_path]
+        try:
+            in_process = cli.main([str(a) for a in argv])
+        except SystemExit as exc:
+            in_process = exc.code
+        result = subprocess.run(
+            self._module(*argv), capture_output=True, cwd=tmp_path, env=self._env(False),
+            timeout=120,
+        )
+        assert result.returncode == in_process == code, result.stderr
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_a_long_echo_reaches_the_pipe_whole(
+        self, run, tmp_path, ref_config_path, ref_diaries_path, unbuffered
+    ):
+        argv = ["sweep", "--config", ref_config_path, "--diaries", ref_diaries_path,
+                "--parameter", "coworker_count", "--values", *self.SWEEP_VALUES, "--out"]
+        code, out, _ = run(*argv, tmp_path / "main")
+        result = subprocess.run(
+            self._module(*argv, tmp_path / "module"), capture_output=True,
+            env=self._env(unbuffered), timeout=120,
+        )
+        assert (code, result.returncode, result.stderr) == (0, 0, b"")
+        assert out.count("\n") == len(self.SWEEP_VALUES) + 1
+        assert result.stdout == out.encode()
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_a_reader_that_closes_early_gives_a_broken_pipe_error(
+        self, tmp_path, ref_config_path, ref_diaries_path, unbuffered
+    ):
+        """As ``| head -1``: the reader takes one line and closes the pipe."""
+        argv = ["sweep", "--config", ref_config_path, "--diaries", ref_diaries_path,
+                "--parameter", "coworker_count", "--values", *self.SWEEP_VALUES,
+                "--out", tmp_path / "out"]
+        with open(tmp_path / "stderr", "wb") as err:
+            proc = subprocess.Popen(
+                self._module(*argv), stdout=subprocess.PIPE, stderr=err, env=self._env(unbuffered)
+            )
+            try:
+                first = proc.stdout.readline()
+                proc.stdout.close()
+            finally:
+                proc.wait(timeout=120)
+        assert first == b"swept coworker_count over 20000 values (baseline employer_office)\n"
+        assert proc.returncode == cli.EXIT_INPUT_ERROR
+        assert (tmp_path / "stderr").read_bytes() == b"error: [Errno 32] Broken pipe\n"
+
+    def test_a_final_flush_that_fails_ends_the_usual_way(
+        self, tmp_path, ref_config_path, ref_diaries_path
+    ):
+        """Buffered, ``validate``'s few lines are first written by the flush
+        after ``main``; with the reader gone it fails, and the interpreter
+        ends the process as it would without ``cli.run``: status 120, its
+        own note and no traceback."""
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            result = subprocess.run(
+                self._module("validate", "--config", ref_config_path, "--diaries",
+                             ref_diaries_path, "--out", tmp_path / "out"),
+                stdout=writer, stderr=subprocess.PIPE, env=self._env(False), timeout=120,
+            )
+        finally:
+            os.close(writer)
+        assert result.returncode == 120
+        assert b"BrokenPipeError" in result.stderr and b"Traceback" not in result.stderr
+        assert (tmp_path / "out" / "rejections.csv").exists()
+
+    def test_entry_points_name_run(self):
+        from telework_impact import __main__ as module_entry
+
+        assert module_entry.run is cli.run
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        assert scripts == {"telework-impact": "telework_impact.cli:run"}
 
 
 class TestLeanImports:
