@@ -321,12 +321,12 @@ def cmd_sweep(args) -> int:
     print(f"swept {args.parameter} over {len(result.values)} values (baseline {baseline.value})")
 
     def echo(values, nets):
-        print("\n".join(
-            f"  {args.parameter}={value:g}: net {_round(net, args):+} MJ"
+        return "".join(
+            f"  {args.parameter}={value:g}: net {_round(net, args):+} MJ\n"
             for value, net in zip(values, nets)
-        ))
+        )
 
-    rpt.write_sweep(out, result, report, args.format, echo)
+    rpt.write_sweep(out, result, report, args.format, echo, sys.stdout)
     rpt.write_run_info(out)
     return EXIT_OK
 

@@ -566,6 +566,8 @@ def _read_pass(
             else:
                 at.append(i)
                 records.append((values[0], dates[values[1]], locations[values[2]], record))
+    if not records:  # at is still ascending
+        return np.array(at, dtype=np.int64) + first_row, chunk
     order = np.argsort(at, kind="stable")
     chunk = np.concatenate([chunk, np.array(records, dtype=_BULK_DTYPE)])
     return np.array(at, dtype=np.int64)[order] + first_row, chunk[order]

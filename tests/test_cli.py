@@ -9,6 +9,7 @@ import pytest
 
 from telework_impact import cli
 from telework_impact import energy as energy_module
+from telework_impact import report as report_module
 from telework_impact.aggregation import profiles_to_dict
 from telework_impact.diary import DIARY_HEADER, SPLIT_MIN_BYTES, RejectReason
 from telework_impact.scenario import SWEEP_PARAMETERS
@@ -1206,9 +1207,10 @@ class TestLeanImports:
 
     @pytest.mark.parametrize("module", ["telework_impact", "telework_impact.cli"])
     def test_import_and_load_config_load_no_diary_reader(self, tmp_path, module):
+        """Nor the fork helper, which only a run that may fork loads."""
         assert not self._loaded(
             tmp_path,
-            [*self.DIARY_READER, "logging"],
+            [*self.DIARY_READER, "telework_impact.forked", "logging"],
             f"import {module}",
             "from telework_impact.config import load_config, shipped_config_path",
             "load_config(shipped_config_path())",
@@ -1229,12 +1231,14 @@ class TestLeanImports:
             "--config", ref_config_path, "--profiles", tmp_path / "p" / "profiles.json",
             "--scenario", scenario,
         ]
+        # Past report.SPLIT_MIN_POINTS: rendered in two processes where that is safe.
+        values = range(1, 5001)
         assert not self._loaded(
             tmp_path,
             self.DIARY_READER,
             "from telework_impact import cli",
             self._main(
-                ["sweep", *common, "--parameter", "coworker_count", "--values", 30, 60,
+                ["sweep", *common, "--parameter", "coworker_count", "--values", *values,
                  "--out", tmp_path / "s"]
             ),
             self._main(
@@ -1599,6 +1603,180 @@ class TestTwoProcessRead:
             "assert time.monotonic() - start < 30",
             "print(len(forks), reaped())",
         ) == "1 True"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or _cpus() < 2, reason="renders in two processes")
+class TestTwoProcessSweep:
+    """A sweep of at least ``report.SPLIT_MIN_POINTS`` points in two blocks
+    or more is rendered in two processes where that is safe, with the files
+    and console text of the render in one. The one-process render runs in
+    this test session, which never forks for it; the other checks run in a
+    fresh interpreter, after ``_FORK_COUNTER``."""
+
+    #: Past SPLIT_MIN_POINTS; the sweep document of cw_days_per_week holds
+    #: the weekly net too.
+    VALUES = {
+        "coworker_count": [str(k) for k in range(1, 5001)],
+        "cw_days_per_week": [str(k / 1000) for k in range(1, 5001)],
+    }
+
+    @pytest.fixture()
+    def stored(self, run, tmp_path, ref_config_path, ref_diaries_path):
+        """The options of a run on stored profiles, which loads no numpy."""
+        argv = ["profile", "--config", ref_config_path, "--diaries", ref_diaries_path]
+        assert run(*argv, "--out", tmp_path / "p")[0] == 0
+        return ["--config", str(ref_config_path), "--profiles", str(tmp_path / "p" / "profiles.json")]
+
+    @staticmethod
+    def _fresh(tmp_path, *statements):
+        """The stdout and stderr of a fresh interpreter that runs
+        ``_FORK_COUNTER``, then ``statements``."""
+        result = subprocess.run(
+            [sys.executable, "-c", "\n".join([_FORK_COUNTER, "from telework_impact import report",
+                                              *statements])],
+            capture_output=True, text=True, cwd=tmp_path, env=CHILD_ENV, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout, result.stderr
+
+    @staticmethod
+    def _serial(run, monkeypatch, argv, out):
+        """The console text of ``argv`` rendered in this process alone."""
+        monkeypatch.setattr(report_module, "SPLIT_MIN_POINTS", float("inf"))
+        code, console, _ = run(*argv, out)
+        assert code == 0
+        return console
+
+    @pytest.mark.parametrize("parameter", sorted(VALUES))
+    @pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+    def test_large_sweep_forks_once_and_writes_what_one_process_writes(
+        self, run, tmp_path, monkeypatch, stored, fmt, parameter
+    ):
+        argv = ["sweep", *stored, "--parameter", parameter, "--values", *self.VALUES[parameter],
+                "--format", fmt, "--out"]
+        serial = self._serial(run, monkeypatch, argv, tmp_path / "one")
+        stdout, stderr = self._fresh(
+            tmp_path,
+            f"code = cli.main({[*argv, str(tmp_path / 'two')]!r})",
+            "print(code, len(forks), reaped())",
+        )
+        *console, counted = stdout.splitlines(keepends=True)
+        assert (counted, stderr) == ("0 1 True\n", "")
+        # A child that flushed the buffer it inherited would repeat the first line.
+        assert "".join(console) == serial
+        one, two = (TestProcessExit._artifacts(tmp_path / side) for side in ("one", "two"))
+        assert one == two
+
+    @pytest.mark.parametrize(
+        "failure",
+        [
+            pytest.param("os.fork = failing_fork", id="fork_fails"),
+            pytest.param("report._render_from_back = raising", id="before_claiming"),
+            pytest.param("report._render_block = leaving_on_third", id="after_rendering"),
+            pytest.param("report._LENGTHS = Leaving('3q')", id="between_blocks_sent"),
+            pytest.param("report.open = half_sending_open", id="within_a_block_sent"),
+        ],
+    )
+    def test_a_child_that_dies_early_gives_the_same_bytes(
+        self, run, tmp_path, monkeypatch, stored, failure
+    ):
+        """A child that fails, or leaves with blocks claimed or half sent,
+        leaves the parent to render the blocks it did not send whole."""
+        argv = ["sweep", *stored, "--parameter", "coworker_count",
+                "--values", *self.VALUES["coworker_count"], "--out"]
+        serial = self._serial(run, monkeypatch, argv, tmp_path / "one")
+        stdout, stderr = self._fresh(
+            tmp_path,
+            "import struct",
+            "parent, calls = os.getpid(), []",
+            "def failing_fork():",
+            "    forks.append(parent)",
+            "    raise OSError(11, 'Resource temporarily unavailable')",
+            "def raising(*args):",
+            "    raise MemoryError('in the child')",
+            "render_block = report._render_block",
+            "def leaving_on_third(*args):",
+            "    if os.getpid() != parent:",
+            "        calls.append(args)",
+            "        if len(calls) == 3:",
+            "            os._exit(1)",
+            "    return render_block(*args)",
+            "class Leaving(struct.Struct):",
+            "    def pack(self, *lengths):",
+            "        calls.append(lengths)",
+            "        if len(calls) == 3:",
+            "            os._exit(1)",
+            "        return super().pack(*lengths)",
+            "class HalfSending:",
+            "    def __init__(self, pipe):",
+            "        self.pipe = pipe",
+            "    def __enter__(self):",
+            "        return self",
+            "    def __exit__(self, *exc):",
+            "        self.pipe.close()",
+            "    def write(self, data):",
+            "        return self.pipe.write(data)",
+            "    def writelines(self, texts):",
+            "        calls.append(texts)",
+            "        if len(calls) == 3:",
+            "            self.pipe.write(texts[0])",
+            "            self.pipe.flush()",
+            "            os._exit(1)",
+            "        self.pipe.writelines(texts)",
+            "def half_sending_open(file, mode='r', *args, **kwargs):",
+            "    handle = open(file, mode, *args, **kwargs)",
+            "    return HalfSending(handle) if os.getpid() != parent and mode == 'wb' else handle",
+            failure,
+            f"code = cli.main({[*argv, str(tmp_path / 'two')]!r})",
+            "print(code, len(forks), reaped())",
+        )
+        *console, counted = stdout.splitlines(keepends=True)
+        assert (counted, stderr) == ("0 1 True\n", "")
+        assert "".join(console) == serial
+        one, two = (TestProcessExit._artifacts(tmp_path / side) for side in ("one", "two"))
+        assert one == two
+
+    def test_a_console_that_fails_stops_the_child(self, tmp_path, stored):
+        """As a reader that closes stdout early: the error of ``cli.main``,
+        and the child is killed and reaped."""
+        argv = ["sweep", *stored, "--parameter", "coworker_count",
+                "--values", *self.VALUES["coworker_count"], "--out", str(tmp_path / "out")]
+        stdout, stderr = self._fresh(
+            tmp_path,
+            "import contextlib, io",
+            "class Gone(io.StringIO):",
+            "    def write(self, text):",
+            "        if 'net' in text:",
+            "            raise BrokenPipeError(32, 'Broken pipe')",
+            "        return super().write(text)",
+            "with contextlib.redirect_stdout(Gone()):",
+            f"    code = cli.main({argv!r})",
+            "print(code, len(forks), reaped())",
+        )
+        assert (stdout, stderr) == ("1 1 True\n", "error: [Errno 32] Broken pipe\n")
+
+    def test_one_cpu_one_block_and_breakeven_do_not_fork(self, tmp_path, stored):
+        def sweep(values, out):
+            return ["sweep", *stored, "--parameter", "coworker_count", "--values",
+                    *map(str, values), "--out", str(tmp_path / out)]
+
+        breakeven = ["breakeven", *stored, "--parameter", "coworker_count",
+                     "--bounds", "1", "1000", "--out", str(tmp_path / "b")]
+        block = report_module._SWEEP_BLOCK
+        stdout, _ = self._fresh(
+            tmp_path,
+            "cpus = os.sched_getaffinity(0)",
+            "os.sched_setaffinity(0, {min(cpus)})",
+            f"assert cli.main({sweep(self.VALUES['coworker_count'], 'one_cpu')!r}) == 0",
+            "os.sched_setaffinity(0, cpus)",
+            "report.SPLIT_MIN_POINTS = 1",
+            f"assert cli.main({sweep(range(1, block + 1), 'one_block')!r}) == 0",
+            f"assert cli.main({breakeven!r}) == 0",
+            "unforked = len(forks)",
+            f"assert cli.main({sweep(range(1, block + 2), 'two_blocks')!r}) == 0",
+            "print(unforked, len(forks), reaped())",
+        )
+        assert stdout.splitlines()[-1] == "0 1 True"
 
 
 @pytest.mark.parametrize("large", [False, True], ids=["shipped", "past-split-size"])

@@ -126,17 +126,23 @@ def _expected_csv(result: SweepResult) -> str:
 )
 def test_sweep_writer_matches_json_and_csv_modules(tmp_path, result, formats, batch, run_report):
     """The streamed sweep artifacts equal what ``json`` and ``csv`` write
-    for the whole sweep, whatever the batch size and the rest of the report;
-    every point's value and net reach ``on_batch`` once, in order, in
-    batches of at most that size."""
+    for the whole sweep, whatever the block size and the rest of the report;
+    every point's value and net reach ``echo`` once, in order, in blocks of
+    at most that size, and the console gets its texts in that order."""
     # A directory per example: a leftover sweep.csv would hide a missing one.
     out = Path(tempfile.mkdtemp(dir=tmp_path))
-    batches = []
-    with mock.patch.object(report, "_CSV_BATCH_ROWS", batch):
-        write_sweep(out, result, run_report, formats, lambda *columns: batches.append(columns))
+    batches, console = [], io.StringIO()
+
+    def echo(values, nets):
+        batches.append((values, nets))
+        return "".join(f"{value!r}\n" for value in values)
+
+    with mock.patch.object(report, "_SWEEP_BLOCK", batch):
+        write_sweep(out, result, run_report, formats, echo, console)
     as_dict = sweep_to_dict(result)
     assert [p for b in batches for p in zip(*b)] == list(zip(result.values, result.net_mj))
     assert all(0 < len(values) == len(nets) <= batch for values, nets in batches)
+    assert console.getvalue() == "".join(f"{value!r}\n" for value in result.values)
 
     expected = json.dumps({**run_report, "sweep": as_dict}, indent=2, sort_keys=True) + "\n"
     assert (out / "report.json").read_text(encoding="utf-8") == expected
@@ -154,6 +160,29 @@ def test_sweep_writer_matches_json_and_csv_modules(tmp_path, result, formats, ba
     # The rows of breakeven.csv are the same cells.
     written = write_csv(tmp_path / "rows.csv", SWEEP_HEADER, sweep_rows(result))
     assert written.read_bytes() == _expected_csv(result).encode("utf-8")
+
+
+def test_a_sweep_past_the_most_blocks_has_larger_blocks(tmp_path):
+    """Past ``_MAX_BLOCKS`` blocks the blocks grow, so that the pipe of
+    claims, a byte per block, is filled before either process reads it;
+    the files are the same."""
+    result = SweepResult(
+        "coworker_count", DayType.EMPLOYER_OFFICE, 1.5, 2.5, tuple(map(float, range(1, 11))),
+        tuple(map(float, range(10))), (0.0,) * 10,
+    )
+    sizes = []
+
+    def echo(values, nets):
+        sizes.append(len(values))
+        return ""
+
+    for side, block, most in (("small", 1, 3), ("default", report._SWEEP_BLOCK, report._MAX_BLOCKS)):
+        (tmp_path / side).mkdir()
+        with mock.patch.multiple(report, _SWEEP_BLOCK=block, _MAX_BLOCKS=most):
+            write_sweep(tmp_path / side, result, _REPORT, "both", echo, io.StringIO())
+    assert sizes == [4, 4, 2, 10]
+    for name in ("report.json", "sweep.csv", "sweep.json"):
+        assert (tmp_path / "small" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
 
 
 #: Cells that need quoting (``,``, ``"``, ``\r``, ``\n``), empty cells and
