@@ -4,8 +4,8 @@ energy allocation, and break-even scenario analysis.
 
 The root exports the names the README and ``demos/`` use; every other name
 imports from its module (``telework_impact.errors``, ``.model``, ...). The
-names of :mod:`.diary` and :mod:`.quality` import their module on first use,
-so that importing the package loads neither."""
+names of :mod:`.diary`, :mod:`.quality` and :mod:`.scenario` import their
+module on first use, so that importing the package loads none of them."""
 
 from importlib import import_module
 
@@ -13,7 +13,6 @@ from .aggregation import aggregate_profiles
 from .config import load_config
 from .energy import compare_day_types, direct_components, equipment_energy, travel_energy
 from .model import Activity, DayType, TransportMode
-from .scenario import Scenario, break_even, evaluate_scenario, sweep, weekly_net_mj
 
 __version__ = "0.1.0"
 
@@ -38,7 +37,14 @@ __all__ = [
     "__version__",
 ]
 
-_LAZY = {"parse_diary_file": ".diary", "parse_diary_path": ".diary", "apply_quality_filter": ".quality"}
+_LAZY = {
+    "parse_diary_file": ".diary",
+    "parse_diary_path": ".diary",
+    "apply_quality_filter": ".quality",
+    **dict.fromkeys(
+        ("Scenario", "break_even", "evaluate_scenario", "sweep", "weekly_net_mj"), ".scenario"
+    ),
+}
 
 
 def __getattr__(name):

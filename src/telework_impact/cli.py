@@ -4,6 +4,10 @@ Exit codes are a stable contract: 0 success, 1 input or configuration
 error, 2 insufficient data, 3 no root in the given bracket. Machine
 artifacts are deterministic; the console summary is rounded to ``--round``
 decimals and wall-clock metadata lives only in the run_info sidecar.
+
+Importing this module loads neither the diary reader and quality filter,
+nor :mod:`.scenario`, nor :mod:`.sweep_writer`: each command imports the
+code it runs when it first runs it.
 """
 
 from __future__ import annotations
@@ -11,8 +15,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
+from importlib import import_module
 from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
 from .aggregation import (
@@ -29,8 +35,10 @@ from .errors import (
     TeleworkImpactError,
 )
 from .model import COMPARABLE_DAY_TYPES, Activity, DayType
-from .scenario import Scenario, break_even, load_scenario, sweep
 from . import report as rpt
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 CONFIG_ENV_VAR = "TELEWORK_IMPACT_CONFIG"
 
@@ -153,18 +161,19 @@ def _out_dir(args) -> Path:
     return out
 
 
-def parse_diary_path(path):
-    """The diary reader; it and the quality filter are imported on a run's
-    first call, so that only the runs that read diaries load them."""
-    from .diary import parse_diary_path
+def _call(module: str, name: str, /, *args, **kwargs):
+    """``name`` of ``module`` called on ``args``, the module imported at the call,
+    so that only the commands that run it load it. ``perfbench/tracing.py`` wraps
+    the forwarders below by name as attributes of this module; they go once
+    ROADMAP item 2 has the run report its own stages and unpins the tracer."""
+    return getattr(import_module(module, __package__), name)(*args, **kwargs)
 
-    return parse_diary_path(path)
 
-
-def apply_quality_filter(days, rules):
-    from .quality import apply_quality_filter
-
-    return apply_quality_filter(days, rules)
+parse_diary_path = partial(_call, ".diary", "parse_diary_path")
+apply_quality_filter = partial(_call, ".quality", "apply_quality_filter")
+load_scenario = partial(_call, ".scenario", "load_scenario")
+sweep = partial(_call, ".scenario", "sweep")
+break_even = partial(_call, ".scenario", "break_even")
 
 
 def _run_pipeline(args, config: AppConfig):
@@ -296,6 +305,8 @@ def cmd_delta(args) -> int:
 def _scenario_from_args(args) -> Scenario:
     if getattr(args, "scenario", None):
         return load_scenario(args.scenario)
+    from .scenario import Scenario
+
     return Scenario()
 
 
@@ -326,7 +337,9 @@ def cmd_sweep(args) -> int:
             for value, net in zip(values, nets)
         )
 
-    rpt.write_sweep(out, result, report, args.format, echo, sys.stdout)
+    from .sweep_writer import write_sweep
+
+    write_sweep(out, result, report, args.format, echo, sys.stdout)
     rpt.write_run_info(out)
     return EXIT_OK
 

@@ -1,7 +1,7 @@
 """A forked child that takes a share of this process's work.
 
 The two-process diary read (:mod:`.split_read`) and the sweep writer
-(:func:`.report.write_sweep`) fork a child through :func:`start` where
+(:func:`.sweep_writer.write_sweep`) fork a child through :func:`start` where
 :func:`fork_is_safe` allows it. The child moves off the parent's CPU, runs
 its work, writes what it makes to a pipe, and leaves by ``os._exit``: it
 never returns into the caller's code, runs no ``atexit`` handler and flushes

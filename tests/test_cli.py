@@ -9,7 +9,7 @@ import pytest
 
 from telework_impact import cli
 from telework_impact import energy as energy_module
-from telework_impact import report as report_module
+from telework_impact import sweep_writer
 from telework_impact.aggregation import profiles_to_dict
 from telework_impact.diary import DIARY_HEADER, SPLIT_MIN_BYTES, RejectReason
 from telework_impact.scenario import SWEEP_PARAMETERS
@@ -1177,13 +1177,16 @@ class TestProcessExit:
 
 class TestLeanImports:
     """Only commands that read diaries load numpy, the diary reader and the
-    quality filter. Each check runs in a fresh interpreter, since this test
-    session has imported all of them already."""
+    quality filter; only ``sweep`` and ``breakeven`` load the scenario
+    module, and only ``sweep`` the sweep writer. Each check runs in a fresh
+    interpreter, since this test session has imported all of them already."""
 
     #: What a run that reads no diary must not load.
     DIARY_READER = (
         "numpy", "telework_impact.diary", "telework_impact.quality", "telework_impact.split_read",
     )
+    #: What a run that neither sweeps nor solves a break-even must not load.
+    SCENARIO = ("telework_impact.scenario", "telework_impact.sweep_writer")
 
     @staticmethod
     def _loaded(tmp_path, modules, *statements):
@@ -1207,10 +1210,11 @@ class TestLeanImports:
 
     @pytest.mark.parametrize("module", ["telework_impact", "telework_impact.cli"])
     def test_import_and_load_config_load_no_diary_reader(self, tmp_path, module):
-        """Nor the fork helper, which only a run that may fork loads."""
+        """Nor the scenario module and the sweep writer, nor the fork helper,
+        which only a run that may fork loads."""
         assert not self._loaded(
             tmp_path,
-            [*self.DIARY_READER, "telework_impact.forked", "logging"],
+            [*self.DIARY_READER, *self.SCENARIO, "telework_impact.forked", "logging"],
             f"import {module}",
             "from telework_impact.config import load_config, shipped_config_path",
             "load_config(shipped_config_path())",
@@ -1231,7 +1235,7 @@ class TestLeanImports:
             "--config", ref_config_path, "--profiles", tmp_path / "p" / "profiles.json",
             "--scenario", scenario,
         ]
-        # Past report.SPLIT_MIN_POINTS: rendered in two processes where that is safe.
+        # Past sweep_writer.SPLIT_MIN_POINTS: rendered in two processes where that is safe.
         values = range(1, 5001)
         assert not self._loaded(
             tmp_path,
@@ -1246,6 +1250,35 @@ class TestLeanImports:
                  "--out", tmp_path / "b"]
             ),
         )
+
+    def test_diary_commands_load_no_scenario_module(
+        self, tmp_path, ref_config_path, ref_diaries_path
+    ):
+        common = ["--config", ref_config_path, "--diaries", ref_diaries_path]
+        assert not self._loaded(
+            tmp_path,
+            self.SCENARIO,
+            "from telework_impact import cli",
+            *(self._main([command, *common, "--out", tmp_path / command])
+              for command in ("validate", "profile", "delta")),
+        )
+
+    @pytest.mark.parametrize(
+        "command, loaded",
+        [
+            (["breakeven", "--bounds", 30, 120], {"telework_impact.scenario"}),
+            (["sweep", "--values", 30, 60], {*SCENARIO}),
+        ],
+        ids=["breakeven", "sweep"],
+    )
+    def test_only_sweep_loads_the_sweep_writer(
+        self, tmp_path, ref_config_path, ref_diaries_path, command, loaded
+    ):
+        argv = [*command, "--config", ref_config_path, "--diaries", ref_diaries_path,
+                "--parameter", "coworker_count", "--out", tmp_path / "out"]
+        assert self._loaded(
+            tmp_path, self.SCENARIO, "from telework_impact import cli", self._main(argv)
+        ) == loaded
 
     def test_delta_on_diaries_loads_numpy(self, tmp_path, ref_config_path, ref_diaries_path):
         assert "numpy" in self._loaded(
@@ -1273,16 +1306,58 @@ class TestLeanImports:
         ) == {"numpy", "telework_impact.diary", "telework_impact.quality"}
 
 
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("parse_diary_path", "validate"),
+        ("apply_quality_filter", "validate"),
+        ("load_scenario", "sweep"),
+        ("sweep", "sweep"),
+        ("break_even", "breakeven"),
+    ],
+)
+def test_commands_call_the_cli_forwarders(
+    run, monkeypatch, tmp_path, ref_config_path, ref_diaries_path, name, command
+):
+    """``perfbench/tracing.py`` times a stage by wrapping the attribute of
+    ``cli`` that bears its name: a command that called the stage's module
+    directly would leave it untimed, and its metrics silently zero."""
+    calls = []
+    target = getattr(cli, name)
+
+    def recording(*args, **kwargs):
+        calls.append(name)
+        return target(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recording)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"floor_space_credit_m2": 20.0}), encoding="utf-8")
+    options = {
+        "validate": [],
+        "sweep": ["--scenario", scenario, "--parameter", "coworker_count", "--values", 30, 60],
+        "breakeven": ["--parameter", "coworker_count", "--bounds", 30, 120],
+    }
+    code, _, _ = run(
+        command, "--config", ref_config_path, "--diaries", ref_diaries_path,
+        *options[command], "--out", tmp_path / "out",
+    )
+    assert (code, calls) == (0, [name])
+
+
 class TestLazyRootNames:
-    """The package root resolves the diary reader's names on first access."""
+    """The package root resolves the names of the diary reader, the quality
+    filter and the scenario module on first access."""
 
     def test_diary_reader_names_are_the_module_functions(self):
+        import telework_impact
         from telework_impact import apply_quality_filter, parse_diary_file, parse_diary_path
-        from telework_impact import diary, quality
+        from telework_impact import diary, quality, scenario
 
         assert parse_diary_file is diary.parse_diary_file
         assert parse_diary_path is diary.parse_diary_path
         assert apply_quality_filter is quality.apply_quality_filter
+        for name in ("Scenario", "break_even", "evaluate_scenario", "sweep", "weekly_net_mj"):
+            assert getattr(telework_impact, name) is getattr(scenario, name)
 
     def test_every_exported_name_resolves_and_is_listed(self):
         import telework_impact
@@ -1607,7 +1682,7 @@ class TestTwoProcessRead:
 
 @pytest.mark.skipif(not hasattr(os, "fork") or _cpus() < 2, reason="renders in two processes")
 class TestTwoProcessSweep:
-    """A sweep of at least ``report.SPLIT_MIN_POINTS`` points in two blocks
+    """A sweep of at least ``sweep_writer.SPLIT_MIN_POINTS`` points in two blocks
     or more is rendered in two processes where that is safe, with the files
     and console text of the render in one. The one-process render runs in
     this test session, which never forks for it; the other checks run in a
@@ -1632,7 +1707,7 @@ class TestTwoProcessSweep:
         """The stdout and stderr of a fresh interpreter that runs
         ``_FORK_COUNTER``, then ``statements``."""
         result = subprocess.run(
-            [sys.executable, "-c", "\n".join([_FORK_COUNTER, "from telework_impact import report",
+            [sys.executable, "-c", "\n".join([_FORK_COUNTER, "from telework_impact import sweep_writer",
                                               *statements])],
             capture_output=True, text=True, cwd=tmp_path, env=CHILD_ENV, timeout=120,
         )
@@ -1642,7 +1717,7 @@ class TestTwoProcessSweep:
     @staticmethod
     def _serial(run, monkeypatch, argv, out):
         """The console text of ``argv`` rendered in this process alone."""
-        monkeypatch.setattr(report_module, "SPLIT_MIN_POINTS", float("inf"))
+        monkeypatch.setattr(sweep_writer, "SPLIT_MIN_POINTS", float("inf"))
         code, console, _ = run(*argv, out)
         assert code == 0
         return console
@@ -1671,10 +1746,10 @@ class TestTwoProcessSweep:
         "failure",
         [
             pytest.param("os.fork = failing_fork", id="fork_fails"),
-            pytest.param("report._render_from_back = raising", id="before_claiming"),
-            pytest.param("report._render_block = leaving_on_third", id="after_rendering"),
-            pytest.param("report._LENGTHS = Leaving('3q')", id="between_blocks_sent"),
-            pytest.param("report.open = half_sending_open", id="within_a_block_sent"),
+            pytest.param("sweep_writer._render_from_back = raising", id="before_claiming"),
+            pytest.param("sweep_writer._render_block = leaving_on_third", id="after_rendering"),
+            pytest.param("sweep_writer._LENGTHS = Leaving('3q')", id="between_blocks_sent"),
+            pytest.param("sweep_writer.open = half_sending_open", id="within_a_block_sent"),
         ],
     )
     def test_a_child_that_dies_early_gives_the_same_bytes(
@@ -1694,7 +1769,7 @@ class TestTwoProcessSweep:
             "    raise OSError(11, 'Resource temporarily unavailable')",
             "def raising(*args):",
             "    raise MemoryError('in the child')",
-            "render_block = report._render_block",
+            "render_block = sweep_writer._render_block",
             "def leaving_on_third(*args):",
             "    if os.getpid() != parent:",
             "        calls.append(args)",
@@ -1762,14 +1837,14 @@ class TestTwoProcessSweep:
 
         breakeven = ["breakeven", *stored, "--parameter", "coworker_count",
                      "--bounds", "1", "1000", "--out", str(tmp_path / "b")]
-        block = report_module._SWEEP_BLOCK
+        block = sweep_writer._SWEEP_BLOCK
         stdout, _ = self._fresh(
             tmp_path,
             "cpus = os.sched_getaffinity(0)",
             "os.sched_setaffinity(0, {min(cpus)})",
             f"assert cli.main({sweep(self.VALUES['coworker_count'], 'one_cpu')!r}) == 0",
             "os.sched_setaffinity(0, cpus)",
-            "report.SPLIT_MIN_POINTS = 1",
+            "sweep_writer.SPLIT_MIN_POINTS = 1",
             f"assert cli.main({sweep(range(1, block + 1), 'one_block')!r}) == 0",
             f"assert cli.main({breakeven!r}) == 0",
             "unforked = len(forks)",

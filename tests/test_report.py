@@ -9,7 +9,7 @@ from unittest import mock
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from telework_impact import report
+from telework_impact import report, sweep_writer
 from telework_impact.diary import RejectedDay, RejectionTable, RejectReason
 from telework_impact.model import DayType
 from telework_impact.report import (
@@ -21,9 +21,9 @@ from telework_impact.report import (
     sweep_to_dict,
     write_csv,
     write_json,
-    write_sweep,
 )
 from telework_impact.scenario import SWEEP_PARAMETERS, SweepResult
+from telework_impact.sweep_writer import write_sweep
 
 #: Strings that stress the splice: newlines, quotes, escapes, non-ASCII, and
 #: the text of the member at which the sweep is spliced into ``report.json``.
@@ -137,7 +137,7 @@ def test_sweep_writer_matches_json_and_csv_modules(tmp_path, result, formats, ba
         batches.append((values, nets))
         return "".join(f"{value!r}\n" for value in values)
 
-    with mock.patch.object(report, "_SWEEP_BLOCK", batch):
+    with mock.patch.object(sweep_writer, "_SWEEP_BLOCK", batch):
         write_sweep(out, result, run_report, formats, echo, console)
     as_dict = sweep_to_dict(result)
     assert [p for b in batches for p in zip(*b)] == list(zip(result.values, result.net_mj))
@@ -176,9 +176,10 @@ def test_a_sweep_past_the_most_blocks_has_larger_blocks(tmp_path):
         sizes.append(len(values))
         return ""
 
-    for side, block, most in (("small", 1, 3), ("default", report._SWEEP_BLOCK, report._MAX_BLOCKS)):
+    default = sweep_writer._SWEEP_BLOCK, sweep_writer._MAX_BLOCKS
+    for side, block, most in (("small", 1, 3), ("default", *default)):
         (tmp_path / side).mkdir()
-        with mock.patch.multiple(report, _SWEEP_BLOCK=block, _MAX_BLOCKS=most):
+        with mock.patch.multiple(sweep_writer, _SWEEP_BLOCK=block, _MAX_BLOCKS=most):
             write_sweep(tmp_path / side, result, _REPORT, "both", echo, io.StringIO())
     assert sizes == [4, 4, 2, 10]
     for name in ("report.json", "sweep.csv", "sweep.json"):
