@@ -35,6 +35,14 @@ from .model import (
 #: How far a stored share may lie from the one its mean minutes give.
 SHARE_SUM_TOLERANCE = 1e-9
 
+#: The maps of a :class:`DayTypeProfile`, each with the enum of its keys, in
+#: the order the artifacts list them.
+PROFILE_MAPS = (
+    ("mean_activity_minutes", Activity),
+    ("mean_mode_minutes", TransportMode),
+    ("mode_share", TransportMode),
+)
+
 
 def mode_shares(mode_minutes: Mapping[TransportMode, float]) -> dict[TransportMode, float]:
     """Share of each mode in the total; all zeros when the total is zero."""
@@ -114,13 +122,10 @@ def profiles_to_dict(profiles: Mapping[DayType, DayTypeProfile]) -> dict:
     return {
         day_type.value: {
             "day_count": profile.day_count,
-            "mean_activity_minutes": {
-                a.value: profile.mean_activity_minutes[a] for a in Activity
+            **{
+                name: {key.value: getattr(profile, name)[key] for key in keys}
+                for name, keys in PROFILE_MAPS
             },
-            "mean_mode_minutes": {
-                m.value: profile.mean_mode_minutes[m] for m in TransportMode
-            },
-            "mode_share": {m.value: profile.mode_share[m] for m in TransportMode},
         }
         for day_type, profile in profiles.items()
     }

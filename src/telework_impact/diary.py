@@ -579,9 +579,10 @@ class _Part:
 
     ``columns`` are arrays of the kept rows: line numbers (``q``, counted
     from the range's first row), participant and date codes (``i``) into
-    ``ids`` and ``dates``, day type codes (``b``) and the minutes (``d``,
-    nine a row). ``ids`` and ``dates`` hold each value in order of its first
-    row, as the keys of a dict (whose values are of no further use) where
+    ``ids`` and ``dates``, day type codes (``b``, -1 for an unknown location,
+    which :func:`_merge` recodes) and the minutes (``d``, nine a row).
+    ``ids`` and ``dates`` hold each value in order of its first row, as the
+    keys of a dict (whose values are of no further use) where
     :func:`_read_range` made the part, as a list in the part a child sends.
     ``size`` is the row count, ``lines`` the number of the range's last
     line, and ``rejected`` the PARSE_ERRORs as columns of line numbers, ids,
@@ -594,7 +595,6 @@ class _Part:
     ids: dict[str, int] | list[str]
     dates: dict[_dt.date, None] | list[_dt.date]
     rejected: tuple[tuple, ...]
-    unknown_rows: list[int]
     lines: int
 
 
@@ -633,7 +633,6 @@ def _read_range(
     dates, locations = _DateTexts(), _LocationCodes()
     columns = (array("q"), array("i"), array("i"), array("b"), array("d"))
     rejected: list[tuple] = []
-    unknown_rows: list[int] = []
     while lines := list(islice(handle, CHUNK_ROWS)):
         rows, chunk = _read_pass(lines, pull or handle, first_row, dates, locations, rejected)
         first_row += len(lines)
@@ -653,10 +652,6 @@ def _read_range(
         read = [rows, id_texts, date_codes, chunk["location"], block]
         if drop.any():
             read = [column[~drop] for column in read]
-        rows, day_types = read[0], read[3]
-        unknown = np.flatnonzero(day_types < 0)
-        unknown_rows.extend(rows[unknown].tolist())
-        day_types[unknown] = _OTHER_CODE
         read[1] = _id_serials(distinct_ids, read[1].tolist(), serials)
         # ravel copies a column only where it is a strided field of chunk.
         for column, values in zip(columns, read):
@@ -667,7 +662,7 @@ def _read_range(
     order = _first_appearance(date_codes, len(dates.dates)).tolist()
     return _Part(
         columns, len(columns[0]), distinct_ids, dict.fromkeys(dates.dates[code] for code in order),
-        tuple(zip(*rejected)) or ((),) * 4, unknown_rows, first_row - 1,
+        tuple(zip(*rejected)) or ((),) * 4, first_row - 1,
     )
 
 
@@ -703,13 +698,14 @@ def _renumber(codes: np.ndarray, values: dict, more: Sequence) -> list:
 def _merge(head: _Part, tail: _Part | None = None) -> tuple[DiaryTable, RejectionTable]:
     """Table and rejections, in row order, of the lines of ``head`` and then
     of ``tail``, whose line numbers go on from head's; drops the duplicate
-    days and logs the folded unknown-location warning.
+    days, classifies the unknown locations as other_location and logs one
+    warning that counts the kept rows with one.
 
     The tail's ids and dates are renumbered after head's, by first
     appearance; its columns are appended to head's, unless they already
     have been.
     """
-    ids, dates, unknown_rows = head.ids, head.dates, head.unknown_rows
+    ids, dates = head.ids, head.dates
     parse_rows, *parse_errors = head.rejected
     if tail is not None and tail.columns is not None:
         for column, more in zip(head.columns, tail.columns):
@@ -725,26 +721,28 @@ def _merge(head: _Part, tail: _Part | None = None) -> tuple[DiaryTable, Rejectio
         tail_rows, *columns = tail.rejected
         parse_rows += tuple(row + shift for row in tail_rows)
         parse_errors = [mine + theirs for mine, theirs in zip(parse_errors, columns)]
-        unknown_rows += [row + shift for row in tail.unknown_rows]
     rejected = [_read_rejections(parse_rows, *parse_errors, RejectReason.PARSE_ERROR)]
+    unknown = day_types < 0
+    day_types[unknown] = _OTHER_CODE
     table = DiaryTable(id_codes, ids, date_codes, dates, rows, day_types, minutes)
-    table, unknown_rows = _drop_duplicates(table, rejected, unknown_rows)
-    if unknown_rows:
+    table, kept = _drop_duplicates(table, rejected)
+    unknown_rows = table.source_rows[unknown[kept]]
+    if len(unknown_rows):
         logger.warning(
             "%d rows with an unknown location classified as other_location (first rows: %s)",
             len(unknown_rows),
-            ", ".join(map(str, unknown_rows[:_WARNED_ROWS])),
+            ", ".join(map(str, unknown_rows[:_WARNED_ROWS].tolist())),
         )
     return table, in_row_order(*rejected)
 
 
 def _drop_duplicates(
-    table: DiaryTable, rejected: list[RejectionTable], unknown_location_rows: list[int]
-) -> tuple[DiaryTable, list[int]]:
+    table: DiaryTable, rejected: list[RejectionTable]
+) -> tuple[DiaryTable, np.ndarray | slice]:
     """The table less every row whose participant and date an earlier row
     has, each rejected as DUPLICATE_DAY naming that row (a table of them
-    goes to ``rejected``), and the unknown location rows less the dropped
-    ones."""
+    goes to ``rejected``), and the index of the kept rows in ``table``: a
+    mask, or the whole slice where no row is dropped."""
     def pair_keys() -> np.ndarray:
         keys = table.participant_codes.astype(np.int64)
         keys *= len(table.distinct_dates)
@@ -755,7 +753,7 @@ def _drop_duplicates(
     keys = pair_keys()
     keys.sort()
     if not (keys[1:] == keys[:-1]).any():
-        return table, unknown_location_rows
+        return table, slice(None)
     _, first, pair = np.unique(pair_keys(), return_index=True, return_inverse=True)
     first = first[pair]
     later = np.flatnonzero(first != np.arange(len(first)))
@@ -763,10 +761,9 @@ def _drop_duplicates(
     details = [f"duplicate of row {row}" for row in rows[first[later]].tolist()]
     reason = RejectReason.DUPLICATE_DAY
     rejected.append(_read_rejections(*identities(table[later]), details, reason))
-    dropped = set(rows[later].tolist())
     keep = np.ones(len(table), dtype=bool)
     keep[later] = False
-    return table[keep], [row for row in unknown_location_rows if row not in dropped]
+    return table[keep], keep
 
 
 def parse_diary_file(stream: IO) -> tuple[DiaryTable, RejectionTable]:

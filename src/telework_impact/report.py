@@ -19,9 +19,9 @@ from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .aggregation import DayTypeProfile, profiles_to_dict
+from .aggregation import PROFILE_MAPS, DayTypeProfile, profiles_to_dict
 from .config import AppConfig
-from .model import Activity, DayType, EnergyDelta, TransportMode
+from .model import DayType, EnergyDelta
 
 if TYPE_CHECKING:
     from .diary import RejectedDay
@@ -151,29 +151,19 @@ def profile_rows(profiles: Mapping[DayType, DayTypeProfile]) -> list[list[str]]:
     rows = []
     for day_type, profile in profiles.items():
         rows.append([day_type.value, "day_count", "days", str(profile.day_count)])
-        for metric, keys, values in (
-            ("mean_activity_minutes", Activity, profile.mean_activity_minutes),
-            ("mean_mode_minutes", TransportMode, profile.mean_mode_minutes),
-            ("mode_share", TransportMode, profile.mode_share),
-        ):
+        for metric, keys in PROFILE_MAPS:
+            values = getattr(profile, metric)
             rows += [[day_type.value, metric, key.value, repr(values[key])] for key in keys]
     return rows
 
 
-#: profile_rows metric -> plot_data.csv series; day_count has no series.
-_PLOT_SERIES = {
-    "mean_activity_minutes": "activity_minutes",
-    "mean_mode_minutes": "mode_minutes",
-    "mode_share": "mode_share",
-}
-
-
 def plot_rows(profiles: Mapping[DayType, DayTypeProfile]) -> list[list[str]]:
-    """Stacked-bar friendly shape: one series per figure-style panel."""
+    """Stacked-bar friendly shape: one series per figure-style panel, named
+    as its profile map without ``mean_``; day_count has no series."""
     return [
-        [day_type, _PLOT_SERIES[metric], key, value]
+        [day_type, metric.removeprefix("mean_"), key, value]
         for day_type, metric, key, value in profile_rows(profiles)
-        if metric in _PLOT_SERIES
+        if metric != "day_count"
     ]
 
 
@@ -197,16 +187,9 @@ def delta_rows(deltas: Iterable[EnergyDelta]) -> list[list[str]]:
     ]
 
 
-def scenario_delta_to_dict(delta: EnergyDelta, cw_days_per_week: float | None = None) -> dict:
-    """:func:`delta_to_dict` with the credit, and the weekly net when
-    ``cw_days_per_week`` is given."""
-    payload = {**delta_to_dict(delta), "credit_mj": delta.credit_mj}
-    if cw_days_per_week is not None:
-        from .scenario import weekly_net_mj
-
-        payload["cw_days_per_week"] = cw_days_per_week
-        payload["weekly_net_mj"] = weekly_net_mj(delta, cw_days_per_week)
-    return payload
+def scenario_delta_to_dict(delta: EnergyDelta) -> dict:
+    """:func:`delta_to_dict` with the credit."""
+    return {**delta_to_dict(delta), "credit_mj": delta.credit_mj}
 
 
 def _sweep_columns(
@@ -228,12 +211,12 @@ def sweep_rows(result: SweepResult) -> list[tuple[str, ...]]:
 
 def sweep_to_dict(result: SweepResult) -> dict:
     """The sweep document as plain values: what
-    :func:`.sweep_writer.write_sweep` lays out."""
-    points = []
-    for value, delta in result.points:
-        days = value if result.parameter == "cw_days_per_week" else None
-        entry = {"value": value, **scenario_delta_to_dict(delta, days)}
-        points.append(entry)
+    :func:`.sweep_writer.write_sweep` lays out. A point of a sweep with a
+    weekly net also gives its value under the parameter's name, as the days."""
+    points = [{"value": value, **scenario_delta_to_dict(delta)} for value, delta in result.points]
+    if result.weekly_net_mj is not None:
+        for point, weekly in zip(points, result.weekly_net_mj):
+            point.update({result.parameter: point["value"], "weekly_net_mj": weekly})
     return {"parameter": result.parameter, "points": points}
 
 

@@ -16,7 +16,7 @@ facility of :func:`direct_components`. A sweep evaluates one parameter over
 a list of values as columns (a :class:`SweepResult`, no delta per point).
 Break-even needs no search: the net is ``a + b*x`` in floor area and
 floor-space credit and ``a + b/x`` in coworkers and workdays, so its root is
-``-a/b`` or ``-b/a`` with ``a`` and ``b`` read from the terms.
+a fraction read from the terms (:meth:`_Terms.root_fraction`).
 Integer-valued inventory parameters are relaxed to reals for sweeping and
 root finding (round up for planning).
 A :class:`Scenario` declares its numbers' domains (see :mod:`.model`) and
@@ -76,18 +76,16 @@ MAX_CW_DAYS_PER_WEEK = 5.0
 
 class _Parameter(NamedTuple):
     """How a swept parameter enters a point: the :class:`_Terms` field a
-    value replaces (None: the per-day net does not depend on it), the
-    :class:`~.model.Domain` of its values, and the form of the net in it,
-    ``a + b/x`` when ``reciprocal``, else ``a + b*x``."""
+    value replaces (None: the per-day net does not depend on it, and the
+    sweep has a weekly net) and the :class:`~.model.Domain` of its values."""
 
     field: str | None
     domain: Domain
-    reciprocal: bool = False
 
 
 _PARAMETERS = {
-    "coworker_count": _Parameter("coworkers", POSITIVE, reciprocal=True),
-    "workdays_per_year": _Parameter("workdays", POSITIVE, reciprocal=True),
+    "coworker_count": _Parameter("coworkers", POSITIVE),
+    "workdays_per_year": _Parameter("workdays", POSITIVE),
     "floor_area_m2": _Parameter("area", POSITIVE),
     "floor_space_credit_m2": _Parameter("credit_m2", NON_NEGATIVE),
     "cw_days_per_week": _Parameter(None, Domain(False, 0.0, MAX_CW_DAYS_PER_WEEK, open=True)),
@@ -126,9 +124,11 @@ class Scenario:
 class SweepResult:
     """One sweep of a supported parameter as columns, ordered by value; the
     points share the baseline and the equipment and travel MJ. The net is
-    computed here, as :class:`EnergyDelta` computes it. What a point's
-    evaluation refuses is refused: a value outside the domain, a non-finite
-    MJ or weekly net, a negative facility, equipment or credit."""
+    computed here, as :class:`EnergyDelta` computes it, and so is the weekly
+    net of a ``cw_days_per_week`` sweep, each value times its net, as
+    :func:`weekly_net_mj` computes it (None for the other parameters). What
+    a point's evaluation refuses is refused: a value outside the domain, a
+    non-finite MJ or weekly net, a negative facility, equipment or credit."""
 
     parameter: str
     baseline: DayType
@@ -138,6 +138,7 @@ class SweepResult:
     facility_mj: tuple[float, ...]
     credit_mj: tuple[float, ...]
     net_mj: tuple[float, ...] = field(init=False)
+    weekly_net_mj: tuple[float, ...] | None = field(init=False)
 
     def __post_init__(self):
         spec = _parameter(self.parameter)
@@ -150,13 +151,13 @@ class SweepResult:
             raise ValueError(f"sweep values must be finite, ascending and {spec.domain}")
         equipment, travel = self.equipment_mj, self.travel_mj
         net = tuple([f + equipment + travel - c for f, c in zip(facility, credit)])
-        weekly = map(mul, values, net) if spec.field is None else ()  # cw_days_per_week
+        weekly = tuple(map(mul, values, net)) if spec.field is None else None
         # A non-finite component makes the net non-finite too.
-        finite = all(map(math.isfinite, chain(net, weekly)))
+        finite = all(map(math.isfinite, chain(net, weekly or ())))
         if not (finite and min(facility) >= 0 and equipment >= 0 and min(credit) >= 0):
             raise ValueError("sweep MJ must be finite; facility, equipment, credit >= 0")
-        columns = {"values": values, "facility_mj": facility, "credit_mj": credit, "net_mj": net}
-        for name, column in columns.items():
+        names = "values", "facility_mj", "credit_mj", "net_mj", "weekly_net_mj"
+        for name, column in zip(names, (values, facility, credit, net, weekly)):
             object.__setattr__(self, name, column)
 
     @property
@@ -234,17 +235,18 @@ class _Terms:
     equipment_mj: float
     travel_mj: float
 
-    def coefficients(self, field: str) -> tuple[float, float]:
-        """``(a, b)`` of the net's form in ``field`` up to a common positive
-        factor: the linear forms are multiplied through by coworkers x
-        workdays."""
+    def root_fraction(self, field: str) -> tuple[float, float]:
+        """``(numerator, denominator)`` of the net's root ``-numerator /
+        denominator`` in ``field``: ``(b, a)`` of ``a + b/x`` in coworkers and
+        workdays, ``(a, b)`` of ``a + b*x`` in area and credit_m2, whose forms
+        are multiplied through by coworkers x workdays."""
         direct = self.equipment_mj + self.travel_mj
         facility = self.area * self.facility_intensity
         credit = self.credit_m2 * self.credit_intensity
         if field == "coworkers":
-            return direct, (facility - credit) / self.workdays
+            return (facility - credit) / self.workdays, direct
         if field == "workdays":
-            return direct, (facility - credit) / self.coworkers
+            return (facility - credit) / self.coworkers, direct
         scaled = direct * self.coworkers * self.workdays
         if field == "area":
             return scaled - credit, self.facility_intensity
@@ -424,8 +426,7 @@ def break_even(
     elif (f_lo > 0) == (f_hi > 0):
         raise NoRootError(lo, hi, f_lo, f_hi)
     else:
-        a, b = terms.coefficients(spec.field)
-        numerator, denominator = (b, a) if spec.reciprocal else (a, b)
+        numerator, denominator = terms.root_fraction(spec.field)
         if denominator == 0:
             # The exact net is constant or b/x: only rounding made the signs differ.
             root = lo if abs(f_lo) <= abs(f_hi) else hi

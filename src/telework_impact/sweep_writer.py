@@ -18,7 +18,6 @@ from collections.abc import Iterator
 from contextlib import ExitStack
 from functools import partial
 from itertools import chain, repeat
-from operator import mul
 from pathlib import Path
 from string import Formatter
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -46,14 +45,15 @@ def _templates(result: SweepResult) -> tuple[str, str]:
     """``str.format`` templates of one point's CSV line and of its entry in
     the sweep document, indented as it sits there and followed by ``,\\n``.
     They take the point's :func:`_sweep_columns` cells and, in the entry of
-    a ``cw_days_per_week`` sweep, the weekly net's text (with the value
-    again, as the days); what every point shares is laid in as text."""
+    a sweep with a weekly net, that net's text and the value again, under
+    the parameter's name, as the days; what every point shares is laid in
+    as text."""
     shared = repr(result.equipment_mj), repr(result.travel_mj)
     cells = dict(zip(SWEEP_HEADER[1:], ("{0}", "{1}", *shared, "{2}", "{3}")))
     line = ",".join([result.parameter, *cells.values()]) + "\n"
     cells["baseline"] = json.dumps(result.baseline.value)
-    if result.parameter == "cw_days_per_week":
-        cells.update(cw_days_per_week="{0}", weekly_net_mj="{4}")
+    if result.weekly_net_mj is not None:
+        cells.update({result.parameter: "{0}", "weekly_net_mj": "{4}"})
     entry = ",\n".join(f"      {json.dumps(name)}: {cells[name]}" for name in sorted(cells))
     return line, "    {{\n" + entry + "\n    }},\n"
 
@@ -84,9 +84,9 @@ def _render_block(
     # float's repr.
     columns = _sweep_columns(result, start, stop)
     table = "" if line is None else _laid_out(line, columns)
+    if result.weekly_net_mj is not None:
+        columns.append(list(map(repr, result.weekly_net_mj[start:stop])))
     values, nets = result.values[start:stop], result.net_mj[start:stop]
-    if result.parameter == "cw_days_per_week":
-        columns.append(list(map(repr, map(mul, values, nets))))
     return table, _laid_out(entry, columns)[:-2], echo(values, nets)
 
 

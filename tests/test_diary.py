@@ -797,26 +797,36 @@ def _day_rows(ids, day, location="home"):
     ids=["all_new_ids", "all_repeated_ids", "mixed_ids", "duplicate_day"],
 )
 @pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
-def test_two_range_read_equals_one_range_read(monkeypatch, head, tail, chunk_rows):
+def test_two_range_read_equals_one_range_read(monkeypatch, caplog, head, tail, chunk_rows):
     """Without a fork, the ranges before and after a cut between head and
     tail, read one after the other, give the read of one range, whether the
     tail's ids are all new to the head (their codes are shifted), all among
-    its ids or some of each, and when the tail repeats one of its days."""
+    its ids or some of each, and when the tail repeats one of its days. Both
+    reads log the same warning, which names only the kept unknown-location
+    rows."""
     head_text = f"{HEADER}\n" + "".join(f"{row}\n" for row in head)
     data = (head_text + "".join(f"{row}\n" for row in tail)).encode("utf-8")
     monkeypatch.setattr(diary, "CHUNK_ROWS", chunk_rows)
     monkeypatch.setattr(diary, "SPLIT_MIN_BYTES", 1)
-    expected = _outcome(parse_diary_file, io.BytesIO(data))
-    with tempfile.TemporaryFile() as file:
-        file.write(data)
-        file.flush()
-        cut = len(head_text.encode("utf-8"))
-        assert _outcome(lambda fd: split_read.read_split(fd, cut), file.fileno()) == expected
+    with caplog.at_level(logging.WARNING, logger="telework_impact.diary"):
+        expected = _outcome(parse_diary_file, io.BytesIO(data))
+        with tempfile.TemporaryFile() as file:
+            file.write(data)
+            file.flush()
+            cut = len(head_text.encode("utf-8"))
+            assert _outcome(lambda fd: split_read.read_split(fd, cut), file.fileno()) == expected
     (*_, distinct_ids, _), rejected, _ = expected
     kept_ids = (row.split(",")[0] for row in head + tail if not row.endswith(",x"))
     assert distinct_ids == tuple(dict.fromkeys(kept_ids))
     duplicates = [item.row for item in rejected if item.reason is RejectReason.DUPLICATE_DAY]
     assert duplicates == ([len(head) + 3, len(head) + 4] if "cafe" in tail[0] else [])
+    messages = [r.getMessage() for r in caplog.records if r.name == "telework_impact.diary"]
+    if "cafe" in tail[0]:
+        # The tail's first cafe row is kept; its two duplicates are not named.
+        warning = "1 rows with an unknown location classified as other_location (first rows: {})"
+        assert messages == [warning.format(len(head) + 2)] * 2
+    else:
+        assert messages == []
 
 
 def test_duplicate_days_keep_the_first_row():

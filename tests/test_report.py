@@ -22,7 +22,7 @@ from telework_impact.report import (
     write_csv,
     write_json,
 )
-from telework_impact.scenario import SWEEP_PARAMETERS, SweepResult
+from telework_impact.scenario import SWEEP_PARAMETERS, SweepResult, weekly_net_mj
 from telework_impact.sweep_writer import write_sweep
 
 #: Strings that stress the splice: newlines, quotes, escapes, non-ASCII, and
@@ -160,6 +160,19 @@ def test_sweep_writer_matches_json_and_csv_modules(tmp_path, result, formats, ba
     # The rows of breakeven.csv are the same cells.
     written = write_csv(tmp_path / "rows.csv", SWEEP_HEADER, sweep_rows(result))
     assert written.read_bytes() == _expected_csv(result).encode("utf-8")
+
+
+@given(_sweep_results())
+@example(_REPEATED)
+@example(_SIGNED_ZEROS)
+def test_weekly_net_column_of_a_sweep_built_directly(result):
+    """A ``cw_days_per_week`` sweep's weekly net is :func:`weekly_net_mj` of
+    each point, bit for bit; the other parameters' sweeps have none."""
+    if result.parameter != "cw_days_per_week":
+        assert result.weekly_net_mj is None
+    else:
+        expected = [weekly_net_mj(delta, value).hex() for value, delta in result.points]
+        assert [weekly.hex() for weekly in result.weekly_net_mj] == expected
 
 
 def test_a_sweep_past_the_most_blocks_has_larger_blocks(tmp_path):

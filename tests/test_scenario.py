@@ -205,6 +205,19 @@ class TestSweep:
         assert weekly[1] == pytest.approx(2 * weekly[0], rel=1e-12)
         assert weekly[2] == pytest.approx(4 * weekly[0], rel=1e-12)
 
+    @pytest.mark.parametrize("parameter", scenario_module.SWEEP_PARAMETERS)
+    def test_weekly_net_column(self, base, parameter):
+        """Only a cw_days_per_week sweep has a weekly net: at every point,
+        bit for bit, the weekly_net_mj of its delta and value."""
+        inventory, factors, profiles = base
+        values = [0.25, 1.0, 2.5, 3.0, 5.0]
+        result = sweep(inventory, factors, profiles, Scenario(), parameter, values)
+        if parameter != "cw_days_per_week":
+            assert result.weekly_net_mj is None
+            return
+        expected = [weekly_net_mj(delta, value).hex() for value, delta in result.points]
+        assert [weekly.hex() for weekly in result.weekly_net_mj] == expected
+
     def test_repeatable(self, base):
         inventory, factors, profiles = base
         a = sweep(inventory, factors, profiles, Scenario(), "workdays_per_year", [100, 230])
@@ -573,7 +586,7 @@ class TestExactRoot:
         _with_terms(monkeypatch, terms)
         lo, hi = 0.25, 3.0
         assert _net("coworker_count", lo) < 0 < _net("coworker_count", hi)
-        assert terms.coefficients("coworkers") == (0.0, 0.0)
+        assert terms.root_fraction("coworkers") == (0.0, 0.0)
         assert abs(_net("coworker_count", hi)) < abs(_net("coworker_count", lo))
         assert break_even(None, None, None, Scenario(), "coworker_count", (lo, hi)) == hi
 
