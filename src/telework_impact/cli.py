@@ -63,6 +63,59 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+class _Run(str):
+    """The values that follow a literal ``--values`` of a ``sweep`` argv,
+    joined by NUL, which no command-line argument can hold: one argument for
+    argparse to walk where the values are many (see :func:`_values_as_runs`)."""
+
+    __slots__ = ()
+
+
+def _values_as_runs(argv: list[str]) -> list[str]:
+    """``argv`` with each run of arguments after a literal ``--values``, up to
+    the first that starts with ``-``, as one :class:`_Run`, where ``argv`` is
+    a ``sweep`` argv none of whose arguments holds a NUL; nothing after a
+    ``--`` is joined. argparse then decides the rest as it would have: option
+    order, repeated options, ``--values=``, abbreviations and usage errors."""
+    if argv[:1] != ["sweep"] or "\0" in "".join(argv):
+        return argv
+    cut = argv.index("--") if "--" in argv else len(argv)
+    head, at = argv[:cut], 0
+    while "--values" in head[at:]:
+        at = head.index("--values", at) + 1
+        # A NUL before each argument, and a last one, "-", that ends the search.
+        text = "\0".join(["", *head[at:], "-"])
+        end = text.find("\0-")
+        stop = at + text.count("\0", 0, end)
+        if stop > at:
+            head[at:stop] = [_Run(text[1:end])]
+    return head + argv[cut:]
+
+
+class _Values(argparse.Action):
+    """Stores the floats of all of ``--values``' arguments as one list, a
+    :class:`_Run` giving each of its values. The first value that is not a
+    number is refused in the words argparse uses for ``type=float``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        floats = []
+        for text in values:
+            texts = text.split("\0") if type(text) is _Run else [text]
+            try:
+                floats += map(float, texts)
+            except ValueError:
+                for bad in texts:
+                    try:
+                        float(bad)
+                    except ValueError:
+                        break
+                from gettext import gettext  # as argparse translates its own words
+
+                message = gettext("invalid %(type)s value: %(value)r")
+                raise argparse.ArgumentError(self, message % {"type": "float", "value": bad})
+        setattr(namespace, self.dest, floats)
+
+
 def _add_common(parser: argparse.ArgumentParser, tables: bool = True) -> None:
     """The common options; ``--format`` where result ``tables`` are written."""
     parser.add_argument(
@@ -120,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", choices=("office", "home"), default="office")
     p.add_argument("--parameter", required=True, help="parameter to sweep")
     p.add_argument(
-        "--values", type=float, nargs="+", required=True, help="parameter values"
+        "--values", nargs="+", action=_Values, required=True, help="parameter values"
     )
     p.set_defaults(func=cmd_sweep)
 
@@ -331,14 +384,9 @@ def cmd_sweep(args) -> int:
     report["scenario"] = scenario.name
     print(f"swept {args.parameter} over {len(result.values)} values (baseline {baseline.value})")
 
-    def echo(values, nets):
-        return "".join(
-            f"  {args.parameter}={value:g}: net {_round(net, args):+} MJ\n"
-            for value, net in zip(values, nets)
-        )
+    from .sweep_writer import console_echo, write_sweep
 
-    from .sweep_writer import write_sweep
-
+    echo = console_echo(args.parameter, args.round)
     write_sweep(out, result, report, args.format, echo, sys.stdout)
     rpt.write_run_info(out)
     return EXIT_OK
@@ -395,7 +443,7 @@ def main(argv=None) -> int:
     # processes (see diary.parse_diary_path); numpy is not imported yet.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_values_as_runs(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except NoRootError as exc:

@@ -10,10 +10,11 @@ facility/equipment/travel split stays comparable; its net subtracts it.
 Every evaluation first takes the terms that do not depend on the swept
 value (effective inventory, intensities, and the equipment and travel MJ of
 one :func:`compare_day_types` call), once per call; a point then only
-allocates facility and credit energy over coworkers x workdays with
-:func:`~telework_impact.energy.allocate`, the function that allocates the
-facility of :func:`direct_components`. A sweep evaluates one parameter over
-a list of values as columns (a :class:`SweepResult`, no delta per point).
+allocates facility and credit energy over coworkers x workdays as
+:func:`~telework_impact.energy.allocate`, which allocates the facility of
+:func:`direct_components`, does. A sweep evaluates one parameter over a list
+of values as columns (a :class:`SweepResult`, no delta per point), with no
+call per point.
 Break-even needs no search: the net is ``a + b*x`` in floor area and
 floor-space credit and ``a + b/x`` in coworkers and workdays, so its root is
 a fraction read from the terms (:meth:`_Terms.root_fraction`).
@@ -32,14 +33,14 @@ import math
 from collections.abc import Sequence as SequenceABC
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from operator import le, mul
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .aggregation import DayTypeProfile
 from .config import read_json
-from .energy import allocate, compare_day_types, direct_components
+from .energy import compare_day_types, direct_components
 from .errors import (
     ConfigError,
     InvalidOverrideError,
@@ -260,18 +261,26 @@ class _Terms:
         return EnergyDelta(self.baseline, facility, self.equipment_mj, self.travel_mj, credit)
 
     def columns(self, field: str | None, values: list[float]) -> tuple[list, list]:
-        """The facility and credit MJ, as :func:`allocate` allocates them,
+        """The facility and credit MJ, as :func:`.energy.allocate` allocates them,
         with the allocation input ``field`` replaced by each of ``values``, a
-        column each."""
-        area, coworkers, workdays, credit_m2 = (
-            values if field == name else [getattr(self, name)] * len(values)
-            for name in ("area", "coworkers", "workdays", "credit_m2")
-        )
-        intensity, credit_intensity = repeat(self.facility_intensity), repeat(self.credit_intensity)
-        return (
-            list(map(allocate, area, intensity, coworkers, workdays)),
-            list(map(allocate, credit_m2, credit_intensity, coworkers, workdays)),
-        )
+        column each: ``allocate``'s two products and its division, where
+        the product that does not hold ``field`` is taken once."""
+        count = len(values)
+        intensity, credit_intensity = self.facility_intensity, self.credit_intensity
+        facility, credit = self.area * intensity, self.credit_m2 * credit_intensity
+        shared = self.coworkers * self.workdays
+        if field == "area":
+            return [value * intensity / shared for value in values], [credit / shared] * count
+        if field == "credit_m2":
+            credits = [value * credit_intensity / shared for value in values]
+            return [facility / shared] * count, credits
+        if field == "coworkers":
+            shares = [value * self.workdays for value in values]
+        elif field == "workdays":
+            shares = [self.coworkers * value for value in values]
+        else:
+            shares = [shared] * count
+        return [facility / share for share in shares], [credit / share for share in shares]
 
 
 def _terms(

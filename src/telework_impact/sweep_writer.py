@@ -41,6 +41,34 @@ _MAX_BLOCKS = 4096
 SPLIT_MIN_POINTS = 4096
 
 
+def console_echo(
+    parameter: str, digits: int
+) -> Callable[[Sequence[float], Sequence[float]], str]:
+    """The ``echo`` of :func:`write_sweep` for a sweep of ``parameter`` whose
+    console rounds to ``digits`` decimals: the console text of a block's
+    values and nets, a line each,
+    ``f"  {parameter}={value:g}: net {round(net, digits):+} MJ\\n"``.
+
+    Where ``0 <= digits <= 4`` and every net of the block is below 1e10 in
+    magnitude, each net is formatted once, by ``%+.{digits}f`` with its
+    trailing zeros dropped but the first after the point. That is the same
+    text: both are the correctly rounded decimal, which has at most 14
+    significant digits there, so it is the shortest repr of ``round``'s
+    float."""
+    exact = f"  {parameter}={{:g}}: net {{:+}} MJ\n".format
+    fixed = f"  {parameter}=%g: net %+.{digits}f{'' if digits else '.0'} MJ\n".__mod__
+
+    def echo(values, nets):
+        if not (0 <= digits <= 4 and max(map(abs, nets)) < 1e10):
+            return "".join(map(exact, values, (round(net, digits) for net in nets)))
+        text = "".join(map(fixed, zip(values, nets)))
+        for _ in range(digits - 1):
+            text = text.replace("0 MJ\n", " MJ\n")
+        return text
+
+    return echo
+
+
 def _templates(result: SweepResult) -> tuple[str, str]:
     """``str.format`` templates of one point's CSV line and of its entry in
     the sweep document, indented as it sits there and followed by ``,\\n``.

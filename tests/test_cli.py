@@ -1,11 +1,18 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from telework_impact import cli
 from telework_impact import energy as energy_module
@@ -585,6 +592,29 @@ class TestSweepCli:
             "  coworker_count=120: net -7.93 MJ\n"
         )
 
+    @pytest.mark.parametrize("digits", [-1, 0, 2, 4, 5])
+    @pytest.mark.parametrize(
+        "values", [[0.5, 7, 30, 60, 120, 5000], [1e-9, 60]], ids=["moderate", "huge-net"]
+    )
+    def test_console_lines_are_the_rounded_nets(
+        self, run, tmp_path, ref_config_path, ref_diaries_path, values, digits
+    ):
+        """Each point's console line holds its net of ``sweep.json`` rounded to
+        ``--round`` decimals, also where a net is past 1e10 (at 1e-9 coworkers)."""
+        out = tmp_path / "out"
+        code, stdout, _ = run(
+            "sweep", "--config", ref_config_path, "--diaries", ref_diaries_path,
+            "--parameter", "coworker_count", "--values", *values, "--round", digits,
+            "--out", out,
+        )
+        assert code == 0
+        points = json.loads((out / "sweep.json").read_text(encoding="utf-8"))["points"]
+        nets = [point["net_mj"] for point in points]
+        assert stdout == (
+            f"swept coworker_count over {len(values)} values (baseline employer_office)\n"
+            + _echoed("coworker_count", sorted(map(float, values)), nets, digits)
+        )
+
     @pytest.mark.parametrize(
         "fmt, written, absent",
         [("csv", "sweep.csv", "sweep.json"), ("json", "sweep.json", "sweep.csv")],
@@ -996,6 +1026,91 @@ def test_sweep_values_that_are_not_numbers_are_a_usage_error(values, tmp_path):
     )
     assert result.stderr.startswith("usage: telework-impact sweep ")
     assert not (tmp_path / "out").exists()
+
+
+def _parsed(parser, argv):
+    """``parser.parse_args(argv)`` as the namespace with each value as its
+    hex text, or the exit code and stderr of the refusal."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, stderr.getvalue()
+    namespace["values"] = [value.hex() for value in namespace["values"]]
+    return namespace, stderr.getvalue()
+
+
+#: The parser as it was before ``--values`` runs were handed to argparse
+#: whole: ``--values`` stored with ``type=float``.
+with mock.patch.object(cli, "_Values", partial(argparse._StoreAction, type=float)):
+    _PER_VALUE_PARSER = cli.build_parser()
+
+_VALUE_TEXTS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["", "x", " 7 ", "1_0", "1e3", "-1e3", "-5", "-.5", "nan", "-inf", "\0",
+                     "1\x002", "60\x00", "-\x001", "-", "--", "-x", "--out"]),
+    st.text(max_size=3),
+)
+_ARGV_PIECES = st.one_of(
+    st.lists(_VALUE_TEXTS, max_size=6).map(lambda run: ["--values", *run]),
+    st.lists(_VALUE_TEXTS, max_size=3).map(lambda run: ["--val", *run]),
+    _VALUE_TEXTS.map(lambda text: [f"--values={text}"]),
+    st.sampled_from([["--"], ["--parameter", "coworker_count"], ["--round", "3"],
+                     ["--out", "o"], ["--values"], ["--nosuch"], ["x"]]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pieces=st.lists(_ARGV_PIECES, max_size=5))
+@example(pieces=[["--parameter", "coworker_count"], ["--values", "60", "1e3", "x", "y"]])
+@example(pieces=[["--parameter", "coworker_count"], ["--values", "60", ""]])
+@example(pieces=[["--parameter", "p"], ["--values", "1", "-2", "3"], ["--values", "4", "5"]])
+@example(pieces=[["--parameter", "p"], ["--values", "1"], ["--"], ["--values", "2", "3"]])
+@example(pieces=[["--parameter", "p"], ["--values", "1", "2\x003", "4"]])
+@example(pieces=[["--parameter", "p"], ["--val", "1\x002"]])
+def test_values_runs_parse_as_one_value_at_a_time(pieces):
+    """A ``sweep`` argv whose ``--values`` runs are handed to argparse whole
+    parses as argparse parses it a value at a time: the same values to the
+    bit, or the same exit code and stderr."""
+    argv = ["sweep", *(arg for piece in pieces for arg in piece)]
+    expected = _parsed(_PER_VALUE_PARSER, argv)
+    assert _parsed(cli.build_parser(), cli._values_as_runs(argv)) == expected
+
+
+def _echoed(parameter, values, nets, digits):
+    """The console lines of sweep points, as a sweep has always echoed them."""
+    return "".join(
+        f"  {parameter}={value:g}: net {round(net, digits):+} MJ\n"
+        for value, net in zip(values, nets)
+    )
+
+
+_NETS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e10, 1e10),
+    st.integers(-10**14, 10**14).map(lambda k: k / 10**4),
+    st.builds(lambda k, n: (k + 0.5) / 10**n, st.integers(-10**9, 10**9), st.integers(0, 5)),
+    st.builds(lambda k, n: k / 10**n, st.integers(-999, 999), st.integers(0, 9)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    digits=st.integers(-3, 8),
+    points=st.lists(st.tuples(st.floats(), _NETS), min_size=1, max_size=8),
+)
+@example(digits=0, points=[(60.0, -0.4), (1.0, 0.5), (2.0, 2.5)])
+@example(digits=4, points=[(60.0, 0.00005), (1.0, -1e-7), (2.0, 9999999999.99995)])
+@example(digits=2, points=[(60.0, 4.05), (1.0, 1e10)])
+@example(digits=5, points=[(60.0, 0.00001)])
+def test_echo_is_each_rounded_net(digits, points):
+    """A block's console text is each point's value and its net rounded to
+    ``--round`` decimals, with or without the one-format path."""
+    values, nets = map(list, zip(*points))
+    echo = sweep_writer.console_echo("coworker_count", digits)
+    assert echo(values, nets) == _echoed("coworker_count", values, nets, digits)
 
 
 def test_module_entrypoint_subprocess(ref_config_path, ref_diaries_path, tmp_path):

@@ -823,6 +823,47 @@ def test_columns_equal_a_per_point_sweep(case):
     assert columnar == reference
 
 
+def _allocated(call):
+    """``call()``'s floats as hex texts, or the class of the error it raises."""
+    try:
+        return [x.hex() for x in call()]
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sweep_cases())
+@example(case=(made_up_terms(coworkers=0.0), "coworker_count", [2.0]))
+@example(case=(made_up_terms(area=1e308, facility_intensity=10.0), "workdays_per_year", [1.0]))
+def test_columns_are_allocate_of_each_point(case):
+    """Each facility and credit MJ of :meth:`_Terms.columns`, for every
+    parameter, and of :meth:`_Terms.at`, is :func:`energy.allocate` of its
+    point to the bit, or fails as it fails."""
+    terms, parameter, values = case
+    field = scenario_module._PARAMETERS[parameter].field
+    allocate = energy_module.allocate
+
+    def point(value):
+        names = ("area", "coworkers", "workdays", "credit_m2")
+        area, coworkers, workdays, credit_m2 = (
+            value if name == field else getattr(terms, name) for name in names
+        )
+        return (
+            allocate(area, terms.facility_intensity, coworkers, workdays),
+            allocate(credit_m2, terms.credit_intensity, coworkers, workdays),
+        )
+
+    columns = _allocated(lambda: [x for column in terms.columns(field, values) for x in column])
+    points = _allocated(lambda: [x for column in zip(*map(point, values)) for x in column])
+    assert columns == points
+    for value in values:
+        try:
+            delta = terms.at(field, value)
+        except (ArithmeticError, TeleworkImpactError):
+            continue  # EnergyDelta refuses a figure that is not finite
+        assert [delta.facility_mj.hex(), delta.credit_mj.hex()] == _allocated(lambda: point(value))
+
+
 #: Values a sweep point and a scenario override can both express.
 _SETTABLE_VALUES = {
     "coworker_count": st.integers(1, 10**6),
