@@ -231,8 +231,10 @@ break_even = partial(_call, ".scenario", "break_even")
 
 def _run_pipeline(args, config: AppConfig):
     """The diary file's data rows (parsed days plus the rows the read
-    rejected), its kept days and every rejection. Only the count of the full
-    table outlives the call."""
+    rejected), its kept days and every rejection. Where the filter rejects
+    a day, the kept days are a selection of the parsed table (see
+    :class:`.diary.DiaryTable`): they gather only the columns the command
+    reads, and hold the parsed table until they have gathered all five."""
     if not getattr(args, "diaries", None):
         raise ConfigError("no diary file given; pass --diaries")
     try:
@@ -262,7 +264,8 @@ def _load_profiles(args, config: AppConfig):
 
 
 def _round(value: float, args) -> float:
-    return round(value, args.round)
+    """``value`` rounded to ``--round`` decimals, with no negative zero."""
+    return round(value, args.round) + 0.0
 
 
 def cmd_validate(args) -> int:

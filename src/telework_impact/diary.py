@@ -158,6 +158,10 @@ class RejectedDay:
     failures: tuple[RejectReason, ...] = ()
 
 
+#: The row columns of a :class:`DiaryTable`, which a selection gathers.
+_ROW_COLUMNS = ("participant_codes", "date_codes", "source_rows", "day_types", "minutes")
+
+
 class DiaryTable(Sequence):
     """Diary days held as columns; a read-only sequence of :class:`DiaryDay`.
 
@@ -169,16 +173,17 @@ class DiaryTable(Sequence):
     whose columns are in the order of :data:`MINUTE_COLUMNS`.
 
     An int index builds the :class:`DiaryDay` of that row. A slice, boolean
-    mask or index array gives a sub-table that shares the distinct tuples.
-    Those of a sub-table may hold values that no row has; those of a parse
-    or of :meth:`from_days` hold exactly the values of its rows, in order of
-    first appearance. The arrays are read-only.
+    mask or index array gives a sub-table that shares the distinct tuples:
+    a selection of rows of the table, or of the table a selection was taken
+    from, so that selections never chain. A selection gathers each column
+    with ``take`` the first time it is read, and keeps that table alive
+    until it has gathered all five. The distinct tuples of a sub-table may
+    hold values that no row has; those of a parse or of :meth:`from_days`
+    hold exactly the values of its rows, in order of first appearance. The
+    arrays are read-only.
     """
 
-    __slots__ = (
-        "participant_codes", "distinct_ids", "date_codes", "distinct_dates", "source_rows",
-        "day_types", "minutes",
-    )
+    __slots__ = (*_ROW_COLUMNS, "distinct_ids", "distinct_dates", "_parent", "_rows", "_unread")
 
     def __init__(
         self, participant_codes, distinct_ids, date_codes, distinct_dates, source_rows,
@@ -191,6 +196,7 @@ class DiaryTable(Sequence):
         self.source_rows = np.asarray(source_rows, dtype=np.int64)
         self.day_types = np.asarray(day_types, dtype=np.int8)
         self.minutes = np.asarray(minutes, dtype=np.float64).reshape(-1, len(MINUTE_COLUMNS))
+        self._parent = self._rows = None
         columns = (self.participant_codes, self.date_codes, self.source_rows, self.day_types)
         if {len(column) for column in columns} != {len(self.minutes)}:
             raise ValueError("diary table columns differ in length")
@@ -199,6 +205,20 @@ class DiaryTable(Sequence):
                 raise ValueError("diary table code out of range")
         for column in (*columns, self.minutes):
             column.flags.writeable = False
+
+    def __getattr__(self, name):
+        # Only a selection leaves a column unset, until its first read.
+        if name not in _ROW_COLUMNS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        # take copies the rows of a matrix several times faster than indexing
+        # it by an index array.
+        column = getattr(self._parent, name).take(self._rows, axis=0)
+        column.flags.writeable = False
+        setattr(self, name, column)
+        self._unread -= 1
+        if not self._unread:
+            self._parent = self._rows = None
+        return column
 
     @classmethod
     def from_days(cls, days: Iterable[DiaryDay]) -> DiaryTable:
@@ -231,12 +251,14 @@ class DiaryTable(Sequence):
         return _decode(self.distinct_dates, self.date_codes)
 
     def __len__(self) -> int:
-        return len(self.day_types)
+        return len(self.day_types if self._rows is None else self._rows)
 
     def __getitem__(self, item):
         # numpy registers its integer scalars as numbers.Integral.
         if isinstance(item, numbers.Integral):
             i = range(len(self))[item]
+            if self._parent is not None:
+                return self._parent[self._rows[i]]
             row = int(self.source_rows[i])
             return _day(
                 self.distinct_ids[self.participant_codes[i]],
@@ -245,14 +267,13 @@ class DiaryTable(Sequence):
                 self.minutes[i].tolist(),
                 None if row == NO_ROW else row,
             )
-        # take copies the rows of a matrix several times faster than indexing
-        # it by a mask or an index array.
-        rows = np.arange(len(self))[item]
-        return DiaryTable(
-            self.participant_codes.take(rows), self.distinct_ids,
-            self.date_codes.take(rows), self.distinct_dates,
-            self.source_rows.take(rows), self.day_types.take(rows), self.minutes.take(rows, axis=0),
-        )
+        table, rows = self, np.arange(len(self))[item]
+        if self._parent is not None:
+            table, rows = self._parent, self._rows.take(rows)
+        selection = DiaryTable.__new__(DiaryTable)
+        selection.distinct_ids, selection.distinct_dates = table.distinct_ids, table.distinct_dates
+        selection._parent, selection._rows, selection._unread = table, rows, len(_ROW_COLUMNS)
+        return selection
 
     def __repr__(self) -> str:
         return f"DiaryTable({len(self)} days)"

@@ -43,28 +43,29 @@ SPLIT_MIN_POINTS = 4096
 
 def console_echo(
     parameter: str, digits: int
-) -> Callable[[Sequence[float], Sequence[float]], str]:
+) -> Callable[[Sequence[str], Sequence[float]], str]:
     """The ``echo`` of :func:`write_sweep` for a sweep of ``parameter`` whose
     console rounds to ``digits`` decimals: the console text of a block's
-    values and nets, a line each,
-    ``f"  {parameter}={value:g}: net {round(net, digits):+} MJ\\n"``.
+    value texts (each value's ``repr``, as in ``sweep.csv``) and nets, a
+    line each, ``f"  {parameter}={text}: net {round(net, digits) + 0.0:+} MJ\\n"``,
+    so that no net reads as negative zero.
 
     Where ``0 <= digits <= 4`` and every net of the block is below 1e10 in
     magnitude, each net is formatted once, by ``%+.{digits}f`` with its
-    trailing zeros dropped but the first after the point. That is the same
-    text: both are the correctly rounded decimal, which has at most 14
-    significant digits there, so it is the shortest repr of ``round``'s
-    float."""
-    exact = f"  {parameter}={{:g}}: net {{:+}} MJ\n".format
-    fixed = f"  {parameter}=%g: net %+.{digits}f{'' if digits else '.0'} MJ\n".__mod__
+    trailing zeros dropped but the first after the point, and a ``-0.0``
+    signed as ``+0.0``. That is the same text: both are the correctly
+    rounded decimal, which has at most 14 significant digits there, so it
+    is the shortest repr of ``round``'s float."""
+    exact = f"  {parameter}={{}}: net {{:+}} MJ\n".format
+    fixed = f"  {parameter}=%s: net %+.{digits}f{'' if digits else '.0'} MJ\n".__mod__
 
-    def echo(values, nets):
+    def echo(texts, nets):
         if not (0 <= digits <= 4 and max(map(abs, nets)) < 1e10):
-            return "".join(map(exact, values, (round(net, digits) for net in nets)))
-        text = "".join(map(fixed, zip(values, nets)))
+            return "".join(map(exact, texts, (round(net, digits) + 0.0 for net in nets)))
+        text = "".join(map(fixed, zip(texts, nets)))
         for _ in range(digits - 1):
             text = text.replace("0 MJ\n", " MJ\n")
-        return text
+        return text.replace(" -0.0 MJ\n", " +0.0 MJ\n")
 
     return echo
 
@@ -100,22 +101,21 @@ def _render_block(
     result: SweepResult,
     line: str | None,
     entry: str,
-    echo: Callable[[Sequence[float], Sequence[float]], str],
+    echo: Callable[[Sequence[str], Sequence[float]], str],
     start: int,
     stop: int,
 ) -> tuple[str, str, str]:
     """The three texts of the points ``start:stop``: their lines of
     ``sweep.csv`` from the ``line`` template (none where it is None), their
     entries in the sweep document from ``entry``, joined by ``,\\n``, and
-    ``echo`` of their values and nets, their console lines."""
+    ``echo`` of their value texts and nets, their console lines."""
     # No cell needs CSV quoting: each is a supported parameter's name or a
     # float's repr.
     columns = _sweep_columns(result, start, stop)
     table = "" if line is None else _laid_out(line, columns)
     if result.weekly_net_mj is not None:
         columns.append(list(map(repr, result.weekly_net_mj[start:stop])))
-    values, nets = result.values[start:stop], result.net_mj[start:stop]
-    return table, _laid_out(entry, columns)[:-2], echo(values, nets)
+    return table, _laid_out(entry, columns)[:-2], echo(columns[0], result.net_mj[start:stop])
 
 
 def _blocks(
@@ -220,13 +220,14 @@ def write_sweep(
     result: SweepResult,
     report: Mapping,
     formats: str,
-    echo: Callable[[Sequence[float], Sequence[float]], str],
+    echo: Callable[[Sequence[str], Sequence[float]], str],
     console: IO[str],
 ) -> None:
     """Write ``report.json``, which is ``report`` with the sweep document as
     its ``sweep`` member, and, as ``formats`` ("csv", "json" or "both")
     asks, ``sweep.csv`` and ``sweep.json``; ``echo`` gives the console text
-    of a block's values and nets, which goes to ``console``.
+    of a block's value texts (their ``repr``) and nets, which goes to
+    ``console``.
 
     The points are rendered in blocks of ``_SWEEP_BLOCK`` (at most
     ``_MAX_BLOCKS`` blocks), each once, by :func:`_render_block`; from

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -587,9 +588,9 @@ class TestSweepCli:
         assert facility == pytest.approx([47.94, 23.97, 11.985], abs=1e-9)
         assert stdout == (
             "swept coworker_count over 3 values (baseline employer_office)\n"
-            "  coworker_count=30: net +28.02 MJ\n"
-            "  coworker_count=60: net +4.05 MJ\n"
-            "  coworker_count=120: net -7.93 MJ\n"
+            "  coworker_count=30.0: net +28.02 MJ\n"
+            "  coworker_count=60.0: net +4.05 MJ\n"
+            "  coworker_count=120.0: net -7.93 MJ\n"
         )
 
     @pytest.mark.parametrize("digits", [-1, 0, 2, 4, 5])
@@ -1080,9 +1081,10 @@ def test_values_runs_parse_as_one_value_at_a_time(pieces):
 
 
 def _echoed(parameter, values, nets, digits):
-    """The console lines of sweep points, as a sweep has always echoed them."""
+    """The console lines of sweep points: each value's repr, as the files
+    hold it, and its net rounded, a negative zero read as zero."""
     return "".join(
-        f"  {parameter}={value:g}: net {round(net, digits):+} MJ\n"
+        f"  {parameter}={value!r}: net {round(net, digits) + 0.0:+} MJ\n"
         for value, net in zip(values, nets)
     )
 
@@ -1105,12 +1107,41 @@ _NETS = st.one_of(
 @example(digits=4, points=[(60.0, 0.00005), (1.0, -1e-7), (2.0, 9999999999.99995)])
 @example(digits=2, points=[(60.0, 4.05), (1.0, 1e10)])
 @example(digits=5, points=[(60.0, 0.00001)])
+@example(digits=2, points=[(1005.701, -0.0001), (1005.704, 4.05)])
+@example(digits=2, points=[(72.2, -0.0001), (1e-9, 1e10)])
 def test_echo_is_each_rounded_net(digits, points):
-    """A block's console text is each point's value and its net rounded to
-    ``--round`` decimals, with or without the one-format path."""
+    """A block's console text is each point's value, as its repr, and its
+    net rounded to ``--round`` decimals, with or without the one-format
+    path; no net reads as negative zero."""
     values, nets = map(list, zip(*points))
-    echo = sweep_writer.console_echo("coworker_count", digits)
-    assert echo(values, nets) == _echoed("coworker_count", values, nets, digits)
+    text = sweep_writer.console_echo("coworker_count", digits)(list(map(repr, values)), nets)
+    assert text == _echoed("coworker_count", values, nets, digits)
+    assert "-0.0 MJ" not in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta", "--baseline", "both", "--round", "-2"],
+        ["breakeven", "--parameter", "coworker_count", "--bounds", 1, 1000],
+        ["sweep", "--parameter", "coworker_count", "--values", 72.2],
+        ["sweep", "--parameter", "coworker_count", "--values", 1e-9, 72.2],
+    ],
+    ids=["delta", "breakeven", "sweep", "sweep-past-1e10"],
+)
+def test_no_console_figure_reads_negative_zero(
+    run, tmp_path, ref_config_path, ref_diaries_path, argv
+):
+    """Figures that round to zero from below print ``+0.0``: the travel of
+    ``delta`` at ``--round -2``, the net at the break-even root, and the net
+    of a sweep point just past it, with and without a net past 1e10 in its
+    block."""
+    code, stdout, _ = run(
+        *argv, "--config", ref_config_path, "--diaries", ref_diaries_path, "--out", tmp_path,
+    )
+    assert code == 0
+    assert "+0.0 MJ" in stdout or "travel +0.0," in stdout
+    assert re.search(r"-0\.0(?![0-9])", stdout) is None
 
 
 def test_module_entrypoint_subprocess(ref_config_path, ref_diaries_path, tmp_path):

@@ -2,11 +2,13 @@ import csv
 import datetime as dt
 import gc
 import io
+import json
 import logging
 import math
 import random
 import re
 import tempfile
+import tracemalloc
 import warnings
 from itertools import accumulate
 from unittest import mock
@@ -29,7 +31,7 @@ from telework_impact.errors import DiaryFormatError
 from telework_impact.model import DiaryDay
 from telework_impact.quality import QualityRules
 from telework_impact.report import rejection_rows
-from telework_impact import diary, split_read
+from telework_impact import cli, diary, report, split_read
 from telework_impact.diary import DIARY_HEADER, LOCATION_VOCABULARY
 
 HEADER = ",".join(DIARY_HEADER)
@@ -894,6 +896,105 @@ def test_sub_tables_decode_few_or_many_rows_to_their_values(rows):
     sub = table[np.array(rows)]
     assert sub.participant_ids.tolist() == [ids[i] for i in rows]
     assert sub.dates.tolist() == [dates[19 - i] for i in rows]
+
+
+#: The row columns of a table, each of which a selection gathers on first read.
+_ROW_COLUMNS = ("participant_codes", "date_codes", "source_rows", "day_types", "minutes")
+
+
+def _holds(table, other) -> bool:
+    """Whether ``table`` holds a reference to ``other``."""
+    return any(referent is other for referent in gc.get_referents(table))
+
+
+def _check_selection(selection, table, rows, order):
+    """``selection``, taken from ``table``, is the eager ``take`` of its
+    ``rows``: the same days, and each column the same read-only array once
+    gathered, in ``order``. It holds ``table`` until it has gathered all
+    five columns, and not after."""
+    assert len(selection) == len(rows)
+    assert list(selection) == [table[i] for i in rows.tolist()]
+    if len(rows):
+        assert selection[-1] == table[rows[-1]]
+    with pytest.raises(IndexError):
+        selection[len(rows)]
+    assert _holds(selection, table)
+    for k, name in enumerate(order, 1):
+        column, expected = getattr(selection, name), getattr(table, name).take(rows, axis=0)
+        assert column.dtype == expected.dtype and column.shape == expected.shape
+        assert np.array_equal(column, expected) and not column.flags.writeable
+        assert getattr(selection, name) is column
+        assert _holds(selection, table) == (k < len(_ROW_COLUMNS))
+    _check_layout(selection)
+    assert selection.participant_ids.tolist() == table.participant_ids[rows].tolist()
+    assert selection.dates.tolist() == table.dates[rows].tolist()
+    assert list(selection) == [table[i] for i in rows.tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(diary_days(), max_size=12), st.data())
+def test_selections_are_the_eager_take_of_their_rows(days, data):
+    """A sub-table by mask, slice or index array (repeats and negatives
+    allowed), and a sub-table of one, taken before or after it gathered its
+    columns, equals the eager ``take`` of its rows. A sub-table of a
+    selection selects from that selection's own table, so that selections
+    never chain."""
+    table = DiaryTable.from_days(days)
+    n = len(table)
+    order = st.permutations(_ROW_COLUMNS)
+    for item in [slice(0, 0), *_sub_tables(data.draw, n)]:
+        selection, rows = table[item], np.arange(n)[item]
+        inner = data.draw(st.sampled_from(_sub_tables(data.draw, len(rows))))
+        early = selection[inner]
+        assert _holds(early, table) and not _holds(early, selection)
+        _check_selection(selection, table, rows, data.draw(order))
+        _check_selection(early, table, rows[inner], data.draw(order))
+        late = selection[inner]
+        assert _holds(late, selection) and not _holds(late, table)
+        _check_selection(late, selection, np.arange(len(rows))[inner], data.draw(order))
+
+
+def test_validate_holds_no_copy_of_the_kept_minutes(
+    monkeypatch, tmp_path, ref_config_path, ref_diaries_path
+):
+    """``validate`` reads only the count and the day types of the kept days,
+    so no array of their minutes is allocated: when the command writes its
+    last file, while it still holds the kept days, numpy holds no block of
+    their minutes' size."""
+    lines = ref_diaries_path.read_text(encoding="utf-8").splitlines()
+    rows = []
+    for i in range(4000):
+        fields = lines[1 + i % (len(lines) - 1)].split(",")
+        fields[0] = f"Q{i:05d}"
+        if i % 4 == 0:
+            fields[4] = "100.00"  # WORK_TOO_SHORT
+        rows.append(",".join(fields))
+    diaries = tmp_path / "diaries.csv"
+    diaries.write_text("\n".join([lines[0], *rows, ""]), encoding="utf-8")
+    snapshots = []
+    write_run_info = report.write_run_info
+
+    def snapshot_then_write(out):
+        snapshots.append(tracemalloc.take_snapshot())
+        return write_run_info(out)
+
+    monkeypatch.setattr(report, "write_run_info", snapshot_then_write)
+    tracemalloc.start()
+    try:
+        code = cli.main([
+            "validate", "--config", str(ref_config_path), "--diaries", str(diaries),
+            "--out", str(tmp_path / "out"),
+        ])
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    summary = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    kept = summary["input_summary"]["kept"]
+    assert kept == 3000
+    numpy_blocks = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    sizes = [trace.size for trace in snapshots[0].filter_traces([numpy_blocks]).traces]
+    assert kept in sizes  # the day types the day counts read
+    assert kept * len(diary.MINUTE_COLUMNS) * 8 not in sizes
 
 
 def _fail_row_parse(values, row, *codes):

@@ -127,20 +127,20 @@ def _expected_csv(result: SweepResult) -> str:
 def test_sweep_writer_matches_json_and_csv_modules(tmp_path, result, formats, batch, run_report):
     """The streamed sweep artifacts equal what ``json`` and ``csv`` write
     for the whole sweep, whatever the block size and the rest of the report;
-    every point's value and net reach ``echo`` once, in order, in blocks of
-    at most that size, and the console gets its texts in that order."""
+    every point's value text (its repr) and net reach ``echo`` once, in
+    order, in blocks of at most that size, and the console gets its texts in that order."""
     # A directory per example: a leftover sweep.csv would hide a missing one.
     out = Path(tempfile.mkdtemp(dir=tmp_path))
     batches, console = [], io.StringIO()
 
-    def echo(values, nets):
-        batches.append((values, nets))
-        return "".join(f"{value!r}\n" for value in values)
+    def echo(texts, nets):
+        batches.append((texts, nets))
+        return "".join(f"{text}\n" for text in texts)
 
     with mock.patch.object(sweep_writer, "_SWEEP_BLOCK", batch):
         write_sweep(out, result, run_report, formats, echo, console)
     as_dict = sweep_to_dict(result)
-    assert [p for b in batches for p in zip(*b)] == list(zip(result.values, result.net_mj))
+    assert [p for b in batches for p in zip(*b)] == list(zip(map(repr, result.values), result.net_mj))
     assert all(0 < len(values) == len(nets) <= batch for values, nets in batches)
     assert console.getvalue() == "".join(f"{value!r}\n" for value in result.values)
 
@@ -185,8 +185,8 @@ def test_a_sweep_past_the_most_blocks_has_larger_blocks(tmp_path):
     )
     sizes = []
 
-    def echo(values, nets):
-        sizes.append(len(values))
+    def echo(texts, nets):
+        sizes.append(len(texts))
         return ""
 
     default = sweep_writer._SWEEP_BLOCK, sweep_writer._MAX_BLOCKS
