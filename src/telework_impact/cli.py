@@ -231,10 +231,13 @@ break_even = partial(_call, ".scenario", "break_even")
 
 def _run_pipeline(args, config: AppConfig):
     """The diary file's data rows (parsed days plus the rows the read
-    rejected), its kept days and every rejection. Where the filter rejects
-    a day, the kept days are a selection of the parsed table (see
-    :class:`.diary.DiaryTable`): they gather only the columns the command
-    reads, and hold the parsed table until they have gathered all five."""
+    rejected), its kept days, and the rejections of the read and of the
+    filter as two tables, each in row order; they are not joined, and the
+    report writers read them in one order of their rows (see
+    :class:`.diary.RowOrder`). Where the filter rejects a day, the kept days
+    are a selection of the parsed table (see :class:`.diary.DiaryTable`):
+    they gather only the columns the command reads, and hold the parsed
+    table until they have gathered all five."""
     if not getattr(args, "diaries", None):
         raise ConfigError("no diary file given; pass --diaries")
     try:
@@ -242,10 +245,7 @@ def _run_pipeline(args, config: AppConfig):
     except OSError as exc:
         raise ConfigError(f"cannot read diary file {args.diaries}: {exc}") from exc
     kept, quality_rejected = apply_quality_filter(days, config.quality_rules)
-    from .diary import in_row_order
-
-    rejected = in_row_order(parse_rejected, quality_rejected)
-    return len(days) + len(parse_rejected), kept, rejected
+    return len(days) + len(parse_rejected), kept, (parse_rejected, quality_rejected)
 
 
 def _load_profiles(args, config: AppConfig):
@@ -273,16 +273,17 @@ def cmd_validate(args) -> int:
     rows_seen, kept, rejected = _run_pipeline(args, config)
     out = _out_dir(args)
 
-    rpt.write_csv(out / "rejections.csv", rpt.REJECTION_HEADER, rpt.rejection_columns(rejected))
+    rpt.write_csv(out / "rejections.csv", rpt.REJECTION_HEADER, rpt.rejection_columns(*rejected))
     report = rpt.base_report("validate", config, __version__, {"diaries": str(args.diaries)})
-    report["input_summary"] = rpt.input_summary(args.diaries, rows_seen, len(kept), rejected)
+    report["input_summary"] = rpt.input_summary(args.diaries, rows_seen, len(kept), *rejected)
     report["day_counts"] = {t.value: n for t, n in day_counts(kept).items()}
     rpt.write_json(out / "report.json", report)
     rpt.write_run_info(out)
 
-    print(f"parsed {report['input_summary']['rows_parsed']} rows from {args.diaries}")
-    print(f"kept {len(kept)}, rejected {len(rejected)} (see {out / 'rejections.csv'})")
-    for reason, count in sorted(report["input_summary"]["rejected_by_reason"].items()):
+    summary = report["input_summary"]
+    print(f"parsed {summary['rows_parsed']} rows from {args.diaries}")
+    print(f"kept {len(kept)}, rejected {summary['rejected']} (see {out / 'rejections.csv'})")
+    for reason, count in sorted(summary["rejected_by_reason"].items()):
         print(f"  {reason}: {count}")
     return EXIT_OK if kept else EXIT_INSUFFICIENT_DATA
 
@@ -297,7 +298,7 @@ def cmd_profile(args) -> int:
     rpt.write_json(out / "profiles.json", {"profiles": rpt.profiles_section(profiles)})
     rpt.write_csv(out / "plot_data.csv", rpt.PLOT_HEADER, rpt.plot_rows(profiles))
     report = rpt.base_report("profile", config, __version__, {"diaries": str(args.diaries)})
-    report["input_summary"] = rpt.input_summary(args.diaries, rows_seen, len(kept), rejected)
+    report["input_summary"] = rpt.input_summary(args.diaries, rows_seen, len(kept), *rejected)
     report["profiles"] = rpt.profiles_section(profiles)
     rpt.write_json(out / "report.json", report)
     rpt.write_run_info(out)
@@ -341,7 +342,7 @@ def cmd_delta(args) -> int:
     out = _out_dir(args)
     _emit_deltas(args, out, deltas)
     report = rpt.base_report("delta", config, __version__, {"diaries": str(args.diaries)})
-    report["input_summary"] = rpt.input_summary(args.diaries, rows_seen, len(kept), rejected)
+    report["input_summary"] = rpt.input_summary(args.diaries, rows_seen, len(kept), *rejected)
     report["profiles"] = rpt.profiles_section(profiles)
     report["deltas"] = [rpt.delta_to_dict(d) for d in deltas]
     rpt.write_json(out / "report.json", report)

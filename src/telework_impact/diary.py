@@ -42,7 +42,8 @@ codes and an ``(n, 9)`` float64 matrix of the minute columns. The table is a
 sequence of :class:`DiaryDay`, so code written for lists of days keeps
 working, while the quality filter (:mod:`.quality`) and the aggregation
 work on its arrays. The rejections are a :class:`RejectionTable`, a sequence
-of :class:`RejectedDay` held as columns; the read collects them as records.
+of :class:`RejectedDay` held as columns; the read collects them as records
+that hold one object per distinct date and detail text.
 
 Importing this module imports numpy. The package root, the CLI,
 :mod:`.aggregation` and :mod:`.report` import it inside the functions that
@@ -177,7 +178,11 @@ class DiaryTable(Sequence):
     a selection of rows of the table, or of the table a selection was taken
     from, so that selections never chain. A selection gathers each column
     with ``take`` the first time it is read, and keeps that table alive
-    until it has gathered all five. The distinct tuples of a sub-table may
+    until it has gathered all five. A one-dimensional ``intp`` index array
+    whose indices are all in range, as ``np.flatnonzero`` gives one, is the
+    selection's index as it is, and is made read-only, as the constructor
+    does with its columns; any other index is resolved against
+    ``np.arange(len(table))``. The distinct tuples of a sub-table may
     hold values that no row has; those of a parse or of :meth:`from_days`
     hold exactly the values of its rows, in order of first appearance. The
     arrays are read-only.
@@ -267,9 +272,13 @@ class DiaryTable(Sequence):
                 self.minutes[i].tolist(),
                 None if row == NO_ROW else row,
             )
-        table, rows = self, np.arange(len(self))[item]
+        table, rows = self, item
+        as_is = isinstance(item, np.ndarray) and item.dtype == np.intp and item.ndim == 1
+        if not as_is or len(item) and not (0 <= item.min() and item.max() < len(self)):
+            rows = np.arange(len(self))[item]
         if self._parent is not None:
             table, rows = self._parent, self._rows.take(rows)
+        rows.flags.writeable = False
         selection = DiaryTable.__new__(DiaryTable)
         selection.distinct_ids, selection.distinct_dates = table.distinct_ids, table.distinct_dates
         selection._parent, selection._rows, selection._unread = table, rows, len(_ROW_COLUMNS)
@@ -311,9 +320,10 @@ class RejectionTable(Sequence):
     ``rows`` is int64 (:data:`NO_ROW` for ``None``), ``reasons`` int8 indices
     into :data:`REASONS`; the other fields are object arrays, but a quality
     rule's detail is its template's ``format``, which an int index calls
-    with that row of ``measures`` (work, total and mismatch minutes). An int
-    index builds a :class:`RejectedDay`; a slice, boolean mask or index
-    array gives a sub-table. The arrays are read-only.
+    with that row of ``measures`` (work, total and mismatch minutes); a
+    table built without measures holds one zero row broadcast to every
+    rejection. An int index builds a :class:`RejectedDay`; a slice, boolean
+    mask or index array gives a sub-table. The arrays are read-only.
     """
 
     __slots__ = ("rows", "participant_ids", "dates", "details", "reasons", "failures", "measures")
@@ -325,7 +335,8 @@ class RejectionTable(Sequence):
             for c in (participant_ids, dates, details, failures)
         )
         self.reasons = np.asarray(reasons, dtype=np.int8)
-        measures = np.zeros((len(self.rows), 3)) if measures is None else measures
+        if measures is None:
+            measures = np.broadcast_to(np.zeros(3), (len(self.rows), 3))
         self.measures = np.asarray(measures, dtype=np.float64).reshape(-1, 3)
         if len(set(map(len, self._columns()))) != 1:
             raise ValueError("rejection table columns differ in length")
@@ -366,10 +377,12 @@ class RejectionTable(Sequence):
 
 
 def in_row_order(*tables: RejectionTable) -> RejectionTable:
-    """The rejections of ``tables`` joined and stably sorted by row; a lone
-    table in row order is returned as it is. Each table's part of a column
-    is copied once, straight to its places, since an object column costs a
-    visit to every object it holds."""
+    """The rejections of ``tables`` joined and stably sorted by row: ties
+    keep the order of the tables, then each table's own order. A lone table
+    in row order is returned as it is. Each table's part of a column is
+    copied once, straight to its places, since an object column costs a
+    visit to every object it holds. :class:`RowOrder` reads this join a
+    slice at a time without making it."""
     rows = np.concatenate([table.rows for table in tables])
     if len(tables) == 1 and not (rows[1:] < rows[:-1]).any():
         return tables[0]
@@ -384,6 +397,38 @@ def in_row_order(*tables: RejectionTable) -> RejectionTable:
             column[at] = part
         columns.append(column)
     return RejectionTable(*columns)
+
+
+class RowOrder:
+    """Rejections of one or more tables, or iterables of
+    :class:`RejectedDay`, read as one without joining them: ``len`` counts
+    them all, and a slice gives those rejections as a table. Several are
+    read in one stable order of their rows, so that a slice is that slice
+    of :func:`in_row_order` of them; a lone one is read as it stands.
+    """
+
+    def __init__(self, rejected: Iterable[RejectedDay], *more: Iterable[RejectedDay]):
+        self.tables = tuple(map(RejectionTable.from_rejected, (rejected, *more)))
+        self._starts = np.cumsum([0, *map(len, self.tables)])
+        self._order = None
+        if more:
+            rows = np.concatenate([table.rows for table in self.tables])
+            self._order = np.argsort(rows, kind="stable")
+
+    def __len__(self) -> int:
+        return int(self._starts[-1])
+
+    def __getitem__(self, item: slice) -> RejectionTable:
+        if self._order is None:
+            return self.tables[0][item]
+        at = self._order[item]
+        which = np.searchsorted(self._starts, at, side="right") - 1
+        # Each table's rejections of the slice, in the slice's order, are in
+        # row order: joined, they give it.
+        starts = self._starts.tolist()
+        return in_row_order(*(
+            table[at[which == k] - start] for k, (table, start) in enumerate(zip(self.tables, starts))
+        ))
 
 
 def _read_rejections(rows, participant_ids, dates, details, reason) -> RejectionTable:
@@ -446,6 +491,23 @@ class _DateTexts(dict):
                 self.dates.append(date)
         self[text] = code
         return code
+
+
+class _Rejected(list):
+    """The PARSE_ERROR records of a read (see :class:`_Part`), added with
+    :meth:`add`, which takes each date and detail text through the memo
+    ``texts``, so that the records hold one object per distinct text, as
+    :class:`_DateTexts` holds one per refused date. A bad minute or a short
+    row of a given shape thus costs no string of its own."""
+
+    def __init__(self):
+        super().__init__()
+        self.texts: dict[str, str] = {}
+
+    def add(self, row: int, participant_id: str, date: str, detail: str) -> None:
+        texts = self.texts
+        self.append((row, participant_id, texts.setdefault(date, date),
+                     texts.setdefault(detail, detail)))
 
 
 def _id_serials(distinct: dict[str, int], texts: list[str], serials: Iterator[int]) -> np.ndarray:
@@ -549,7 +611,7 @@ def _join_spans(lines: list[str], handle: Iterable[str]) -> None:
 
 def _read_pass(
     lines: list[str], handle: Iterable[str], first_row: int, dates: _DateTexts,
-    locations: _LocationCodes, rejected: list[tuple],
+    locations: _LocationCodes, rejected: _Rejected,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Line numbers and records (in the layout of :func:`_load_lines`), in
     line order, of one pass of lines numbered from ``first_row``; records
@@ -583,7 +645,7 @@ def _read_pass(
         if values:
             record = _parse_record(values, first_row + i, dates)
             if isinstance(record, tuple):
-                rejected.append(record)
+                rejected.add(*record)
             else:
                 at.append(i)
                 records.append((values[0], dates[values[1]], locations[values[2]], record))
@@ -607,7 +669,8 @@ class _Part:
     :func:`_read_range` made the part, as a list in the part a child sends.
     ``size`` is the row count, ``lines`` the number of the range's last
     line, and ``rejected`` the PARSE_ERRORs as columns of line numbers, ids,
-    dates and details. A child's part has ``columns`` None: they go to the
+    dates and details, whose texts are those of the memo ``texts`` (see
+    :class:`_Rejected`). A child's part has ``columns`` None: they go to the
     head's.
     """
 
@@ -617,6 +680,7 @@ class _Part:
     dates: dict[_dt.date, None] | list[_dt.date]
     rejected: tuple[tuple, ...]
     lines: int
+    texts: dict[str, str]
 
 
 def _read_header(handle: IO[str], pull: Iterable[str]) -> int:
@@ -653,14 +717,14 @@ def _read_range(
     serials = count()
     dates, locations = _DateTexts(), _LocationCodes()
     columns = (array("q"), array("i"), array("i"), array("b"), array("d"))
-    rejected: list[tuple] = []
+    rejected = _Rejected()
     while lines := list(islice(handle, CHUNK_ROWS)):
         rows, chunk = _read_pass(lines, pull or handle, first_row, dates, locations, rejected)
         first_row += len(lines)
         id_texts, date_codes, block = chunk["participant_id"], chunk["date"], chunk["minutes"]
         drop = date_codes < 0
         for i in np.flatnonzero(drop).tolist():
-            rejected.append((int(rows[i]), id_texts[i].strip(), *dates.refused[~date_codes[i]]))
+            rejected.add(int(rows[i]), id_texts[i].strip(), *dates.refused[~date_codes[i]])
         # The DiaryDay constructor names the fault of a flagged row, exactly
         # as for a single day.
         for i in np.flatnonzero(_minute_screen(block) & ~drop).tolist():
@@ -669,7 +733,7 @@ def _read_range(
             except ValueError as exc:
                 drop[i] = True
                 date = dates.dates[date_codes[i]].isoformat()
-                rejected.append((int(rows[i]), id_texts[i].strip(), date, str(exc)))
+                rejected.add(int(rows[i]), id_texts[i].strip(), date, str(exc))
         read = [rows, id_texts, date_codes, chunk["location"], block]
         if drop.any():
             read = [column[~drop] for column in read]
@@ -681,9 +745,13 @@ def _read_range(
     id_codes, date_codes = (np.frombuffer(column, dtype=np.int32) for column in columns[1:3])
     _positions(distinct_ids, id_codes)
     order = _first_appearance(date_codes, len(dates.dates)).tolist()
+    # A pass adds its csv records before its bulk ones. In row order (each
+    # row has one record), the read's rejections are a table in_row_order
+    # returns as it is, with no joined copy.
+    rejected.sort()
     return _Part(
         columns, len(columns[0]), distinct_ids, dict.fromkeys(dates.dates[code] for code in order),
-        tuple(zip(*rejected)) or ((),) * 4, first_row - 1,
+        tuple(zip(*rejected)) or ((),) * 4, first_row - 1, rejected.texts,
     )
 
 
@@ -699,21 +767,22 @@ def _first_appearance(codes: np.ndarray, size: int) -> np.ndarray:
     return order
 
 
-def _renumber(codes: np.ndarray, values: dict, more: Sequence) -> list:
+def _renumber(codes: np.ndarray, values: dict, more: Sequence) -> tuple:
     """The keys of ``values`` and then the values of ``more`` that they
-    lack, in order; ``codes`` into ``more``, whose values are distinct,
-    become codes into that list in place. Where ``more`` has none of the
-    keys, as when no participant has rows on both sides of a cut, that is
-    a shift, and no dict of positions is built."""
+    lack, in order, as the tuple a :class:`DiaryTable` keeps; ``codes``
+    into ``more``, whose values are distinct, become codes into that tuple
+    in place. Where ``more`` has none of the keys, as when no participant
+    has rows on both sides of a cut, that is a shift, and no dict of
+    positions is built."""
     if values.keys().isdisjoint(more):
         codes += len(values)
-        return [*values, *more]
+        return (*values, *more)
     position = dict(zip(values, count()))
     recode = np.fromiter(map(position.get, more, repeat(-1)), np.int32, len(more))
     new = recode < 0
     recode[new] = np.arange(len(values), len(values) + np.count_nonzero(new))
     codes[:] = recode[codes]
-    return [*values, *compress(more, new.tolist())]
+    return (*values, *compress(more, new.tolist()))
 
 
 def _merge(head: _Part, tail: _Part | None = None) -> tuple[DiaryTable, RejectionTable]:
@@ -724,7 +793,8 @@ def _merge(head: _Part, tail: _Part | None = None) -> tuple[DiaryTable, Rejectio
 
     The tail's ids and dates are renumbered after head's, by first
     appearance; its columns are appended to head's, unless they already
-    have been.
+    have been. Its PARSE_ERROR texts are taken through head's memo, so that
+    a two-process read holds one object per distinct text, as one does.
     """
     ids, dates = head.ids, head.dates
     parse_rows, *parse_errors = head.rejected
@@ -739,9 +809,10 @@ def _merge(head: _Part, tail: _Part | None = None) -> tuple[DiaryTable, Rejectio
         rows[start:] += shift
         ids = _renumber(id_codes[start:], ids, tail.ids)
         dates = _renumber(date_codes[start:], dates, tail.dates)
-        tail_rows, *columns = tail.rejected
+        tail_rows, tail_ids, *texts = tail.rejected
         parse_rows += tuple(row + shift for row in tail_rows)
-        parse_errors = [mine + theirs for mine, theirs in zip(parse_errors, columns)]
+        texts = [tuple(map(head.texts.setdefault, column, column)) for column in texts]
+        parse_errors = [mine + theirs for mine, theirs in zip(parse_errors, [tail_ids, *texts])]
     rejected = [_read_rejections(parse_rows, *parse_errors, RejectReason.PARSE_ERROR)]
     unknown = day_types < 0
     day_types[unknown] = _OTHER_CODE
@@ -763,9 +834,13 @@ def _drop_duplicates(
     """The table less every row whose participant and date an earlier row
     has, each rejected as DUPLICATE_DAY naming that row (a table of them
     goes to ``rejected``), and the index of the kept rows in ``table``: a
-    mask, or the whole slice where no row is dropped."""
+    mask, or the whole slice where no row is dropped. A pair's key is
+    int32 where every key fits one."""
+    fits = len(table.distinct_ids) * len(table.distinct_dates) < 2**31
+    dtype = np.int32 if fits else np.int64
+
     def pair_keys() -> np.ndarray:
-        keys = table.participant_codes.astype(np.int64)
+        keys = table.participant_codes.astype(dtype)
         keys *= len(table.distinct_dates)
         keys += table.date_codes
         return keys

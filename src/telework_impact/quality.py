@@ -10,7 +10,7 @@ days it is given. Its thresholds, :class:`QualityRules`, live in
 from __future__ import annotations
 
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -35,25 +35,30 @@ _RULE_DETAILS = (
 )
 
 
-def _total(minutes: np.ndarray) -> np.ndarray:
-    """Activity total of each row of a minute matrix."""
-    return row_sums(minutes[:, :len(_ACTIVITIES)])
+#: Rows per block of the rule pass; bounds the float columns it holds at once.
+_RULE_BLOCK = 8192
 
 
-def _mismatch(minutes: np.ndarray) -> np.ndarray:
-    """|travel - modes| of each row of a minute matrix."""
+def _check_block(
+    minutes: np.ndarray, day_types: np.ndarray, rules: QualityRules, failing: np.ndarray
+) -> np.ndarray:
+    """The rules on a block of rows: sets bit k of each row's entry of
+    ``failing`` where rule k fails, and gives the work, activity total and
+    |travel - modes| of the rows that fail one, a row each."""
+    work = minutes[:, _WORK]
+    total = row_sums(minutes[:, :len(_ACTIVITIES)])
     mismatch = row_sums(minutes[:, len(_ACTIVITIES):])
-    return np.abs(np.subtract(minutes[:, _TRAVEL], mismatch, out=mismatch), out=mismatch)
-
-
-def _failing(table: DiaryTable, rules: QualityRules) -> Iterator[np.ndarray]:
-    """Mask of the rows of ``table`` each rule fails, in rule order; each is
-    computed when it is taken, so that a large table holds one float column
-    beyond its own at once."""
-    yield table.minutes[:, _WORK] < rules.min_work_minutes
-    yield _total(table.minutes) < rules.min_total_minutes
-    yield _mismatch(table.minutes) > rules.max_mode_mismatch_minutes
-    yield np.isin(table.day_types, _EXCLUDED_CODES) & rules.exclude_multi_location
+    np.abs(np.subtract(minutes[:, _TRAVEL], mismatch, out=mismatch), out=mismatch)
+    fails = (
+        work < rules.min_work_minutes,
+        total < rules.min_total_minutes,
+        mismatch > rules.max_mode_mismatch_minutes,
+        np.isin(day_types, _EXCLUDED_CODES) & rules.exclude_multi_location,
+    )
+    for k, rule_fails in enumerate(fails):
+        failing |= rule_fails.view(np.uint8) << k
+    at = np.flatnonzero(failing)
+    return np.column_stack([work[at], total[at], mismatch[at]])
 
 
 def apply_quality_filter(
@@ -64,16 +69,24 @@ def apply_quality_filter(
     The first failing rule (in :class:`RejectReason` order) is the primary
     reason; all failing rules are attached. Any iterable of days is taken as
     a :class:`DiaryTable` (see :meth:`DiaryTable.from_days`), and ``kept`` is
-    that table or a sub-table of it. The rejections are gathered from the
-    table's columns, with no object per rejected day; a rule's detail is
-    formatted only when a :class:`RejectedDay` is built from them.
+    that table or, where a day is rejected, the selection of it that
+    ``np.flatnonzero`` indexes. The rules are checked in one pass over
+    blocks of :data:`_RULE_BLOCK` rows, which takes each rejected day's
+    work, total and mismatch from its block; the rejections are gathered
+    from the table's columns, with no object per rejected day and no copy of
+    their minutes, and a rule's detail is formatted only when a
+    :class:`RejectedDay` is built from them.
     """
     rules = rules or QualityRules()
     table = DiaryTable.from_days(days)
     # Bit k of a row's combination is set where rule k fails.
     failing = np.zeros(len(table), dtype=np.uint8)
-    for k, fails in enumerate(_failing(table, rules)):
-        failing |= fails.view(np.uint8) << k
+    measures = [np.empty((0, 3))]
+    for start in range(0, len(table), _RULE_BLOCK):
+        block = slice(start, start + _RULE_BLOCK)
+        measures.append(_check_block(table.minutes[block], table.day_types[block], rules,
+                                     failing[block]))
+    measures = np.concatenate(measures)
     rejected_at = np.flatnonzero(failing)
     rejected_days = table[rejected_at]
     # The first failing rule, the failures and the detail template of each
@@ -89,14 +102,13 @@ def apply_quality_filter(
         texts = compress(_RULE_DETAILS, flags)
         template = "; ".join(t.format(rules=rules, day_type=DAY_TYPES[code].value) for t in texts)
         details.append(template.format)
-    minutes = rejected_days.minutes
     rejected = RejectionTable(
         *identities(rejected_days),
         np.fromiter(details, object, len(details))[outcome],
         np.array(firsts, dtype=np.int8)[outcome],
         np.fromiter(failures, object, len(failures))[outcome],
-        np.column_stack([minutes[:, _WORK], _total(minutes), _mismatch(minutes)]),
+        measures,
     )
-    keep = np.ones(len(table), dtype=bool)
-    keep[rejected_at] = False
-    return (table[keep] if len(rejected) else table), rejected
+    if not len(rejected):
+        return table, rejected
+    return table[np.flatnonzero(failing == 0)], rejected

@@ -116,29 +116,35 @@ def write_csv(
     return path
 
 
-def rejection_columns(rejected: Iterable[RejectedDay]) -> CsvColumns:
-    """The cells of ``rejections.csv`` as :class:`CsvColumns`, read from a
-    :class:`RejectionTable`'s columns a batch at a time."""
+def rejection_columns(
+    rejected: Iterable[RejectedDay], *more: Iterable[RejectedDay]
+) -> CsvColumns:
+    """The cells of ``rejections.csv`` as :class:`CsvColumns`, read a batch
+    at a time from the columns of the rejections given, tables or iterables
+    of :class:`RejectedDay`, through a :class:`.diary.RowOrder`: several are
+    written in one stable order of their rows without being joined, a lone
+    one as it stands."""
     import numpy as np
 
-    from .diary import NO_ROW, REASONS, RejectionTable
+    from .diary import NO_ROW, REASONS, RowOrder
 
-    table = RejectionTable.from_rejected(rejected)
+    order = RowOrder(rejected, *more)
     reasons = np.array([reason.value for reason in REASONS], dtype=object)
 
     def cells(start: int, stop: int) -> list[list[str]]:
-        rows = table.rows[start:stop]
+        table = order[start:stop]
+        rows = table.rows
         texts = list(map(str, rows.tolist()))
         for i in np.flatnonzero(rows == NO_ROW).tolist():
             texts[i] = ""
         return [
             texts,
-            table.participant_ids[start:stop].tolist(),
-            table.dates[start:stop].tolist(),
-            reasons[table.reasons[start:stop]].tolist(),
+            table.participant_ids.tolist(),
+            table.dates.tolist(),
+            reasons[table.reasons].tolist(),
         ]
 
-    return CsvColumns(len(table), cells)
+    return CsvColumns(len(order), cells)
 
 
 def rejection_rows(rejected: Iterable[RejectedDay]) -> list[list[str]]:
@@ -234,18 +240,23 @@ def input_summary(
     parsed_count: int,
     kept_count: int,
     rejected: Iterable[RejectedDay],
+    *more: Iterable[RejectedDay],
 ) -> dict:
+    """The ``input_summary`` section of a report: the rows parsed, the days
+    kept and the rejections given, tables or iterables of
+    :class:`RejectedDay` as :func:`rejection_columns` takes them, counted
+    by reason without being joined."""
     import numpy as np
 
     from .diary import REASONS, RejectionTable
 
-    table = RejectionTable.from_rejected(rejected)
-    counts = np.bincount(table.reasons, minlength=len(REASONS)).tolist()
+    tables = [RejectionTable.from_rejected(item) for item in (rejected, *more)]
+    counts = sum(np.bincount(table.reasons, minlength=len(REASONS)) for table in tables).tolist()
     return {
         "diaries": str(diary_path),
         "rows_parsed": parsed_count,
         "kept": kept_count,
-        "rejected": len(table),
+        "rejected": sum(map(len, tables)),
         "rejected_by_reason": {r.value: n for r, n in zip(REASONS, counts) if n},
     }
 

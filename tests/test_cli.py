@@ -1658,6 +1658,30 @@ class TestTwoProcessRead:
             helpers=False,
         ) == "1 True"
 
+    def test_parse_errors_share_each_text_across_the_fork(self, tmp_path, ref_diaries_path):
+        """PARSE_ERRORs that repeat two bad minute texts and one short-row
+        shape in both halves of a file hold one object per distinct detail
+        and date text after a two-process read: the child's pickle keeps its
+        own sharing, and the merge takes its texts as the parent's."""
+        header, *rows = Path(ref_diaries_path).read_text(encoding="utf-8").splitlines()
+        lines = [header]
+        for i, row in enumerate(rows * 2):
+            fields = [f"R{i:04d}", *row.split(",")[1:]]
+            if i % 3 == 1:
+                fields[3 + i % 9] = ("abc", "n/a")[i // 3 % 2]
+            elif i % 3 == 2:
+                del fields[7:]
+            lines.append(",".join(fields))
+        path = tmp_path / "faults.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert self._fresh(
+            tmp_path,
+            f"table, rejected = diary.parse_diary_path({str(path)!r})",
+            "columns = rejected.details, rejected.dates",
+            "shared = all(len(set(c)) == len(set(map(id, c))) for c in columns)",
+            "print(len(forks), reaped(), len(rejected), len(set(rejected.details)), shared)",
+        ) == "1 True 333 3 True"
+
     def test_validate_builds_no_rejected_day(self, tmp_path, ref_config_path, ref_diaries_path):
         """Rejections reach rejections.csv and report.json as columns from
         both processes: ``validate`` builds no RejectedDay. The benchmark's

@@ -31,7 +31,7 @@ from telework_impact.errors import DiaryFormatError
 from telework_impact.model import DiaryDay
 from telework_impact.quality import QualityRules
 from telework_impact.report import rejection_rows
-from telework_impact import cli, diary, report, split_read
+from telework_impact import cli, diary, quality, report, split_read
 from telework_impact.diary import DIARY_HEADER, LOCATION_VOCABULARY
 
 HEADER = ",".join(DIARY_HEADER)
@@ -438,6 +438,80 @@ def test_masks_agree_with_row_wise_reference(case):
             assert item.reason is failures[0][0]
             assert item.failures == tuple(reason for reason, _ in failures)
             assert item.detail == "; ".join(detail for _, detail in failures)
+
+
+def _filtered(days, rules):
+    """Everything apply_quality_filter gives: the kept days, and each
+    rejection with its reason, failures, measures and detail."""
+    kept, rejected = apply_quality_filter(days, rules)
+    return (
+        [kept.participant_ids.tolist(), kept.dates.tolist(), kept.day_types.tolist()],
+        kept.minutes.view(np.int64).tolist(),
+        list(rejected),
+        rejected.reasons.tolist(),
+        list(rejected.failures),
+        rejected.measures.shape,
+        rejected.measures.view(np.int64).tolist(),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(days_and_rules(), st.data())
+def test_rule_blocks_give_the_one_block_filter(case, data):
+    """The rules checked over blocks of 3 rows, so that a table of more
+    crosses block boundaries, give what one block gives: the same kept days
+    and rejections, measures bit for bit. A table selected from another
+    crosses them as well."""
+    days, rules = case
+    table = DiaryTable.from_days(days)
+    selection = table[data.draw(st.sampled_from(_sub_tables(data.draw, len(days))))]
+    for given_days in (days, table, selection):
+        with mock.patch.object(quality, "_RULE_BLOCK", 10**9):
+            expected = _filtered(given_days, rules)
+        with mock.patch.object(quality, "_RULE_BLOCK", 3):
+            assert _filtered(given_days, rules) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(diary_days(), max_size=9), st.data())
+def test_index_arrays_select_as_numpy_indexes(days, data):
+    """An index array, a mask or a list selects the rows that indexing
+    ``np.arange`` with it gives: negative indices count from the end, an
+    index out of range raises IndexError, and an empty array selects
+    nothing. An ``intp`` array in range, as np.flatnonzero gives one, is
+    the selection's own index, made read-only."""
+    table = DiaryTable.from_days(days)
+    n = len(days)
+    positions = data.draw(st.lists(st.integers(-n - 2, n + 1), max_size=2 * n + 2))
+    mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    items = [
+        np.array(positions, dtype=np.intp),
+        np.array(positions, dtype=np.int32),
+        positions,
+        np.array(mask, dtype=bool),
+        np.flatnonzero(np.array(mask, dtype=bool)),
+        np.array([], dtype=np.intp),
+        [],
+    ]
+    for item in items:
+        try:
+            rows = np.arange(n)[item]
+        except IndexError:
+            with pytest.raises(IndexError):
+                table[item]
+            continue
+        selection = table[item]
+        assert list(selection) == [days[i] for i in rows.tolist()]
+        assert selection.source_rows.tolist() == [diary.NO_ROW] * len(rows)
+        kept_as_is = isinstance(item, np.ndarray) and item.dtype == np.intp and (
+            not len(item) or 0 <= item.min() and item.max() < n
+        )
+        assert _holds(selection, item) == kept_as_is
+        if kept_as_is:
+            assert not item.flags.writeable
+    mask_array = np.array(mask + [True], dtype=bool)
+    with pytest.raises(IndexError):
+        table[mask_array]
 
 
 _RAW_LOCATION = {day_type: raw for raw, day_type in LOCATION_VOCABULARY.items()}
@@ -1048,6 +1122,62 @@ def test_dirty_file_is_read_without_the_row_loop(monkeypatch, tmp_path, ref_diar
     assert {item.date for item in rejected} >= {"2019-02-30", "2019/09/02", ""}
     assert any("12,5" in item.detail for item in rejected)
     assert any("must be in [0, 1440], got -" in item.detail for item in rejected)
+
+
+def _repeated_faults_file(tmp_path, ref_diaries_path):
+    """A diary file whose rows are the reference rows under distinct ids,
+    every third with a bad minute text out of three, or a short row of one
+    shape, so that the csv path's rejections repeat a few texts; every 21st
+    has a bad date, which the bulk path refuses after the csv path's
+    rejections of its pass."""
+    header, *reference = ref_diaries_path.read_text(encoding="utf-8").splitlines()
+    rows = []
+    for i in range(3 * len(reference)):
+        fields = [f"R{i:04d}", *reference[i % len(reference)].split(",")[1:]]
+        if i % 3 == 1:
+            fields[3 + i % 9] = ("abc", "n/a", "-")[i // 3 % 3]
+        elif i % 3 == 2:
+            del fields[7:]
+        elif i % 7 == 0:
+            fields[1] = "2019-02-30"
+        rows.append(",".join(fields))
+    path = tmp_path / "faults.csv"
+    path.write_text("\n".join([header, *rows, ""]), encoding="utf-8")
+    return path
+
+
+def _shared_texts(rejected) -> bool:
+    """Whether the rejections hold one object per distinct detail text and
+    one per distinct date text."""
+    return all(
+        len(set(map(id, column))) == len(set(column)) for column in (rejected.details, rejected.dates)
+    )
+
+
+@pytest.mark.parametrize("ranges", [1, 2], ids=["one_range", "two_ranges"])
+def test_parse_errors_share_each_text(monkeypatch, tmp_path, ref_diaries_path, ranges):
+    """The PARSE_ERRORs of a file that repeats a few bad minute texts, one
+    short-row shape and one bad date hold one object per distinct detail
+    and date text, whether the file is read as one range or as two, the
+    second in a part of its own. They come in row order, as a table that holds one
+    zero row for the measures it was built without."""
+    path = _repeated_faults_file(tmp_path, ref_diaries_path)
+    monkeypatch.setattr(diary, "CHUNK_ROWS", 64)
+    table, rejected = diary.parse_diary_path(path)
+    if ranges == 2:
+        data = path.read_bytes()
+        cut = data.index(b"\n", len(data) // 2) + 1
+        with open(path, "rb") as file:
+            parts = split_read.read_split(file.fileno(), cut)
+        assert list(parts[0]) == list(table) and list(parts[1]) == list(rejected)
+        table, rejected = parts
+    assert len(table) == 214 and len(rejected) == 536
+    assert set(rejected.reasons.tolist()) == {diary.REASONS.index(RejectReason.PARSE_ERROR)}
+    assert len(set(rejected.details)) == 5 and len(set(rejected.dates)) < 100
+    assert not (np.diff(rejected.rows) < 0).any()
+    assert _shared_texts(rejected)
+    assert rejected.measures.shape == (536, 3) and rejected.measures.strides == (0, 8)
+    assert not rejected.measures.any()
 
 
 def test_bad_dates_read_in_bulk_skip_the_row_parse(monkeypatch, tmp_path, ref_diaries_path):

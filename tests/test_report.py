@@ -10,7 +10,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from telework_impact import report, sweep_writer
-from telework_impact.diary import RejectedDay, RejectionTable, RejectReason
+from telework_impact.diary import (
+    NO_ROW,
+    RejectedDay,
+    RejectionTable,
+    RejectReason,
+    RowOrder,
+    in_row_order,
+)
 from telework_impact.model import DayType
 from telework_impact.report import (
     REJECTION_HEADER,
@@ -295,3 +302,52 @@ def test_rejections_csv_from_columns_is_what_csv_writer_writes(tmp_path, rejecte
         written = write_csv(tmp_path / "rejections.csv", REJECTION_HEADER, rejection_columns(table))
     assert written.read_bytes() == _csv_bytes(REJECTION_HEADER, rows)
     assert rejection_rows(table) == rows
+
+
+def _in_row_order(rejected):
+    """A copy of ``rejected`` sorted by row, NO_ROW first, as a table."""
+    ordered = sorted(rejected, key=lambda item: NO_ROW if item.row is None else item.row)
+    return RejectionTable.from_rejected(ordered)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.builds(
+                RejectedDay,
+                st.sampled_from(RejectReason),
+                st.none() | st.integers(0, 6),
+                _ID,
+                _ID,
+            ),
+            max_size=9,
+        ).map(_in_row_order),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(1, 5),
+)
+@example([RejectionTable.from_rejected([])], 1)
+@example(
+    [_in_row_order([RejectedDay(RejectReason.PARSE_ERROR, row, f"a{row}") for row in (None, 2, 2)]),
+     RejectionTable.from_rejected([]),
+     _in_row_order([RejectedDay(RejectReason.MODE_MISMATCH, row, f"b{row}") for row in (2, None)])],
+    2,
+)
+def test_rejections_of_several_tables_are_written_in_row_order(tmp_path, tables, batch):
+    """Tables in row order, read through one order of their rows without
+    being joined, give the rejections.csv bytes and the input summary of
+    their join by ``in_row_order``: ties across tables keep the order of
+    the tables, NO_ROW comes first, and an empty table adds nothing."""
+    joined = in_row_order(*tables)
+    with mock.patch.object(report, "_CSV_BATCH_ROWS", batch):
+        written = write_csv(tmp_path / "several.csv", REJECTION_HEADER, rejection_columns(*tables))
+        expected = write_csv(tmp_path / "joined.csv", REJECTION_HEADER, rejection_columns(joined))
+    assert written.read_bytes() == expected.read_bytes()
+    summary = report.input_summary("diaries.csv", 40, 30, *tables)
+    assert summary == report.input_summary("diaries.csv", 40, 30, joined)
+    order = RowOrder(*tables)
+    assert len(order) == len(joined)
+    for start in range(0, len(joined) + 1, batch):
+        assert list(order[start:start + batch]) == list(joined[start:start + batch])
