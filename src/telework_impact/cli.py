@@ -232,12 +232,12 @@ break_even = partial(_call, ".scenario", "break_even")
 def _run_pipeline(args, config: AppConfig):
     """The diary file's data rows (parsed days plus the rows the read
     rejected), its kept days, and the rejections of the read and of the
-    filter as two tables, each in row order; they are not joined, and the
-    report writers read them in one order of their rows (see
-    :class:`.diary.RowOrder`). Where the filter rejects a day, the kept days
-    are a selection of the parsed table (see :class:`.diary.DiaryTable`):
-    they gather only the columns the command reads, and hold the parsed
-    table until they have gathered all five."""
+    filter as two tables, each in row order; they are not joined:
+    :func:`.report.rejection_columns` writes them in one order of their
+    rows. Where the filter rejects a day, the kept days are a selection of
+    the parsed table (see :class:`.diary.DiaryTable`): they gather only the
+    columns the command reads, and hold the parsed table until they have
+    gathered all five."""
     if not getattr(args, "diaries", None):
         raise ConfigError("no diary file given; pass --diaries")
     try:

@@ -22,8 +22,10 @@ line numbers; a record that spans lines has the number of its last line. A
 record that does not parse, whose date is not a date or whose minutes break
 a day's limits is a ``PARSE_ERROR``; a later row with the participant and
 date of a kept row is a ``DUPLICATE_DAY``. A byte order mark before the
-header is skipped. Only a missing or wrong header, or a byte that is not
-UTF-8, aborts a parse, with :class:`DiaryFormatError`.
+header is skipped. Only a missing or wrong header, a byte that is not
+UTF-8, or a record that ``csv`` cannot read (a field longer than
+``csv.field_size_limit()``, 131,072 characters by default) aborts a parse,
+with :class:`DiaryFormatError`.
 
 A file of at least :data:`SPLIT_MIN_BYTES` is read as two ranges, cut just
 after the first ``\n`` from its middle: a forked child reads the second
@@ -379,56 +381,16 @@ class RejectionTable(Sequence):
 def in_row_order(*tables: RejectionTable) -> RejectionTable:
     """The rejections of ``tables`` joined and stably sorted by row: ties
     keep the order of the tables, then each table's own order. A lone table
-    in row order is returned as it is. Each table's part of a column is
-    copied once, straight to its places, since an object column costs a
-    visit to every object it holds. :class:`RowOrder` reads this join a
-    slice at a time without making it."""
+    in row order is returned as it is. The read joins its tables only where
+    a file has duplicate days; the report writers read several tables
+    without joining them (see :func:`.report.rejection_columns`)."""
     rows = np.concatenate([table.rows for table in tables])
     if len(tables) == 1 and not (rows[1:] < rows[:-1]).any():
         return tables[0]
     order = np.argsort(rows, kind="stable")
-    places = np.empty_like(order)
-    places[order] = np.arange(len(order))
-    places = np.split(places, np.cumsum([len(table) for table in tables])[:-1])
-    columns = []
-    for parts in zip(*(table._columns() for table in tables)):
-        column = np.empty((len(order), *parts[0].shape[1:]), parts[0].dtype)
-        for part, at in zip(parts, places):
-            column[at] = part
-        columns.append(column)
-    return RejectionTable(*columns)
-
-
-class RowOrder:
-    """Rejections of one or more tables, or iterables of
-    :class:`RejectedDay`, read as one without joining them: ``len`` counts
-    them all, and a slice gives those rejections as a table. Several are
-    read in one stable order of their rows, so that a slice is that slice
-    of :func:`in_row_order` of them; a lone one is read as it stands.
-    """
-
-    def __init__(self, rejected: Iterable[RejectedDay], *more: Iterable[RejectedDay]):
-        self.tables = tuple(map(RejectionTable.from_rejected, (rejected, *more)))
-        self._starts = np.cumsum([0, *map(len, self.tables)])
-        self._order = None
-        if more:
-            rows = np.concatenate([table.rows for table in self.tables])
-            self._order = np.argsort(rows, kind="stable")
-
-    def __len__(self) -> int:
-        return int(self._starts[-1])
-
-    def __getitem__(self, item: slice) -> RejectionTable:
-        if self._order is None:
-            return self.tables[0][item]
-        at = self._order[item]
-        which = np.searchsorted(self._starts, at, side="right") - 1
-        # Each table's rejections of the slice, in the slice's order, are in
-        # row order: joined, they give it.
-        starts = self._starts.tolist()
-        return in_row_order(*(
-            table[at[which == k] - start] for k, (table, start) in enumerate(zip(self.tables, starts))
-        ))
+    return RejectionTable(*(
+        np.concatenate(parts)[order] for parts in zip(*(table._columns() for table in tables))
+    ))
 
 
 def _read_rejections(rows, participant_ids, dates, details, reason) -> RejectionTable:
@@ -868,8 +830,8 @@ def parse_diary_file(stream: IO) -> tuple[DiaryTable, RejectionTable]:
     rejections, both in row order. The stream is read once and never
     seeked, nor closed; blank lines are skipped, and so is a byte order mark
     before the header. Logs one warning for all kept rows with an unknown
-    location. A stream that is not UTF-8 raises :class:`DiaryFormatError`
-    naming it."""
+    location. A stream that is not UTF-8, or that ``csv`` refuses, raises
+    :class:`DiaryFormatError` naming it."""
     text = stream
     if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(
         stream, "mode", ""
@@ -877,8 +839,8 @@ def parse_diary_file(stream: IO) -> tuple[DiaryTable, RejectionTable]:
         text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
     try:
         return _merge(_read_range(text, _read_header(text, text) + 1))
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(stream, exc) from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise _refused(stream, exc) from None
     finally:
         # A wrapper closes the stream it wraps when it is collected.
         if text is not stream:
@@ -897,11 +859,16 @@ def parse_diary_path(path: str | Path) -> tuple[DiaryTable, RejectionTable]:
 
         try:
             return split_read.parse(raw)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(raw, exc) from None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise _refused(raw, exc) from None
 
 
-def _not_utf8(stream: IO, exc: UnicodeDecodeError) -> DiaryFormatError:
-    """The refusal of the diary ``stream`` whose read met ``exc``."""
-    name, bad = getattr(stream, "name", "stream"), exc.object[exc.start:exc.end]
+def _refused(stream: IO, exc: UnicodeDecodeError | csv.Error) -> DiaryFormatError:
+    """The refusal of the diary ``stream`` whose read met ``exc``: a byte
+    that is not UTF-8, or a record ``csv`` cannot read, such as a field
+    over its field size limit."""
+    name = getattr(stream, "name", "stream")
+    if isinstance(exc, csv.Error):
+        return DiaryFormatError(f"diary file {name} is not readable CSV: {exc}")
+    bad = exc.object[exc.start:exc.end]
     return DiaryFormatError(f"diary file {name} is not UTF-8: {exc.reason} {bad!r}")

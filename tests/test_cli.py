@@ -2024,21 +2024,21 @@ class TestTwoProcessSweep:
         assert stdout.splitlines()[-1] == "0 1 True"
 
 
-@pytest.mark.parametrize("large", [False, True], ids=["shipped", "past-split-size"])
-def test_diary_that_is_not_utf8_is_refused_by_name(
-    tmp_path, ref_config_path, ref_diaries_path, large
-):
-    """One 0xFF byte in the second half of the file: before, ``validate``
-    ended in a traceback, and a file read in two processes lost its child
-    first. The fork counter sees whether a child was left unreaped."""
+def _diaries_to_refuse(tmp_path, ref_diaries_path, large):
+    """The shipped diaries, or a file past ``SPLIT_MIN_BYTES`` made from
+    them, as bytes, and the path to write them to."""
     if large:
         path = TestTwoProcessRead._diaries(tmp_path, ref_diaries_path, large=True)
     else:
         path = tmp_path / "diaries.csv"
         path.write_bytes(Path(ref_diaries_path).read_bytes())
-    data = bytearray(path.read_bytes())
-    data[data.index(b"\n", len(data) * 3 // 4) + 1] = 0xFF  # the first byte of a line
-    path.write_bytes(data)
+    return bytearray(path.read_bytes()), path
+
+
+def _assert_refused_by_name(tmp_path, ref_config_path, path, large, message):
+    """``validate`` on ``path`` exits 1 with ``error: message`` alone, writes
+    nothing, and forks once if ``large`` and that is safe, reaping the child.
+    The fork counter sees whether a child was left unreaped."""
     argv = ["validate", "--config", str(ref_config_path), "--diaries", str(path), "--out", "out"]
     statements = [f"code = cli.main({argv!r})", "print(len(forks), reaped())", "sys.exit(code)"]
     result = subprocess.run(
@@ -2046,9 +2046,43 @@ def test_diary_that_is_not_utf8_is_refused_by_name(
         capture_output=True, text=True, cwd=tmp_path, env=CHILD_ENV, timeout=120,
     )
     assert result.returncode == 1
-    assert result.stderr.splitlines() == [
-        f"error: diary file {path} is not UTF-8: invalid start byte b'\\xff'"
-    ]
+    assert result.stderr.splitlines() == [f"error: {message}"]
     forks = int(large and hasattr(os, "fork") and _cpus() >= 2)
     assert result.stdout.split() == [str(forks), "True"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["shipped", "past-split-size"])
+def test_diary_that_is_not_utf8_is_refused_by_name(
+    tmp_path, ref_config_path, ref_diaries_path, large
+):
+    """One 0xFF byte in the second half of the file: before, ``validate``
+    ended in a traceback, and a file read in two processes lost its child
+    first."""
+    data, path = _diaries_to_refuse(tmp_path, ref_diaries_path, large)
+    data[data.index(b"\n", len(data) * 3 // 4) + 1] = 0xFF  # the first byte of a line
+    path.write_bytes(data)
+    message = f"diary file {path} is not UTF-8: invalid start byte b'\\xff'"
+    _assert_refused_by_name(tmp_path, ref_config_path, path, large, message)
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
+@pytest.mark.parametrize("large", [False, True], ids=["shipped", "past-split-size"])
+def test_diary_with_a_field_over_the_csv_limit_is_refused_by_name(
+    tmp_path, ref_config_path, ref_diaries_path, large, quoted
+):
+    """A line in the second half of the file whose id, quoted, or minute
+    field, not a number, is longer than csv's field size limit: before,
+    ``validate`` ended in a traceback."""
+    data, path = _diaries_to_refuse(tmp_path, ref_diaries_path, large)
+    limit = csv.field_size_limit()
+    field = "x" * (limit + 1)
+    if quoted:
+        line = f'"{field}",2019-09-02,office,60,480,30,30,10,10,40,0,0\n'
+    else:
+        line = f"P1,2019-09-02,office,60,{field},30,30,10,10,40,0,0\n"
+    at = data.index(b"\n", len(data) * 3 // 4) + 1
+    data[at:at] = line.encode("ascii")
+    path.write_bytes(data)
+    message = f"diary file {path} is not readable CSV: field larger than field limit ({limit})"
+    _assert_refused_by_name(tmp_path, ref_config_path, path, large, message)

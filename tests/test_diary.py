@@ -905,6 +905,36 @@ def test_two_range_read_equals_one_range_read(monkeypatch, caplog, head, tail, c
         assert messages == []
 
 
+@pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
+@pytest.mark.parametrize("split", [False, True], ids=["one-range", "past-split-size"])
+def test_field_over_the_csv_limit_is_refused_by_name(monkeypatch, tmp_path, quoted, split):
+    """A field longer than csv's field size limit, quoted (an id) or not (a
+    minute that is no number), aborts the read with a DiaryFormatError that
+    names the file and csv's reason, in a head read or a tail read after a
+    cut; before, csv.Error escaped."""
+    monkeypatch.setattr(diary, "CHUNK_ROWS", 2)
+    if split:
+        monkeypatch.setattr(diary, "SPLIT_MIN_BYTES", 1)
+    limit = csv.field_size_limit()
+    field = "x" * (limit + 1)
+    bad = (f'"{field}",2024-01-09,home,60,480,30,30,10,10,40,0,0' if quoted
+           else f"P9,2024-01-09,home,60,{field},30,30,10,10,40,0,0")
+    head = f"{HEADER}\n" + "".join(f"{row}\n" for row in _day_rows(["P1", "P2", "P3"], 8))
+    path = tmp_path / "diaries.csv"
+    path.write_text(head + "".join(f"{row}\n" for row in [*_day_rows(["P4"], 8), bad]), "utf-8")
+    reason = f"is not readable CSV: field larger than field limit ({limit})"
+    with pytest.raises(DiaryFormatError) as refused:
+        diary.parse_diary_path(path)
+    assert str(refused.value) == f"diary file {path} {reason}"
+    with pytest.raises(DiaryFormatError, match=re.escape(f"diary file stream {reason}")):
+        parse_diary_file(io.BytesIO(path.read_bytes()))
+    if split:
+        # This session does not fork: the tail read after the cut meets the
+        # field, and parse_diary_path names what it raises.
+        with open(path, "rb") as raw, pytest.raises(csv.Error):
+            split_read.read_split(raw.fileno(), len(head))
+
+
 def test_duplicate_days_keep_the_first_row():
     rows = [_ROW, _ROW, _ROW2, " P1 ,2024-01-08,home,0,500,0,0,0,0,0,0,0", _ROW2]
     days, rejected = parse_text(HEADER + "\n" + "\n".join(rows) + "\n")
@@ -1302,3 +1332,38 @@ def test_rejection_table_holds_its_rejections(rejected, data):
     joined = diary.in_row_order(*map(RejectionTable.from_rejected, halves))
     by_row = sorted(halves[0] + halves[1], key=lambda r: diary.NO_ROW if r.row is None else r.row)
     assert list(joined) == by_row
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            RejectedDay, st.just(RejectReason.PARSE_ERROR), st.none() | st.integers(0, 9),
+            st.text(max_size=3), st.text(max_size=5), st.text(max_size=8),
+        ),
+        max_size=8,
+    ),
+    days_and_rules(),
+    st.data(),
+)
+def test_in_row_order_joins_read_and_filter_tables(read, days_rules, data):
+    """A read's table (text details, one zero row of measures broadcast)
+    and a filter's (details formatted from its measures, several failures),
+    with ties and days without a row, join as their rejections sorted by
+    row, ties in the order of the tables and then of each table; the
+    measures come along bit for bit."""
+    days, rules = days_rules
+    rows = data.draw(st.lists(st.none() | st.integers(0, 9), min_size=len(days), max_size=len(days)))
+    days = [
+        DiaryDay(d.participant_id, d.date, d.day_type, d.activity_minutes, d.mode_minutes, row)
+        for d, row in zip(days, rows)
+    ]
+    read = RejectionTable.from_rejected(read)
+    _, filtered = apply_quality_filter(days, rules)
+    for tables in ((read, filtered), (filtered, read)):
+        joined = diary.in_row_order(*tables)
+        pairs = [pair for table in tables for pair in zip(table, table.measures.tolist())]
+        pairs.sort(key=lambda pair: diary.NO_ROW if pair[0].row is None else pair[0].row)
+        assert list(joined) == [item for item, _ in pairs]
+        expected = np.array([measures for _, measures in pairs], dtype=np.float64).reshape(-1, 3)
+        assert joined.measures.tobytes() == expected.tobytes()

@@ -6,16 +6,16 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from telework_impact import report, sweep_writer
+from telework_impact import cli, report, sweep_writer
 from telework_impact.diary import (
     NO_ROW,
     RejectedDay,
     RejectionTable,
     RejectReason,
-    RowOrder,
     in_row_order,
 )
 from telework_impact.model import DayType
@@ -340,14 +340,39 @@ def test_rejections_of_several_tables_are_written_in_row_order(tmp_path, tables,
     being joined, give the rejections.csv bytes and the input summary of
     their join by ``in_row_order``: ties across tables keep the order of
     the tables, NO_ROW comes first, and an empty table adds nothing."""
+    _assert_written_as_joined(tmp_path, tables, batch)
+
+
+def _assert_written_as_joined(tmp_path, tables, batch):
     joined = in_row_order(*tables)
+    assert rejection_columns(*tables).size == len(joined)
     with mock.patch.object(report, "_CSV_BATCH_ROWS", batch):
         written = write_csv(tmp_path / "several.csv", REJECTION_HEADER, rejection_columns(*tables))
         expected = write_csv(tmp_path / "joined.csv", REJECTION_HEADER, rejection_columns(joined))
     assert written.read_bytes() == expected.read_bytes()
     summary = report.input_summary("diaries.csv", 40, 30, *tables)
     assert summary == report.input_summary("diaries.csv", 40, 30, joined)
-    order = RowOrder(*tables)
-    assert len(order) == len(joined)
-    for start in range(0, len(joined) + 1, batch):
-        assert list(order[start:start + batch]) == list(joined[start:start + batch])
+
+
+@pytest.mark.parametrize("batch", [1, 7, 4096])
+def test_pipeline_rejections_are_written_in_row_order(
+    tmp_path, ref_config, ref_diaries_path, batch
+):
+    """The read's and the filter's tables as the CLI hands them over, for
+    the reference diaries with a bad date, a short row, a duplicate day and
+    days that fail a rule planted among them, interleave by row and are
+    written as their join."""
+    header, *rows = Path(ref_diaries_path).read_text(encoding="utf-8").splitlines()
+    rows[40:40] = ["P9,2019-02-30,office,60,480,30,30,10,10,40,0,0", "P9,2019-09-03"]
+    rows.insert(120, rows[100])
+    for at, location, work in ((10, "multiple", 480), (80, "office", 30), (200, "home", 30)):
+        rows.insert(at, f"Q{at},2019-09-02,{location},60,{work},30,30,10,10,40,0,0")
+    path = tmp_path / "diaries.csv"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    _, _, tables = cli._run_pipeline(mock.Mock(diaries=path), ref_config)
+    reasons = [{item.reason for item in table} for table in tables]
+    assert reasons[0] == {RejectReason.PARSE_ERROR, RejectReason.DUPLICATE_DAY}
+    assert reasons[1] and RejectReason.PARSE_ERROR not in reasons[1]
+    rows = [table.rows for table in tables]
+    assert rows[0].min() < rows[1].max() and rows[1].min() < rows[0].max()
+    _assert_written_as_joined(tmp_path, tables, batch)
