@@ -113,8 +113,10 @@ def day_counts(days: Iterable[DiaryDay]) -> dict[DayType, int]:
 
     from .diary import DiaryTable
 
-    counts = np.bincount(DiaryTable.from_days(days).day_types, minlength=len(DAY_TYPES))
-    return dict(zip(DAY_TYPES, counts.tolist()))
+    # count_nonzero reads the int8 codes as they are; bincount copies them
+    # to intp.
+    day_types = DiaryTable.from_days(days).day_types
+    return {t: int(np.count_nonzero(day_types == code)) for code, t in enumerate(DAY_TYPES)}
 
 
 def profiles_to_dict(profiles: Mapping[DayType, DayTypeProfile]) -> dict:

@@ -271,21 +271,25 @@ def _round(value: float, args) -> float:
 def cmd_validate(args) -> int:
     config = load_config(_config_path(args))
     rows_seen, kept, rejected = _run_pipeline(args, config)
+    # Only the count and the day types of the kept days are written: the
+    # parsed table, which the kept days hold, is freed before the writes.
+    kept_count, counts = len(kept), day_counts(kept)
+    del kept
     out = _out_dir(args)
 
     rpt.write_csv(out / "rejections.csv", rpt.REJECTION_HEADER, rpt.rejection_columns(*rejected))
     report = rpt.base_report("validate", config, __version__, {"diaries": str(args.diaries)})
-    report["input_summary"] = rpt.input_summary(args.diaries, rows_seen, len(kept), *rejected)
-    report["day_counts"] = {t.value: n for t, n in day_counts(kept).items()}
+    report["input_summary"] = rpt.input_summary(args.diaries, rows_seen, kept_count, *rejected)
+    report["day_counts"] = {t.value: n for t, n in counts.items()}
     rpt.write_json(out / "report.json", report)
     rpt.write_run_info(out)
 
     summary = report["input_summary"]
     print(f"parsed {summary['rows_parsed']} rows from {args.diaries}")
-    print(f"kept {len(kept)}, rejected {summary['rejected']} (see {out / 'rejections.csv'})")
+    print(f"kept {kept_count}, rejected {summary['rejected']} (see {out / 'rejections.csv'})")
     for reason, count in sorted(summary["rejected_by_reason"].items()):
         print(f"  {reason}: {count}")
-    return EXIT_OK if kept else EXIT_INSUFFICIENT_DATA
+    return EXIT_OK if kept_count else EXIT_INSUFFICIENT_DATA
 
 
 def cmd_profile(args) -> int:

@@ -24,8 +24,9 @@ a day's limits is a ``PARSE_ERROR``; a later row with the participant and
 date of a kept row is a ``DUPLICATE_DAY``. A byte order mark before the
 header is skipped. Only a missing or wrong header, a byte that is not
 UTF-8, or a record that ``csv`` cannot read (a field longer than
-``csv.field_size_limit()``, 131,072 characters by default) aborts a parse,
-with :class:`DiaryFormatError`.
+``csv.field_size_limit()``, 131,072 characters by default, to which the
+ids, dates and locations of the lines ``np.loadtxt`` reads are held too)
+aborts a parse, with :class:`DiaryFormatError`.
 
 A file of at least :data:`SPLIT_MIN_BYTES` is read as two ranges, cut just
 after the first ``\n`` from its middle: a forked child reads the second
@@ -179,11 +180,11 @@ class DiaryTable(Sequence):
     mask or index array gives a sub-table that shares the distinct tuples:
     a selection of rows of the table, or of the table a selection was taken
     from, so that selections never chain. A selection gathers each column
-    with ``take`` the first time it is read, and keeps that table alive
-    until it has gathered all five. A one-dimensional ``intp`` index array
-    whose indices are all in range, as ``np.flatnonzero`` gives one, is the
-    selection's index as it is, and is made read-only, as the constructor
-    does with its columns; any other index is resolved against
+    the first time it is read, and keeps that table alive until it has
+    gathered all five. A one-dimensional ``intp`` index array whose indices
+    are all in range, as ``np.flatnonzero`` gives one, is the selection's
+    index as it is, and is made read-only, as the constructor does with its
+    columns; any other index is resolved against
     ``np.arange(len(table))``. The distinct tuples of a sub-table may
     hold values that no row has; those of a parse or of :meth:`from_days`
     hold exactly the values of its rows, in order of first appearance. The
@@ -217,9 +218,11 @@ class DiaryTable(Sequence):
         # Only a selection leaves a column unset, until its first read.
         if name not in _ROW_COLUMNS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        # take copies the rows of a matrix several times faster than indexing
-        # it by an index array.
-        column = getattr(self._parent, name).take(self._rows, axis=0)
+        # take copies the rows of a matrix faster than indexing it by an
+        # index array, but it copies a read-only index first; indexing a
+        # vector reads the index as it is.
+        column = getattr(self._parent, name)
+        column = column.take(self._rows, axis=0) if column.ndim > 1 else column[self._rows]
         column.flags.writeable = False
         setattr(self, name, column)
         self._unread -= 1
@@ -627,19 +630,18 @@ class _Part:
     ``ids`` and ``dates``, day type codes (``b``, -1 for an unknown location,
     which :func:`_merge` recodes) and the minutes (``d``, nine a row).
     ``ids`` and ``dates`` hold each value in order of its first row, as the
-    keys of a dict (whose values are of no further use) where
-    :func:`_read_range` made the part, as a list in the part a child sends.
-    ``size`` is the row count, ``lines`` the number of the range's last
-    line, and ``rejected`` the PARSE_ERRORs as columns of line numbers, ids,
-    dates and details, whose texts are those of the memo ``texts`` (see
-    :class:`_Rejected`). A child's part has ``columns`` None: they go to the
-    head's.
+    tuples a :class:`DiaryTable` keeps; the ids a child sends as one text
+    are a list. ``size`` is the row count, ``lines`` the number of the
+    range's last line, and ``rejected`` the PARSE_ERRORs as columns of line
+    numbers, ids, dates and details, whose texts are those of the memo
+    ``texts`` (see :class:`_Rejected`). A child's part has ``columns`` None:
+    they go to the head's.
     """
 
     columns: tuple[array, ...] | None
     size: int
-    ids: dict[str, int] | list[str]
-    dates: dict[_dt.date, None] | list[_dt.date]
+    ids: tuple[str, ...] | list[str]
+    dates: tuple[_dt.date, ...]
     rejected: tuple[tuple, ...]
     lines: int
     texts: dict[str, str]
@@ -673,7 +675,13 @@ def _read_range(
     texts (:class:`_DateTexts`, :class:`_LocationCodes`), which run Python
     code once per distinct text; ids stay text, and each pass numbers those
     of its kept rows with :func:`_id_serials`. Only the columns of a pass's
-    kept rows outlive it.
+    kept rows outlive it, and only the tuple of the ids outlives the read.
+
+    ``csv`` refuses a field longer than ``csv.field_size_limit()`` on the
+    lines it reads; the texts of the other lines are checked here, each
+    distinct id, date, location and rejected row's id once, and the read
+    raises the ``csv.Error`` that ``csv`` would. Ids are checked stripped,
+    minute fields not at all.
     """
     distinct_ids: dict[str, int] = {}
     serials = count()
@@ -706,13 +714,18 @@ def _read_range(
 
     id_codes, date_codes = (np.frombuffer(column, dtype=np.int32) for column in columns[1:3])
     _positions(distinct_ids, id_codes)
+    ids = tuple(distinct_ids)
+    del distinct_ids
+    limit = csv.field_size_limit()
+    if max(map(len, chain(ids, dates, locations, (r[1] for r in rejected))), default=0) > limit:
+        raise csv.Error(f"field larger than field limit ({limit})")
     order = _first_appearance(date_codes, len(dates.dates)).tolist()
     # A pass adds its csv records before its bulk ones. In row order (each
     # row has one record), the read's rejections are a table in_row_order
     # returns as it is, with no joined copy.
     rejected.sort()
     return _Part(
-        columns, len(columns[0]), distinct_ids, dict.fromkeys(dates.dates[code] for code in order),
+        columns, len(columns[0]), ids, tuple(map(dates.dates.__getitem__, order)),
         tuple(zip(*rejected)) or ((),) * 4, first_row - 1, rejected.texts,
     )
 
@@ -729,14 +742,18 @@ def _first_appearance(codes: np.ndarray, size: int) -> np.ndarray:
     return order
 
 
-def _renumber(codes: np.ndarray, values: dict, more: Sequence) -> tuple:
-    """The keys of ``values`` and then the values of ``more`` that they
-    lack, in order, as the tuple a :class:`DiaryTable` keeps; ``codes``
-    into ``more``, whose values are distinct, become codes into that tuple
-    in place. Where ``more`` has none of the keys, as when no participant
-    has rows on both sides of a cut, that is a shift, and no dict of
-    positions is built."""
-    if values.keys().isdisjoint(more):
+def _renumber(codes: np.ndarray, values: tuple, more: Sequence) -> tuple:
+    """``values`` and then the values of ``more`` that it lacks, in order,
+    as the tuple a :class:`DiaryTable` keeps; ``codes`` into ``more``, whose
+    values are distinct, become codes into that tuple in place.
+
+    Where no two values have one ``hash()``, ``values`` and ``more`` share
+    no value, as when no participant has rows on both sides of a cut: that
+    is a shift, and no dict is built. The check sorts one int64 column of
+    the hashes of both and compares neighbours. A shared hash, of a shared
+    value or of two values that collide, takes the exact path: a dict of
+    the positions of ``values`` codes the values of ``more``."""
+    if not _share_a_hash(values, more):
         codes += len(values)
         return (*values, *more)
     position = dict(zip(values, count()))
@@ -745,6 +762,14 @@ def _renumber(codes: np.ndarray, values: dict, more: Sequence) -> tuple:
     recode[new] = np.arange(len(values), len(values) + np.count_nonzero(new))
     codes[:] = recode[codes]
     return (*values, *compress(more, new.tolist()))
+
+
+def _share_a_hash(values: Sequence, more: Sequence) -> bool:
+    """Whether two of the distinct ``values`` and ``more`` have one
+    ``hash()``: a value that both hold, or a collision."""
+    hashes = np.fromiter(map(hash, chain(values, more)), np.int64, len(values) + len(more))
+    hashes.sort()
+    return bool((hashes[1:] == hashes[:-1]).any())
 
 
 def _merge(head: _Part, tail: _Part | None = None) -> tuple[DiaryTable, RejectionTable]:

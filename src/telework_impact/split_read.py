@@ -131,8 +131,8 @@ def _read_in_child(fd: int, cut: int, sender: int) -> None:
     # list, where no id holds the newline that joins them.
     ids = "\n".join(part.ids)
     if ids.count("\n") != len(part.ids) - 1:
-        ids = list(part.ids)
-    rest = replace(part, columns=None, ids=ids, dates=list(part.dates))
+        ids = part.ids
+    rest = replace(part, columns=None, ids=ids)
     pickled = pickle.dumps(rest, protocol=pickle.HIGHEST_PROTOCOL)
     with open(sender, "wb") as pipe:
         pipe.write(array("q", [*map(len, part.columns), len(pickled)]))

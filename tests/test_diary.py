@@ -905,20 +905,27 @@ def test_two_range_read_equals_one_range_read(monkeypatch, caplog, head, tail, c
         assert messages == []
 
 
-@pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
+#: Lines with a field one character over csv's limit, the field put in by format.
+_OVER_THE_LIMIT = {
+    "unquoted": "P9,2024-01-09,home,60,{},30,30,10,10,40,0,0",
+    "quoted": '"{}",2024-01-09,home,60,480,30,30,10,10,40,0,0',
+    "plain-id": "{},2024-01-09,home,60,480,30,30,10,10,40,0,0",
+}
+
+
+@pytest.mark.parametrize("kind", list(_OVER_THE_LIMIT))
 @pytest.mark.parametrize("split", [False, True], ids=["one-range", "past-split-size"])
-def test_field_over_the_csv_limit_is_refused_by_name(monkeypatch, tmp_path, quoted, split):
+def test_field_over_the_csv_limit_is_refused_by_name(monkeypatch, tmp_path, kind, split):
     """A field longer than csv's field size limit, quoted (an id) or not (a
-    minute that is no number), aborts the read with a DiaryFormatError that
+    minute that is no number, which csv reads, or an id on a plain line,
+    which np.loadtxt reads), aborts the read with a DiaryFormatError that
     names the file and csv's reason, in a head read or a tail read after a
-    cut; before, csv.Error escaped."""
+    cut; before, csv.Error escaped, and the plain line was kept."""
     monkeypatch.setattr(diary, "CHUNK_ROWS", 2)
     if split:
         monkeypatch.setattr(diary, "SPLIT_MIN_BYTES", 1)
     limit = csv.field_size_limit()
-    field = "x" * (limit + 1)
-    bad = (f'"{field}",2024-01-09,home,60,480,30,30,10,10,40,0,0' if quoted
-           else f"P9,2024-01-09,home,60,{field},30,30,10,10,40,0,0")
+    bad = _OVER_THE_LIMIT[kind].format("x" * (limit + 1))
     head = f"{HEADER}\n" + "".join(f"{row}\n" for row in _day_rows(["P1", "P2", "P3"], 8))
     path = tmp_path / "diaries.csv"
     path.write_text(head + "".join(f"{row}\n" for row in [*_day_rows(["P4"], 8), bad]), "utf-8")
@@ -933,6 +940,46 @@ def test_field_over_the_csv_limit_is_refused_by_name(monkeypatch, tmp_path, quot
         # field, and parse_diary_path names what it raises.
         with open(path, "rb") as raw, pytest.raises(csv.Error):
             split_read.read_split(raw.fileno(), len(head))
+
+
+class _CollidingId(str):
+    def __hash__(self):
+        return 7
+
+
+class _CollidingDate(dt.date):
+    def __hash__(self):
+        return 7
+
+
+def _renumbered_by_dict(codes, values, more):
+    position = dict(zip(values, range(len(values))))
+    for value in more:
+        position.setdefault(value, len(position))
+    return [position[more[code]] for code in codes], tuple(position)
+
+
+@pytest.mark.parametrize(
+    "make", [_CollidingId, lambda k: _CollidingDate(2024, 1, 1 + k)], ids=["ids", "dates"]
+)
+@pytest.mark.parametrize("tail_keys", [(3, 4, 5), (3, 1, 4, 0)], ids=["no-shared", "shared"])
+def test_renumber_with_colliding_hashes_equals_a_dict_renumbering(make, tail_keys):
+    """Values whose hashes all collide take the exact path, whether or not
+    the tail shares a value with the head, and give a dict's renumbering."""
+    head, tail = tuple(map(make, (0, 1, 2))), [make(k) for k in tail_keys]
+    assert diary._share_a_hash(head, tail)
+    codes = np.array([*range(len(tail)), *reversed(range(len(tail)))], dtype=np.int32)
+    expected_codes, expected_values = _renumbered_by_dict(codes.tolist(), head, tail)
+    assert diary._renumber(codes, head, tail) == expected_values
+    assert codes.tolist() == expected_codes
+
+
+def test_read_range_gives_the_ids_and_dates_as_tuples():
+    text = "".join(f"{row}\n" for row in [*_day_rows(["P2", "P1"], 9), *_day_rows(["P2"], 8)])
+    part = diary._read_range(io.StringIO(text), 2)
+    assert part.ids == ("P2", "P1") and type(part.ids) is tuple
+    assert part.dates == (dt.date(2024, 1, 9), dt.date(2024, 1, 8)) and type(part.dates) is tuple
+    assert not diary._share_a_hash(part.ids, ["P3", "P4"])
 
 
 def test_duplicate_days_keep_the_first_row():
@@ -1062,9 +1109,9 @@ def test_validate_holds_no_copy_of_the_kept_minutes(
     monkeypatch, tmp_path, ref_config_path, ref_diaries_path
 ):
     """``validate`` reads only the count and the day types of the kept days,
-    so no array of their minutes is allocated: when the command writes its
-    last file, while it still holds the kept days, numpy holds no block of
-    their minutes' size."""
+    so no column of their minutes is gathered, and it drops them before it
+    writes: when it writes rejections.csv, no table it made is left, and
+    numpy holds no block of the kept rows' minutes."""
     lines = ref_diaries_path.read_text(encoding="utf-8").splitlines()
     rows = []
     for i in range(4000):
@@ -1075,14 +1122,25 @@ def test_validate_holds_no_copy_of_the_kept_minutes(
         rows.append(",".join(fields))
     diaries = tmp_path / "diaries.csv"
     diaries.write_text("\n".join([lines[0], *rows, ""]), encoding="utf-8")
-    snapshots = []
-    write_run_info = report.write_run_info
+    gathered, tables, snapshots = [], [], []
+    gather, write_csv = diary.DiaryTable.__getattr__, report.write_csv
 
-    def snapshot_then_write(out):
-        snapshots.append(tracemalloc.take_snapshot())
-        return write_run_info(out)
+    def gather_and_count(table, name):
+        column = gather(table, name)
+        gathered.append(column.nbytes)
+        return column
 
-    monkeypatch.setattr(report, "write_run_info", snapshot_then_write)
+    def snapshot_then_write(path, *args):
+        if path.name == "rejections.csv":
+            left = (o for o in gc.get_objects() if isinstance(o, diary.DiaryTable))
+            tables.extend(o for o in left if not any(o is other for other in before))
+            snapshots.append(tracemalloc.take_snapshot())
+        return write_csv(path, *args)
+
+    monkeypatch.setattr(diary.DiaryTable, "__getattr__", gather_and_count)
+    monkeypatch.setattr(report, "write_csv", snapshot_then_write)
+    before = [o for o in gc.get_objects() if isinstance(o, diary.DiaryTable)]
+    assert gc.is_tracked(diary.DiaryTable.from_days([]))
     tracemalloc.start()
     try:
         code = cli.main([
@@ -1095,10 +1153,12 @@ def test_validate_holds_no_copy_of_the_kept_minutes(
     summary = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     kept = summary["input_summary"]["kept"]
     assert kept == 3000
+    row_bytes = len(diary.MINUTE_COLUMNS) * 8
+    assert kept * row_bytes not in gathered
+    assert tables == [] and len(snapshots) == 1
     numpy_blocks = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
     sizes = [trace.size for trace in snapshots[0].filter_traces([numpy_blocks]).traces]
-    assert kept in sizes  # the day types the day counts read
-    assert kept * len(diary.MINUTE_COLUMNS) * 8 not in sizes
+    assert kept * row_bytes not in sizes
 
 
 def _fail_row_parse(values, row, *codes):
